@@ -22,8 +22,7 @@ import sys
 import tempfile
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
@@ -41,8 +40,6 @@ from .floquet import (
     transition_manifold,
 )
 from .numerics import RngStream
-
-ENV_THREADS = "COUPLERSIM_THREADS"
 
 
 class ConfigError(Exception):
@@ -110,7 +107,6 @@ class RunContext:
     out_dir: str
     params: dict
     rates: DecayRates
-    threads: int
 
     def stream(self, stream_id: int = 0) -> RngStream:
         return RngStream(seed=self.seed, stream_id=stream_id)
@@ -179,10 +175,18 @@ def validate_config(cfg: dict) -> list:
                     f"k*omega_D/2; the leading-order coupling formula is out of "
                     f"its validity window (warning)"
                 )
+
+    if name == "cz-chevron":
+        for key, convert in (("n_omega", int), ("n_sub", int), ("max_duration", float)):
+            try:
+                ok = key not in params or 0 < convert(params[key]) < math.inf
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            _require(ok, f"params.{key}", "must be a positive number")
     return notes
 
 
-def build_context(cfg: dict, seed_override=None, out_override=None, threads=1) -> RunContext:
+def build_context(cfg: dict, seed_override=None, out_override=None) -> RunContext:
     notes = validate_config(cfg)
     for note in notes:
         print(f"warning: {note}", file=sys.stderr)
@@ -200,7 +204,6 @@ def build_context(cfg: dict, seed_override=None, out_override=None, threads=1) -
         out_dir=out_override or cfg.get("output", "out"),
         params=cfg.get("params", {}) or {},
         rates=rates,
-        threads=threads,
     )
 
 
@@ -335,12 +338,7 @@ def _run_periodic_lr(ctx: RunContext) -> list:
     columns = [np.arange(n_max + 1)]
     summary = {}
     for n_lr in n_lr_list:
-        scenario = rbsim.RBScenario(
-            l_cl=base.l_cl, rates=base.rates, tau_cl=base.tau_cl,
-            tau_leak=base.tau_leak, tau_lr=base.tau_lr, f_lr=base.f_lr,
-            n_lr=n_lr, n_cl_grid=(n_max,),
-        )
-        _, trace = rbsim.periodic_lr_trace(scenario)
+        _, trace = rbsim.periodic_lr_trace(replace(base, n_lr=n_lr, n_cl_grid=(n_max,)))
         columns.append(trace)
         header.append(f"p_f_every_{n_lr}")
         summary[f"max_p_f_every_{n_lr}"] = float(trace.max())
@@ -448,8 +446,7 @@ def _run_floquet_report(ctx: RunContext) -> list:
                 "readout": presets.readout_drive, "cz": presets.cz_drive}
     drive = fixtures[kind]()
     if "a_d" in p.get("drive", {}):
-        drive = DriveSpec(phi_dc=drive.phi_dc, a_d=float(p["drive"]["a_d"]),
-                          omega_d=drive.omega_d, k=drive.k, envelope=drive.envelope)
+        drive = replace(drive, a_d=float(p["drive"]["a_d"]))
     man = transition_manifold(circuit, kind)
     spectrum = fourier_decompose(drive, circuit.coupler)
     report = {
@@ -506,7 +503,7 @@ SCENARIOS = {
     "periodic-lr": (_run_periodic_lr, "l_cl, n_lr_list[], n_max", "Fig. 7"),
     "chi-map": (_run_chi_map, "g_tilde[], delta_span, n_points", "Fig. 4(c)"),
     "readout-shots": (_run_readout_shots, "n_shots, separation_sigma, tau_meas, experiment_populations", "Fig. 4(d,e)"),
-    "cz-chevron": (_run_cz_chevron, "omega_d_span, n_omega, max_duration", "Fig. 8(a,b)"),
+    "cz-chevron": (_run_cz_chevron, "omega_d_span, n_omega, max_duration, n_sub", "Fig. 8(a,b)"),
     "floquet-report": (_run_floquet_report, "kind, drive.a_d, n_amplitudes", "Fig. 4(c) couplings"),
 }
 
@@ -515,9 +512,9 @@ SCENARIOS = {
 # commands
 # ---------------------------------------------------------------------------
 
-def run_config(config_path: str, seed=None, out=None, threads=1) -> dict:
+def run_config(config_path: str, seed=None, out=None) -> dict:
     cfg = load_config(config_path)
-    ctx = build_context(cfg, seed_override=seed, out_override=out, threads=threads)
+    ctx = build_context(cfg, seed_override=seed, out_override=out)
     os.makedirs(ctx.out_dir, exist_ok=True)
     started = time.time()
     runner = SCENARIOS[ctx.name][0]
@@ -559,8 +556,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--out", default=None, help="override the output directory")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (also via ${ENV_THREADS})")
 
     p_val = sub.add_parser("validate", help="check a configuration without running it")
     p_val.add_argument("config")
@@ -585,11 +580,8 @@ def main(argv=None) -> int:
         print("ok")
         return 0
 
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get(ENV_THREADS, "1"))
     try:
-        manifest = run_config(args.config, seed=args.seed, out=args.out, threads=threads)
+        manifest = run_config(args.config, seed=args.seed, out=args.out)
     except ConfigError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 2

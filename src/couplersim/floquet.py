@@ -23,8 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .circuit import CircuitSpec, CouplerSpec, coupler_frequency, josephson_energy
-from .numerics import TWO_PI, bessel_j, taylor_coefficients
+from .circuit import CircuitSpec, CouplerSpec, coupler_frequency
+from .numerics import (TWO_PI, bessel_j, periodic_propagator, stroboscopic_powers,
+                       taylor_coefficients)
 
 
 class ValidityWarning(UserWarning):
@@ -478,6 +479,9 @@ def drive_frame_hamiltonian(
 ):
     """Callable ``t -> H(t)`` (rad/s) for the three-state drive-frame model.
 
+    ``t`` may be a scalar, giving one ``(3, 3)`` matrix, or an array of times,
+    giving the stack ``t.shape + (3, 3)``.
+
     Frame: A-referenced, with B rotated at ``k * omega_d`` so the residual
     B detuning is ``(omega_B - omega_A) - k*omega_d``.  The coupler state
     carries the full flux modulation ``omega_C(phi(t))``, no Fourier
@@ -487,14 +491,17 @@ def drive_frame_hamiltonian(
     k = manifold.k
     delta_b = manifold.transition - k * wd
 
-    def h_of_t(t: float) -> np.ndarray:
+    def h_of_t(t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
         ph = np.exp(1j * TWO_PI * k * wd * t)
-        wc = coupler_frequency(drive.phi_dc + drive.a_d * math.sin(TWO_PI * wd * t), coupler)
-        h = np.array([
-            [0.0, manifold.g_ab * np.conj(ph), manifold.g_ac],
-            [manifold.g_ab * ph, delta_b, manifold.g_bc * ph],
-            [manifold.g_ac, manifold.g_bc * np.conj(ph), wc + manifold.delta_c_offset],
-        ], dtype=complex)
+        wc = coupler_frequency(drive.phi_dc + drive.a_d * np.sin(TWO_PI * wd * t), coupler)
+        h = np.zeros(t.shape + (3, 3), dtype=complex)
+        h[..., 1, 0] = manifold.g_ab * ph
+        h[..., 1, 2] = manifold.g_bc * ph
+        h[..., 0, 1], h[..., 2, 1] = np.conj(h[..., 1, 0]), np.conj(h[..., 1, 2])
+        h[..., 0, 2] = h[..., 2, 0] = manifold.g_ac
+        h[..., 1, 1] = delta_b
+        h[..., 2, 2] = wc + manifold.delta_c_offset
         return TWO_PI * h
 
     return h_of_t
@@ -507,19 +514,10 @@ def one_period_propagator(
     omega_d: float | None = None,
     n_sub: int = 4096,
 ) -> np.ndarray:
-    """Propagator over one drive period (midpoint piecewise-exact product)."""
+    """Propagator over one drive period (see :func:`periodic_propagator`)."""
     wd = drive.omega_d if omega_d is None else omega_d
     h_fn = drive_frame_hamiltonian(manifold, coupler, drive, omega_d=wd)
-    dt = 1.0 / (wd * n_sub)
-    ts = (np.arange(n_sub) + 0.5) * dt
-    h_stack = np.stack([h_fn(t) for t in ts])
-    evals, evecs = np.linalg.eigh(h_stack)
-    phases = np.exp(-1j * evals * dt)
-    steps = np.einsum("nij,nj,nkj->nik", evecs, phases, evecs.conj())
-    u = np.eye(3, dtype=complex)
-    for s in steps:
-        u = s @ u
-    return u
+    return periodic_propagator(h_fn, 1.0 / wd, n_sub)
 
 
 def quasi_energy_gap(
@@ -583,9 +581,5 @@ def stroboscopic_populations(
     period), starting from A.  Micromotion-free by construction."""
     wd = drive.omega_d if omega_d is None else omega_d
     u = one_period_propagator(manifold, coupler, drive, omega_d=wd, n_sub=n_sub)
-    un = np.eye(3, dtype=complex)
-    pops = np.empty(n_periods)
-    for i in range(n_periods):
-        pops[i] = abs(un[0, 0]) ** 2
-        un = u @ un
+    pops = np.abs(stroboscopic_powers(u, n_periods)[:, 0, 0]) ** 2
     return np.arange(n_periods) / wd, pops

@@ -8,6 +8,10 @@ Conventions used across the package:
 * Hamiltonian matrices handed to :func:`propagate` carry angular entries
   (energy/hbar in rad/s); collapse rates are cyclic Hz and are multiplied
   by ``2*pi`` inside the dissipator.
+
+The periodic-propagator engine, shared by the Floquet oracle and the CZ
+calibration, is :func:`periodic_propagator` (one-period propagator from a
+vectorised ``h_of_t``) plus :func:`stroboscopic_powers`.
 """
 
 from __future__ import annotations
@@ -288,6 +292,40 @@ def schrodinger_propagate(
     if not sol.success:
         raise RuntimeError(f"propagation failed: {sol.message}")
     return sol.y.T
+
+
+# ---------------------------------------------------------------------------
+# periodic propagation
+# ---------------------------------------------------------------------------
+
+def periodic_propagator(h_of_t: Callable[[np.ndarray], np.ndarray], period: float,
+                        n_sub: int) -> np.ndarray:
+    """Propagator over one period (midpoint piecewise-exact product).
+
+    ``h_of_t(times)`` returns the Hamiltonians (rad/s) at an array of times
+    as an ``(n, d, d)`` stack; it is sampled once, at the midpoints of
+    ``n_sub`` equal steps, and each step is exponentiated exactly through
+    one batched ``eigh``.
+    """
+    if n_sub < 1:
+        raise ValueError(f"n_sub must be a positive integer, got {n_sub}")
+    dt = period / n_sub
+    evals, evecs = np.linalg.eigh(h_of_t((np.arange(n_sub) + 0.5) * dt))
+    steps = np.einsum("nij,nj,nkj->nik", evecs, np.exp(-1j * evals * dt), evecs.conj())
+    u = np.eye(steps.shape[1], dtype=complex)
+    for s in steps:
+        u = s @ u
+    return u
+
+
+def stroboscopic_powers(u: np.ndarray, n: int) -> np.ndarray:
+    """Stack of the powers ``U^0 ... U^(n-1)`` of a one-period propagator,
+    shape ``(n, d, d)``."""
+    powers = np.empty((n, *u.shape), dtype=complex)
+    powers[:1] = np.eye(u.shape[0])
+    for k in range(1, n):
+        powers[k] = u @ powers[k - 1]
+    return powers
 
 
 # ---------------------------------------------------------------------------

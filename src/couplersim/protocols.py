@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.constants import h as PLANCK_H
@@ -16,9 +16,10 @@ from scipy.constants import k as BOLTZMANN_K
 from scipy.optimize import nnls
 from scipy.special import erfc
 
-from .circuit import CircuitSpec, CouplerSpec, DecayRates, coupler_frequency
-from .floquet import DriveSpec, one_period_propagator, transition_manifold
-from .numerics import TWO_PI, FitResult, RngStream, fit_least_squares
+from .circuit import CircuitSpec, CouplerSpec, coupler_frequency
+from .floquet import DriveSpec, transition_manifold
+from .numerics import (TWO_PI, FitResult, RngStream, fit_least_squares, periodic_propagator,
+                       stroboscopic_powers)
 
 STATE_LABELS = ("g", "e", "f")
 
@@ -542,46 +543,48 @@ def _cz_models(circuit: CircuitSpec, drive: DriveSpec, omega_d: float):
     manifolds matters: the coupler-photon states produce equal virtual
     shifts in |ee> and the single-excitation states, and truncating them
     unbalances the conditional-phase combination.
+
+    Each is a constant matrix plus ``omega_C(phi(t))`` times the coupler
+    photon number; ``t`` may be a scalar or an array of times.
     """
-    w, al, cp = circuit.omega, circuit.alpha, circuit.coupler
+    w, al = circuit.omega, circuit.alpha
     g12 = circuit.coupling("Q1", "Q2")
     g1c = circuit.coupling("Q1", "C")
     g2c = circuit.coupling("Q2", "C")
     root2 = math.sqrt(2.0)
 
-    def phi(t):
-        return drive.phi_dc + drive.a_d * math.sin(TWO_PI * omega_d * t)
+    h2 = np.zeros((6, 6), dtype=complex)
+    ee, fg, gf, eg1, ge1, gg2 = range(6)
+    h2[ee, ee] = w["Q1"] + w["Q2"]
+    h2[fg, fg] = 2 * w["Q1"] + al["Q1"]
+    h2[gf, gf] = 2 * w["Q2"] + al["Q2"]
+    h2[eg1, eg1] = w["Q1"]
+    h2[ge1, ge1] = w["Q2"]
+    h2[gg2, gg2] = al["C"]
+    h2[ee, fg] = h2[fg, ee] = -root2 * g12
+    h2[ee, gf] = h2[gf, ee] = -root2 * g12
+    h2[ee, eg1] = h2[eg1, ee] = -g2c
+    h2[ee, ge1] = h2[ge1, ee] = -g1c
+    h2[fg, eg1] = h2[eg1, fg] = -root2 * g1c
+    h2[gf, ge1] = h2[ge1, gf] = -root2 * g2c
+    h2[eg1, ge1] = h2[ge1, eg1] = -g12
+    h2[eg1, gg2] = h2[gg2, eg1] = -root2 * g1c
+    h2[ge1, gg2] = h2[gg2, ge1] = -root2 * g2c
+    h1 = np.array([
+        [w["Q1"], -g12, -g1c],
+        [-g12, w["Q2"], -g2c],
+        [-g1c, -g2c, 0.0],
+    ], dtype=complex)
 
-    def h_double(t):
-        wc = coupler_frequency(phi(t), cp)
-        h = np.zeros((6, 6), dtype=complex)
-        ee, fg, gf, eg1, ge1, gg2 = range(6)
-        h[ee, ee] = w["Q1"] + w["Q2"]
-        h[fg, fg] = 2 * w["Q1"] + al["Q1"]
-        h[gf, gf] = 2 * w["Q2"] + al["Q2"]
-        h[eg1, eg1] = w["Q1"] + wc
-        h[ge1, ge1] = w["Q2"] + wc
-        h[gg2, gg2] = 2 * wc + al["C"]
-        h[ee, fg] = h[fg, ee] = -root2 * g12
-        h[ee, gf] = h[gf, ee] = -root2 * g12
-        h[ee, eg1] = h[eg1, ee] = -g2c
-        h[ee, ge1] = h[ge1, ee] = -g1c
-        h[fg, eg1] = h[eg1, fg] = -root2 * g1c
-        h[gf, ge1] = h[ge1, gf] = -root2 * g2c
-        h[eg1, ge1] = h[ge1, eg1] = -g12
-        h[eg1, gg2] = h[gg2, eg1] = -root2 * g1c
-        h[ge1, gg2] = h[gg2, ge1] = -root2 * g2c
-        return TWO_PI * h
+    def periodic(h_static, n_c):
+        def h_of_t(t):
+            phi = drive.phi_dc + drive.a_d * np.sin(TWO_PI * omega_d * np.asarray(t, dtype=float))
+            wc = coupler_frequency(phi, circuit.coupler)
+            return TWO_PI * (h_static + np.multiply.outer(wc, n_c))
+        return h_of_t
 
-    def h_single(t):
-        wc = coupler_frequency(phi(t), cp)
-        return TWO_PI * np.array([
-            [w["Q1"], -g12, -g1c],
-            [-g12, w["Q2"], -g2c],
-            [-g1c, -g2c, wc],
-        ], dtype=complex)
-
-    return h_double, h_single
+    return (periodic(h2, np.diag([0.0, 0.0, 0.0, 1.0, 1.0, 2.0])),
+            periodic(h1, np.diag([0.0, 0.0, 1.0])))
 
 
 def static_zz_shift(circuit: CircuitSpec, phi_dc: float) -> float:
@@ -601,19 +604,6 @@ def static_zz_shift(circuit: CircuitSpec, phi_dc: float) -> float:
     e_eg = ev1[np.argmin(np.abs(ev1 - w["Q1"]))]
     e_ge = ev1[np.argmin(np.abs(ev1 - w["Q2"]))]
     return float(e_ee - e_eg - e_ge)
-
-
-def _periodic_propagator(h_fn, period: float, n_sub: int = 2048) -> np.ndarray:
-    dt = period / n_sub
-    ts = (np.arange(n_sub) + 0.5) * dt
-    h_stack = np.stack([h_fn(t) for t in ts])
-    evals, evecs = np.linalg.eigh(h_stack)
-    phases = np.exp(-1j * evals * dt)
-    steps = np.einsum("nij,nj,nkj->nik", evecs, phases, evecs.conj())
-    u = np.eye(h_stack.shape[1], dtype=complex)
-    for s in steps:
-        u = s @ u
-    return u
 
 
 def cz_conditional_phase(
@@ -643,8 +633,6 @@ def cz_conditional_phase(
     w0 = man.bare_drive_frequency
     omega_grid = w0 + np.linspace(omega_d_span[0], omega_d_span[1], n_omega)
 
-    n_periods = int(max_duration * omega_grid.min())
-    p_ee = np.empty((n_omega, 0))
     rows = []
     durations = np.full(n_omega, np.nan)
     rabis = np.full(n_omega, np.nan)
@@ -652,36 +640,20 @@ def cz_conditional_phase(
     valid = np.zeros(n_omega, dtype=bool)
     times_ref = None
 
-    drive_off = DriveSpec(phi_dc=drive.phi_dc, a_d=0.0, omega_d=drive.omega_d,
-                          k=drive.k, envelope=drive.envelope)
+    drive_off = replace(drive, a_d=0.0)
 
     for i, wd in enumerate(omega_grid):
         period = 1.0 / wd
         n_per = int(max_duration / period)
-        h2, h1 = _cz_models(circuit, drive, wd)
-        u2 = _periodic_propagator(h2, period, n_sub)
-        u1 = _periodic_propagator(h1, period, n_sub)
-        h2_0, h1_0 = _cz_models(circuit, drive_off, wd)
-        u2_0 = _periodic_propagator(h2_0, period, n_sub)
-        u1_0 = _periodic_propagator(h1_0, period, n_sub)
+        # driven and undriven (double, single) manifolds, one period stack at a time
+        models = (*_cz_models(circuit, drive, wd), *_cz_models(circuit, drive_off, wd))
+        m2, m1, m2_0, m1_0 = (stroboscopic_powers(periodic_propagator(h, period, n_sub), n_per)
+                              for h in models)
 
-        z_ee = np.empty(n_per, dtype=complex)
-        z_eg = np.empty(n_per, dtype=complex)
-        z_ge = np.empty(n_per, dtype=complex)
-        z_ref = np.empty(n_per, dtype=complex)
-        m2 = np.eye(6, dtype=complex)
-        m1 = np.eye(3, dtype=complex)
-        m2_0 = np.eye(6, dtype=complex)
-        m1_0 = np.eye(3, dtype=complex)
-        for n in range(n_per):
-            z_ee[n] = m2[0, 0]
-            z_eg[n] = m1[0, 0]
-            z_ge[n] = m1[1, 1]
-            z_ref[n] = m2_0[0, 0] * np.conj(m1_0[0, 0]) * np.conj(m1_0[1, 1])
-            m2 = u2 @ m2
-            m1 = u1 @ m1
-            m2_0 = u2_0 @ m2_0
-            m1_0 = u1_0 @ m1_0
+        z_ee = m2[:, 0, 0]
+        z_eg = m1[:, 0, 0]
+        z_ge = m1[:, 1, 1]
+        z_ref = m2_0[:, 0, 0] * np.conj(m1_0[:, 0, 0]) * np.conj(m1_0[:, 1, 1])
         pop = np.abs(z_ee) ** 2
         rows.append(pop)
         if times_ref is None:

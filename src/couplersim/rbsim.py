@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
 from .circuit import DecayRates
 from .dynamics import PopulationVector
-from .numerics import TWO_PI, FitResult, RngStream, fit_least_squares
+from .numerics import TWO_PI, RngStream, fit_least_squares
 
 DEFAULT_N_CL_GRID = tuple(int(round(x)) for x in np.unique(np.geomspace(1, 1000, 20).round()))
 

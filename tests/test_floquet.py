@@ -393,3 +393,20 @@ class TestExactOracle:
                                         rtol=1e-12, atol=1e-14,
                                         max_step=period / 100)[-1]
             assert np.linalg.norm(psi - u[:, col]) < 1e-6
+
+
+class TestDriveFrameHamiltonian:
+    @pytest.mark.parametrize("kind", ["reset", "lr", "cz"])
+    def test_array_call_matches_scalar_calls(self, circuit, kind):
+        from couplersim.floquet import drive_frame_hamiltonian
+
+        man = transition_manifold(circuit, kind)
+        drive = DriveSpec(phi_dc=presets.PHI_DC, a_d=0.3,
+                          omega_d=man.bare_drive_frequency, k=man.k)
+        h_fn = drive_frame_hamiltonian(man, circuit.coupler, drive)
+        t = np.linspace(0.0, 3.0 / drive.omega_d, 37)
+        stack = np.stack([h_fn(float(ti)) for ti in t])
+        assert h_fn(0.0).shape == (3, 3)
+        assert h_fn(t).shape == (37, 3, 3)
+        assert np.max(np.abs(h_fn(t) - stack)) <= 1e-12 * np.max(np.abs(stack))
+        assert np.array_equal(stack, np.conj(np.swapaxes(stack, -1, -2)))

@@ -6,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from scipy.linalg import expm
+
 from couplersim.numerics import (
     RngStream,
     bessel_j,
     fit_least_squares,
+    periodic_propagator,
     propagate,
+    stroboscopic_powers,
     taylor_coefficients,
 )
 
@@ -148,6 +152,41 @@ class TestPropagate:
         rho0 = np.diag([0.0, 1.0]).astype(complex)
         with pytest.raises(ValueError, match="too coarse"):
             propagate(lambda t: h, [], rho0, 1e-8, step=1e-9)
+
+
+class TestPeriodicPropagator:
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    def test_constant_hamiltonian_is_exact(self, dim):
+        rng = np.random.default_rng(dim)
+        h = random_hermitian(rng, dim)
+        period = 2e-7
+        u = periodic_propagator(lambda t: np.broadcast_to(h, (len(t), dim, dim)), period, 64)
+        assert np.max(np.abs(u - expm(-1j * h * period))) < 1e-12
+        assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-12
+
+    def test_samples_once_at_step_midpoints(self):
+        seen = []
+
+        def h_of_t(t):
+            seen.append(np.array(t))
+            return np.zeros((len(t), 2, 2))
+
+        periodic_propagator(h_of_t, 1.0, 4)
+        assert len(seen) == 1
+        assert np.allclose(seen[0], [0.125, 0.375, 0.625, 0.875], rtol=0, atol=1e-15)
+
+    def test_rejects_empty_step_count(self):
+        with pytest.raises(ValueError, match="n_sub"):
+            periodic_propagator(lambda t: np.zeros((len(t), 2, 2)), 1.0, 0)
+
+    def test_stroboscopic_powers_match_matrix_power(self):
+        rng = np.random.default_rng(3)
+        u = expm(-1j * random_hermitian(rng, 4) * 1e-7)
+        powers = stroboscopic_powers(u, 25)
+        assert powers.shape == (25, 4, 4)
+        for k in range(25):
+            assert np.max(np.abs(powers[k] - np.linalg.matrix_power(u, k))) < 1e-12
+        assert stroboscopic_powers(u, 0).shape == (0, 4, 4)
 
 
 class TestFitLeastSquares:

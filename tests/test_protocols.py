@@ -452,6 +452,41 @@ class TestInterleavedRB:
             interleaved_rb_gate_error(0.0, 0.5)
 
 
+class TestCZModels:
+    def test_array_call_matches_scalar_calls(self):
+        from couplersim.protocols import _cz_models
+
+        drive = presets.cz_drive()
+        wd = 1.01 * drive.omega_d
+        t = np.linspace(0.0, 2.0 / wd, 29)
+        for h_fn, dim in zip(_cz_models(presets.table_circuit(), drive, wd), (6, 3)):
+            stack = np.stack([h_fn(float(ti)) for ti in t])
+            assert h_fn(0.0).shape == (dim, dim)
+            assert np.max(np.abs(h_fn(t) - stack)) <= 1e-12 * np.max(np.abs(stack))
+            assert np.array_equal(stack, np.conj(np.swapaxes(stack, -1, -2)))
+
+    def test_coupler_enters_with_its_photon_number(self):
+        from couplersim.circuit import coupler_frequency
+        from couplersim.protocols import _cz_models
+
+        circuit = presets.table_circuit()
+        drive = presets.cz_drive()
+        wd = drive.omega_d
+        t = np.array([0.1, 0.35]) / wd
+        wc = coupler_frequency(drive.phi_dc + drive.a_d * np.sin(TWO_PI * wd * t),
+                               circuit.coupler)
+        h2, h1 = _cz_models(circuit, drive, wd)
+        d2 = np.diagonal(h2(t), axis1=1, axis2=2).real / TWO_PI
+        d1 = np.diagonal(h1(t), axis1=1, axis2=2).real / TWO_PI
+        w, al = circuit.omega, circuit.alpha
+        assert np.allclose(d2[:, 3] - w["Q1"], wc, rtol=1e-12)
+        assert np.allclose(d2[:, 4] - w["Q2"], wc, rtol=1e-12)
+        assert np.allclose(d2[:, 5] - al["C"], 2 * wc, rtol=1e-12)
+        assert np.allclose(d1[:, 2], wc, rtol=1e-12)
+        assert np.ptp(d2[:, :3], axis=0).max() == 0.0
+        assert np.ptp(d1[:, :2], axis=0).max() == 0.0
+
+
 class TestStaticZZ:
     def test_always_on_zz_scale(self):
         zz = static_zz_shift(presets.table_circuit(), presets.PHI_DC)
