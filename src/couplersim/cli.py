@@ -5,6 +5,11 @@ tables plus JSON summaries and a run manifest.  Identical (config, seed)
 pairs reproduce byte-identical data files: floats are serialised with 17
 significant digits and all randomness flows from the config seed.
 
+Each ``SCENARIOS`` entry declares its parameter schema once, key ->
+``_Param`` (default, interval, choices).  ``validate`` and ``run`` parse a
+config with it (``_parse_params``: defaults, conversion, unknown keys and
+ranges), ``list`` prints it, and the runners index ``ctx.params[key]``.
+
 Exit codes: 0 success, 2 schema violation, 3 numerical failure, 4 I/O
 failure.
 """
@@ -22,7 +27,7 @@ import sys
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import yaml
@@ -30,7 +35,6 @@ import yaml
 from . import __version__, dynamics, presets, protocols, rbsim
 from .circuit import DecayRates
 from .floquet import (
-    DriveSpec,
     ValidityWarning,
     chi_shift,
     effective_coupling,
@@ -97,6 +101,82 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 
 # ---------------------------------------------------------------------------
+# parameter schema
+# ---------------------------------------------------------------------------
+
+def _require(cond: bool, path: str, message: str) -> None:
+    if not cond:
+        raise ConfigError(f"{path}: {message}")
+
+
+def _within(interval: str, x) -> bool:
+    """``x`` lies in ``interval``, written like ``"(0, 0.5]"`` or ``"[1, inf)"``."""
+    lo, hi = (float(v) for v in interval[1:-1].split(","))
+    return ((lo < x if interval[0] == "(" else lo <= x)
+            and (x < hi if interval[-1] == ")" else x <= hi))
+
+
+@dataclass(frozen=True)
+class _Param:
+    """A scenario parameter, typed by its default: a tuple default reads a
+    list of its element type, a ``None`` default reads ``kind``."""
+
+    default: object
+    interval: str = "(-inf, inf)"
+    length: tuple = (1, math.inf)   # entry count of a list
+    choices: tuple = ()             # admissible str values
+    kind: type = None
+
+
+def _convert(spec: _Param, value, path: str, kind: type = None):
+    """``value`` checked against ``spec`` and converted as ``float``, ``int``
+    and ``bool`` convert it (PyYAML reads ``2e-6`` as a string)."""
+    kind = kind or spec.kind or type(spec.default)
+    if kind is tuple:
+        lo, hi = spec.length
+        _require(isinstance(value, (list, tuple)) and lo <= len(value) <= hi, path,
+                 f"must be a list of length {lo if lo == hi else f'>= {lo}'}, got {value!r}")
+        return tuple(_convert(spec, v, f"{path}[{i}]", type(spec.default[0]))
+                     for i, v in enumerate(value))
+    if kind in (str, bool):
+        choices = (True, False) if kind is bool else spec.choices
+        _require(value in choices, path,
+                 f"must be one of {', '.join(map(str, choices))}, got {value!r}")
+        return kind(value)
+    try:
+        x = kind(value)
+        ok = (not isinstance(value, bool) and math.isfinite(x)
+              and (kind is float or x == float(value)))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    _require(ok, path, f"must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    _require(_within(spec.interval, x), path, f"must lie in {spec.interval}, got {value!r}")
+    return x
+
+
+def _parse_params(schema: dict, given, path: str = "params") -> dict:
+    """The parameters of ``schema``: defaults filled in, given values
+    converted and checked, unknown keys rejected; errors name the key path."""
+    given = {} if given is None else given
+    _require(isinstance(given, dict), path, f"must be a mapping, got {given!r}")
+    for key in given:
+        _require(key in schema, f"{path}.{key}",
+                 f"unknown key; expected one of {', '.join(schema)}")
+    return {key: _parse_params(spec, given.get(key), f"{path}.{key}") if isinstance(spec, dict)
+            else _convert(spec, given[key], f"{path}.{key}") if key in given else spec.default
+            for key, spec in schema.items()}
+
+
+def _flat(schema: dict, prefix: str = ""):
+    """``(key path, default)`` of every declared parameter."""
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            yield from _flat(spec, f"{prefix}{key}.")
+        else:
+            yield prefix + key, spec.default
+
+
+# ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
 
@@ -106,15 +186,10 @@ class RunContext:
     seed: int
     out_dir: str
     params: dict
-    rates: DecayRates
+    rates: DecayRates | None  # None for scenarios without ``rates``
 
     def stream(self, stream_id: int = 0) -> RngStream:
         return RngStream(seed=self.seed, stream_id=stream_id)
-
-
-def _require(cond: bool, path: str, message: str) -> None:
-    if not cond:
-        raise ConfigError(f"{path}: {message}")
 
 
 def load_config(path: str) -> dict:
@@ -130,81 +205,50 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def validate_config(cfg: dict) -> list:
-    """Schema and physical-range checks; returns warning diagnostics."""
-    notes = []
+#: the config ``seed`` and the ``--seed`` override
+_SEED = _Param(0, "[0, inf)")
+
+
+def _checked(cfg: dict) -> tuple[RunContext, list]:
+    """The run context of a config (every value checked, every default
+    filled in) and its validity warnings."""
+    top_level = ("scenario", "seed", "output", "params")
+    for key in cfg:
+        _require(key in top_level, str(key),
+                 f"unknown key; expected one of {', '.join(top_level)}")
     _require("scenario" in cfg, "scenario", "missing required key")
     name = cfg["scenario"]
-    _require(name in SCENARIOS, "scenario",
+    _require(isinstance(name, str) and name in SCENARIOS, "scenario",
              f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
-    seed = cfg.get("seed", 0)
-    _require(isinstance(seed, int) and seed >= 0, "seed", "must be a non-negative integer")
-    _require(isinstance(cfg.get("output", "out"), str), "output", "must be a string")
-    params = cfg.get("params", {}) or {}
-    _require(isinstance(params, dict), "params", "must be a mapping")
+    output = cfg.get("output", "out")
+    _require(isinstance(output, str), "output", "must be a string")
+    params = _parse_params(SCENARIOS[name][2], cfg.get("params"))
+    rates = DecayRates(**params["rates"]) if "rates" in params else None
+    ctx = RunContext(name, _convert(_SEED, cfg.get("seed", 0), "seed"), output, params, rates)
+    notes = []
+    if name == "floquet-report":
+        _, _, man, spectrum, in_window = _floquet_drive(params)
+        if not in_window:
+            notes.append(
+                f"params.drive.a_d: |D_{man.k}| = {abs(spectrum.coefficient(man.k)):.3e} Hz "
+                f"exceeds k*omega_D/2; the leading-order coupling formula is out of "
+                f"its validity window (warning)")
+    return ctx, notes
 
-    rates = params.get("rates", {}) or {}
-    _require(isinstance(rates, dict), "params.rates", "must be a mapping")
-    for key in ("gamma1", "gamma_phi", "kappa_r", "gamma_fe"):
-        if key in rates:
-            vals = rates[key].values() if isinstance(rates[key], dict) else [rates[key]]
-            for v in vals:
-                _require(isinstance(v, (int, float)) and v >= 0,
-                         f"params.rates.{key}", "rates must be non-negative numbers")
 
-    drive = params.get("drive", {}) or {}
-    if drive:
-        a_d = drive.get("a_d", 0.0)
-        _require(isinstance(a_d, (int, float)) and a_d >= 0, "params.drive.a_d",
-                 "must be a non-negative number")
-        kind = drive.get("kind", "reset")
-        _require(kind in ("reset", "lr", "readout", "cz"), "params.drive.kind",
-                 "must be one of reset/lr/readout/cz")
-        if a_d > 0:
-            circuit = presets.table_circuit()
-            man = transition_manifold(circuit, kind)
-            spec = fourier_decompose(
-                DriveSpec(phi_dc=drive.get("phi_dc", presets.PHI_DC), a_d=a_d,
-                          omega_d=man.bare_drive_frequency, k=man.k),
-                circuit.coupler,
-            )
-            d_k = spec.coefficient(man.k)
-            if abs(d_k) > man.k * man.bare_drive_frequency / 2.0:
-                notes.append(
-                    f"params.drive.a_d: |D_{man.k}| = {abs(d_k):.3e} Hz exceeds "
-                    f"k*omega_D/2; the leading-order coupling formula is out of "
-                    f"its validity window (warning)"
-                )
-
-    if name == "cz-chevron":
-        for key, convert in (("n_omega", int), ("n_sub", int), ("max_duration", float)):
-            try:
-                ok = key not in params or 0 < convert(params[key]) < math.inf
-            except (TypeError, ValueError, OverflowError):
-                ok = False
-            _require(ok, f"params.{key}", "must be a positive number")
-    return notes
+def validate_config(cfg: dict) -> list:
+    """Schema and physical-range checks; returns warning diagnostics."""
+    return _checked(cfg)[1]
 
 
 def build_context(cfg: dict, seed_override=None, out_override=None) -> RunContext:
-    notes = validate_config(cfg)
+    ctx, notes = _checked(cfg)
     for note in notes:
         print(f"warning: {note}", file=sys.stderr)
-    rates_cfg = (cfg.get("params", {}) or {}).get("rates", {}) or {}
-    base = presets.table_decay_rates()
-    rates = DecayRates(
-        gamma1={**base.gamma1, **rates_cfg.get("gamma1", {})},
-        gamma_phi={**base.gamma_phi, **rates_cfg.get("gamma_phi", {})},
-        kappa_r=rates_cfg.get("kappa_r", base.kappa_r),
-        gamma_fe=rates_cfg.get("gamma_fe", base.gamma_fe),
-    )
-    return RunContext(
-        name=cfg["scenario"],
-        seed=int(seed_override if seed_override is not None else cfg.get("seed", 0)),
-        out_dir=out_override or cfg.get("output", "out"),
-        params=cfg.get("params", {}) or {},
-        rates=rates,
-    )
+    if seed_override is not None:
+        ctx.seed = _convert(_SEED, seed_override, "--seed")
+    ctx.out_dir = out_override or ctx.out_dir
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +257,9 @@ def build_context(cfg: dict, seed_override=None, out_override=None) -> RunContex
 
 def _run_reset_dynamics(ctx: RunContext) -> list:
     p = ctx.params
-    g_list = [float(g) for g in p.get("g_tilde", [0.0, 0.5e6, 2.07e6])]
-    duration = float(p.get("duration", 0.6e-6))
-    n_points = int(p.get("n_points", 301))
+    g_list = p["g_tilde"]
     rates = ctx.rates
-    t = np.linspace(0.0, duration, n_points)
+    t = np.linspace(0.0, p["duration"], p["n_points"])
     cols = [t]
     header = ["t_s"]
     for g in g_list:
@@ -235,21 +277,13 @@ def _run_reset_dynamics(ctx: RunContext) -> list:
 
 def _run_reset_metrics(ctx: RunContext) -> list:
     p = ctx.params
-    p_id = float(p.get("p_id", 0.0062))
-    p_pi = float(p.get("p_pi", 0.88))
-    p_id_r = float(p.get("p_id_r", 0.00074))
-    p_pi_r = float(p.get("p_pi_r", 0.0033))
-    omega_q = float(p.get("omega_q", 3.83e9))
-    omega_r = float(p.get("omega_r", 5.85e9))
-    tau_r = float(p.get("tau_r", 150e-9))
-    tau_m = float(p.get("tau_m", 2.3e-6))
-    metrics = protocols.reset_metrics(p_id, p_pi, p_id_r, p_pi_r)
-    budget = protocols.thermal_budget(p_id, ctx.rates.gamma1["Q1"], omega_q, omega_r,
-                                      tau_r, tau_m)
+    metrics = protocols.reset_metrics(p["p_id"], p["p_pi"], p["p_id_r"], p["p_pi_r"])
+    budget = protocols.thermal_budget(p["p_id"], ctx.rates.gamma1["Q1"], p["omega_q"],
+                                      p["omega_r"], p["tau_r"], p["tau_m"])
     payload = {
         **metrics,
-        "temperature_idle_k": protocols.population_to_temperature(p_id, omega_q),
-        "temperature_reset_k": protocols.population_to_temperature(p_id_r, omega_q),
+        "temperature_idle_k": protocols.population_to_temperature(p["p_id"], p["omega_q"]),
+        "temperature_reset_k": protocols.population_to_temperature(p["p_id_r"], p["omega_q"]),
         "n_th": budget.n_th,
         "n_up": budget.n_up,
         "floor": budget.floor,
@@ -262,10 +296,8 @@ def _run_reset_metrics(ctx: RunContext) -> list:
 
 def _run_lr_dynamics(ctx: RunContext) -> list:
     p = ctx.params
-    g = float(p.get("g_tilde", 0.91e6))
-    duration = float(p.get("duration", 1.2e-6))
-    n_points = int(p.get("n_points", 301))
-    t = np.linspace(0.0, duration, n_points)
+    g = p["g_tilde"]
+    t = np.linspace(0.0, p["duration"], p["n_points"])
     rows = []
     for ti in t:
         pop = dynamics.lr_three_level_populations(ti, g, ctx.rates)
@@ -280,29 +312,22 @@ def _run_lr_dynamics(ctx: RunContext) -> list:
     return [csv_path, json_path]
 
 
+#: ``RBScenario`` fields and their defaults (``MISSING`` for ``l_cl``)
+_RB_FIELDS = {f.name: f.default for f in fields(rbsim.RBScenario)}
+
+
 def _rb_scenario(ctx: RunContext) -> rbsim.RBScenario:
-    p = ctx.params
-    grid = tuple(int(n) for n in p.get("n_cl_grid", rbsim.DEFAULT_N_CL_GRID))
-    return rbsim.RBScenario(
-        l_cl=float(p.get("l_cl", 0.02)),
-        rates=ctx.rates,
-        tau_cl=float(p.get("tau_cl", 200e-9)),
-        tau_leak=float(p.get("tau_leak", 100e-9)),
-        tau_lr=float(p.get("tau_lr", 310e-9)),
-        f_lr=float(p.get("f_lr", 0.985)),
-        n_lr=int(p.get("n_lr", 1)),
-        n_cl_grid=grid,
-        shots_per_point=int(p.get("shots_per_point", 0)),
-    )
+    """The scenario of the declared ``RBScenario`` parameters; undeclared
+    fields keep their dataclass defaults."""
+    declared = {k: v for k, v in ctx.params.items() if k in _RB_FIELDS and k != "rates"}
+    return rbsim.RBScenario(rates=ctx.rates, **declared)
 
 
 def _run_leakage_rb(ctx: RunContext) -> list:
     p = ctx.params
     scenario = _rb_scenario(ctx)
-    n_rand = int(p.get("n_randomizations", 50))
-    with_lr = bool(p.get("with_lr", True))
-    curves = rbsim.monte_carlo_rb(scenario, ctx.stream(), n_randomizations=n_rand,
-                                  with_lr=with_lr)
+    curves = rbsim.monte_carlo_rb(scenario, ctx.stream(), n_randomizations=p["n_randomizations"],
+                                  with_lr=p["with_lr"])
     csv_path = os.path.join(ctx.out_dir, "leakage_rb.csv")
     _write_csv(csv_path, ["n_cl", "p_g_mean", "p_g_std", "p_f_mean", "p_f_std"],
                zip(curves.n_cl, curves.p_g_mean, curves.p_g_std,
@@ -330,14 +355,12 @@ def _run_leakage_rb(ctx: RunContext) -> list:
 
 
 def _run_periodic_lr(ctx: RunContext) -> list:
-    p = ctx.params
-    n_lr_list = [int(n) for n in p.get("n_lr_list", [20, 10, 5, 1])]
-    n_max = int(p.get("n_max", 200))
+    n_max = ctx.params["n_max"]
     base = _rb_scenario(ctx)
     header = ["n_cl"]
     columns = [np.arange(n_max + 1)]
     summary = {}
-    for n_lr in n_lr_list:
+    for n_lr in ctx.params["n_lr_list"]:
         _, trace = rbsim.periodic_lr_trace(replace(base, n_lr=n_lr, n_cl_grid=(n_max,)))
         columns.append(trace)
         header.append(f"p_f_every_{n_lr}")
@@ -352,13 +375,10 @@ def _run_periodic_lr(ctx: RunContext) -> list:
 
 def _run_chi_map(ctx: RunContext) -> list:
     p = ctx.params
-    g_list = [float(g) for g in p.get(
-        "g_tilde", [0.06e6, 0.15e6, 0.41e6, 0.90e6, 1.50e6, 2.12e6, 2.50e6])]
-    span = float(p.get("delta_span", 16e6))
-    n_points = int(p.get("n_points", 161))
-    delta = np.linspace(-span, span, n_points)
-    header = ["delta_drive_hz"] + [f"two_chi_g{_fmt(g)}" for g in g_list]
-    columns = [delta] + [np.array([chi_shift(g, d) for d in delta]) for g in g_list]
+    span = p["delta_span"]
+    delta = np.linspace(-span, span, p["n_points"])
+    header = ["delta_drive_hz"] + [f"two_chi_g{_fmt(g)}" for g in p["g_tilde"]]
+    columns = [delta] + [np.array([chi_shift(g, d) for d in delta]) for g in p["g_tilde"]]
     path = os.path.join(ctx.out_dir, "chi_map.csv")
     _write_csv(path, header, zip(*columns))
     return [path]
@@ -366,13 +386,10 @@ def _run_chi_map(ctx: RunContext) -> list:
 
 def _run_readout_shots(ctx: RunContext) -> list:
     p = ctx.params
-    n_shots = int(p.get("n_shots", 20000))
-    sigma = 1.0
-    sep = float(p.get("separation_sigma", 3.29))
-    tau_meas = float(p.get("tau_meas", 10e-6))
+    n_shots, sep, tau_meas, sigma = p["n_shots"], p["separation_sigma"], p["tau_meas"], 1.0
     centers = np.array([[0.0, 0.0], [sep, 0.0], [sep / 2.0, 0.9 * sep]]) * sigma
     gamma_1 = ctx.rates.gamma1["Q1"]
-    decay = (gamma_1, tau_meas) if p.get("include_decay", True) else None
+    decay = (gamma_1, tau_meas) if p["include_decay"] else None
 
     cal = {}
     pops = {"g": (1, 0, 0), "e": (0, 1, 0), "f": (0, 0, 1)}
@@ -385,8 +402,7 @@ def _run_readout_shots(ctx: RunContext) -> list:
     fid = protocols.assignment_fidelity(cal["g"], cal["e"], clf,
                                         gamma_1=gamma_1, tau_meas=tau_meas)
     mixed = protocols.generate_shots(
-        tuple(p.get("experiment_populations", (0.5, 0.3, 0.2))),
-        centers, sigma, n_shots, ctx.stream(7), label="experiment")
+        p["experiment_populations"], centers, sigma, n_shots, ctx.stream(7), label="experiment")
     est = protocols.estimate_populations(clf, mixed)
 
     files = []
@@ -412,17 +428,9 @@ def _run_readout_shots(ctx: RunContext) -> list:
 
 
 def _run_cz_chevron(ctx: RunContext) -> list:
-    p = ctx.params
-    circuit = presets.table_circuit()
-    drive = presets.cz_drive()
-    span = p.get("omega_d_span", (-15e6, 15e6))
-    scan = protocols.cz_conditional_phase(
-        circuit, drive,
-        omega_d_span=(float(span[0]), float(span[1])),
-        n_omega=int(p.get("n_omega", 13)),
-        max_duration=float(p.get("max_duration", 1.2e-6)),
-        n_sub=int(p.get("n_sub", 1024)),
-    )
+    # the schema keys are the keyword arguments of cz_conditional_phase
+    scan = protocols.cz_conditional_phase(presets.table_circuit(), presets.cz_drive(),
+                                          **ctx.params)
     chevron_path = os.path.join(ctx.out_dir, "cz_chevron.csv")
     header = ["t_s"] + [f"p_ee_fd{_fmt(w)}" for w in scan.omega_d]
     _write_csv(chevron_path, header, zip(scan.times, *scan.p_ee))
@@ -438,26 +446,35 @@ def _run_cz_chevron(ctx: RunContext) -> list:
     return [chevron_path, phase_path, json_path]
 
 
-def _run_floquet_report(ctx: RunContext) -> list:
-    p = ctx.params
-    kind = p.get("kind", "reset")
+_FIXTURE_DRIVES = {"reset": presets.reset_drive, "lr": presets.lr_drive,
+                   "readout": presets.readout_drive, "cz": presets.cz_drive}
+
+
+def _floquet_drive(params: dict) -> tuple:
+    """Circuit, drive, manifold and spectrum of a floquet-report config (the
+    fixture drive of ``kind``, at amplitude ``drive.a_d`` when one is given)
+    and whether |D_k| <= k*omega_D/2, the leading-order coupling window."""
     circuit = presets.table_circuit()
-    fixtures = {"reset": presets.reset_drive, "lr": presets.lr_drive,
-                "readout": presets.readout_drive, "cz": presets.cz_drive}
-    drive = fixtures[kind]()
-    if "a_d" in p.get("drive", {}):
-        drive = replace(drive, a_d=float(p["drive"]["a_d"]))
-    man = transition_manifold(circuit, kind)
+    drive = _FIXTURE_DRIVES[params["kind"]]()
+    if params["drive"]["a_d"] is not None:
+        drive = replace(drive, a_d=params["drive"]["a_d"])
+    man = transition_manifold(circuit, params["kind"])
     spectrum = fourier_decompose(drive, circuit.coupler)
+    in_window = bool(abs(spectrum.coefficient(man.k)) <= man.k * drive.omega_d / 2)
+    return circuit, drive, man, spectrum, in_window
+
+
+def _run_floquet_report(ctx: RunContext) -> list:
+    circuit, drive, man, spectrum, in_window = _floquet_drive(ctx.params)
     report = {
-        "kind": kind,
+        "kind": ctx.params["kind"],
         "phi_dc_rad": drive.phi_dc,
         "a_d_rad": drive.a_d,
         "omega_d_hz": drive.omega_d,
         "omega_bar_c_hz": spectrum.omega_bar_c,
         "d_m_hz": list(spectrum.d_m),
         "series_d_m_hz": list(spectrum.series_d_m),
-        "validity_ok": bool(abs(spectrum.coefficient(man.k)) <= man.k * drive.omega_d / 2),
+        "validity_ok": in_window,
     }
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
@@ -476,10 +493,10 @@ def _run_floquet_report(ctx: RunContext) -> list:
             report["g_tilde_ab_hz"] = effective_coupling(
                 man.g_ac, man.g_bc, man.k, drive.omega_d, spectrum)
 
-        a_grid = np.linspace(0.0, max(drive.a_d, 1e-3), int(p.get("n_amplitudes", 41)))
+        a_grid = np.linspace(0.0, max(drive.a_d, 1e-3), ctx.params["n_amplitudes"])
         rows = []
         for a in a_grid:
-            d2 = DriveSpec(phi_dc=drive.phi_dc, a_d=float(a), omega_d=drive.omega_d, k=drive.k)
+            d2 = replace(drive, a_d=float(a))
             spec_a = fourier_decompose(d2, circuit.coupler)
             g_eq = effective_coupling(man.g_ac, man.g_bc, man.k, drive.omega_d, spec_a)
             if man.k == 2:
@@ -495,16 +512,56 @@ def _run_floquet_report(ctx: RunContext) -> list:
     return [json_path, csv_path]
 
 
+#: the reference-device decay rates, each entry overridable
+_RATES = {key: ({el: _Param(v, "[0, inf)") for el, v in value.items()}
+                if isinstance(value, dict) else _Param(value, "[0, inf)"))
+          for key, value in asdict(presets.table_decay_rates()).items()}
+
+#: RB physics of leakage-rb and periodic-lr
+_RB_PARAMS = {
+    "l_cl": _Param(0.02, "[0, 1]"), "f_lr": _Param(_RB_FIELDS["f_lr"], "[0, 1]"),
+    **{key: _Param(_RB_FIELDS[key], "[0, inf)") for key in ("tau_cl", "tau_leak", "tau_lr")},
+    "rates": _RATES,
+}
+
+#: scenario -> (runner, paper figure, parameter schema)
 SCENARIOS = {
-    "reset-dynamics": (_run_reset_dynamics, "g_tilde[], duration, n_points", "Fig. 2(a)"),
-    "reset-metrics": (_run_reset_metrics, "p_id, p_pi, p_id_r, p_pi_r, omega_q, omega_r, tau_r, tau_m", "Fig. 2(b)"),
-    "lr-dynamics": (_run_lr_dynamics, "g_tilde, duration, n_points", "Fig. 6(a)"),
-    "leakage-rb": (_run_leakage_rb, "l_cl, with_lr, n_randomizations, n_cl_grid, shots_per_point", "Fig. 3"),
-    "periodic-lr": (_run_periodic_lr, "l_cl, n_lr_list[], n_max", "Fig. 7"),
-    "chi-map": (_run_chi_map, "g_tilde[], delta_span, n_points", "Fig. 4(c)"),
-    "readout-shots": (_run_readout_shots, "n_shots, separation_sigma, tau_meas, experiment_populations", "Fig. 4(d,e)"),
-    "cz-chevron": (_run_cz_chevron, "omega_d_span, n_omega, max_duration, n_sub", "Fig. 8(a,b)"),
-    "floquet-report": (_run_floquet_report, "kind, drive.a_d, n_amplitudes", "Fig. 4(c) couplings"),
+    "reset-dynamics": (_run_reset_dynamics, "Fig. 2(a)", {
+        "g_tilde": _Param((0.0, 0.5e6, 2.07e6)), "duration": _Param(0.6e-6, "(0, inf)"),
+        "n_points": _Param(301, "[1, inf)"), "rates": _RATES}),
+    "reset-metrics": (_run_reset_metrics, "Fig. 2(b)", {
+        "p_id": _Param(0.0062, "(0, 0.5)"), "p_pi": _Param(0.88, "(0, 1]"),
+        "p_id_r": _Param(0.00074, "(0, 0.5)"), "p_pi_r": _Param(0.0033, "[0, 1]"),
+        "omega_q": _Param(3.83e9, "(0, inf)"), "omega_r": _Param(5.85e9, "(0, inf)"),
+        "tau_r": _Param(150e-9, "[0, inf)"), "tau_m": _Param(2.3e-6, "[0, inf)"),
+        "rates": _RATES}),
+    "lr-dynamics": (_run_lr_dynamics, "Fig. 6(a)", {
+        "g_tilde": _Param(0.91e6), "duration": _Param(1.2e-6, "(0, inf)"),
+        "n_points": _Param(301, "[1, inf)"), "rates": _RATES}),
+    "leakage-rb": (_run_leakage_rb, "Fig. 3", {
+        **_RB_PARAMS, "n_lr": _Param(_RB_FIELDS["n_lr"], "[0, inf)"),
+        "n_cl_grid": _Param(_RB_FIELDS["n_cl_grid"], "[0, inf)", length=(5, math.inf)),
+        "shots_per_point": _Param(_RB_FIELDS["shots_per_point"], "[0, inf)"),
+        "n_randomizations": _Param(50, "[2, inf)"), "with_lr": _Param(True)}),
+    "periodic-lr": (_run_periodic_lr, "Fig. 7", {
+        **_RB_PARAMS, "n_lr_list": _Param((20, 10, 5, 1), "[0, inf)"),
+        "n_max": _Param(200, "[1, inf)")}),
+    "chi-map": (_run_chi_map, "Fig. 4(c)", {
+        "g_tilde": _Param((0.06e6, 0.15e6, 0.41e6, 0.90e6, 1.50e6, 2.12e6, 2.50e6)),
+        "delta_span": _Param(16e6, "(0, inf)"), "n_points": _Param(161, "[1, inf)")}),
+    "readout-shots": (_run_readout_shots, "Fig. 4(d,e)", {
+        "n_shots": _Param(20000, f"[{protocols.MIN_CALIBRATION_SHOTS}, inf)"),
+        "separation_sigma": _Param(3.29, "(0, inf)"), "tau_meas": _Param(10e-6, "[0, inf)"),
+        "include_decay": _Param(True),
+        "experiment_populations": _Param((0.5, 0.3, 0.2), "[0, 1]", length=(3, 3)),
+        "rates": _RATES}),
+    "cz-chevron": (_run_cz_chevron, "Fig. 8(a,b)", {
+        "omega_d_span": _Param((-15e6, 15e6), length=(2, 2)), "n_omega": _Param(13, "[1, inf)"),
+        "max_duration": _Param(1.2e-6, "(0, inf)"), "n_sub": _Param(1024, "[1, inf)")}),
+    "floquet-report": (_run_floquet_report, "Fig. 4(c) couplings", {
+        "kind": _Param("reset", choices=tuple(_FIXTURE_DRIVES)),
+        "drive": {"a_d": _Param(None, "[0, inf)", kind=float)},  # None: the fixture's
+        "n_amplitudes": _Param(41, "[1, inf)")}),
 }
 
 
@@ -517,8 +574,7 @@ def run_config(config_path: str, seed=None, out=None) -> dict:
     ctx = build_context(cfg, seed_override=seed, out_override=out)
     os.makedirs(ctx.out_dir, exist_ok=True)
     started = time.time()
-    runner = SCENARIOS[ctx.name][0]
-    files = runner(ctx)
+    files = SCENARIOS[ctx.name][0](ctx)
     canonical = json.dumps(_jsonable(cfg), sort_keys=True).encode()
     manifest = {
         "scenario": ctx.name,
@@ -538,10 +594,12 @@ def run_config(config_path: str, seed=None, out=None) -> dict:
 
 def list_scenarios() -> str:
     width = max(len(n) for n in SCENARIOS)
-    lines = [f"{'scenario':<{width}}  figure      parameters"]
+    lines = [f"{'scenario':<{width}}  {'figure':<19}  parameters (key=default)"]
     for name in sorted(SCENARIOS):
-        _, params, figure = SCENARIOS[name]
-        lines.append(f"{name:<{width}}  {figure:<10}  {params}")
+        _, figure, schema = SCENARIOS[name]
+        params = "  ".join(f"{key}={list(d) if isinstance(d, tuple) else d}"
+                           for key, d in _flat(schema))
+        lines.append(f"{name:<{width}}  {figure:<19}  {params}")
     return "\n".join(lines)
 
 
@@ -568,19 +626,12 @@ def main(argv=None) -> int:
         print(list_scenarios())
         return 0
 
-    if args.command == "validate":
-        try:
-            cfg = load_config(args.config)
-            notes = validate_config(cfg)
-        except ConfigError as exc:
-            print(f"invalid: {exc}", file=sys.stderr)
-            return 2
-        for note in notes:
-            print(f"warning: {note}")
-        print("ok")
-        return 0
-
     try:
+        if args.command == "validate":
+            for note in validate_config(load_config(args.config)):
+                print(f"warning: {note}")
+            print("ok")
+            return 0
         manifest = run_config(args.config, seed=args.seed, out=args.out)
     except ConfigError as exc:
         print(f"invalid: {exc}", file=sys.stderr)

@@ -22,10 +22,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+from scipy.special import jv
 
 from .circuit import CircuitSpec, CouplerSpec, coupler_frequency
-from .numerics import (TWO_PI, bessel_j, periodic_propagator, stroboscopic_powers,
-                       taylor_coefficients)
+from .numerics import TWO_PI, periodic_propagator, stroboscopic_powers, taylor_coefficients
 
 
 class ValidityWarning(UserWarning):
@@ -186,7 +186,7 @@ def effective_coupling(
             ValidityWarning,
             stacklevel=2,
         )
-    return g_ic * g_jc / (k * omega_d) * bessel_j(1, d_k / (k * omega_d))
+    return float(g_ic * g_jc / (k * omega_d) * jv(1, d_k / (k * omega_d)))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +352,8 @@ def k2_closed_forms(
     wd = drive.omega_d
     x1 = spec.d_m[0] / wd
     x2 = -spec.d_m[1] / (2.0 * wd)
-    j = {(n, m): bessel_j(n, x1) * bessel_j(m, x2) for n in range(3) for m in range(3)}
+    jn = jv(np.arange(3)[:, None], [x1, x2])  # jn[n] = (J_n(x1), J_n(x2))
+    j = np.outer(jn[:, 0], jn[:, 1])
 
     g_ac, g_bc, g_ab = man.g_ac, man.g_bc, man.g_ab
     delta_c = spec.omega_bar_c + man.delta_c_offset

@@ -67,63 +67,6 @@ class FitResult:
         return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
 
 
-# ---------------------------------------------------------------------------
-# special functions
-# ---------------------------------------------------------------------------
-
-def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind J_n(x).
-
-    Miller's backward recurrence normalised with J_0 + 2*sum_k J_{2k} = 1.
-    Absolute accuracy better than 1e-12 for |x| <= 20 (cross-checked against
-    the integral representation (1/pi) * int_0^pi cos(n t - x sin t) dt).
-
-    Raises
-    ------
-    ValueError
-        If ``n < 0`` or ``|x| >= 1e3``.
-    """
-    if n < 0 or int(n) != n:
-        raise ValueError(f"order must be a non-negative integer, got {n}")
-    n = int(n)
-    if not np.isfinite(x):
-        raise ValueError("x must be finite")
-    if abs(x) >= 1e3:
-        raise ValueError(f"|x| = {abs(x)} outside supported window |x| < 1e3")
-
-    sign = -1.0 if (x < 0 and n % 2) else 1.0
-    x = abs(x)
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if x < 1e-6:
-        # leading series term, exact to double precision here
-        return sign * (x / 2.0) ** n / math.factorial(n) if n < 170 else 0.0
-
-    top = max(n, int(math.ceil(x)))
-    m_start = top + 42 + 4 * int(math.ceil(math.sqrt(top + 1.0)))
-    if m_start % 2:
-        m_start += 1
-
-    j_up = 0.0     # J_{m+1}
-    j_cur = 1e-300  # J_m seed
-    j_n = 0.0
-    norm = 0.0
-    for m in range(m_start, 0, -1):
-        j_dn = (2.0 * m / x) * j_cur - j_up  # J_{m-1}
-        j_up, j_cur = j_cur, j_dn
-        if abs(j_cur) > 1e250:
-            j_cur *= 1e-250
-            j_up *= 1e-250
-            j_n *= 1e-250
-            norm *= 1e-250
-        idx = m - 1
-        if idx == n:
-            j_n = j_cur
-        if idx % 2 == 0:
-            norm += j_cur if idx == 0 else 2.0 * j_cur
-    return sign * j_n / norm
-
-
 def taylor_coefficients(
     func: Callable[[np.ndarray], np.ndarray],
     center: float,

@@ -23,6 +23,9 @@ from .numerics import (TWO_PI, FitResult, RngStream, fit_least_squares, periodic
 
 STATE_LABELS = ("g", "e", "f")
 
+#: fewest shots per calibration set the readout classifier accepts
+MIN_CALIBRATION_SHOTS = 1000
+
 
 # ---------------------------------------------------------------------------
 # reset metrics and thermal budget
@@ -361,8 +364,8 @@ class ReadoutClassifier:
         y = np.asarray(y)
         sets = [X[y == s] for s in range(3)]
         for s, shots in zip(STATE_LABELS, sets):
-            if shots.shape[0] < 1000:
-                raise ValueError(f"calibration set '{s}' needs >= 1000 shots")
+            if shots.shape[0] < MIN_CALIBRATION_SHOTS:
+                raise ValueError(f"calibration set '{s}' needs >= {MIN_CALIBRATION_SHOTS} shots")
 
         center_g, sigma, _, _ = self._fit_blob(sets[0], sigma=None)
         self.sigma_ = float(sigma)

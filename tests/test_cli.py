@@ -105,3 +105,141 @@ class TestOutputs:
                     if row.startswith("cz-chevron"))
         for key in ("omega_d_span", "n_omega", "max_duration", "n_sub"):
             assert key in line
+
+
+TINY_PARAMS = {
+    "reset-dynamics": {"n_points": 5},
+    "reset-metrics": {},
+    "lr-dynamics": {"n_points": 5},
+    "leakage-rb": RB_PARAMS,
+    "periodic-lr": {"n_lr_list": [5, 0], "n_max": 12},
+    "chi-map": {"n_points": 5},
+    "readout-shots": {"n_shots": 1000},
+    "cz-chevron": CZ_PARAMS,
+    "floquet-report": {"n_amplitudes": 3},
+}
+
+
+def write_raw_config(tmp_path, text):
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    return str(path)
+
+
+def assert_schema_error(tmp_path, capsys, config, key_path):
+    """Both ``validate`` and ``run`` exit 2 naming ``key_path``; returns the
+    message of ``run``."""
+    assert cli.main(["validate", config]) == 2
+    assert key_path in capsys.readouterr().err
+    assert run(config, tmp_path / "a") == 2
+    err = capsys.readouterr().err
+    assert key_path in err
+    return err
+
+
+class TestSchema:
+    def test_tiny_params_cover_every_scenario(self):
+        assert set(TINY_PARAMS) == set(cli.SCENARIOS)
+
+    @pytest.mark.parametrize("scenario", sorted(TINY_PARAMS))
+    def test_every_scenario_runs(self, tmp_path, capsys, scenario):
+        config = write_config(tmp_path, scenario, TINY_PARAMS[scenario])
+        assert run(config, tmp_path / "a") == 0
+        manifest = json.loads(capsys.readouterr().out)
+        assert manifest["scenario"] == scenario
+        assert manifest["files"]
+
+    @pytest.mark.parametrize("scenario, params, key_path", [
+        ("chi-map", {"n_pionts": 5}, "params.n_pionts"),
+        ("reset-metrics", {"rates": {"gamma1": 5.0}}, "params.rates.gamma1"),
+        ("reset-metrics", {"rates": {"kappa_r": {"Q1": 5}}}, "params.rates.kappa_r"),
+        ("reset-metrics", {"rates": {"gamma1": {"Q9": 1}}}, "params.rates.gamma1.Q9"),
+        ("floquet-report", {"drive": [1, 2]}, "params.drive"),
+        ("floquet-report", {"kind": "foo"}, "params.kind"),
+        ("leakage-rb", {"l_cl": 2}, "params.l_cl"),
+        ("leakage-rb", {"n_randomizations": 1}, "params.n_randomizations"),
+        ("leakage-rb", {"n_cl_grid": [1, 2, 3]}, "params.n_cl_grid"),
+        ("readout-shots", {"n_shots": 0}, "params.n_shots"),
+        ("chi-map", {"n_points": -1}, "params.n_points"),
+        ("periodic-lr", {"n_lr_list": 5}, "params.n_lr_list"),
+        ("reset-metrics", {"p_id": 2}, "params.p_id"),
+    ])
+    def test_bad_values_are_schema_errors(self, tmp_path, capsys, scenario, params, key_path):
+        config = write_config(tmp_path, scenario, params)
+        assert_schema_error(tmp_path, capsys, config, key_path)
+
+    @pytest.mark.parametrize("scenario, params, key_path", [
+        ("floquet-report", {"drive": {"kind": "cz"}}, "params.drive.kind"),
+        ("floquet-report", {"drive": {"phi_dc": 0.1}}, "params.drive.phi_dc"),
+        ("reset-dynamics", {"drive": {"a_d": 0.1}}, "params.drive"),
+        ("chi-map", {"rates": {}}, "params.rates"),
+        ("cz-chevron", {"rates": {}}, "params.rates"),
+        ("floquet-report", {"rates": {}}, "params.rates"),
+        ("periodic-lr", {"n_lr": 2}, "params.n_lr"),
+        ("periodic-lr", {"n_cl_grid": [1, 2, 3, 4, 5]}, "params.n_cl_grid"),
+        ("periodic-lr", {"shots_per_point": 10}, "params.shots_per_point"),
+        ("periodic-lr", {"n_randomizations": 5}, "params.n_randomizations"),
+        ("periodic-lr", {"with_lr": False}, "params.with_lr"),
+    ])
+    def test_dead_keys_are_unknown(self, tmp_path, capsys, scenario, params, key_path):
+        config = write_config(tmp_path, scenario, params)
+        assert "unknown key" in assert_schema_error(tmp_path, capsys, config, key_path)
+
+    def test_exponent_strings_still_parse_as_numbers(self, tmp_path):
+        # PyYAML reads 2e-6 (no decimal point) as a string
+        assert yaml.safe_load("x: 2e-6")["x"] == "2e-6"
+        as_string = write_raw_config(
+            tmp_path, "scenario: lr-dynamics\nparams:\n  duration: 2e-6\n  n_points: 5\n")
+        assert run(as_string, tmp_path / "a") == 0
+        as_float = write_raw_config(
+            tmp_path, "scenario: lr-dynamics\nparams:\n  duration: 2.0e-6\n  n_points: 5\n")
+        assert run(as_float, tmp_path / "b") == 0
+        assert data_files(tmp_path / "a") == data_files(tmp_path / "b")
+
+    def test_list_shows_every_declared_key_with_its_default(self, capsys):
+        assert cli.main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name, (_, _, schema) in cli.SCENARIOS.items():
+            line = next(row for row in lines if row.split()[0] == name)
+            keys = list(cli._flat(schema))
+            assert keys
+            for key, default in keys:
+                shown = list(default) if isinstance(default, tuple) else default
+                assert f" {key}={shown}" in line
+
+    def test_validity_warning_follows_the_reported_drive(self, tmp_path, capsys):
+        config = write_config(tmp_path, "floquet-report",
+                              {"kind": "cz", "drive": {"a_d": 0.3}, "n_amplitudes": 3})
+        assert cli.main(["validate", config]) == 0
+        out = capsys.readouterr().out
+        assert "warning: params.drive.a_d" in out
+        assert out.splitlines()[-1] == "ok"
+        assert run(config, tmp_path / "a") == 0
+        report = json.loads((tmp_path / "a" / "floquet_report.json").read_text())
+        assert report["validity_ok"] is False
+
+    def test_fixture_drive_validates_without_warning(self, tmp_path, capsys):
+        config = write_config(tmp_path, "floquet-report", {"n_amplitudes": 3})
+        assert cli.main(["validate", config]) == 0
+        assert capsys.readouterr().out == "ok\n"
+        assert run(config, tmp_path / "a") == 0
+        report = json.loads((tmp_path / "a" / "floquet_report.json").read_text())
+        assert report["validity_ok"] is True
+
+
+class TestSeed:
+    def test_negative_seed_override_is_a_schema_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, "reset-metrics")
+        assert cli.main(["run", config, "--seed", "-3", "--out", str(tmp_path / "a")]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [True, -1, 1.5, "three"])
+    def test_bad_config_seed_is_a_schema_error(self, tmp_path, capsys, seed):
+        config = write_raw_config(
+            tmp_path, yaml.safe_dump({"scenario": "reset-metrics", "seed": seed}))
+        assert_schema_error(tmp_path, capsys, config, "seed")
+
+    def test_seed_override_is_recorded(self, tmp_path, capsys):
+        config = write_config(tmp_path, "reset-metrics")
+        assert cli.main(["run", config, "--seed", "9", "--out", str(tmp_path / "a")]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 9

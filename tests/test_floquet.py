@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import curve_fit
+from scipy.special import jv
 
 from couplersim import presets
 from couplersim.circuit import CouplerSpec, coupler_frequency, coupler_spec_from_band
@@ -24,7 +25,7 @@ from couplersim.floquet import (
     stroboscopic_populations,
     transition_manifold,
 )
-from couplersim.numerics import TWO_PI, bessel_j, schrodinger_propagate
+from couplersim.numerics import TWO_PI, schrodinger_propagate
 
 # projection-integral oracle values for the Fourier coefficients at
 # (phi_dc = 0.12 pi, a_d = 0.25) with the band-fitted coupler, frozen from a
@@ -232,7 +233,7 @@ class TestK2ClosedForms:
         frame = k2_closed_forms(circuit, drive, man)
         spec = fourier_decompose(drive, coupler)
         wd = drive.omega_d
-        j00 = bessel_j(0, spec.d_m[0] / wd) * bessel_j(0, -spec.d_m[1] / (2 * wd))
+        j00 = jv(0, spec.d_m[0] / wd) * jv(0, -spec.d_m[1] / (2 * wd))
         assert frame.g_tilde_ac / man.g_ac == pytest.approx(j00, rel=1e-12)
 
     def test_reset_fixture_swap_coupling(self, circuit):
