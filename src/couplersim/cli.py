@@ -119,13 +119,15 @@ def _within(interval: str, x) -> bool:
 @dataclass(frozen=True)
 class _Param:
     """A scenario parameter, typed by its default: a tuple default reads a
-    list of its element type, a ``None`` default reads ``kind``."""
+    list of its element type, a ``None`` default reads ``kind``.  ``whole``
+    is a ``(predicate, requirement)`` check on a converted list as a whole."""
 
     default: object
     interval: str = "(-inf, inf)"
     length: tuple = (1, math.inf)   # entry count of a list
     choices: tuple = ()             # admissible str values
     kind: type = None
+    whole: tuple = (lambda items: True, "")
 
 
 def _convert(spec: _Param, value, path: str, kind: type = None):
@@ -136,8 +138,11 @@ def _convert(spec: _Param, value, path: str, kind: type = None):
         lo, hi = spec.length
         _require(isinstance(value, (list, tuple)) and lo <= len(value) <= hi, path,
                  f"must be a list of length {lo if lo == hi else f'>= {lo}'}, got {value!r}")
-        return tuple(_convert(spec, v, f"{path}[{i}]", type(spec.default[0]))
-                     for i, v in enumerate(value))
+        items = tuple(_convert(spec, v, f"{path}[{i}]", type(spec.default[0]))
+                      for i, v in enumerate(value))
+        check, requirement = spec.whole
+        _require(check(items), path, f"{requirement}, got {value!r}")
+        return items
     if kind in (str, bool):
         choices = (True, False) if kind is bool else spec.choices
         _require(value in choices, path,
@@ -326,8 +331,7 @@ def _rb_scenario(ctx: RunContext) -> rbsim.RBScenario:
 def _run_leakage_rb(ctx: RunContext) -> list:
     p = ctx.params
     scenario = _rb_scenario(ctx)
-    curves = rbsim.monte_carlo_rb(scenario, ctx.stream(), n_randomizations=p["n_randomizations"],
-                                  with_lr=p["with_lr"])
+    curves = rbsim.monte_carlo_rb(scenario, ctx.stream(), n_randomizations=p["n_randomizations"])
     csv_path = os.path.join(ctx.out_dir, "leakage_rb.csv")
     _write_csv(csv_path, ["n_cl", "p_g_mean", "p_g_std", "p_f_mean", "p_f_std"],
                zip(curves.n_cl, curves.p_g_mean, curves.p_g_std,
@@ -540,9 +544,10 @@ SCENARIOS = {
         "n_points": _Param(301, "[1, inf)"), "rates": _RATES}),
     "leakage-rb": (_run_leakage_rb, "Fig. 3", {
         **_RB_PARAMS, "n_lr": _Param(_RB_FIELDS["n_lr"], "[0, inf)"),
-        "n_cl_grid": _Param(_RB_FIELDS["n_cl_grid"], "[0, inf)", length=(5, math.inf)),
+        "n_cl_grid": _Param(_RB_FIELDS["n_cl_grid"], "[0, inf)", length=(5, math.inf),
+                            whole=(lambda g: len(set(g)) == len(g), "lengths must be distinct")),
         "shots_per_point": _Param(_RB_FIELDS["shots_per_point"], "[0, inf)"),
-        "n_randomizations": _Param(50, "[2, inf)"), "with_lr": _Param(True)}),
+        "n_randomizations": _Param(50, "[2, inf)")}),
     "periodic-lr": (_run_periodic_lr, "Fig. 7", {
         **_RB_PARAMS, "n_lr_list": _Param((20, 10, 5, 1), "[0, inf)"),
         "n_max": _Param(200, "[1, inf)")}),
@@ -553,7 +558,9 @@ SCENARIOS = {
         "n_shots": _Param(20000, f"[{protocols.MIN_CALIBRATION_SHOTS}, inf)"),
         "separation_sigma": _Param(3.29, "(0, inf)"), "tau_meas": _Param(10e-6, "[0, inf)"),
         "include_decay": _Param(True),
-        "experiment_populations": _Param((0.5, 0.3, 0.2), "[0, 1]", length=(3, 3)),
+        "experiment_populations": _Param(
+            (0.5, 0.3, 0.2), "[0, 1]", length=(3, 3),
+            whole=(lambda p: abs(sum(p) - 1.0) <= protocols.POPULATION_SUM_TOL, "must sum to 1")),
         "rates": _RATES}),
     "cz-chevron": (_run_cz_chevron, "Fig. 8(a,b)", {
         "omega_d_span": _Param((-15e6, 15e6), length=(2, 2)), "n_omega": _Param(13, "[1, inf)"),

@@ -8,6 +8,8 @@ Conventions used across the package:
 * Hamiltonian matrices handed to :func:`propagate` carry angular entries
   (energy/hbar in rad/s); collapse rates are cyclic Hz and are multiplied
   by ``2*pi`` inside the dissipator.
+* Superoperators act on ``vec(rho)`` in row-major order; :func:`liouvillian`
+  builds the Lindblad generator in that convention for every caller.
 
 The periodic-propagator engine, shared by the Floquet oracle and the CZ
 calibration, is :func:`periodic_propagator` (one-period propagator from a
@@ -118,6 +120,22 @@ def _max_frequency_hz(h_samples: Sequence[np.ndarray], collapse: Sequence[tuple]
     return f
 
 
+def liouvillian(hamiltonian: np.ndarray, collapse_rates: Sequence[tuple]) -> np.ndarray:
+    """Lindblad generator as a ``(d^2, d^2)`` matrix in the row-major vec
+    convention, ``vec(rho)[i*d + j] = rho[i, j]``, so that ``U rho U^dag``
+    is ``kron(U, U.conj())``.  ``hamiltonian`` in rad/s; ``collapse_rates``
+    as in :func:`propagate`."""
+    h = np.asarray(hamiltonian, dtype=complex)
+    ident = np.eye(h.shape[0])
+    liou = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
+    for op, rate in collapse_rates:
+        if rate != 0.0:
+            c = math.sqrt(TWO_PI * abs(rate)) * np.asarray(op, dtype=complex)
+            cc = c.conj().T @ c
+            liou += np.kron(c, c.conj()) - 0.5 * (np.kron(cc, ident) + np.kron(ident, cc.T))
+    return liou
+
+
 def propagate(
     hamiltonian: np.ndarray | Callable[[float], np.ndarray],
     collapse_rates: Sequence[tuple[np.ndarray, float]],
@@ -177,27 +195,17 @@ def propagate(
             f"requires step <= {step_required:.3e} s"
         )
 
-    c_ops = [math.sqrt(TWO_PI * abs(rate)) * np.asarray(op, dtype=complex)
-             for op, rate in collapse_rates if rate != 0.0]
-    cdc = [c.conj().T @ c for c in c_ops]
-
     if static and t_eval is None:
-        # exact: exponentiate the Liouvillian once (row-major vec convention)
-        h = h_probe[0]
-        ident = np.eye(d)
-        liou = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
-        for c, cc in zip(c_ops, cdc):
-            liou += np.kron(c, c.conj()) - 0.5 * (np.kron(cc, ident) + np.kron(ident, cc.T))
-        rho_t = (expm(liou * duration) @ rho0.reshape(-1)).reshape(d, d)
-        return rho_t
+        # exact: exponentiate the Liouvillian once
+        liou = liouvillian(h_probe[0], collapse_rates)
+        return (expm(liou * duration) @ rho0.reshape(-1)).reshape(d, d)
+
+    dissipator = liouvillian(np.zeros((d, d)), collapse_rates)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         rho = y.reshape(d, d)
         h = h_fn(t)
-        drho = -1j * (h @ rho - rho @ h)
-        for c, cc in zip(c_ops, cdc):
-            drho += c @ rho @ c.conj().T - 0.5 * (cc @ rho + rho @ cc)
-        return drho.reshape(-1)
+        return (-1j * (h @ rho - rho @ h)).reshape(-1) + dissipator @ y
 
     max_step = step if step is not None else min(step_required, duration)
     sol = solve_ivp(

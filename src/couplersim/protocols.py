@@ -25,6 +25,8 @@ STATE_LABELS = ("g", "e", "f")
 
 #: fewest shots per calibration set the readout classifier accepts
 MIN_CALIBRATION_SHOTS = 1000
+#: tolerance on the sum of a population vector
+POPULATION_SUM_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +263,7 @@ def generate_shots(
     label-flip model).  Deterministic per stream.
     """
     p = np.asarray(populations, dtype=float)
-    if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
+    if p.min() < -1e-12 or abs(p.sum() - 1.0) > POPULATION_SUM_TOL:
         raise ValueError("populations must be a probability vector")
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")

@@ -2,11 +2,22 @@
 forms, Monte Carlo qutrit Clifford simulation, leakage-RB curve fitting and
 periodic leakage-recovery traces.
 
-The per-Clifford cycle follows the interleaved sequence
-Clifford -> leakage injection -> (optional) leakage recovery, with the
-population vector (P_subspace, P_f, P_resonator).  The qubit probability
-P_subspace + P_f is conserved; the resonator column drains at its decay
-rate.
+Both engines run the per-Clifford cycle
+Clifford -> leakage injection -> (every ``n_lr``-th cycle) leakage recovery.
+The rate equation steps the population vector (P_subspace, P_f, P_resonator)
+with :func:`cycle_matrix`; the qubit probability P_subspace + P_f is
+conserved and the resonator column drains at its decay rate.  The Monte
+Carlo engine evolves qutrit x resonator density matrices: exact Clifford
+unitaries, unitary leakage and recovery, and per-window Lindblad channels
+built from :func:`numerics.liouvillian` (row-major vec convention).
+``n_lr = 0`` is the run without recovery and zero rates the noiseless run.
+
+The Monte Carlo step keeps one fixed order of floating-point operations
+(batched ``einsum`` conjugations, the window channels, a running 2x2 Clifford
+product for the inverse gate).  The joint fit of its curves is
+ill-conditioned when A2 and B2 are barely identified: changing the curves by
+2e-13 relative moves (A0, A2, B2) by up to 2e-2, so a reordered step changes
+the fit reported for a given seed.
 """
 
 from __future__ import annotations
@@ -19,8 +30,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .circuit import DecayRates
-from .dynamics import PopulationVector
-from .numerics import TWO_PI, RngStream, fit_least_squares
+from .numerics import TWO_PI, RngStream, fit_least_squares, liouvillian
 
 DEFAULT_N_CL_GRID = tuple(int(round(x)) for x in np.unique(np.geomspace(1, 1000, 20).round()))
 
@@ -54,6 +64,8 @@ class RBScenario:
             raise ValueError("durations must be non-negative")
         if self.n_lr < 0:
             raise ValueError("n_lr must be >= 0 (0 disables recovery)")
+        if len(set(self.n_cl_grid)) != len(self.n_cl_grid):
+            raise ValueError("n_cl_grid lengths must be distinct")
 
     @property
     def d_q(self) -> float:
@@ -98,19 +110,6 @@ def cycle_matrix(scenario: RBScenario, with_lr: bool) -> np.ndarray:
     if with_lr:
         return m["r"] @ m["fe"] @ m["lr"] @ m["leak"]
     return m["fe"] @ m["leak"]
-
-
-def rate_step(pop: PopulationVector, scenario: RBScenario, with_lr: bool = True) -> PopulationVector:
-    """One per-Clifford cycle of the rate equation.
-
-    The computational-subspace population enters as ``p_g + p_e`` and is
-    returned split evenly between them (the model averages over random
-    Cliffords, which occupy |e> half of the time).
-    """
-    vec = np.array([pop.p_subspace, pop.p_f, pop.p_r])
-    out = cycle_matrix(scenario, with_lr) @ vec
-    return PopulationVector(p_g=out[0] / 2.0, p_e=out[0] / 2.0, p_f=out[1],
-                            p_r=min(out[2], 1.0))
 
 
 def steady_state_leakage(scenario: RBScenario, with_lr: bool, tol: float = 1e-14,
@@ -229,15 +228,12 @@ def periodic_lr_trace(scenario: RBScenario) -> tuple[np.ndarray, np.ndarray]:
     transient.
     """
     n_max = int(max(scenario.n_cl_grid))
-    m = rate_matrices(scenario)
-    plain = m["fe"] @ m["leak"]
-    with_lr = m["r"] @ m["fe"] @ m["lr"] @ m["leak"]
+    cycle = [cycle_matrix(scenario, False), cycle_matrix(scenario, True)]
     vec = np.array([1.0, 0.0, 0.0])
     p_f = np.empty(n_max + 1)
     p_f[0] = 0.0
     for n in range(1, n_max + 1):
-        use_lr = scenario.n_lr > 0 and n % scenario.n_lr == 0
-        vec = (with_lr if use_lr else plain) @ vec
+        vec = cycle[scenario.n_lr > 0 and n % scenario.n_lr == 0] @ vec
         p_f[n] = vec[1]
     return np.arange(n_max + 1), p_f
 
@@ -278,14 +274,16 @@ _CLIFFORDS_2 = single_qubit_cliffords()
 
 
 def _embed_qubit_gate(u2: np.ndarray) -> np.ndarray:
-    """Qubit gate as exact unitary on the {g,e} block, identity on |f>,
-    identity on the resonator (qutrit x resonator ordering, idx = 2q + r)."""
-    u3 = np.eye(3, dtype=complex)
-    u3[:2, :2] = u2
+    """Qubit gates (batched over leading axes) as exact unitaries on the {g,e}
+    block, identity on |f>, identity on the resonator (qutrit x resonator
+    ordering, idx = 2q + r)."""
+    u3 = np.zeros((*u2.shape[:-2], 3, 3), dtype=complex)
+    u3[..., :2, :2] = u2
+    u3[..., 2, 2] = 1.0
     return np.kron(u3, np.eye(2, dtype=complex))
 
 
-_CLIFFORDS_6 = np.stack([_embed_qubit_gate(u) for u in _CLIFFORDS_2])
+_CLIFFORDS_6 = _embed_qubit_gate(_CLIFFORDS_2)
 
 
 def _leak_unitary(l_cl: float) -> np.ndarray:
@@ -307,35 +305,23 @@ def _lr_unitary(f_lr: float) -> np.ndarray:
     return u
 
 
-def _lindblad_superop(collapse: list, dim: int, tau: float) -> np.ndarray:
-    """Dissipator exponential in the row-major vec convention."""
-    ident = np.eye(dim)
-    liou = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for op, rate_hz in collapse:
-        c = math.sqrt(TWO_PI * rate_hz) * op
-        cc = c.conj().T @ c
-        liou += np.kron(c, c.conj()) - 0.5 * (np.kron(cc, ident) + np.kron(ident, cc.T))
-    return expm(liou * tau)
-
-
 def _decoherence_superops(scenario: RBScenario) -> dict:
+    """Lindblad channels of the Clifford, leak and LR windows."""
     q = scenario.qubit
     r = scenario.rates
     low_q = np.kron(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex), np.eye(2))
     low_f = np.kron(np.array([[0, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=complex), np.eye(2))
     deph = np.kron(np.diag([0.0, 1.0, 2.0]).astype(complex), np.eye(2)) * math.sqrt(2.0)
     low_r = np.kron(np.eye(3), np.array([[0, 1], [0, 0]], dtype=complex))
-    collapse = [
+    liou = liouvillian(np.zeros((6, 6)), [
         (low_q, r.gamma1[q]),
         (low_f, r.gamma_fe),
         (deph, r.gamma_phi[q]),
         (low_r, r.kappa_r),
-    ]
-    return {
-        "cl": _lindblad_superop(collapse, 6, scenario.tau_cl),
-        "leak": _lindblad_superop(collapse, 6, scenario.tau_leak),
-        "lr": _lindblad_superop(collapse, 6, scenario.tau_lr),
-    }
+    ])
+    return {"cl": expm(liou * scenario.tau_cl),
+            "leak": expm(liou * scenario.tau_leak),
+            "lr": expm(liou * scenario.tau_lr)}
 
 
 def _depolarizing_superop(p_error: float) -> np.ndarray:
@@ -375,36 +361,53 @@ class RBCurves:
         return std / math.sqrt(self.n_randomizations)
 
 
+def _conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``U_r rho_r U_r^dag`` for a batch of states and one unitary per state."""
+    return np.einsum("rij,rjk,rlk->ril", u, rho, u.conj())
+
+
+def _channel(sup: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """A superoperator (row-major vec) applied to a batch of states."""
+    return (rho.reshape(len(rho), -1) @ sup.T).reshape(rho.shape)
+
+
 def monte_carlo_rb(
     scenario: RBScenario,
     stream: RngStream,
     n_randomizations: int = 50,
-    with_lr: bool = True,
-    noise: str = "physical",
-    depolarizing_error: float = 0.0,
+    depolarizing_error: float | None = None,
 ) -> RBCurves:
     """Monte Carlo leakage RB on a qutrit coupled to a two-level resonator.
 
-    Random Cliffords act as exact unitaries on the computational subspace;
-    leakage injection is a weak |e> <-> |f> rotation, recovery a partial
-    |f0> <-> |e1> swap, and decoherence acts as per-window Lindblad channels
-    (``noise='physical'``) or as a per-Clifford depolarizing channel of the
-    given average error (``noise='depolarizing'``).  Deterministic per
-    stream, independent of chunking: each randomization draws its gates from
+    Every cycle applies a random Clifford (an exact unitary on the
+    computational subspace), the Clifford-window channel, leakage injection
+    (a weak |e> <-> |f> rotation), the leak-window channel, on every
+    ``scenario.n_lr``-th cycle the recovery (a partial |f0> <-> |e1> swap),
+    and the LR-window channel.  With ``depolarizing_error=None`` the window
+    channels are the Lindblad channels of ``scenario.rates``; otherwise the
+    Clifford window is a depolarizing channel of that average gate error
+    and the other windows are noiseless (without leakage this is the exact
+    oracle ``P_g = 1/2 + 1/2 (1 - 2 eps)^n``).  ``n_lr = 0`` disables
+    recovery and zero rates make every window noiseless.  Each measurement
+    applies the inverse of the running Clifford product and then, with
+    physical noise, the Clifford-window channel.  Deterministic per stream,
+    independent of chunking: each randomization draws its gates from
     ``stream.child(index)``.
     """
-    if noise not in ("physical", "depolarizing", "none"):
-        raise ValueError("noise must be 'physical', 'depolarizing' or 'none'")
     n_grid = np.asarray(scenario.n_cl_grid, dtype=int)
     n_max = int(n_grid.max())
     r_count = n_randomizations
 
-    apply_channels = noise == "physical"
-    sups = _decoherence_superops(scenario) if apply_channels else None
-    dep = _depolarizing_superop(depolarizing_error) if noise == "depolarizing" else None
-
-    u_leak = _leak_unitary(scenario.l_cl) if scenario.l_cl > 0 else None
-    u_lr = _lr_unitary(scenario.f_lr) if with_lr else None
+    if depolarizing_error is None:
+        windows = _decoherence_superops(scenario)
+        measure_window = windows["cl"]
+    else:
+        noiseless = np.eye(36)
+        windows = {"cl": _depolarizing_superop(depolarizing_error),
+                   "leak": noiseless, "lr": noiseless}
+        measure_window = noiseless
+    u_leak = np.tile(_leak_unitary(scenario.l_cl), (r_count, 1, 1))
+    u_lr = np.tile(_lr_unitary(scenario.f_lr), (r_count, 1, 1))
 
     gate_idx = np.stack([
         stream.child(r).integers(0, 24, size=n_max) for r in range(r_count)
@@ -413,57 +416,23 @@ def monte_carlo_rb(
     rho = np.zeros((r_count, 6, 6), dtype=complex)
     rho[:, 0, 0] = 1.0
     ctot = np.broadcast_to(np.eye(2, dtype=complex), (r_count, 2, 2)).copy()
-
-    grid_set = set(int(n) for n in n_grid)
+    col = {int(n): j for j, n in enumerate(n_grid)}
     p_g = np.empty((r_count, len(n_grid)))
     p_f = np.empty((r_count, len(n_grid)))
-    col = {int(n): i for i, n in enumerate(n_grid)}
-
-    def conj_batch(u, r):
-        return np.einsum("rij,rjk,rlk->ril", u, r, u.conj())
-
-    def conj_same(u, r):
-        return np.einsum("ij,rjk,lk->ril", u, r, u.conj())
-
-    def superop(s, r):
-        return (r.reshape(r_count, 36) @ s.T).reshape(r_count, 6, 6)
-
-    def measure(n):
-        u2_inv = np.conj(np.transpose(ctot, (0, 2, 1)))
-        u_inv = np.zeros((r_count, 6, 6), dtype=complex)
-        u_inv[:, 4, 4] = 1.0
-        u_inv[:, 5, 5] = 1.0
-        for a in range(2):
-            for b in range(2):
-                u_inv[:, 2 * a, 2 * b] = u2_inv[:, a, b]
-                u_inv[:, 2 * a + 1, 2 * b + 1] = u2_inv[:, a, b]
-        rho_m = conj_batch(u_inv, rho)
-        if apply_channels:
-            rho_m = superop(sups["cl"], rho_m)
-        j = col[n]
-        p_g[:, j] = (rho_m[:, 0, 0] + rho_m[:, 1, 1]).real
-        p_f[:, j] = (rho_m[:, 4, 4] + rho_m[:, 5, 5]).real
-
-    if 0 in grid_set:
-        measure(0)
-    for n in range(1, n_max + 1):
-        u6 = _CLIFFORDS_6[gate_idx[:, n - 1]]
-        rho = conj_batch(u6, rho)
-        ctot = np.einsum("rij,rjk->rik", _CLIFFORDS_2[gate_idx[:, n - 1]], ctot)
-        if apply_channels:
-            rho = superop(sups["cl"], rho)
-        elif dep is not None:
-            rho = superop(dep, rho)
-        if u_leak is not None:
-            rho = conj_same(u_leak, rho)
-        if apply_channels:
-            rho = superop(sups["leak"], rho)
-        if u_lr is not None and (scenario.n_lr > 0 and n % scenario.n_lr == 0):
-            rho = conj_same(u_lr, rho)
-        if apply_channels:
-            rho = superop(sups["lr"], rho)
-        if n in grid_set:
-            measure(n)
+    for n in range(n_max + 1):
+        if n > 0:
+            gates = gate_idx[:, n - 1]
+            rho = _channel(windows["cl"], _conjugate(_CLIFFORDS_6[gates], rho))
+            ctot = np.einsum("rij,rjk->rik", _CLIFFORDS_2[gates], ctot)
+            rho = _channel(windows["leak"], _conjugate(u_leak, rho))
+            if scenario.n_lr > 0 and n % scenario.n_lr == 0:
+                rho = _conjugate(u_lr, rho)
+            rho = _channel(windows["lr"], rho)
+        if n in col:
+            u_inv = _embed_qubit_gate(ctot.conj().transpose(0, 2, 1))
+            rho_m = _channel(measure_window, _conjugate(u_inv, rho))
+            p_g[:, col[n]] = (rho_m[:, 0, 0] + rho_m[:, 1, 1]).real
+            p_f[:, col[n]] = (rho_m[:, 4, 4] + rho_m[:, 5, 5]).real
 
     if scenario.shots_per_point > 0:
         shots = scenario.shots_per_point

@@ -163,6 +163,9 @@ class TestSchema:
         ("chi-map", {"n_points": -1}, "params.n_points"),
         ("periodic-lr", {"n_lr_list": 5}, "params.n_lr_list"),
         ("reset-metrics", {"p_id": 2}, "params.p_id"),
+        ("leakage-rb", {"n_cl_grid": [1, 1, 1, 1, 1], "n_randomizations": 2}, "params.n_cl_grid"),
+        ("readout-shots", {"experiment_populations": [0.5, 0.5, 0.5]},
+         "params.experiment_populations"),
     ])
     def test_bad_values_are_schema_errors(self, tmp_path, capsys, scenario, params, key_path):
         config = write_config(tmp_path, scenario, params)
@@ -180,6 +183,7 @@ class TestSchema:
         ("periodic-lr", {"shots_per_point": 10}, "params.shots_per_point"),
         ("periodic-lr", {"n_randomizations": 5}, "params.n_randomizations"),
         ("periodic-lr", {"with_lr": False}, "params.with_lr"),
+        ("leakage-rb", {"with_lr": False}, "params.with_lr"),
     ])
     def test_dead_keys_are_unknown(self, tmp_path, capsys, scenario, params, key_path):
         config = write_config(tmp_path, scenario, params)

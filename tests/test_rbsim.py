@@ -1,0 +1,92 @@
+import numpy as np
+import pytest
+
+from couplersim import presets, rbsim
+from couplersim.circuit import DecayRates
+from couplersim.numerics import RngStream
+
+RATES = presets.table_decay_rates()
+ZERO_RATES = DecayRates(gamma1={"Q1": 0.0}, gamma_phi={"Q1": 0.0}, kappa_r=0.0, gamma_fe=0.0)
+MC_GRID = (0, 1, 2, 5, 10, 40)
+
+
+def scenario(**kwargs):
+    return rbsim.RBScenario(**{"l_cl": 0.02, "rates": RATES, **kwargs})
+
+
+class TestScenario:
+    def test_repeated_lengths_rejected(self):
+        with pytest.raises(ValueError, match="n_cl_grid"):
+            scenario(n_cl_grid=(1, 2, 2, 4, 8))
+
+
+class TestRateEquation:
+    @pytest.mark.parametrize("l_cl, f_lr", [(0.0, 0.985), (0.02, 0.985), (0.3, 0.4)])
+    def test_rate_matrices_conserve_qubit_probability(self, l_cl, f_lr):
+        for name, m in rbsim.rate_matrices(scenario(l_cl=l_cl, f_lr=f_lr)).items():
+            np.testing.assert_allclose(m[:2].sum(axis=0), [1.0, 1.0, 0.0], atol=1e-15,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("l_cl, f_lr", [(0.005, 0.985), (0.02, 0.985), (0.1, 0.6)])
+    def test_closed_forms_match_power_iteration(self, l_cl, f_lr):
+        sc = scenario(l_cl=l_cl, f_lr=f_lr)
+        forms = rbsim.a2_closed_forms(sc)
+        assert forms.a2_leak == pytest.approx(rbsim.steady_state_leakage(sc, False), rel=1e-9)
+        assert forms.a2_lr_full == pytest.approx(rbsim.steady_state_leakage(sc, True), rel=1e-9)
+
+    @pytest.mark.parametrize("n_lr", [20, 10, 5, 1])
+    def test_periodic_trace_stays_below_shark_fin_bound(self, n_lr):
+        sc = scenario(n_lr=n_lr, n_cl_grid=(200,))
+        n, p_f = rbsim.periodic_lr_trace(sc)
+        assert n[-1] == 200 and p_f[0] == 0.0
+        assert p_f.max() <= n_lr * sc.l_cl / 2.0
+
+    def test_periodic_trace_steps_the_cycle_matrices(self):
+        sc = scenario(n_lr=3, n_cl_grid=(12,))
+        vec = np.array([1.0, 0.0, 0.0])
+        expected = [0.0]
+        for n in range(1, 13):
+            vec = rbsim.cycle_matrix(sc, n % 3 == 0) @ vec
+            expected.append(vec[1])
+        assert rbsim.periodic_lr_trace(sc)[1].tolist() == expected
+
+    @pytest.mark.parametrize("l_cl", [0.0, 0.01, 0.03, 0.1])
+    def test_recovery_pays_off_above_breakeven(self, l_cl):
+        models = rbsim.error_models(scenario(l_cl=l_cl))
+        assert 0.01 < models.breakeven_l < 0.03
+        assert (models.eps_lr < models.eps_leak) == (l_cl > models.breakeven_l)
+
+
+class TestMonteCarlo:
+    def test_golden_physical_noise_curves(self):
+        curves = rbsim.monte_carlo_rb(scenario(n_lr=2, n_cl_grid=MC_GRID), RngStream(seed=7),
+                                      n_randomizations=3)
+        golden = {
+            "p_g_mean": [1.0, 0.9620958560944937, 0.9618084718666617, 0.9008764236038619,
+                         0.8390936695341633, 0.6104429568553487],
+            "p_g_std": [0.0, 0.011733262464513559, 0.013544838267950315, 0.013867960433570112,
+                        0.020564540278279784, 0.03041886400878906],
+            "p_f_mean": [0.0, 0.016130619588905246, 0.00042608920881565074,
+                         0.011338487810470818, 0.0003448409562651679, 0.00029883749258248385],
+            "p_f_std": [0.0, 0.005587810537109936, 0.0005868612194531318, 0.001983821185001624,
+                        0.00021593276933737544, 0.0001331392696976387],
+        }
+        assert curves.n_cl.tolist() == list(MC_GRID)
+        for name, values in golden.items():
+            np.testing.assert_allclose(getattr(curves, name), values, rtol=1e-10, err_msg=name)
+
+    def test_noiseless_without_leakage_stays_in_ground_state(self):
+        sc = rbsim.RBScenario(l_cl=0.0, rates=ZERO_RATES, n_lr=2, n_cl_grid=MC_GRID)
+        curves = rbsim.monte_carlo_rb(sc, RngStream(seed=1), n_randomizations=3)
+        np.testing.assert_allclose(curves.p_g_mean, 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(curves.p_f_mean, 0.0, rtol=0, atol=1e-12)
+
+    def test_depolarizing_decay_is_exact(self):
+        eps = 0.01
+        sc = scenario(l_cl=0.0, n_cl_grid=MC_GRID)
+        curves = rbsim.monte_carlo_rb(sc, RngStream(seed=2), n_randomizations=3,
+                                      depolarizing_error=eps)
+        n = np.asarray(MC_GRID)
+        np.testing.assert_allclose(curves.p_g_mean, 0.5 + 0.5 * (1.0 - 2.0 * eps) ** n,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(curves.p_f_mean, 0.0, rtol=0, atol=1e-12)
