@@ -5,11 +5,20 @@ Elements are labelled ``Q1, Q2, C, R``; tensor factors are ordered the same
 way everywhere in the package (Q1 x Q2 x C x R).  Flux ``phi_ext`` is the
 phase argument entering the junction interference directly (period pi in
 E_J); flux in units of Phi_0 maps as ``phi_ext = pi * Phi / Phi_0``.
+
+This module is the one place that knows the coupling convention and the
+bosonic matrix elements.  :func:`build_hamiltonian` returns the full
+(non-RWA) Hamiltonian in rad/s; :func:`manifold_hamiltonian` returns a
+block of the same matrix in Hz between chosen occupation tuples.  Every
+reduced model of the package (the driven transition manifolds, the CZ
+excitation manifolds, the static ZZ) is such a block: restricted to states
+of equal total excitation it is number conserving, so counter-rotating
+terms drop out by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 
 import numpy as np
@@ -126,14 +135,8 @@ class CircuitSpec:
 
     def at_flux(self, phi_ext: float) -> "CircuitSpec":
         """Copy with the coupler frequency evaluated at the given flux."""
-        omega = dict(self.omega)
-        omega["C"] = float(coupler_frequency(phi_ext, self.coupler))
-        return CircuitSpec(omega=omega, alpha=dict(self.alpha), g=dict(self.g),
-                           coupler=self.coupler, truncation=dict(self.truncation))
-
-    @property
-    def dimension(self) -> int:
-        return int(np.prod([self.truncation[el] for el in ELEMENTS]))
+        return replace(self, omega={**self.omega,
+                                    "C": float(coupler_frequency(phi_ext, self.coupler))})
 
 
 @dataclass(frozen=True)
@@ -173,6 +176,22 @@ def _lift(op: np.ndarray, index: int, dims: list[int]) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
+def _hamiltonian_hz(spec: CircuitSpec) -> np.ndarray:
+    """:func:`build_hamiltonian` in Hz (the exact number operator on the
+    diagonal, so ``2 omega + alpha`` is exact)."""
+    dims = [spec.truncation[el] for el in ELEMENTS]
+    ladders = []
+    for el, d in zip(ELEMENTS, dims):
+        n = np.arange(d, dtype=float)
+        ladders.append(spec.omega[el] * n + spec.alpha.get(el, 0.0) / 2.0 * (n * n - n))
+    h = np.diag(reduce(np.add.outer, ladders).ravel()).astype(complex)
+    q = {el: _lift(destroy(d).T - destroy(d), k, dims)
+         for k, (el, d) in enumerate(zip(ELEMENTS, dims))}
+    for (i, j), g in spec.g.items():
+        h += g * (q[i] @ q[j])
+    return h
+
+
 def build_hamiltonian(spec: CircuitSpec) -> np.ndarray:
     """Truncated system Hamiltonian in angular units (rad/s).
 
@@ -180,22 +199,22 @@ def build_hamiltonian(spec: CircuitSpec) -> np.ndarray:
     and pairwise couplings ``g_ij (a_i^dag - a_i)(a_j^dag - a_j)`` with the
     full (non-RWA) coupling operator.  Tensor order is Q1 x Q2 x C x R; the
     single-excitation off-diagonal element of a coupled pair is ``-g_ij``.
+    The matrix is assembled in Hz and scaled by 2 pi once.
     """
-    dims = [spec.truncation[el] for el in ELEMENTS]
-    lowering = {el: _lift(destroy(dims[i]), i, dims) for i, el in enumerate(ELEMENTS)}
+    return TWO_PI * _hamiltonian_hz(spec)
 
-    dim = int(np.prod(dims))
-    h = np.zeros((dim, dim), dtype=complex)
-    for el in ELEMENTS:
-        a = lowering[el]
-        n = a.conj().T @ a
-        h += TWO_PI * spec.omega[el] * n
-        if el in spec.alpha:
-            h += TWO_PI * spec.alpha[el] / 2.0 * (n @ n - n)
-    for (i, j), g in spec.g.items():
-        if g == 0.0:
-            continue
-        qi = lowering[i].conj().T - lowering[i]
-        qj = lowering[j].conj().T - lowering[j]
-        h += TWO_PI * g * (qi @ qj)
-    return h
+
+def manifold_hamiltonian(spec: CircuitSpec, states) -> np.ndarray:
+    """Block of the circuit Hamiltonian (Hz) between the given basis states.
+
+    ``states`` is a sequence of occupation tuples ``(n_Q1, n_Q2, n_C, n_R)``;
+    entry ``[i, j]`` is ``<states[i]| H / 2 pi |states[j]>`` of
+    :func:`build_hamiltonian`, built at the smallest truncation holding the
+    states (``spec.truncation`` is ignored).  Choosing states of equal total
+    excitation gives a number-conserving (rotating-wave) manifold.
+    """
+    occupations = tuple(zip(*states))  # one tuple per element
+    dims = [max(2, 1 + max(n)) for n in occupations]
+    small = replace(spec, truncation=dict(zip(ELEMENTS, dims)))
+    idx = np.ravel_multi_index(occupations, dims)
+    return _hamiltonian_hz(small)[np.ix_(idx, idx)]

@@ -271,9 +271,8 @@ def _run_reset_dynamics(ctx: RunContext) -> list:
         cols.append(dynamics.damped_swap_population(t, g, rates.gamma1["Q1"], rates.kappa_r))
         header.append(f"p_e_g{_fmt(g)}")
     env = presets.RESET_PULSE
-    cols.append(np.array([dynamics.pulsed_swap_population(ti, env, g_list[-1],
-                                                          rates.gamma1["Q1"], rates.kappa_r)
-                          for ti in t]))
+    cols.append(dynamics.pulsed_swap_population(t, env, g_list[-1],
+                                                rates.gamma1["Q1"], rates.kappa_r))
     header.append("p_e_pulsed_strongest")
     path = os.path.join(ctx.out_dir, "reset_dynamics.csv")
     _write_csv(path, header, zip(*cols))

@@ -114,15 +114,16 @@ def envelope_area(tau: float, env: EnvelopeSpec) -> float:
 # damped swap (single-excitation manifold, non-Hermitian model)
 # ---------------------------------------------------------------------------
 
+def _sinh_over(mu: complex, t: float) -> complex:
+    """sinh(mu t) / mu, through its series near mu t = 0 (finite at mu = 0)."""
+    z = mu * t
+    return t * (1.0 + (z * z) / 6.0) if abs(z) < 1e-8 else cmath.sinh(z) / mu
+
+
 def _swap_bracket(t: float, g_ang: float, kappa_delta: float) -> float:
     """cos(M t) + (kappa_delta / 4M) sin(M t), continuous across branches."""
     mu = cmath.sqrt(complex((kappa_delta / 4.0) ** 2 - g_ang ** 2))  # real if overdamped
-    z = mu * t
-    if abs(z) < 1e-8:
-        sinh_over = t * (1.0 + (z * z) / 6.0)
-    else:
-        sinh_over = cmath.sinh(z) / mu
-    return (cmath.cosh(z) + (kappa_delta / 4.0) * sinh_over).real
+    return (cmath.cosh(mu * t) + (kappa_delta / 4.0) * _sinh_over(mu, t)).real
 
 
 def damped_swap_population(t, g_tilde: float, gamma_1: float, kappa_r: float):
@@ -159,9 +160,7 @@ def acceptor_population(t, g_tilde: float, gamma_1: float, kappa_r: float):
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty_like(ts)
     for i, ti in enumerate(ts):
-        z = mu * ti
-        s = ti * (1.0 + (z * z) / 6.0) if abs(z) < 1e-8 else cmath.sinh(z) / mu
-        out[i] = g * g * math.exp(-k_sigma * ti / 2.0) * abs(s) ** 2
+        out[i] = g * g * math.exp(-k_sigma * ti / 2.0) * abs(_sinh_over(mu, ti)) ** 2
     return out if np.ndim(t) else float(out[0])
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import jv
 
-from .circuit import CircuitSpec, CouplerSpec, coupler_frequency
+from .circuit import ELEMENTS, CircuitSpec, CouplerSpec, coupler_frequency, manifold_hamiltonian
 from .numerics import TWO_PI, periodic_propagator, stroboscopic_powers, taylor_coefficients
 
 
@@ -197,11 +197,13 @@ def effective_coupling(
 class TransitionManifold:
     """Three-state manifold {A, B, coupler-excited} for one driven transition.
 
-    Energies are absolute (Hz); couplings are the signed matrix elements of
-    the circuit Hamiltonian within the manifold (bosonic factors included,
-    single-excitation element of a pair is -g_ij).  ``delta_c_offset`` maps
-    the mean coupler frequency to the coupler-state detuning from A:
-    ``Delta_C = omega_bar_C + delta_c_offset``.
+    Every number is an entry of the 3x3 block of the circuit Hamiltonian
+    (Hz, :func:`couplersim.circuit.manifold_hamiltonian`) on the states
+    (A, B, C) with the coupler frequency set to zero: ``omega_a = H_AA``,
+    ``omega_b = H_BB``, ``g_ac = H_AC``, ``g_bc = H_BC``, ``g_ab = H_AB``
+    (signed, bosonic factors included) and ``delta_c_offset = H_CC - H_AA``,
+    which maps the mean coupler frequency to the coupler-state detuning from
+    A: ``Delta_C = omega_bar_C + delta_c_offset``.
     """
 
     kind: str
@@ -225,42 +227,38 @@ class TransitionManifold:
         return self.transition / self.k
 
 
+#: kind -> (label A, label B, harmonic k, occupations of A, B and the
+#: coupler-excited state); ``q`` stands for the driven qubit
+_TRANSITIONS = {
+    "reset": ("e0({q})", "g1", 2, {"q": 1}, {"R": 1}, {"C": 1}),
+    "lr": ("f0({q})", "e1({q})", 2, {"q": 2}, {"q": 1, "R": 1}, {"q": 1, "C": 1}),
+    "readout": ("f0({q})", "e1({q})", 2, {"q": 2}, {"q": 1, "R": 1}, {"q": 1, "C": 1}),
+    "cz": ("ee", "fg", 1, {"Q1": 1, "Q2": 1}, {"Q1": 2}, {"Q1": 1, "C": 1}),
+}
+
+
 def transition_manifold(circuit: CircuitSpec, kind: str, qubit: str = "Q1") -> TransitionManifold:
     """Manifold for one of the four driven operations.
 
     ``reset``   |e0> <-> |g1>   (qubit-resonator, k = 2)
     ``lr``      |f0> <-> |e1>   (qubit-resonator, k = 2)
     ``readout`` same transition as ``lr`` driven off-resonantly (k = 2)
-    ``cz``      |ee> <-> |fg>   (Q1-Q2, k = 1)
+    ``cz``      |ee> <-> |fg>   (Q1-Q2, k = 1; ``qubit`` is not used)
     """
-    w = circuit.omega
-    al = circuit.alpha
-    root2 = math.sqrt(2.0)
-    if kind == "reset":
-        return TransitionManifold(
-            kind=kind, label_a=f"e0({qubit})", label_b="g1",
-            omega_a=w[qubit], omega_b=w["R"],
-            g_ac=-circuit.coupling(qubit, "C"), g_bc=-circuit.coupling("C", "R"),
-            g_ab=-circuit.coupling(qubit, "R"),
-            delta_c_offset=-w[qubit], k=2,
-        )
-    if kind in ("lr", "readout"):
-        return TransitionManifold(
-            kind=kind, label_a=f"f0({qubit})", label_b=f"e1({qubit})",
-            omega_a=2 * w[qubit] + al[qubit], omega_b=w[qubit] + w["R"],
-            g_ac=-root2 * circuit.coupling(qubit, "C"), g_bc=-circuit.coupling("C", "R"),
-            g_ab=-root2 * circuit.coupling(qubit, "R"),
-            delta_c_offset=-(w[qubit] + al[qubit]), k=2,
-        )
-    if kind == "cz":
-        return TransitionManifold(
-            kind=kind, label_a="ee", label_b="fg",
-            omega_a=w["Q1"] + w["Q2"], omega_b=2 * w["Q1"] + al["Q1"],
-            g_ac=-circuit.coupling("Q2", "C"), g_bc=-root2 * circuit.coupling("Q1", "C"),
-            g_ab=-root2 * circuit.coupling("Q1", "Q2"),
-            delta_c_offset=-w["Q2"], k=1,
-        )
-    raise ValueError(f"unknown transition kind {kind!r}")
+    if kind not in _TRANSITIONS:
+        raise ValueError(f"unknown transition kind {kind!r}")
+    label_a, label_b, k, *occupations = _TRANSITIONS[kind]
+    states = []
+    for occ in occupations:
+        occ = {qubit if el == "q" else el: n for el, n in occ.items()}
+        states.append(tuple(occ.get(el, 0) for el in ELEMENTS))
+    h = manifold_hamiltonian(replace(circuit, omega={**circuit.omega, "C": 0.0}), states).real
+    return TransitionManifold(
+        kind=kind, label_a=label_a.format(q=qubit), label_b=label_b.format(q=qubit),
+        omega_a=float(h[0, 0]), omega_b=float(h[1, 1]),
+        g_ac=float(h[0, 2]), g_bc=float(h[1, 2]), g_ab=float(h[0, 1]),
+        delta_c_offset=float(h[2, 2] - h[0, 0]), k=k,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from scipy.constants import k as BOLTZMANN_K
 from scipy.optimize import nnls
 from scipy.special import erfc
 
-from .circuit import CircuitSpec, CouplerSpec, coupler_frequency
-from .floquet import DriveSpec, transition_manifold
+from .circuit import CircuitSpec, CouplerSpec, coupler_frequency, manifold_hamiltonian
+from .floquet import DriveSpec
 from .numerics import (TWO_PI, FitResult, RngStream, fit_least_squares, periodic_propagator,
                        stroboscopic_powers)
 
@@ -539,57 +539,41 @@ class CZPhaseScan:
     phase_star: float
 
 
-def _cz_models(circuit: CircuitSpec, drive: DriveSpec, omega_d: float):
+#: CZ excitation manifolds as occupation tuples (n_Q1, n_Q2, n_C, n_R):
+#: |ee>, |fg>, |gf>, |eg,c1>, |ge,c1>, |gg,c2> and |eg>, |ge>, |gg,c1>
+_CZ_DOUBLE = ((1, 1, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 2, 0))
+_CZ_SINGLE = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+
+
+def _cz_blocks(circuit: CircuitSpec) -> list:
+    """The double- and single-excitation blocks (Hz) of the circuit with the
+    coupler frequency set to zero, each paired with its coupler photon
+    numbers ``n_C`` (diagonal)."""
+    idle = replace(circuit, omega={**circuit.omega, "C": 0.0})
+    return [(manifold_hamiltonian(idle, states), np.diag([float(s[2]) for s in states]))
+            for states in (_CZ_DOUBLE, _CZ_SINGLE)]
+
+
+def _cz_models(blocks: list, coupler: CouplerSpec, drive: DriveSpec, omega_d: float):
     """Lab-frame periodic Hamiltonians for the double- and single-excitation
     manifolds of the CZ drive (states referenced to |gg>, resonator idle).
 
-    Double-excitation basis: |ee>, |fg>, |gf>, |eg,c1>, |ge,c1>, |gg,c2>;
-    single-excitation basis: |eg>, |ge>, |gg,c1>.  Keeping the full
-    manifolds matters: the coupler-photon states produce equal virtual
-    shifts in |ee> and the single-excitation states, and truncating them
-    unbalances the conditional-phase combination.
+    ``blocks`` comes from :func:`_cz_blocks`.  Keeping the full manifolds
+    matters: the coupler-photon states produce equal virtual shifts in |ee>
+    and the single-excitation states, and truncating them unbalances the
+    conditional-phase combination.
 
     Each is a constant matrix plus ``omega_C(phi(t))`` times the coupler
     photon number; ``t`` may be a scalar or an array of times.
     """
-    w, al = circuit.omega, circuit.alpha
-    g12 = circuit.coupling("Q1", "Q2")
-    g1c = circuit.coupling("Q1", "C")
-    g2c = circuit.coupling("Q2", "C")
-    root2 = math.sqrt(2.0)
-
-    h2 = np.zeros((6, 6), dtype=complex)
-    ee, fg, gf, eg1, ge1, gg2 = range(6)
-    h2[ee, ee] = w["Q1"] + w["Q2"]
-    h2[fg, fg] = 2 * w["Q1"] + al["Q1"]
-    h2[gf, gf] = 2 * w["Q2"] + al["Q2"]
-    h2[eg1, eg1] = w["Q1"]
-    h2[ge1, ge1] = w["Q2"]
-    h2[gg2, gg2] = al["C"]
-    h2[ee, fg] = h2[fg, ee] = -root2 * g12
-    h2[ee, gf] = h2[gf, ee] = -root2 * g12
-    h2[ee, eg1] = h2[eg1, ee] = -g2c
-    h2[ee, ge1] = h2[ge1, ee] = -g1c
-    h2[fg, eg1] = h2[eg1, fg] = -root2 * g1c
-    h2[gf, ge1] = h2[ge1, gf] = -root2 * g2c
-    h2[eg1, ge1] = h2[ge1, eg1] = -g12
-    h2[eg1, gg2] = h2[gg2, eg1] = -root2 * g1c
-    h2[ge1, gg2] = h2[gg2, ge1] = -root2 * g2c
-    h1 = np.array([
-        [w["Q1"], -g12, -g1c],
-        [-g12, w["Q2"], -g2c],
-        [-g1c, -g2c, 0.0],
-    ], dtype=complex)
-
     def periodic(h_static, n_c):
         def h_of_t(t):
             phi = drive.phi_dc + drive.a_d * np.sin(TWO_PI * omega_d * np.asarray(t, dtype=float))
-            wc = coupler_frequency(phi, circuit.coupler)
+            wc = coupler_frequency(phi, coupler)
             return TWO_PI * (h_static + np.multiply.outer(wc, n_c))
         return h_of_t
 
-    return (periodic(h2, np.diag([0.0, 0.0, 0.0, 1.0, 1.0, 2.0])),
-            periodic(h1, np.diag([0.0, 0.0, 1.0])))
+    return tuple(periodic(h, n_c) for h, n_c in blocks)
 
 
 def static_zz_shift(circuit: CircuitSpec, phi_dc: float) -> float:
@@ -597,14 +581,14 @@ def static_zz_shift(circuit: CircuitSpec, phi_dc: float) -> float:
 
         zeta = E_ee - E_eg - E_ge + E_gg
 
-    from dense diagonalisation of the undriven excitation manifolds.  Flux
+    from dense diagonalisation of the excitation manifolds of the circuit at
+    that flux (E_gg = 0: the zero-excitation block is |gg> alone).  Flux
     points with small |zeta| are natural two-qubit-gate operating points.
     """
-    drive = DriveSpec(phi_dc=phi_dc, a_d=0.0, omega_d=1e9, k=1)
-    h2, h1 = _cz_models(circuit, drive, 1e9)
+    at_flux = circuit.at_flux(phi_dc)
     w = circuit.omega
-    ev2 = np.linalg.eigvalsh(h2(0.0)) / TWO_PI
-    ev1 = np.linalg.eigvalsh(h1(0.0)) / TWO_PI
+    ev2 = np.linalg.eigvalsh(manifold_hamiltonian(at_flux, _CZ_DOUBLE))
+    ev1 = np.linalg.eigvalsh(manifold_hamiltonian(at_flux, _CZ_SINGLE))
     e_ee = ev2[np.argmin(np.abs(ev2 - (w["Q1"] + w["Q2"])))]
     e_eg = ev1[np.argmin(np.abs(ev1 - w["Q1"]))]
     e_ge = ev1[np.argmin(np.abs(ev1 - w["Q2"]))]
@@ -634,8 +618,9 @@ def cz_conditional_phase(
     reported operating point is the scanned frequency whose conditional
     phase is closest to pi.
     """
-    man = transition_manifold(circuit, "cz")
-    w0 = man.bare_drive_frequency
+    blocks = _cz_blocks(circuit)
+    h2 = blocks[0][0]
+    w0 = (h2[1, 1] - h2[0, 0]).real  # bare |ee> -> |fg> transition, driven at k = 1
     omega_grid = w0 + np.linspace(omega_d_span[0], omega_d_span[1], n_omega)
 
     rows = []
@@ -651,7 +636,8 @@ def cz_conditional_phase(
         period = 1.0 / wd
         n_per = int(max_duration / period)
         # driven and undriven (double, single) manifolds, one period stack at a time
-        models = (*_cz_models(circuit, drive, wd), *_cz_models(circuit, drive_off, wd))
+        models = (*_cz_models(blocks, circuit.coupler, drive, wd),
+                  *_cz_models(blocks, circuit.coupler, drive_off, wd))
         m2, m1, m2_0, m1_0 = (stroboscopic_powers(periodic_propagator(h, period, n_sub), n_per)
                               for h in models)
 

@@ -204,22 +204,6 @@ def error_models(scenario: RBScenario) -> ErrorModels:
     )
 
 
-def leakage_dephasing_rate(l_cl: float, tau: float) -> tuple[float, float]:
-    """Dephasing rate of the decoherent leakage-recovery cycle.
-
-    The surviving coherence factor ``sqrt(1 - L)`` maps to
-    ``exp(-Gamma_leak tau)``; returns ``(exact, small_l)`` with the exact
-    rate ``-ln(sqrt(1 - L))/tau`` and the small-leakage limit ``L / (2 tau)``
-    in 1/s.
-    """
-    if not 0.0 <= l_cl < 1.0:
-        raise ValueError("l_cl must lie in [0, 1)")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    exact = -math.log(math.sqrt(1.0 - l_cl)) / tau
-    return exact, l_cl / (2.0 * tau)
-
-
 def periodic_lr_trace(scenario: RBScenario) -> tuple[np.ndarray, np.ndarray]:
     """P_f(n_Cl) when recovery runs only every ``scenario.n_lr`` Cliffords.
 
@@ -355,10 +339,6 @@ class RBCurves:
     p_f_mean: np.ndarray
     p_f_std: np.ndarray
     n_randomizations: int
-
-    def standard_error(self, which: str = "g") -> np.ndarray:
-        std = self.p_g_std if which == "g" else self.p_f_std
-        return std / math.sqrt(self.n_randomizations)
 
 
 def _conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -34,6 +34,8 @@ ORACLE_D1 = -232642150.42720747
 ORACLE_D2 = -38417415.86594534
 ORACLE_WBAR = 5235890119.720171
 
+ROOT2 = math.sqrt(2.0)
+
 
 @pytest.fixture(scope="module")
 def circuit():
@@ -191,6 +193,35 @@ class TestTransitionManifolds:
     def test_unknown_kind(self, circuit):
         with pytest.raises(ValueError):
             transition_manifold(circuit, "swap")
+
+    @pytest.mark.parametrize("kind, qubit, expected", [
+        ("reset", "Q1", ("e0(Q1)", "g1", 3.83e9, 5.85e9,
+                         -115e6, 75e6, -9e6, -3.83e9, 2)),
+        ("reset", "Q2", ("e0(Q2)", "g1", 3.11e9, 5.85e9,
+                         -110e6, 75e6, -5e6, -3.11e9, 2)),
+        ("lr", "Q1", ("f0(Q1)", "e1(Q1)", 2 * 3.83e9 - 205e6, 3.83e9 + 5.85e9,
+                      -ROOT2 * 115e6, 75e6, -ROOT2 * 9e6, -(3.83e9 - 205e6), 2)),
+        ("lr", "Q2", ("f0(Q2)", "e1(Q2)", 2 * 3.11e9 - 216e6, 3.11e9 + 5.85e9,
+                      -ROOT2 * 110e6, 75e6, -ROOT2 * 5e6, -(3.11e9 - 216e6), 2)),
+        ("readout", "Q1", ("f0(Q1)", "e1(Q1)", 2 * 3.83e9 - 205e6, 3.83e9 + 5.85e9,
+                           -ROOT2 * 115e6, 75e6, -ROOT2 * 9e6, -(3.83e9 - 205e6), 2)),
+        ("readout", "Q2", ("f0(Q2)", "e1(Q2)", 2 * 3.11e9 - 216e6, 3.11e9 + 5.85e9,
+                           -ROOT2 * 110e6, 75e6, -ROOT2 * 5e6, -(3.11e9 - 216e6), 2)),
+        ("cz", "Q1", ("ee", "fg", 3.83e9 + 3.11e9, 2 * 3.83e9 - 205e6,
+                      -110e6, -ROOT2 * 115e6, -ROOT2 * 15e6, -3.11e9, 1)),
+    ])
+    def test_golden_fields(self, circuit, kind, qubit, expected):
+        # every field pinned exactly on the reference circuit: the signed
+        # single-excitation element is -g_ij, each doubly occupied transmon
+        # level brings a factor sqrt(2)
+        man = transition_manifold(circuit, kind, qubit)
+        names = ("label_a", "label_b", "omega_a", "omega_b", "g_ac", "g_bc", "g_ab",
+                 "delta_c_offset", "k")
+        assert man.kind == kind
+        for name, value in zip(names, expected):
+            got = getattr(man, name)
+            assert type(got) is type(value), name
+            assert got == value, name
 
 
 class TestK2ClosedForms:
