@@ -4,7 +4,7 @@ flux-modulated coupler).
 
 Subpackages follow the physics: :mod:`~couplersim.numerics` (kernels),
 :mod:`~couplersim.circuit` (static model), :mod:`~couplersim.floquet`
-(drive-frame theory), :mod:`~couplersim.dynamics` (time-domain models),
+(modulated-coupler theory), :mod:`~couplersim.dynamics` (time-domain models),
 :mod:`~couplersim.protocols` (reset, readout, CZ metrics),
 :mod:`~couplersim.rbsim` (leakage randomized benchmarking) and
 :mod:`~couplersim.cli` (scenario runner).

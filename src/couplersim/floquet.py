@@ -1,10 +1,16 @@
-"""Drive-frame theory of the parametrically modulated coupler.
+"""Theory of the parametrically modulated coupler.
 
 Fourier decomposition of the modulated coupler frequency, effective
-parametric couplings and shifts (k = 2 closed forms), the Schrieffer-Wolff
-coupler elimination, the parametric chi shift, and an exact time-domain
-oracle (stroboscopic one-period propagator of the three-state drive-frame
-model) used to validate the closed forms.
+parametric couplings and shifts (k = 2 closed forms, drive frame), the
+Schrieffer-Wolff coupler elimination and the parametric chi shift.
+
+Every time-domain model is one modulated-coupler Hamiltonian: a block of
+the circuit Hamiltonian with the coupler frequency following the flux
+pulse, ``H(t) = 2 pi (S + omega_C(phi(t)) n_C)`` in the lab frame
+(:func:`coupler_block`, :func:`modulated_hamiltonian`).  The CZ
+calibration propagates it on the CZ excitation manifolds; the exact
+oracle used to validate the closed forms (stroboscopic one-period
+propagator, quasi-energies) propagates it on a transition manifold.
 
 The flux pulse is ``phi_ext(t) = phi_dc + a_d * sin(2*pi*f_d*t)``; the
 modulated coupler frequency is expanded as
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -41,7 +47,6 @@ class DriveSpec:
     a_d: float
     omega_d: float
     k: int = 2
-    envelope: object | None = None
 
     def __post_init__(self):
         if self.a_d < 0:
@@ -190,6 +195,40 @@ def effective_coupling(
 
 
 # ---------------------------------------------------------------------------
+# the modulated-coupler Hamiltonian
+# ---------------------------------------------------------------------------
+
+def coupler_block(circuit: CircuitSpec, states) -> tuple[np.ndarray, np.ndarray]:
+    """Idle block ``S`` (Hz) of the circuit on ``states`` (occupation tuples,
+    see :func:`couplersim.circuit.manifold_hamiltonian`) with the coupler
+    frequency set to zero, and the diagonal matrix ``n_C`` of their coupler
+    photon numbers: the block at coupler frequency omega_C is
+    ``S + omega_C * n_C``."""
+    idle = replace(circuit, omega={**circuit.omega, "C": 0.0})
+    n_c = np.diag([float(s[ELEMENTS.index("C")]) for s in states])
+    return manifold_hamiltonian(idle, states), n_c
+
+
+def modulated_hamiltonian(block: tuple, coupler: CouplerSpec, drive: DriveSpec):
+    """Callable ``t -> H(t) = 2 pi (S + omega_C(phi(t)) n_C)`` (rad/s), the
+    lab-frame Hamiltonian of a :func:`coupler_block` under the flux pulse
+    ``phi(t) = phi_dc + a_d sin(2 pi omega_d t)``, with the full modulation
+    of the coupler frequency (no Fourier truncation).
+
+    ``t`` may be a scalar, giving one ``(d, d)`` matrix, or an array of
+    times, giving the stack ``t.shape + (d, d)``.
+    """
+    h_static, n_c = block
+
+    def h_of_t(t):
+        phi = drive.phi_dc + drive.a_d * np.sin(TWO_PI * drive.omega_d * np.asarray(t, dtype=float))
+        wc = coupler_frequency(phi, coupler)
+        return TWO_PI * (h_static + np.multiply.outer(wc, n_c))
+
+    return h_of_t
+
+
+# ---------------------------------------------------------------------------
 # transition manifolds
 # ---------------------------------------------------------------------------
 
@@ -197,13 +236,14 @@ def effective_coupling(
 class TransitionManifold:
     """Three-state manifold {A, B, coupler-excited} for one driven transition.
 
-    Every number is an entry of the 3x3 block of the circuit Hamiltonian
-    (Hz, :func:`couplersim.circuit.manifold_hamiltonian`) on the states
-    (A, B, C) with the coupler frequency set to zero: ``omega_a = H_AA``,
-    ``omega_b = H_BB``, ``g_ac = H_AC``, ``g_bc = H_BC``, ``g_ab = H_AB``
-    (signed, bosonic factors included) and ``delta_c_offset = H_CC - H_AA``,
-    which maps the mean coupler frequency to the coupler-state detuning from
-    A: ``Delta_C = omega_bar_C + delta_c_offset``.
+    Every number is an entry of the idle 3x3 block ``H`` (Hz, coupler
+    frequency zero) of :func:`coupler_block` on the states (A, B, C):
+    ``omega_a = H_AA``, ``omega_b = H_BB``, ``g_ac = H_AC``, ``g_bc = H_BC``,
+    ``g_ab = H_AB`` (signed, bosonic factors included) and
+    ``delta_c_offset = H_CC - H_AA``, which maps the mean coupler frequency
+    to the coupler-state detuning from A: ``Delta_C = omega_bar_C +
+    delta_c_offset``.  ``block`` is the ``(H, n_C)`` pair itself, the input
+    of :func:`modulated_hamiltonian`.
     """
 
     kind: str
@@ -216,6 +256,7 @@ class TransitionManifold:
     g_ab: float
     delta_c_offset: float
     k: int
+    block: tuple = field(compare=False, repr=False)
 
     @property
     def transition(self) -> float:
@@ -252,12 +293,13 @@ def transition_manifold(circuit: CircuitSpec, kind: str, qubit: str = "Q1") -> T
     for occ in occupations:
         occ = {qubit if el == "q" else el: n for el, n in occ.items()}
         states.append(tuple(occ.get(el, 0) for el in ELEMENTS))
-    h = manifold_hamiltonian(replace(circuit, omega={**circuit.omega, "C": 0.0}), states).real
+    block = coupler_block(circuit, states)
+    h = block[0].real
     return TransitionManifold(
         kind=kind, label_a=label_a.format(q=qubit), label_b=label_b.format(q=qubit),
         omega_a=float(h[0, 0]), omega_b=float(h[1, 1]),
         g_ac=float(h[0, 2]), g_bc=float(h[1, 2]), g_ab=float(h[0, 1]),
-        delta_c_offset=float(h[2, 2] - h[0, 0]), k=k,
+        delta_c_offset=float(h[2, 2] - h[0, 0]), k=k, block=block,
     )
 
 
@@ -271,8 +313,7 @@ class EffectiveFrame:
 
     ``omega_tilde_a`` / ``omega_tilde_b`` are the drive-induced shifts of the
     two driven states, ``delta_tilde_c`` the shifted coupler detuning and the
-    ``g_tilde_*`` the effective couplings.  ``g_tilde_prime_ab`` is filled by
-    the Schrieffer-Wolff correction.
+    ``g_tilde_*`` the effective couplings.
     """
 
     omega_tilde_a: float
@@ -281,9 +322,6 @@ class EffectiveFrame:
     g_tilde_ab: float
     g_tilde_ac: float
     g_tilde_bc: float
-    g_tilde_prime_ab: float | None = None
-    manifold: TransitionManifold | None = None
-    omega_d: float | None = None
 
     def matrix(self, delta_b: float = 0.0) -> np.ndarray:
         """Effective 3x3 drive-frame Hamiltonian (Hz).
@@ -297,9 +335,6 @@ class EffectiveFrame:
             [self.g_tilde_ab, delta_b + self.omega_tilde_b, self.g_tilde_bc],
             [self.g_tilde_ac, self.g_tilde_bc, self.delta_tilde_c],
         ])
-
-    def with_schrieffer_wolff(self) -> "EffectiveFrame":
-        return replace(self, g_tilde_prime_ab=schrieffer_wolff_correction(self))
 
     def _qubit_gap(self, delta_b: float) -> float:
         evals = np.linalg.eigvalsh(self.matrix(delta_b))
@@ -389,8 +424,6 @@ def k2_closed_forms(
         g_tilde_ab=float(gt_ab),
         g_tilde_ac=float(gt_ac),
         g_tilde_bc=float(gt_bc),
-        manifold=man,
-        omega_d=wd,
     )
 
 
@@ -467,72 +500,24 @@ def readout_operating_point(
 
 
 # ---------------------------------------------------------------------------
-# exact time-domain oracle (stroboscopic three-state propagation)
+# exact time-domain oracle (stroboscopic propagation of the manifold)
 # ---------------------------------------------------------------------------
-
-def drive_frame_hamiltonian(
-    manifold: TransitionManifold,
-    coupler: CouplerSpec,
-    drive: DriveSpec,
-    omega_d: float | None = None,
-):
-    """Callable ``t -> H(t)`` (rad/s) for the three-state drive-frame model.
-
-    ``t`` may be a scalar, giving one ``(3, 3)`` matrix, or an array of times,
-    giving the stack ``t.shape + (3, 3)``.
-
-    Frame: A-referenced, with B rotated at ``k * omega_d`` so the residual
-    B detuning is ``(omega_B - omega_A) - k*omega_d``.  The coupler state
-    carries the full flux modulation ``omega_C(phi(t))``, no Fourier
-    truncation.
-    """
-    wd = drive.omega_d if omega_d is None else omega_d
-    k = manifold.k
-    delta_b = manifold.transition - k * wd
-
-    def h_of_t(t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        ph = np.exp(1j * TWO_PI * k * wd * t)
-        wc = coupler_frequency(drive.phi_dc + drive.a_d * np.sin(TWO_PI * wd * t), coupler)
-        h = np.zeros(t.shape + (3, 3), dtype=complex)
-        h[..., 1, 0] = manifold.g_ab * ph
-        h[..., 1, 2] = manifold.g_bc * ph
-        h[..., 0, 1], h[..., 2, 1] = np.conj(h[..., 1, 0]), np.conj(h[..., 1, 2])
-        h[..., 0, 2] = h[..., 2, 0] = manifold.g_ac
-        h[..., 1, 1] = delta_b
-        h[..., 2, 2] = wc + manifold.delta_c_offset
-        return TWO_PI * h
-
-    return h_of_t
-
-
-def one_period_propagator(
-    manifold: TransitionManifold,
-    coupler: CouplerSpec,
-    drive: DriveSpec,
-    omega_d: float | None = None,
-    n_sub: int = 4096,
-) -> np.ndarray:
-    """Propagator over one drive period (see :func:`periodic_propagator`)."""
-    wd = drive.omega_d if omega_d is None else omega_d
-    h_fn = drive_frame_hamiltonian(manifold, coupler, drive, omega_d=wd)
-    return periodic_propagator(h_fn, 1.0 / wd, n_sub)
-
 
 def quasi_energy_gap(
     manifold: TransitionManifold,
     coupler: CouplerSpec,
     drive: DriveSpec,
-    omega_d: float | None = None,
     n_sub: int = 4096,
 ) -> float:
     """Quasi-energy splitting (Hz) of the A- and B-like Floquet branches.
 
-    The eigenphases of the one-period propagator give the quasi-energies;
-    the avoided-crossing gap equals twice the exact effective coupling.
+    The eigenphases of the lab-frame one-period propagator of
+    :func:`modulated_hamiltonian` give the quasi-energies (frame-independent
+    modulo ``omega_d``); the avoided-crossing gap equals twice the exact
+    effective coupling.
     """
-    wd = drive.omega_d if omega_d is None else omega_d
-    u = one_period_propagator(manifold, coupler, drive, omega_d=wd, n_sub=n_sub)
+    wd = drive.omega_d
+    u = periodic_propagator(modulated_hamiltonian(manifold.block, coupler, drive), 1.0 / wd, n_sub)
     ev, vec = np.linalg.eig(u)
     eps = -np.angle(ev) * wd / TWO_PI  # Hz, defined mod omega_d
 
@@ -556,7 +541,7 @@ def find_parametric_resonance(
     w0 = manifold.bare_drive_frequency
 
     def gap(wd: float) -> float:
-        return quasi_energy_gap(manifold, coupler, drive, omega_d=wd, n_sub=n_sub)
+        return quasi_energy_gap(manifold, coupler, replace(drive, omega_d=wd), n_sub=n_sub)
 
     grid = w0 + np.linspace(-span, span, n_coarse)
     gaps = [gap(w) for w in grid]
@@ -572,13 +557,12 @@ def stroboscopic_populations(
     manifold: TransitionManifold,
     coupler: CouplerSpec,
     drive: DriveSpec,
-    omega_d: float | None = None,
     n_periods: int = 2000,
     n_sub: int = 4096,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Population of state A at stroboscopic times (multiples of the drive
     period), starting from A.  Micromotion-free by construction."""
-    wd = drive.omega_d if omega_d is None else omega_d
-    u = one_period_propagator(manifold, coupler, drive, omega_d=wd, n_sub=n_sub)
+    wd = drive.omega_d
+    u = periodic_propagator(modulated_hamiltonian(manifold.block, coupler, drive), 1.0 / wd, n_sub)
     pops = np.abs(stroboscopic_powers(u, n_periods)[:, 0, 0]) ** 2
     return np.arange(n_periods) / wd, pops

@@ -13,7 +13,8 @@ Conventions used across the package:
 
 The periodic-propagator engine, shared by the Floquet oracle and the CZ
 calibration, is :func:`periodic_propagator` (one-period propagator from a
-vectorised ``h_of_t``) plus :func:`stroboscopic_powers`.
+vectorised ``h_of_t``) plus :func:`stroboscopic_powers`; both callers hand
+it the lab-frame H(t) of :func:`couplersim.floquet.modulated_hamiltonian`.
 """
 
 from __future__ import annotations

@@ -48,11 +48,8 @@ A_D_LR = 0.49080991682237063       # swap coupling 0.91 MHz on |f0> <-> |e1>
 A_D_READOUT = 0.7640194132070083   # swap coupling 2.12 MHz on |f0> <-> |e1>
 A_D_CZ = 0.07937531612644286       # pi-phase crossing at 339 ns on |ee> <-> |fg>
 
-#: flat-top Gaussian sigma widths (rise/fall) per operation
+#: flat-top Gaussian reset pulse (150 ns, 10 ns rise/fall sigma)
 RESET_PULSE = EnvelopeSpec(total_length=150e-9, sigma_rise=10e-9, sigma_fall=10e-9)
-LR_PULSE = EnvelopeSpec(total_length=310e-9, sigma_rise=1e-9, sigma_fall=1e-9)
-READOUT_PULSE = EnvelopeSpec(total_length=10e-6, sigma_rise=10e-9, sigma_fall=10e-9)
-CZ_PULSE = EnvelopeSpec(total_length=339e-9, sigma_rise=10e-9, sigma_fall=10e-9)
 
 
 def table_coupler() -> CouplerSpec:
@@ -86,27 +83,25 @@ def table_decay_rates() -> DecayRates:
     )
 
 
-def _drive(kind: str, a_d: float, envelope: EnvelopeSpec,
-           phi_dc: float = PHI_DC) -> DriveSpec:
+def _drive(kind: str, a_d: float, phi_dc: float = PHI_DC) -> DriveSpec:
     man = transition_manifold(table_circuit(), kind)
-    return DriveSpec(phi_dc=phi_dc, a_d=a_d, omega_d=man.bare_drive_frequency,
-                     k=man.k, envelope=envelope)
+    return DriveSpec(phi_dc=phi_dc, a_d=a_d, omega_d=man.bare_drive_frequency, k=man.k)
 
 
 def reset_drive() -> DriveSpec:
-    return _drive("reset", A_D_RESET, RESET_PULSE)
+    return _drive("reset", A_D_RESET)
 
 
 def lr_drive() -> DriveSpec:
-    return _drive("lr", A_D_LR, LR_PULSE)
+    return _drive("lr", A_D_LR)
 
 
 def readout_drive() -> DriveSpec:
-    return _drive("readout", A_D_READOUT, READOUT_PULSE)
+    return _drive("readout", A_D_READOUT)
 
 
 def cz_drive() -> DriveSpec:
-    return _drive("cz", A_D_CZ, CZ_PULSE, phi_dc=PHI_DC_CZ)
+    return _drive("cz", A_D_CZ, phi_dc=PHI_DC_CZ)
 
 
 def calibrate_drive_amplitude(

@@ -17,7 +17,7 @@ from scipy.optimize import nnls
 from scipy.special import erfc
 
 from .circuit import CircuitSpec, CouplerSpec, coupler_frequency, manifold_hamiltonian
-from .floquet import DriveSpec
+from .floquet import DriveSpec, coupler_block, modulated_hamiltonian
 from .numerics import (TWO_PI, FitResult, RngStream, fit_least_squares, periodic_propagator,
                        stroboscopic_powers)
 
@@ -206,7 +206,6 @@ class ShotSet:
 
     iq: np.ndarray
     label: str = "unknown"
-    stream: RngStream | None = None
 
     def __post_init__(self):
         self.iq = np.asarray(self.iq, dtype=float).reshape(-1, 2)
@@ -280,7 +279,7 @@ def generate_shots(
             idx = np.flatnonzero(excited)[flip]
             states[idx] = 0
     iq = centers[states] + sigma * rng.standard_normal((n_shots, 2))
-    return ShotSet(iq=iq, label=label, stream=stream)
+    return ShotSet(iq=iq, label=label)
 
 
 def _histogram2d(iq: np.ndarray, bins: int):
@@ -298,7 +297,7 @@ def _histogram2d(iq: np.ndarray, bins: int):
 
 
 class ReadoutClassifier:
-    """Three-state Gaussian readout calibration (sklearn-style estimator).
+    """Three-state Gaussian readout calibration.
 
     Sequential calibration: a single 2-D Gaussian fit on the ground-state
     histogram pins the shared width ``sigma_`` and the g centre; the e and f
@@ -312,16 +311,6 @@ class ReadoutClassifier:
 
     def __init__(self, bins: int = 60):
         self.bins = bins
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {"bins": self.bins}
-
-    def set_params(self, **params) -> "ReadoutClassifier":
-        for k, v in params.items():
-            if not hasattr(self, k):
-                raise ValueError(f"unknown parameter {k!r}")
-            setattr(self, k, v)
-        return self
 
     # -- calibration --------------------------------------------------------
 
@@ -540,40 +529,12 @@ class CZPhaseScan:
 
 
 #: CZ excitation manifolds as occupation tuples (n_Q1, n_Q2, n_C, n_R):
-#: |ee>, |fg>, |gf>, |eg,c1>, |ge,c1>, |gg,c2> and |eg>, |ge>, |gg,c1>
+#: |ee>, |fg>, |gf>, |eg,c1>, |ge,c1>, |gg,c2> and |eg>, |ge>, |gg,c1>.
+#: Keeping the full manifolds matters: the coupler-photon states produce
+#: equal virtual shifts in |ee> and the single-excitation states, and
+#: truncating them unbalances the conditional-phase combination.
 _CZ_DOUBLE = ((1, 1, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 2, 0))
 _CZ_SINGLE = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
-
-
-def _cz_blocks(circuit: CircuitSpec) -> list:
-    """The double- and single-excitation blocks (Hz) of the circuit with the
-    coupler frequency set to zero, each paired with its coupler photon
-    numbers ``n_C`` (diagonal)."""
-    idle = replace(circuit, omega={**circuit.omega, "C": 0.0})
-    return [(manifold_hamiltonian(idle, states), np.diag([float(s[2]) for s in states]))
-            for states in (_CZ_DOUBLE, _CZ_SINGLE)]
-
-
-def _cz_models(blocks: list, coupler: CouplerSpec, drive: DriveSpec, omega_d: float):
-    """Lab-frame periodic Hamiltonians for the double- and single-excitation
-    manifolds of the CZ drive (states referenced to |gg>, resonator idle).
-
-    ``blocks`` comes from :func:`_cz_blocks`.  Keeping the full manifolds
-    matters: the coupler-photon states produce equal virtual shifts in |ee>
-    and the single-excitation states, and truncating them unbalances the
-    conditional-phase combination.
-
-    Each is a constant matrix plus ``omega_C(phi(t))`` times the coupler
-    photon number; ``t`` may be a scalar or an array of times.
-    """
-    def periodic(h_static, n_c):
-        def h_of_t(t):
-            phi = drive.phi_dc + drive.a_d * np.sin(TWO_PI * omega_d * np.asarray(t, dtype=float))
-            wc = coupler_frequency(phi, coupler)
-            return TWO_PI * (h_static + np.multiply.outer(wc, n_c))
-        return h_of_t
-
-    return tuple(periodic(h, n_c) for h, n_c in blocks)
 
 
 def static_zz_shift(circuit: CircuitSpec, phi_dc: float) -> float:
@@ -605,9 +566,11 @@ def cz_conditional_phase(
 ) -> CZPhaseScan:
     """Chevron and conditional-phase calibration of the parametric CZ gate.
 
-    For each drive frequency the excitation manifolds are propagated through
-    the exact periodic models; the duration of one full |ee> population
-    oscillation and the conditional phase
+    For each drive frequency the double- and single-excitation manifolds
+    (states referenced to |gg>, resonator idle) are propagated through their
+    lab-frame :func:`~couplersim.floquet.modulated_hamiltonian`; the
+    duration of one full |ee> population oscillation and the conditional
+    phase
 
         phi_c = arg(z_ee * conj(z_eg) * conj(z_ge)) - (undriven baseline)
 
@@ -618,7 +581,7 @@ def cz_conditional_phase(
     reported operating point is the scanned frequency whose conditional
     phase is closest to pi.
     """
-    blocks = _cz_blocks(circuit)
+    blocks = [coupler_block(circuit, states) for states in (_CZ_DOUBLE, _CZ_SINGLE)]
     h2 = blocks[0][0]
     w0 = (h2[1, 1] - h2[0, 0]).real  # bare |ee> -> |fg> transition, driven at k = 1
     omega_grid = w0 + np.linspace(omega_d_span[0], omega_d_span[1], n_omega)
@@ -636,8 +599,8 @@ def cz_conditional_phase(
         period = 1.0 / wd
         n_per = int(max_duration / period)
         # driven and undriven (double, single) manifolds, one period stack at a time
-        models = (*_cz_models(blocks, circuit.coupler, drive, wd),
-                  *_cz_models(blocks, circuit.coupler, drive_off, wd))
+        models = [modulated_hamiltonian(block, circuit.coupler, replace(d, omega_d=wd))
+                  for d in (drive, drive_off) for block in blocks]
         m2, m1, m2_0, m1_0 = (stroboscopic_powers(periodic_propagator(h, period, n_sub), n_per)
                               for h in models)
 

@@ -14,18 +14,21 @@ from couplersim.floquet import (
     DriveSpectrum,
     ValidityWarning,
     chi_shift,
+    coupler_block,
     effective_coupling,
     find_parametric_resonance,
     fourier_decompose,
     k2_closed_forms,
     lab_to_drive_detuning,
+    modulated_hamiltonian,
     quasi_energy_gap,
     readout_operating_point,
     schrieffer_wolff_correction,
     stroboscopic_populations,
     transition_manifold,
 )
-from couplersim.numerics import TWO_PI, schrodinger_propagate
+from couplersim.numerics import TWO_PI, periodic_propagator, schrodinger_propagate
+from couplersim.protocols import _CZ_DOUBLE, _CZ_SINGLE
 
 # projection-integral oracle values for the Fourier coefficients at
 # (phi_dc = 0.12 pi, a_d = 0.25) with the band-fitted coupler, frozen from a
@@ -364,8 +367,22 @@ class TestChiShift:
 
 
 class TestExactOracle:
-    """Stroboscopic one-period propagation of the exactly modulated
-    three-state model; quasi-energy gaps are the exact effective couplings."""
+    """Stroboscopic one-period propagation of the lab-frame modulated-coupler
+    Hamiltonian on a transition manifold; quasi-energy gaps are the exact
+    effective couplings."""
+
+    @pytest.mark.parametrize("kind", ["reset", "lr", "cz"])
+    def test_gap_converges_in_n_sub(self, circuit, kind):
+        # 1024 midpoint steps per period hold the gap to 1e-6 of a 16x finer
+        # propagation at the fixture drives (measured 8.9e-7 reset, 3.2e-8
+        # lr, 1.9e-7 cz in the lab frame; a drive-frame H(t), whose
+        # off-diagonals rotate at k omega_d, missed it at 3.4e-6-4.5e-6)
+        drive = {"reset": presets.reset_drive, "lr": presets.lr_drive,
+                 "cz": presets.cz_drive}[kind]()
+        man = transition_manifold(circuit, kind)
+        coarse = quasi_energy_gap(man, circuit.coupler, drive, n_sub=1024)
+        fine = quasi_energy_gap(man, circuit.coupler, drive, n_sub=16384)
+        assert coarse == pytest.approx(fine, rel=1e-6)
 
     def test_gap_scales_quadratically_at_k2(self, circuit):
         man = transition_manifold(circuit, "reset")
@@ -410,14 +427,12 @@ class TestExactOracle:
 
     def test_propagator_matches_ode_integration(self, circuit):
         # one-period propagator (piecewise-exact product) against DOP853
-        from couplersim.floquet import drive_frame_hamiltonian, one_period_propagator
-
         man = transition_manifold(circuit, "reset")
         drive = DriveSpec(phi_dc=presets.PHI_DC, a_d=0.3,
                           omega_d=man.bare_drive_frequency, k=2)
-        u = one_period_propagator(man, circuit.coupler, drive, n_sub=4096)
-        h_fn = drive_frame_hamiltonian(man, circuit.coupler, drive)
+        h_fn = modulated_hamiltonian(man.block, circuit.coupler, drive)
         period = 1.0 / drive.omega_d
+        u = periodic_propagator(h_fn, period, 4096)
         for col in range(3):
             psi0 = np.zeros(3, dtype=complex)
             psi0[col] = 1.0
@@ -427,18 +442,25 @@ class TestExactOracle:
             assert np.linalg.norm(psi - u[:, col]) < 1e-6
 
 
-class TestDriveFrameHamiltonian:
-    @pytest.mark.parametrize("kind", ["reset", "lr", "cz"])
+class TestModulatedHamiltonian:
+    @pytest.mark.parametrize("kind", ["reset", "lr", "cz", "cz-double", "cz-single"])
     def test_array_call_matches_scalar_calls(self, circuit, kind):
-        from couplersim.floquet import drive_frame_hamiltonian
-
-        man = transition_manifold(circuit, kind)
-        drive = DriveSpec(phi_dc=presets.PHI_DC, a_d=0.3,
-                          omega_d=man.bare_drive_frequency, k=man.k)
-        h_fn = drive_frame_hamiltonian(man, circuit.coupler, drive)
+        # the three transition manifolds and the two CZ excitation manifolds
+        if kind.startswith("cz-"):
+            states = _CZ_DOUBLE if kind == "cz-double" else _CZ_SINGLE
+            block = coupler_block(circuit, states)
+            drive = presets.cz_drive()
+            drive = dataclasses.replace(drive, omega_d=1.01 * drive.omega_d)
+        else:
+            man = transition_manifold(circuit, kind)
+            block = man.block
+            drive = DriveSpec(phi_dc=presets.PHI_DC, a_d=0.3,
+                              omega_d=man.bare_drive_frequency, k=man.k)
+        dim = len(block[0])
+        h_fn = modulated_hamiltonian(block, circuit.coupler, drive)
         t = np.linspace(0.0, 3.0 / drive.omega_d, 37)
         stack = np.stack([h_fn(float(ti)) for ti in t])
-        assert h_fn(0.0).shape == (3, 3)
-        assert h_fn(t).shape == (37, 3, 3)
+        assert h_fn(0.0).shape == (dim, dim)
+        assert h_fn(t).shape == (37, dim, dim)
         assert np.max(np.abs(h_fn(t) - stack)) <= 1e-12 * np.max(np.abs(stack))
         assert np.array_equal(stack, np.conj(np.swapaxes(stack, -1, -2)))

@@ -247,12 +247,6 @@ class TestReadoutClassifier:
         test = generate_shots((0.3, 0.4, 0.3), CENTERS, 1.0, 500, RngStream(9))
         assert np.array_equal(clf2.predict(test.iq), clf.predict(test.iq))
 
-    def test_sklearn_style_params(self):
-        clf = ReadoutClassifier(bins=48)
-        assert clf.get_params() == {"bins": 48}
-        clf.set_params(bins=32)
-        assert clf.bins == 32
-
 
 class TestEstimatePopulations:
     def test_calibration_shots_recover_pure_state(self):
@@ -373,6 +367,8 @@ class TestCZCalibration:
     def test_oscillation_frequency_follows_generalized_rabi(self, cz_scan):
         # two-branch picture: the quasi-energy gap follows
         # sqrt(gap_min^2 + delta^2) within 2% of the propagation oracle
+        from dataclasses import replace
+
         from couplersim.floquet import (find_parametric_resonance,
                                         quasi_energy_gap, transition_manifold)
 
@@ -382,8 +378,8 @@ class TestCZCalibration:
         w_res, gap_min = find_parametric_resonance(man, circuit.coupler, drive,
                                                    span=25e6, n_coarse=31, n_sub=1024)
         for delta in (-8e6, -4e6, -2e6, 2e6, 4e6, 8e6):
-            gap = quasi_energy_gap(man, circuit.coupler, drive,
-                                   omega_d=w_res + delta, n_sub=1024)
+            gap = quasi_energy_gap(man, circuit.coupler, replace(drive, omega_d=w_res + delta),
+                                   n_sub=1024)
             model = math.hypot(gap_min, man.k * delta)
             assert gap == pytest.approx(model, rel=0.02)
 
@@ -452,24 +448,18 @@ class TestInterleavedRB:
             interleaved_rb_gate_error(0.0, 0.5)
 
 
+def cz_models(circuit, drive):
+    """Lab-frame H(t) of the CZ double- and single-excitation manifolds."""
+    from couplersim.floquet import coupler_block, modulated_hamiltonian
+    from couplersim.protocols import _CZ_DOUBLE, _CZ_SINGLE
+
+    return [modulated_hamiltonian(coupler_block(circuit, states), circuit.coupler, drive)
+            for states in (_CZ_DOUBLE, _CZ_SINGLE)]
+
+
 class TestCZModels:
-    def test_array_call_matches_scalar_calls(self):
-        from couplersim.protocols import _cz_blocks, _cz_models
-
-        circuit = presets.table_circuit()
-        drive = presets.cz_drive()
-        wd = 1.01 * drive.omega_d
-        t = np.linspace(0.0, 2.0 / wd, 29)
-        for h_fn, dim in zip(_cz_models(_cz_blocks(circuit), circuit.coupler, drive, wd),
-                             (6, 3)):
-            stack = np.stack([h_fn(float(ti)) for ti in t])
-            assert h_fn(0.0).shape == (dim, dim)
-            assert np.max(np.abs(h_fn(t) - stack)) <= 1e-12 * np.max(np.abs(stack))
-            assert np.array_equal(stack, np.conj(np.swapaxes(stack, -1, -2)))
-
     def test_coupler_enters_with_its_photon_number(self):
         from couplersim.circuit import coupler_frequency
-        from couplersim.protocols import _cz_blocks, _cz_models
 
         circuit = presets.table_circuit()
         drive = presets.cz_drive()
@@ -477,7 +467,7 @@ class TestCZModels:
         t = np.array([0.1, 0.35]) / wd
         wc = coupler_frequency(drive.phi_dc + drive.a_d * np.sin(TWO_PI * wd * t),
                                circuit.coupler)
-        h2, h1 = _cz_models(_cz_blocks(circuit), circuit.coupler, drive, wd)
+        h2, h1 = cz_models(circuit, drive)
         d2 = np.diagonal(h2(t), axis1=1, axis2=2).real / TWO_PI
         d1 = np.diagonal(h1(t), axis1=1, axis2=2).real / TWO_PI
         w, al = circuit.omega, circuit.alpha
@@ -493,7 +483,6 @@ class TestCZModels:
         # out in the circuit's sign convention (-g_ij per single excitation,
         # sqrt(2) per doubly occupied level) and the coupler energy removed
         from couplersim.circuit import coupler_frequency
-        from couplersim.protocols import _cz_blocks, _cz_models
 
         circuit = presets.table_circuit()
         drive = presets.cz_drive()
@@ -515,21 +504,22 @@ class TestCZModels:
         t = np.array([0.0, 0.1, 0.35]) / wd
         wc = coupler_frequency(drive.phi_dc + drive.a_d * np.sin(TWO_PI * wd * t),
                                circuit.coupler)
-        h2, h1 = _cz_models(_cz_blocks(circuit), circuit.coupler, drive, wd)
+        h2, h1 = cz_models(circuit, drive)
         for h_fn, s, n_c in ((h2, s2, [0, 0, 0, 1, 1, 2]), (h1, s1, [0, 0, 1])):
             expected = TWO_PI * (s + np.multiply.outer(wc, np.diag(np.array(n_c, float))))
             assert np.array_equal(h_fn(t), expected)
 
     @pytest.mark.parametrize("n_omega", [2, 5])
     def test_blocks_built_once_per_scan(self, monkeypatch, n_omega):
-        from couplersim import protocols
+        from couplersim import floquet
 
+        circuit, drive = presets.table_circuit(), presets.cz_drive()
         calls = []
-        build = protocols.manifold_hamiltonian
-        monkeypatch.setattr(protocols, "manifold_hamiltonian",
+        build = floquet.manifold_hamiltonian
+        monkeypatch.setattr(floquet, "manifold_hamiltonian",
                             lambda *args: calls.append(args) or build(*args))
         with pytest.raises(RuntimeError, match="oscillation"):
-            cz_conditional_phase(presets.table_circuit(), presets.cz_drive(),
+            cz_conditional_phase(circuit, drive,
                                  omega_d_span=(-1e6, 1e6), n_omega=n_omega,
                                  max_duration=80e-9, n_sub=64)
         assert len(calls) == 2

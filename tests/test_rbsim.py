@@ -50,6 +50,15 @@ class TestRateEquation:
             expected.append(vec[1])
         assert rbsim.periodic_lr_trace(sc)[1].tolist() == expected
 
+    @pytest.mark.parametrize("l_cl", [0.005, 0.02, 0.2])
+    def test_no_recovery_transient_matches_stepped_rate_equation(self, l_cl):
+        # the closed-form transient against n_lr = 0 stepping on the grid
+        sc = scenario(l_cl=l_cl, n_lr=0)
+        forms = rbsim.a2_closed_forms(sc)
+        _, p_f = rbsim.periodic_lr_trace(sc)
+        assert forms.n_cl.tolist() == list(sc.n_cl_grid)
+        np.testing.assert_allclose(forms.p_f_of_n, p_f[forms.n_cl], rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("l_cl", [0.0, 0.01, 0.03, 0.1])
     def test_recovery_pays_off_above_breakeven(self, l_cl):
         models = rbsim.error_models(scenario(l_cl=l_cl))
