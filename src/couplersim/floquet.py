@@ -31,7 +31,8 @@ from scipy.optimize import minimize_scalar
 from scipy.special import jv
 
 from .circuit import ELEMENTS, CircuitSpec, CouplerSpec, coupler_frequency, manifold_hamiltonian
-from .numerics import TWO_PI, periodic_propagator, stroboscopic_powers, taylor_coefficients
+from .numerics import (TWO_PI, midpoint_spectrum, periodic_propagator, stroboscopic_powers,
+                       taylor_coefficients)
 
 
 class ValidityWarning(UserWarning):
@@ -216,7 +217,10 @@ def modulated_hamiltonian(block: tuple, coupler: CouplerSpec, drive: DriveSpec):
     of the coupler frequency (no Fourier truncation).
 
     ``t`` may be a scalar, giving one ``(d, d)`` matrix, or an array of
-    times, giving the stack ``t.shape + (d, d)``.
+    times, giving the stack ``t.shape + (d, d)``.  H depends on time only
+    through the drive phase ``omega_d t``, so the samples at the step
+    midpoints ``t_k = (k + 1/2) / (n_sub omega_d)`` of one period are the
+    same for every drive frequency (see :func:`modulation_spectrum`).
     """
     h_static, n_c = block
 
@@ -232,31 +236,42 @@ def modulated_hamiltonian(block: tuple, coupler: CouplerSpec, drive: DriveSpec):
 # transition manifolds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _block_entry(i: int, j: int) -> property:
+    return property(lambda self: float(self.block[0][i, j].real))
+
+
+@dataclass(frozen=True, eq=False)
 class TransitionManifold:
     """Three-state manifold {A, B, coupler-excited} for one driven transition.
 
-    Every number is an entry of the idle 3x3 block ``H`` (Hz, coupler
-    frequency zero) of :func:`coupler_block` on the states (A, B, C):
-    ``omega_a = H_AA``, ``omega_b = H_BB``, ``g_ac = H_AC``, ``g_bc = H_BC``,
-    ``g_ab = H_AB`` (signed, bosonic factors included) and
-    ``delta_c_offset = H_CC - H_AA``, which maps the mean coupler frequency
-    to the coupler-state detuning from A: ``Delta_C = omega_bar_C +
-    delta_c_offset``.  ``block`` is the ``(H, n_C)`` pair itself, the input
-    of :func:`modulated_hamiltonian`.
+    ``block`` is the ``(H, n_C)`` pair of :func:`coupler_block` on the
+    states (A, B, C), the input of :func:`modulated_hamiltonian`; the
+    closed-form parameters are read from its idle 3x3 block ``H`` (Hz,
+    coupler frequency zero), so the closed forms and the time-domain oracle
+    always see the same couplings: ``omega_a = H_AA``, ``omega_b = H_BB``,
+    ``g_ac = H_AC``, ``g_bc = H_BC``, ``g_ab = H_AB`` (signed, bosonic
+    factors included) and ``delta_c_offset = H_CC - H_AA``, which maps the
+    mean coupler frequency to the coupler-state detuning from A:
+    ``Delta_C = omega_bar_C + delta_c_offset``.  To change a coupling,
+    replace ``block``.  Equality is identity (the block holds arrays).
     """
 
     kind: str
     label_a: str
     label_b: str
-    omega_a: float
-    omega_b: float
-    g_ac: float
-    g_bc: float
-    g_ab: float
-    delta_c_offset: float
     k: int
-    block: tuple = field(compare=False, repr=False)
+    block: tuple = field(repr=False)
+
+    omega_a = _block_entry(0, 0)
+    omega_b = _block_entry(1, 1)
+    g_ac = _block_entry(0, 2)
+    g_bc = _block_entry(1, 2)
+    g_ab = _block_entry(0, 1)
+
+    @property
+    def delta_c_offset(self) -> float:
+        h = self.block[0].real
+        return float(h[2, 2] - h[0, 0])
 
     @property
     def transition(self) -> float:
@@ -293,13 +308,9 @@ def transition_manifold(circuit: CircuitSpec, kind: str, qubit: str = "Q1") -> T
     for occ in occupations:
         occ = {qubit if el == "q" else el: n for el, n in occ.items()}
         states.append(tuple(occ.get(el, 0) for el in ELEMENTS))
-    block = coupler_block(circuit, states)
-    h = block[0].real
     return TransitionManifold(
         kind=kind, label_a=label_a.format(q=qubit), label_b=label_b.format(q=qubit),
-        omega_a=float(h[0, 0]), omega_b=float(h[1, 1]),
-        g_ac=float(h[0, 2]), g_bc=float(h[1, 2]), g_ab=float(h[0, 1]),
-        delta_c_offset=float(h[2, 2] - h[0, 0]), k=k, block=block,
+        k=k, block=coupler_block(circuit, states),
     )
 
 
@@ -503,6 +514,33 @@ def readout_operating_point(
 # exact time-domain oracle (stroboscopic propagation of the manifold)
 # ---------------------------------------------------------------------------
 
+def modulation_spectrum(block: tuple, coupler: CouplerSpec, drive: DriveSpec, n_sub: int):
+    """Midpoint spectrum (:func:`~couplersim.numerics.midpoint_spectrum`) of
+    :func:`modulated_hamiltonian` over one drive period.
+
+    The midpoint samples ``phi_dc + a_d sin(2 pi (k + 1/2) / n_sub)`` do not
+    depend on ``drive.omega_d``, so one spectrum gives the one-period
+    propagator ``periodic_propagator(spectrum, 1 / omega_d)`` at every drive
+    frequency of this amplitude.  An undriven H (``a_d = 0``) is constant
+    and takes one sample, whatever ``n_sub``.
+    """
+    h_of_t = modulated_hamiltonian(block, coupler, drive)
+    return midpoint_spectrum(h_of_t, 1.0 / drive.omega_d, n_sub if drive.a_d else 1)
+
+
+def _branch_gap(u: np.ndarray, wd: float) -> float:
+    """Quasi-energy splitting (Hz) of the two Floquet branches of the
+    one-period propagator ``u`` with most weight on states A and B."""
+    ev, vec = np.linalg.eig(u)
+    eps = -np.angle(ev) * wd / TWO_PI  # Hz, defined mod omega_d
+
+    weights = np.abs(vec[0, :]) ** 2 + np.abs(vec[1, :]) ** 2
+    idx = np.argsort(weights)[-2:]
+    de = eps[idx[0]] - eps[idx[1]]
+    de = (de + wd / 2.0) % wd - wd / 2.0
+    return abs(de)
+
+
 def quasi_energy_gap(
     manifold: TransitionManifold,
     coupler: CouplerSpec,
@@ -516,16 +554,8 @@ def quasi_energy_gap(
     modulo ``omega_d``); the avoided-crossing gap equals twice the exact
     effective coupling.
     """
-    wd = drive.omega_d
-    u = periodic_propagator(modulated_hamiltonian(manifold.block, coupler, drive), 1.0 / wd, n_sub)
-    ev, vec = np.linalg.eig(u)
-    eps = -np.angle(ev) * wd / TWO_PI  # Hz, defined mod omega_d
-
-    weights = np.abs(vec[0, :]) ** 2 + np.abs(vec[1, :]) ** 2
-    idx = np.argsort(weights)[-2:]
-    de = eps[idx[0]] - eps[idx[1]]
-    de = (de + wd / 2.0) % wd - wd / 2.0
-    return abs(de)
+    spectrum = modulation_spectrum(manifold.block, coupler, drive, n_sub)
+    return _branch_gap(periodic_propagator(spectrum, 1.0 / drive.omega_d), drive.omega_d)
 
 
 def find_parametric_resonance(
@@ -537,11 +567,15 @@ def find_parametric_resonance(
     n_sub: int = 2048,
 ) -> tuple[float, float]:
     """Locate the dressed resonance: the drive frequency minimising the
-    quasi-energy gap.  Returns ``(omega_d_star, gap_hz)``."""
+    quasi-energy gap.  Returns ``(omega_d_star, gap_hz)``.
+
+    The drive amplitude is fixed, so one :func:`modulation_spectrum` serves
+    the coarse grid and the bounded search."""
     w0 = manifold.bare_drive_frequency
+    spectrum = modulation_spectrum(manifold.block, coupler, drive, n_sub)
 
     def gap(wd: float) -> float:
-        return quasi_energy_gap(manifold, coupler, replace(drive, omega_d=wd), n_sub=n_sub)
+        return _branch_gap(periodic_propagator(spectrum, 1.0 / wd), wd)
 
     grid = w0 + np.linspace(-span, span, n_coarse)
     gaps = [gap(w) for w in grid]
@@ -563,6 +597,6 @@ def stroboscopic_populations(
     """Population of state A at stroboscopic times (multiples of the drive
     period), starting from A.  Micromotion-free by construction."""
     wd = drive.omega_d
-    u = periodic_propagator(modulated_hamiltonian(manifold.block, coupler, drive), 1.0 / wd, n_sub)
+    u = periodic_propagator(modulation_spectrum(manifold.block, coupler, drive, n_sub), 1.0 / wd)
     pops = np.abs(stroboscopic_powers(u, n_periods)[:, 0, 0]) ** 2
     return np.arange(n_periods) / wd, pops

@@ -12,9 +12,15 @@ Conventions used across the package:
   builds the Lindblad generator in that convention for every caller.
 
 The periodic-propagator engine, shared by the Floquet oracle and the CZ
-calibration, is :func:`periodic_propagator` (one-period propagator from a
-vectorised ``h_of_t``) plus :func:`stroboscopic_powers`; both callers hand
-it the lab-frame H(t) of :func:`couplersim.floquet.modulated_hamiltonian`.
+calibration, has two steps.  :func:`midpoint_spectrum` samples a vectorised
+``h_of_t`` at the step midpoints of one period and diagonalises the samples
+in one batched ``eigh``; :func:`periodic_propagator` turns that spectrum
+into the one-period propagator for a given period (midpoint piecewise-exact
+product, multiplied pairwise in log depth).  Both callers hand it the
+lab-frame H(t) of :func:`couplersim.floquet.modulated_hamiltonian`, whose
+midpoint samples do not depend on the drive frequency, so they diagonalise
+once per drive amplitude and reuse the spectrum across a scan of drive
+frequencies.  :func:`stroboscopic_powers` stacks the powers of the result.
 """
 
 from __future__ import annotations
@@ -250,33 +256,55 @@ def schrodinger_propagate(
 # periodic propagation
 # ---------------------------------------------------------------------------
 
-def periodic_propagator(h_of_t: Callable[[np.ndarray], np.ndarray], period: float,
-                        n_sub: int) -> np.ndarray:
-    """Propagator over one period (midpoint piecewise-exact product).
+def midpoint_spectrum(h_of_t: Callable[[np.ndarray], np.ndarray], period: float,
+                      n_sub: int):
+    """Eigen-decomposition ``(E, V)`` of H at the midpoints of ``n_sub``
+    equal steps of one period, the input of :func:`periodic_propagator`.
 
     ``h_of_t(times)`` returns the Hamiltonians (rad/s) at an array of times
-    as an ``(n, d, d)`` stack; it is sampled once, at the midpoints of
-    ``n_sub`` equal steps, and each step is exponentiated exactly through
-    one batched ``eigh``.
+    as an ``(n, d, d)`` stack; it is sampled once and diagonalised by one
+    batched ``eigh``, giving ``E`` of shape ``(n_sub, d)`` and ``V`` of
+    shape ``(n_sub, d, d)``.  If H depends on time only through the phase
+    ``t / period`` of a periodic drive, the samples, and so the spectrum,
+    do not depend on the period: one spectrum serves every drive frequency
+    of a scan.  A constant H needs one sample.
     """
     if n_sub < 1:
         raise ValueError(f"n_sub must be a positive integer, got {n_sub}")
-    dt = period / n_sub
-    evals, evecs = np.linalg.eigh(h_of_t((np.arange(n_sub) + 0.5) * dt))
-    steps = np.einsum("nij,nj,nkj->nik", evecs, np.exp(-1j * evals * dt), evecs.conj())
-    u = np.eye(steps.shape[1], dtype=complex)
-    for s in steps:
-        u = s @ u
-    return u
+    return np.linalg.eigh(h_of_t((np.arange(n_sub) + 0.5) * (period / n_sub)))
+
+
+def periodic_propagator(spectrum, period: float) -> np.ndarray:
+    """Propagator over one period (midpoint piecewise-exact product).
+
+    ``spectrum`` is the ``(E, V)`` pair of :func:`midpoint_spectrum`; step
+    ``k`` lasts ``dt = period / n_sub`` and is exponentiated exactly,
+    ``V_k exp(-i E_k dt) V_k^dag``.  The steps are multiplied in time order
+    (later steps to the left) by pairwise products in ``log2(n_sub)``
+    batched rounds.  With a one-sample spectrum of a constant H this is the
+    closed form ``V exp(-i E T) V^dag``.
+    """
+    evals, evecs = spectrum
+    mats = (evecs * np.exp(-1j * (period / len(evals)) * evals)[:, None, :]) @ np.conj(
+        np.swapaxes(evecs, -1, -2))
+    while len(mats) > 1:
+        pairs = mats[1::2] @ mats[:len(mats) - 1:2]
+        mats = np.concatenate([pairs, mats[-1:]]) if len(mats) % 2 else pairs
+    return mats[0]
 
 
 def stroboscopic_powers(u: np.ndarray, n: int) -> np.ndarray:
     """Stack of the powers ``U^0 ... U^(n-1)`` of a one-period propagator,
-    shape ``(n, d, d)``."""
+    shape ``(n, d, d)``, built by doubling: with ``U^0 ... U^(m-1)`` in
+    place, one batched product by ``U^m`` fills ``U^m ... U^(2m-1)``, so
+    about ``log2(n)`` products in all."""
     powers = np.empty((n, *u.shape), dtype=complex)
     powers[:1] = np.eye(u.shape[0])
-    for k in range(1, n):
-        powers[k] = u @ powers[k - 1]
+    u_m, m = u, 1
+    while m < n:
+        block = min(m, n - m)
+        np.matmul(u_m, powers[:block], out=powers[m:m + block])
+        u_m, m = u_m @ u_m, 2 * m
     return powers
 
 

@@ -17,7 +17,7 @@ from scipy.optimize import nnls
 from scipy.special import erfc
 
 from .circuit import CircuitSpec, CouplerSpec, coupler_frequency, manifold_hamiltonian
-from .floquet import DriveSpec, coupler_block, modulated_hamiltonian
+from .floquet import DriveSpec, coupler_block, modulation_spectrum
 from .numerics import (TWO_PI, FitResult, RngStream, fit_least_squares, periodic_propagator,
                        stroboscopic_powers)
 
@@ -580,6 +580,13 @@ def cz_conditional_phase(
     frames that precess at the idle (static-ZZ-inclusive) frequencies.  The
     reported operating point is the scanned frequency whose conditional
     phase is closest to pi.
+
+    The midpoint samples of H(t) do not depend on the drive frequency, so
+    each manifold is diagonalised once per scan
+    (:func:`~couplersim.floquet.modulation_spectrum`) and only the
+    per-period products are formed per drive frequency.  The undriven
+    reference has a constant H and a one-sample spectrum: its one-period
+    propagator is the closed form ``V exp(-i E T) V^dag``.
     """
     blocks = [coupler_block(circuit, states) for states in (_CZ_DOUBLE, _CZ_SINGLE)]
     h2 = blocks[0][0]
@@ -593,16 +600,15 @@ def cz_conditional_phase(
     valid = np.zeros(n_omega, dtype=bool)
     times_ref = None
 
-    drive_off = replace(drive, a_d=0.0)
+    # driven and undriven (double, single) manifolds: one spectrum each per scan
+    spectra = [modulation_spectrum(block, circuit.coupler, d, n_sub)
+               for d in (drive, replace(drive, a_d=0.0)) for block in blocks]
 
     for i, wd in enumerate(omega_grid):
         period = 1.0 / wd
         n_per = int(max_duration / period)
-        # driven and undriven (double, single) manifolds, one period stack at a time
-        models = [modulated_hamiltonian(block, circuit.coupler, replace(d, omega_d=wd))
-                  for d in (drive, drive_off) for block in blocks]
-        m2, m1, m2_0, m1_0 = (stroboscopic_powers(periodic_propagator(h, period, n_sub), n_per)
-                              for h in models)
+        m2, m1, m2_0, m1_0 = (stroboscopic_powers(periodic_propagator(s, period), n_per)
+                              for s in spectra)
 
         z_ee = m2[:, 0, 0]
         z_eg = m1[:, 0, 0]

@@ -27,7 +27,8 @@ from couplersim.floquet import (
     stroboscopic_populations,
     transition_manifold,
 )
-from couplersim.numerics import TWO_PI, periodic_propagator, schrodinger_propagate
+from couplersim.numerics import (TWO_PI, midpoint_spectrum, periodic_propagator,
+                                 schrodinger_propagate)
 from couplersim.protocols import _CZ_DOUBLE, _CZ_SINGLE
 
 # projection-integral oracle values for the Fourier coefficients at
@@ -38,6 +39,14 @@ ORACLE_D2 = -38417415.86594534
 ORACLE_WBAR = 5235890119.720171
 
 ROOT2 = math.sqrt(2.0)
+
+
+def with_block_entry(man, i, j, value):
+    """``man`` with the symmetric entry (i, j) of its idle block set."""
+    h, n_c = man.block
+    h = h.copy()
+    h[i, j] = h[j, i] = value
+    return dataclasses.replace(man, block=(h, n_c))
 
 
 @pytest.fixture(scope="module")
@@ -236,7 +245,7 @@ class TestK2ClosedForms:
     def test_zero_drive_reduction(self, circuit):
         # at a_d = 0 only J_{0,0} = 1 survives: the frame keeps the bare A-C
         # coupling and every drive-activated coupling vanishes
-        man = dataclasses.replace(transition_manifold(circuit, "reset"), g_ab=0.0)
+        man = with_block_entry(transition_manifold(circuit, "reset"), 0, 1, 0.0)
         drive = DriveSpec(phi_dc=presets.PHI_DC, a_d=0.0,
                           omega_d=man.bare_drive_frequency, k=2)
         frame = k2_closed_forms(circuit, drive, man)
@@ -261,7 +270,7 @@ class TestK2ClosedForms:
 
     def test_j00_definition(self, circuit, coupler):
         # with g_ab = 0 the frame exposes J_{0,0} through g~_AC / g_AC
-        man = dataclasses.replace(transition_manifold(circuit, "reset"), g_ab=0.0)
+        man = with_block_entry(transition_manifold(circuit, "reset"), 0, 1, 0.0)
         drive = DriveSpec(phi_dc=0.12 * math.pi, a_d=0.3,
                           omega_d=man.bare_drive_frequency, k=2)
         frame = k2_closed_forms(circuit, drive, man)
@@ -269,6 +278,29 @@ class TestK2ClosedForms:
         wd = drive.omega_d
         j00 = jv(0, spec.d_m[0] / wd) * jv(0, -spec.d_m[1] / (2 * wd))
         assert frame.g_tilde_ac / man.g_ac == pytest.approx(j00, rel=1e-12)
+
+    def test_closed_forms_and_oracle_share_the_block(self, circuit):
+        # zeroing H_AB in the block reaches both: the undriven closed-form
+        # shift omega~_A = g_AB^2 / (2 omega_D) vanishes, and the oracle's
+        # gap is the A-B splitting (mod omega_D) of the zeroed static block
+        man = transition_manifold(circuit, "reset")
+        zeroed = with_block_entry(man, 0, 1, 0.0)
+        drive = DriveSpec(phi_dc=presets.PHI_DC, a_d=0.0,
+                          omega_d=man.bare_drive_frequency, k=2)
+        wd = drive.omega_d
+        assert zeroed.g_ab == 0.0 and man.g_ab != 0.0
+        assert k2_closed_forms(circuit, drive, zeroed).omega_tilde_a == 0.0
+        assert k2_closed_forms(circuit, drive, man).omega_tilde_a == pytest.approx(
+            man.g_ab ** 2 / (2 * wd), rel=1e-12)
+        gaps = []
+        for m in (man, zeroed):
+            h, n_c = m.block
+            evals, vecs = np.linalg.eigh(h + coupler_frequency(drive.phi_dc, circuit.coupler) * n_c)
+            a_like, b_like = (int(np.argmax(np.abs(vecs[i]) ** 2)) for i in (0, 1))
+            split = abs((evals[a_like] - evals[b_like] + wd / 2) % wd - wd / 2)
+            gaps.append(quasi_energy_gap(m, circuit.coupler, drive))
+            assert gaps[-1] == pytest.approx(split, rel=1e-9)
+        assert gaps[0] != pytest.approx(gaps[1], rel=1e-3)
 
     def test_reset_fixture_swap_coupling(self, circuit):
         frame = k2_closed_forms(circuit, presets.reset_drive(), "reset")
@@ -432,7 +464,7 @@ class TestExactOracle:
                           omega_d=man.bare_drive_frequency, k=2)
         h_fn = modulated_hamiltonian(man.block, circuit.coupler, drive)
         period = 1.0 / drive.omega_d
-        u = periodic_propagator(h_fn, period, 4096)
+        u = periodic_propagator(midpoint_spectrum(h_fn, period, 4096), period)
         for col in range(3):
             psi0 = np.zeros(3, dtype=complex)
             psi0[col] = 1.0

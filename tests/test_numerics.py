@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import jv
 
+from couplersim import presets
+from couplersim.floquet import coupler_block, modulated_hamiltonian, modulation_spectrum
 from couplersim.numerics import (
     RngStream,
     fit_least_squares,
+    midpoint_spectrum,
     periodic_propagator,
     propagate,
     stroboscopic_powers,
@@ -148,13 +152,39 @@ class TestPropagate:
             propagate(lambda t: h, [], rho0, 1e-8, step=1e-9)
 
 
+def sequential_midpoint_propagator(h_of_t, period, n_sub):
+    """Reference: the midpoint piecewise-exact product with H resampled for
+    this period and the step exponentials multiplied one at a time."""
+    dt = period / n_sub
+    evals, evecs = np.linalg.eigh(h_of_t((np.arange(n_sub) + 0.5) * dt))
+    steps = np.einsum("nij,nj,nkj->nik", evecs, np.exp(-1j * evals * dt), evecs.conj())
+    u = np.eye(steps.shape[1], dtype=complex)
+    for s in steps:
+        u = s @ u
+    return u
+
+
+@pytest.fixture(scope="module")
+def cz_blocks():
+    from couplersim.protocols import _CZ_DOUBLE, _CZ_SINGLE
+
+    circuit = presets.table_circuit()
+    return {"cz-double": coupler_block(circuit, _CZ_DOUBLE),
+            "cz-single": coupler_block(circuit, _CZ_SINGLE)}
+
+
+#: three drive frequencies of a CZ scan around the bare |ee> -> |fg> line
+CZ_DRIVES = (500e6, 512.3e6, 519.77e6)
+
+
 class TestPeriodicPropagator:
     @pytest.mark.parametrize("dim", [2, 3, 6])
     def test_constant_hamiltonian_is_exact(self, dim):
         rng = np.random.default_rng(dim)
         h = random_hermitian(rng, dim)
         period = 2e-7
-        u = periodic_propagator(lambda t: np.broadcast_to(h, (len(t), dim, dim)), period, 64)
+        spectrum = midpoint_spectrum(lambda t: np.broadcast_to(h, (len(t), dim, dim)), period, 64)
+        u = periodic_propagator(spectrum, period)
         assert np.max(np.abs(u - expm(-1j * h * period))) < 1e-12
         assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-12
 
@@ -165,13 +195,49 @@ class TestPeriodicPropagator:
             seen.append(np.array(t))
             return np.zeros((len(t), 2, 2))
 
-        periodic_propagator(h_of_t, 1.0, 4)
+        midpoint_spectrum(h_of_t, 1.0, 4)
         assert len(seen) == 1
         assert np.allclose(seen[0], [0.125, 0.375, 0.625, 0.875], rtol=0, atol=1e-15)
 
     def test_rejects_empty_step_count(self):
         with pytest.raises(ValueError, match="n_sub"):
-            periodic_propagator(lambda t: np.zeros((len(t), 2, 2)), 1.0, 0)
+            midpoint_spectrum(lambda t: np.zeros((len(t), 2, 2)), 1.0, 0)
+
+    @pytest.mark.parametrize("kind", ["cz-double", "cz-single"])
+    @pytest.mark.parametrize("n_sub", [2048, 37])
+    def test_matches_sequential_product(self, cz_blocks, kind, n_sub):
+        # same samples and step exponentials, multiplied pairwise instead of
+        # one at a time (37 steps: odd lengths carry a step to the next round)
+        coupler = presets.table_circuit().coupler
+        for wd in CZ_DRIVES:
+            h_of_t = modulated_hamiltonian(cz_blocks[kind], coupler,
+                                           replace(presets.cz_drive(), omega_d=wd))
+            u = periodic_propagator(midpoint_spectrum(h_of_t, 1.0 / wd, n_sub), 1.0 / wd)
+            ref = sequential_midpoint_propagator(h_of_t, 1.0 / wd, n_sub)
+            assert np.max(np.abs(u - ref)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["cz-double", "cz-single"])
+    def test_spectrum_reused_across_drive_frequencies(self, cz_blocks, kind):
+        # the midpoint samples of modulated_hamiltonian depend on omega_d
+        # only through round-off, so one spectrum serves every period
+        coupler, drive = presets.table_circuit().coupler, presets.cz_drive()
+        spectrum = modulation_spectrum(cz_blocks[kind], coupler, drive, 2048)
+        for wd in CZ_DRIVES:
+            resampled = modulation_spectrum(cz_blocks[kind], coupler,
+                                            replace(drive, omega_d=wd), 2048)
+            diff = periodic_propagator(spectrum, 1.0 / wd) - periodic_propagator(resampled, 1.0 / wd)
+            assert np.max(np.abs(diff)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["cz-double", "cz-single"])
+    def test_undriven_spectrum_is_one_sample(self, cz_blocks, kind):
+        coupler = presets.table_circuit().coupler
+        drive = replace(presets.cz_drive(), a_d=0.0)
+        spectrum = modulation_spectrum(cz_blocks[kind], coupler, drive, 2048)
+        assert len(spectrum[0]) == 1
+        h = modulated_hamiltonian(cz_blocks[kind], coupler, drive)(0.0)
+        for wd in CZ_DRIVES:
+            u = periodic_propagator(spectrum, 1.0 / wd)
+            assert np.max(np.abs(u - expm(-1j * h / wd))) < 1e-12
 
     def test_stroboscopic_powers_match_matrix_power(self):
         rng = np.random.default_rng(3)
@@ -181,6 +247,17 @@ class TestPeriodicPropagator:
         for k in range(25):
             assert np.max(np.abs(powers[k] - np.linalg.matrix_power(u, k))) < 1e-12
         assert stroboscopic_powers(u, 0).shape == (0, 4, 4)
+        # about the longest stack of a scan (1.5 us of ~5 GHz periods).  The
+        # unitarity defect of u itself (6.7e-16 from expm) grows to 1.6e-12
+        # in the exact powers, so the doubling is held to 1e-12 of their drift
+        powers = stroboscopic_powers(u, 7500)
+        exact = np.stack([np.linalg.matrix_power(u, k) for k in range(7500)])
+        assert np.max(np.abs(powers - exact)) < 1e-12
+
+        def drift(stack):
+            return np.abs(stack @ np.conj(np.swapaxes(stack, -1, -2)) - np.eye(4)).max()
+
+        assert drift(powers) <= drift(exact) + 1e-12
 
 
 class TestFitLeastSquares:
