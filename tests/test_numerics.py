@@ -21,6 +21,7 @@ from couplersim.numerics import (
     stroboscopic_powers,
     taylor_coefficients,
 )
+from couplersim.protocols import _CZ_DOUBLE, _CZ_SINGLE
 
 # J1(1.0) from the integral representation (1/pi) int_0^pi cos(t - sin t) dt,
 # evaluated with adaptive quadrature before the build
@@ -166,8 +167,6 @@ def sequential_midpoint_propagator(h_of_t, period, n_sub):
 
 @pytest.fixture(scope="module")
 def cz_blocks():
-    from couplersim.protocols import _CZ_DOUBLE, _CZ_SINGLE
-
     circuit = presets.table_circuit()
     return {"cz-double": coupler_block(circuit, _CZ_DOUBLE),
             "cz-single": coupler_block(circuit, _CZ_SINGLE)}
