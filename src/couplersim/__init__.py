@@ -8,6 +8,18 @@ Subpackages follow the physics: :mod:`~couplersim.numerics` (kernels),
 :mod:`~couplersim.protocols` (reset, readout, CZ metrics),
 :mod:`~couplersim.rbsim` (leakage randomized benchmarking) and
 :mod:`~couplersim.cli` (scenario runner).
+
+Import rule: the modules import only the standard library, numpy and PyYAML
+at module level.  Every scipy import sits at the top of the function that
+calls it, because each ``couplersim run`` is its own process and pays for
+every module the package imports.  ``import couplersim.cli`` therefore loads
+no scipy module (``tests/test_import_path.py``), and of the scenarios:
+
+* ``leakage-rb`` and ``readout-shots`` load ``scipy.linalg``,
+  ``scipy.optimize`` and ``scipy.special``;
+* ``reset-dynamics`` and ``floquet-report`` load ``scipy.special`` only;
+* ``reset-metrics``, ``lr-dynamics``, ``periodic-lr``, ``chi-map`` and
+  ``cz-chevron`` load none.
 """
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .circuit import DecayRates
 from .numerics import TWO_PI
@@ -83,6 +82,8 @@ def envelope_value(t, env: EnvelopeSpec):
 def _edge_integral(x: float, sigma: float) -> float:
     """Integral of the offset-subtracted edge over the first x seconds of a
     rise (x measured from the pulse boundary, 0 <= x <= EDGE_SIGMAS*sigma)."""
+    from scipy.special import erf
+
     if sigma == 0:
         return 0.0
     cut = math.exp(-(EDGE_SIGMAS ** 2) / 2.0)

@@ -27,8 +27,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import jv
 
 from .circuit import ELEMENTS, CircuitSpec, CouplerSpec, coupler_frequency, manifold_hamiltonian
 from .numerics import (TWO_PI, midpoint_spectrum, periodic_propagator, stroboscopic_powers,
@@ -182,6 +180,8 @@ def effective_coupling(
     :class:`ValidityWarning` when ``|D_k| > k * omega_D / 2``, outside the
     stated small-modulation window.
     """
+    from scipy.special import jv
+
     if k < 1:
         raise ValueError("harmonic order k must be positive")
     d_k = spectrum.coefficient(k)
@@ -355,6 +355,8 @@ class EffectiveFrame:
     def dressed_resonance_offset(self, window: float | None = None) -> float:
         """B-state detuning ``delta_b`` at which the dressed A and B branches
         anticross (the dressed-resonance condition)."""
+        from scipy.optimize import minimize_scalar
+
         if window is None:
             scale = max(abs(self.omega_tilde_a), abs(self.omega_tilde_b),
                         abs(self.g_tilde_ab), 1e5)
@@ -389,6 +391,8 @@ def k2_closed_forms(
     of ``J_{n,m} = J_n(D1/omega_D) * J_m(-D2/(2*omega_D))``.  Only k = 2 is
     supported; the analytic block is specific to the second harmonic.
     """
+    from scipy.special import jv
+
     if drive.k != 2:
         raise ValueError("closed forms are k = 2 specific")
     man = states if isinstance(states, TransitionManifold) else transition_manifold(circuit, states)
@@ -571,6 +575,8 @@ def find_parametric_resonance(
 
     The drive amplitude is fixed, so one :func:`modulation_spectrum` serves
     the coarse grid and the bounded search."""
+    from scipy.optimize import minimize_scalar
+
     w0 = manifold.bare_drive_frequency
     spectrum = modulation_spectrum(manifold.block, coupler, drive, n_sub)
 

@@ -30,10 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
-from scipy.optimize import least_squares
-from scipy.special import factorial
 
 TWO_PI = 2.0 * math.pi
 
@@ -98,7 +94,7 @@ def taylor_coefficients(
     coeffs = np.fft.fft(vals) / n
     k = np.arange(order + 1)
     taylor = coeffs[: order + 1] / radius ** k
-    return np.real(taylor) * factorial(k, exact=False)
+    return np.real(taylor) * np.array([math.factorial(j) for j in k], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +175,9 @@ def propagate(
     ndarray
         ``rho(duration)``, or the trajectory when ``t_eval`` is given.
     """
+    from scipy.integrate import solve_ivp
+    from scipy.linalg import expm
+
     rho0 = np.asarray(initial_state, dtype=complex)
     _check_density_matrix(rho0)
     d = rho0.shape[0]
@@ -237,6 +236,8 @@ def schrodinger_propagate(
     max_step: float | None = None,
 ) -> np.ndarray:
     """State-vector evolution (no dissipation); H in rad/s."""
+    from scipy.integrate import solve_ivp
+
     psi0 = np.asarray(psi0, dtype=complex)
     static = not callable(hamiltonian)
     h_fn = (lambda t, _h=np.asarray(hamiltonian, dtype=complex): _h) if static else hamiltonian
@@ -331,6 +332,8 @@ def fit_least_squares(
     Non-convergence is flagged on the result (best point still returned),
     never raised.
     """
+    from scipy.optimize import least_squares
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     p0 = np.asarray(initial_guess, dtype=float)

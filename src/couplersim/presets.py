@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 import warnings
 
-from scipy.optimize import brentq
-
 from .circuit import CircuitSpec, CouplerSpec, DecayRates, coupler_spec_from_band
 from .dynamics import EnvelopeSpec
 from .floquet import (
@@ -117,6 +115,8 @@ def calibrate_drive_amplitude(
     Uses the k = 2 closed forms with the Schrieffer-Wolff correction for the
     second-harmonic operations and the leading-order formula for k = 1.
     """
+    from scipy.optimize import brentq
+
     man = transition_manifold(circuit, kind)
 
     def coupling(a: float) -> float:

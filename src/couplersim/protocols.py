@@ -11,10 +11,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import h as PLANCK_H
-from scipy.constants import k as BOLTZMANN_K
-from scipy.optimize import nnls
-from scipy.special import erfc
 
 from .circuit import CircuitSpec, CouplerSpec, coupler_frequency, manifold_hamiltonian
 from .floquet import DriveSpec, coupler_block, modulation_spectrum
@@ -22,6 +18,11 @@ from .numerics import (TWO_PI, FitResult, RngStream, fit_least_squares, periodic
                        stroboscopic_powers)
 
 STATE_LABELS = ("g", "e", "f")
+
+# Planck and Boltzmann constants (J s, J/K): exact by definition of the SI
+# since 2019, so the literals equal scipy.constants.h and .k.
+PLANCK_H = 6.62607015e-34
+BOLTZMANN_K = 1.380649e-23
 
 #: fewest shots per calibration set the readout classifier accepts
 MIN_CALIBRATION_SHOTS = 1000
@@ -341,6 +342,8 @@ class ReadoutClassifier:
 
     def _component_heights(self, iq: np.ndarray) -> np.ndarray:
         """Height-only three-component fit (centers and width held fixed)."""
+        from scipy.optimize import nnls
+
         xy, counts = _histogram2d(iq, self.bins)
         design = np.stack([
             np.exp(-((xy[:, 0] - cx) ** 2 + (xy[:, 1] - cy) ** 2) / (2.0 * self.sigma_ ** 2))
@@ -456,6 +459,8 @@ def estimate_populations(classifier: ReadoutClassifier, shots: ShotSet) -> Popul
 def gaussian_overlap_error(distance: float, sigma: float) -> float:
     """Misassignment probability of two equal-width Gaussians separated by
     ``distance``: Q(d / 2 sigma)."""
+    from scipy.special import erfc
+
     return 0.5 * erfc(distance / (2.0 * sigma) / math.sqrt(2.0))
 
 

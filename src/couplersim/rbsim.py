@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .circuit import DecayRates
 from .numerics import TWO_PI, RngStream, fit_least_squares, liouvillian
@@ -291,6 +290,8 @@ def _lr_unitary(f_lr: float) -> np.ndarray:
 
 def _decoherence_superops(scenario: RBScenario) -> dict:
     """Lindblad channels of the Clifford, leak and LR windows."""
+    from scipy.linalg import expm
+
     q = scenario.qubit
     r = scenario.rates
     low_q = np.kron(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex), np.eye(2))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from scipy.linalg import expm
-from scipy.special import jv
+from scipy.special import factorial, jv
 
 from couplersim import presets
 from couplersim.floquet import coupler_block, modulated_hamiltonian, modulation_spectrum
@@ -75,6 +75,14 @@ class TestTaylorCoefficients:
         s, c = math.sin(0.3), math.cos(0.3)
         exact = [s, c, -s, -c, s, c, -s, -c]
         assert np.max(np.abs(deriv - exact)) < 1e-9
+
+    def test_math_factorial_matches_scipy_bitwise(self):
+        # taylor_coefficients scales by float(k!) from math.factorial, which
+        # equals scipy's factorial(k, exact=False) bitwise up to k = 24 (they
+        # first differ at k = 25; fourier_decompose uses order 8)
+        k = np.arange(25)
+        assert np.array_equal(np.array([float(math.factorial(j)) for j in k]),
+                              factorial(k, exact=False))
 
 
 def random_hermitian(rng, dim, scale=1e7):

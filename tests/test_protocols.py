@@ -8,6 +8,8 @@ from couplersim import presets
 from couplersim.floquet import DriveSpec
 from couplersim.numerics import TWO_PI, RngStream
 from couplersim.protocols import (
+    BOLTZMANN_K,
+    PLANCK_H,
     ReadoutClassifier,
     ShotSet,
     assignment_fidelity,
@@ -62,6 +64,11 @@ class TestResetMetrics:
 
 
 class TestTemperature:
+    def test_si_constants_equal_scipy_bitwise(self):
+        from scipy.constants import h, k
+
+        assert (PLANCK_H, BOLTZMANN_K) == (h, k)
+
     def test_idle_temperature(self):
         assert population_to_temperature(0.0062, 3.83e9) == pytest.approx(36.3e-3, abs=0.3e-3)
 
