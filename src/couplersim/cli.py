@@ -10,6 +10,13 @@ Each ``SCENARIOS`` entry declares its parameter schema once, key ->
 config with it (``_parse_params``: defaults, conversion, unknown keys and
 ranges), ``list`` prints it, and the runners index ``ctx.params[key]``.
 
+A runner (``_run_*``) is pure: it opens no file and returns an ordered
+``{file name: content}`` mapping, the content a ``(header, columns)`` pair
+for a CSV table (a scalar fills its column), a mapping for JSON or a ``str``
+already rendered.  ``run_config`` alone encodes (``_encode``), writes
+atomically and hashes each file and lists them in the manifest in the
+runner's order, so a runner that raises writes nothing.
+
 Exit codes: 0 success, 2 schema violation, 3 numerical failure, 4 I/O
 failure.
 """
@@ -50,24 +57,46 @@ class ConfigError(Exception):
     """Schema or range violation in a scenario configuration."""
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+#: rows the CSV encoder formats per pass; bounds its transient cell lists
+_CSV_CHUNK_ROWS = 256
 
 
-def _write_csv(path: str, header: list, rows) -> None:
+def _cells(values: np.ndarray) -> list:
+    """CSV cells of a column: float64 with 17 significant digits, anything
+    else through ``str``, quoted where the csv module quotes (excel dialect,
+    ``"\\n"`` line ends)."""
+    if values.dtype == np.float64:
+        return list(map("{:.17g}".format, values.tolist()))
+    return ['"' + c.replace('"', '""') + '"' if {",", '"', "\n"} & set(c) else c
+            for c in map(str, values.tolist())]
+
+
+def _encode_csv(header: list, columns: list) -> bytes:
+    """A CSV table from its columns; a scalar fills its whole column.  The
+    rows are formatted in chunks so the cell lists stay small."""
+    columns = [np.asarray(c) for c in columns]
+    n = next((len(c) for c in columns if c.ndim), 1)
+    for name, c in zip(header, columns):
+        if c.ndim and len(c) != n:
+            raise ValueError(f"CSV column {name!r} has {len(c)} rows, expected {n}")
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    _atomic_write(path, buf.getvalue().encode())
+    csv.writer(buf, lineterminator="\n").writerow(header)
+    for start in range(0, n, _CSV_CHUNK_ROWS):
+        m = min(n - start, _CSV_CHUNK_ROWS)
+        cells = [_cells(c[start:start + m]) if c.ndim else _cells(c.reshape(1)) * m
+                 for c in columns]
+        buf.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    return buf.getvalue().encode()
 
 
-def _write_json(path: str, payload: dict) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
-    _atomic_write(path, (text + "\n").encode())
+def _encode(content) -> bytes:
+    """The bytes of one output file: a ``(header, columns)`` pair is a CSV
+    table, a mapping a JSON document, a ``str`` text already rendered."""
+    if isinstance(content, str):
+        return content.encode()
+    if isinstance(content, tuple):
+        return _encode_csv(*content)
+    return (json.dumps(_jsonable(content), indent=2, sort_keys=True) + "\n").encode()
 
 
 def _jsonable(obj):
@@ -78,8 +107,7 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return float(format(f, ".17g")) if math.isfinite(f) else None
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -260,7 +288,7 @@ def build_context(cfg: dict, seed_override=None, out_override=None) -> RunContex
 # scenarios
 # ---------------------------------------------------------------------------
 
-def _run_reset_dynamics(ctx: RunContext) -> list:
+def _run_reset_dynamics(ctx: RunContext) -> dict:
     p = ctx.params
     g_list = p["g_tilde"]
     rates = ctx.rates
@@ -269,22 +297,20 @@ def _run_reset_dynamics(ctx: RunContext) -> list:
     header = ["t_s"]
     for g in g_list:
         cols.append(dynamics.damped_swap_population(t, g, rates.gamma1["Q1"], rates.kappa_r))
-        header.append(f"p_e_g{_fmt(g)}")
+        header.append(f"p_e_g{g:.17g}")
     env = presets.RESET_PULSE
     cols.append(dynamics.pulsed_swap_population(t, env, g_list[-1],
                                                 rates.gamma1["Q1"], rates.kappa_r))
     header.append("p_e_pulsed_strongest")
-    path = os.path.join(ctx.out_dir, "reset_dynamics.csv")
-    _write_csv(path, header, zip(*cols))
-    return [path]
+    return {"reset_dynamics.csv": (header, cols)}
 
 
-def _run_reset_metrics(ctx: RunContext) -> list:
+def _run_reset_metrics(ctx: RunContext) -> dict:
     p = ctx.params
     metrics = protocols.reset_metrics(p["p_id"], p["p_pi"], p["p_id_r"], p["p_pi_r"])
     budget = protocols.thermal_budget(p["p_id"], ctx.rates.gamma1["Q1"], p["omega_q"],
                                       p["omega_r"], p["tau_r"], p["tau_m"])
-    payload = {
+    return {"reset_metrics.json": {
         **metrics,
         "temperature_idle_k": protocols.population_to_temperature(p["p_id"], p["omega_q"]),
         "temperature_reset_k": protocols.population_to_temperature(p["p_id_r"], p["omega_q"]),
@@ -292,28 +318,23 @@ def _run_reset_metrics(ctx: RunContext) -> list:
         "n_up": budget.n_up,
         "floor": budget.floor,
         "kappa_01_hz": budget.kappa_01,
-    }
-    path = os.path.join(ctx.out_dir, "reset_metrics.json")
-    _write_json(path, payload)
-    return [path]
+    }}
 
 
-def _run_lr_dynamics(ctx: RunContext) -> list:
+def _run_lr_dynamics(ctx: RunContext) -> dict:
     p = ctx.params
     g = p["g_tilde"]
     t = np.linspace(0.0, p["duration"], p["n_points"])
-    rows = []
-    for ti in t:
-        pop = dynamics.lr_three_level_populations(ti, g, ctx.rates)
-        rows.append((ti, pop.p_g, pop.p_e, pop.p_f, pop.p_r))
-    csv_path = os.path.join(ctx.out_dir, "lr_dynamics.csv")
-    _write_csv(csv_path, ["t_s", "p_g", "p_e", "p_f", "p_r"], rows)
-    json_path = os.path.join(ctx.out_dir, "lr_summary.json")
-    _write_json(json_path, {
-        "g_tilde_hz": g,
-        "swap_time_s": dynamics.lr_swap_time(g, ctx.rates),
-    })
-    return [csv_path, json_path]
+    pops = [dynamics.lr_three_level_populations(ti, g, ctx.rates) for ti in t]
+    header = ["t_s", "p_g", "p_e", "p_f", "p_r"]
+    return {
+        "lr_dynamics.csv": (header, [t] + [[getattr(q, key) for q in pops]
+                                           for key in header[1:]]),
+        "lr_summary.json": {
+            "g_tilde_hz": g,
+            "swap_time_s": dynamics.lr_swap_time(g, ctx.rates),
+        },
+    }
 
 
 #: ``RBScenario`` fields and their defaults (``MISSING`` for ``l_cl``)
@@ -327,19 +348,17 @@ def _rb_scenario(ctx: RunContext) -> rbsim.RBScenario:
     return rbsim.RBScenario(rates=ctx.rates, **declared)
 
 
-def _run_leakage_rb(ctx: RunContext) -> list:
+def _run_leakage_rb(ctx: RunContext) -> dict:
     p = ctx.params
     scenario = _rb_scenario(ctx)
     curves = rbsim.monte_carlo_rb(scenario, ctx.stream(), n_randomizations=p["n_randomizations"])
-    csv_path = os.path.join(ctx.out_dir, "leakage_rb.csv")
-    _write_csv(csv_path, ["n_cl", "p_g_mean", "p_g_std", "p_f_mean", "p_f_std"],
-               zip(curves.n_cl, curves.p_g_mean, curves.p_g_std,
-                   curves.p_f_mean, curves.p_f_std))
     fit = rbsim.fit_rb(curves.n_cl, curves.p_g_mean, curves.p_f_mean)
     forms = rbsim.a2_closed_forms(scenario)
     models = rbsim.error_models(scenario)
-    json_path = os.path.join(ctx.out_dir, "leakage_rb_fit.json")
-    _write_json(json_path, {
+    curve_table = (["n_cl", "p_g_mean", "p_g_std", "p_f_mean", "p_f_std"],
+                   [curves.n_cl, curves.p_g_mean, curves.p_g_std,
+                    curves.p_f_mean, curves.p_f_std])
+    return {"leakage_rb.csv": curve_table, "leakage_rb_fit.json": {
         "a0": fit.a0, "b0": fit.b0, "lambda0": fit.lambda0,
         "a2": fit.a2, "b2": fit.b2, "lambda2": fit.lambda2,
         "epsilon": fit.epsilon, "l2": fit.l2,
@@ -353,11 +372,10 @@ def _run_leakage_rb(ctx: RunContext) -> list:
             "eps_ref": models.eps_ref, "eps_leak": models.eps_leak,
             "eps_lr": models.eps_lr, "breakeven_l": models.breakeven_l,
         },
-    })
-    return [csv_path, json_path]
+    }}
 
 
-def _run_periodic_lr(ctx: RunContext) -> list:
+def _run_periodic_lr(ctx: RunContext) -> dict:
     n_max = ctx.params["n_max"]
     base = _rb_scenario(ctx)
     header = ["n_cl"]
@@ -369,25 +387,19 @@ def _run_periodic_lr(ctx: RunContext) -> list:
         header.append(f"p_f_every_{n_lr}")
         summary[f"max_p_f_every_{n_lr}"] = float(trace.max())
         summary[f"bound_every_{n_lr}"] = n_lr * base.l_cl / 2.0
-    csv_path = os.path.join(ctx.out_dir, "periodic_lr.csv")
-    _write_csv(csv_path, header, zip(*columns))
-    json_path = os.path.join(ctx.out_dir, "periodic_lr_summary.json")
-    _write_json(json_path, summary)
-    return [csv_path, json_path]
+    return {"periodic_lr.csv": (header, columns), "periodic_lr_summary.json": summary}
 
 
-def _run_chi_map(ctx: RunContext) -> list:
+def _run_chi_map(ctx: RunContext) -> dict:
     p = ctx.params
     span = p["delta_span"]
     delta = np.linspace(-span, span, p["n_points"])
-    header = ["delta_drive_hz"] + [f"two_chi_g{_fmt(g)}" for g in p["g_tilde"]]
-    columns = [delta] + [np.array([chi_shift(g, d) for d in delta]) for g in p["g_tilde"]]
-    path = os.path.join(ctx.out_dir, "chi_map.csv")
-    _write_csv(path, header, zip(*columns))
-    return [path]
+    header = ["delta_drive_hz"] + [f"two_chi_g{g:.17g}" for g in p["g_tilde"]]
+    columns = [delta] + [[chi_shift(g, d) for d in delta] for g in p["g_tilde"]]
+    return {"chi_map.csv": (header, columns)}
 
 
-def _run_readout_shots(ctx: RunContext) -> list:
+def _run_readout_shots(ctx: RunContext) -> dict:
     p = ctx.params
     n_shots, sep, tau_meas, sigma = p["n_shots"], p["separation_sigma"], p["tau_meas"], 1.0
     centers = np.array([[0.0, 0.0], [sep, 0.0], [sep / 2.0, 0.9 * sep]]) * sigma
@@ -408,45 +420,37 @@ def _run_readout_shots(ctx: RunContext) -> list:
         p["experiment_populations"], centers, sigma, n_shots, ctx.stream(7), label="experiment")
     est = protocols.estimate_populations(clf, mixed)
 
-    files = []
-    for label, shots in {**cal, "experiment": mixed}.items():
-        path = os.path.join(ctx.out_dir, f"shots_{label}.csv")
-        _write_csv(path, ["I", "Q", "label"],
-                   ((iq[0], iq[1], shots.label) for iq in shots.iq))
-        files.append(path)
-    clf_path = os.path.join(ctx.out_dir, "classifier.json")
-    _atomic_write(clf_path, (clf.to_json() + "\n").encode())
-    files.append(clf_path)
-    json_path = os.path.join(ctx.out_dir, "readout_metrics.json")
-    _write_json(json_path, {
-        "f_meas": fid.f_meas,
-        "f_overlap": fid.f_overlap,
-        "f_decay": fid.f_decay,
-        "f_budget": fid.f_budget,
-        "estimated_populations": est.populations,
-        "clamp_correction": est.clamp_correction,
-    })
-    files.append(json_path)
-    return files
+    return {
+        **{f"shots_{label}.csv": (["I", "Q", "label"],
+                                  [shots.iq[:, 0], shots.iq[:, 1], shots.label])
+           for label, shots in {**cal, "experiment": mixed}.items()},
+        "classifier.json": clf.to_json() + "\n",
+        "readout_metrics.json": {
+            "f_meas": fid.f_meas,
+            "f_overlap": fid.f_overlap,
+            "f_decay": fid.f_decay,
+            "f_budget": fid.f_budget,
+            "estimated_populations": est.populations,
+            "clamp_correction": est.clamp_correction,
+        },
+    }
 
 
-def _run_cz_chevron(ctx: RunContext) -> list:
+def _run_cz_chevron(ctx: RunContext) -> dict:
     # the schema keys are the keyword arguments of cz_conditional_phase
     scan = protocols.cz_conditional_phase(presets.table_circuit(), presets.cz_drive(),
                                           **ctx.params)
-    chevron_path = os.path.join(ctx.out_dir, "cz_chevron.csv")
-    header = ["t_s"] + [f"p_ee_fd{_fmt(w)}" for w in scan.omega_d]
-    _write_csv(chevron_path, header, zip(scan.times, *scan.p_ee))
-    phase_path = os.path.join(ctx.out_dir, "cz_phase.csv")
-    _write_csv(phase_path, ["omega_d_hz", "duration_s", "phase_rad", "valid"],
-               zip(scan.omega_d, scan.duration, scan.phase, scan.valid.astype(int)))
-    json_path = os.path.join(ctx.out_dir, "cz_operating_point.json")
-    _write_json(json_path, {
-        "omega_d_hz": scan.omega_d_star,
-        "tau_cz_s": scan.tau_cz,
-        "conditional_phase_rad": scan.phase_star,
-    })
-    return [chevron_path, phase_path, json_path]
+    return {
+        "cz_chevron.csv": (["t_s"] + [f"p_ee_fd{w:.17g}" for w in scan.omega_d],
+                           [scan.times, *scan.p_ee]),
+        "cz_phase.csv": (["omega_d_hz", "duration_s", "phase_rad", "valid"],
+                         [scan.omega_d, scan.duration, scan.phase, scan.valid.astype(int)]),
+        "cz_operating_point.json": {
+            "omega_d_hz": scan.omega_d_star,
+            "tau_cz_s": scan.tau_cz,
+            "conditional_phase_rad": scan.phase_star,
+        },
+    }
 
 
 _FIXTURE_DRIVES = {"reset": presets.reset_drive, "lr": presets.lr_drive,
@@ -467,7 +471,7 @@ def _floquet_drive(params: dict) -> tuple:
     return circuit, drive, man, spectrum, in_window
 
 
-def _run_floquet_report(ctx: RunContext) -> list:
+def _run_floquet_report(ctx: RunContext) -> dict:
     circuit, drive, man, spectrum, in_window = _floquet_drive(ctx.params)
     report = {
         "kind": ctx.params["kind"],
@@ -508,11 +512,10 @@ def _run_floquet_report(ctx: RunContext) -> list:
             else:
                 rows.append((a, g_eq, g_eq, g_eq))
 
-    json_path = os.path.join(ctx.out_dir, "floquet_report.json")
-    _write_json(json_path, report)
-    csv_path = os.path.join(ctx.out_dir, "coupling_vs_amplitude.csv")
-    _write_csv(csv_path, ["a_d_rad", "g_leading_hz", "g_tilde_ab_hz", "g_tilde_prime_ab_hz"], rows)
-    return [json_path, csv_path]
+    return {"floquet_report.json": report,
+            "coupling_vs_amplitude.csv": (
+                ["a_d_rad", "g_leading_hz", "g_tilde_ab_hz", "g_tilde_prime_ab_hz"],
+                list(zip(*rows)))}
 
 
 #: the reference-device decay rates, each entry overridable
@@ -579,22 +582,22 @@ def run_config(config_path: str, seed=None, out=None) -> dict:
     cfg = load_config(config_path)
     ctx = build_context(cfg, seed_override=seed, out_override=out)
     os.makedirs(ctx.out_dir, exist_ok=True)
-    started = time.time()
-    files = SCENARIOS[ctx.name][0](ctx)
+    started = time.perf_counter()
+    files = []
+    for name, content in SCENARIOS[ctx.name][0](ctx).items():
+        data = _encode(content)
+        _atomic_write(os.path.join(ctx.out_dir, name), data)
+        files.append({"path": name, "sha256": hashlib.sha256(data).hexdigest()})
     canonical = json.dumps(_jsonable(cfg), sort_keys=True).encode()
     manifest = {
         "scenario": ctx.name,
         "config_hash": hashlib.sha256(canonical).hexdigest(),
         "tool_version": __version__,
         "seed": ctx.seed,
-        "wall_time_s": time.time() - started,
-        "files": [
-            {"path": os.path.relpath(f, ctx.out_dir),
-             "sha256": hashlib.sha256(open(f, "rb").read()).hexdigest()}
-            for f in files
-        ],
+        "wall_time_s": time.perf_counter() - started,
+        "files": files,
     }
-    _write_json(os.path.join(ctx.out_dir, "manifest.json"), manifest)
+    _atomic_write(os.path.join(ctx.out_dir, "manifest.json"), _encode(manifest))
     return manifest
 
 

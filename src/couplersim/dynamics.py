@@ -370,6 +370,8 @@ _PAULIS = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+#: most negative Choi eigenvalue of a channel still counted as physical
+CHOI_TOL = 1e-7
 
 
 @dataclass
@@ -388,12 +390,14 @@ class PTMResult:
     physical: bool
 
 
-def pauli_transfer_matrix(channel, tol: float = 1e-7) -> PTMResult:
+def pauli_transfer_matrix(channel) -> PTMResult:
     """Reconstruct the PTM of ``channel`` from the standard tomography set.
 
     ``channel`` maps a 2x2 density matrix to a density matrix; outputs of
     larger dimension are projected onto their upper-left 2x2 block and
-    renormalised, with the discarded population reported as leakage.
+    renormalised, with the discarded population reported as leakage.  The
+    channel counts as physical when its Choi matrix has no eigenvalue below
+    ``-CHOI_TOL``.
     """
     probes = [
         np.array([[1, 0], [0, 0]], dtype=complex),
@@ -434,7 +438,7 @@ def pauli_transfer_matrix(channel, tol: float = 1e-7) -> PTMResult:
         for jj, sig_j in enumerate(_PAULIS):
             choi += 0.25 * r[i, jj] * np.kron(sig_j.T, sig_i)
     min_eig = float(np.linalg.eigvalsh(choi).min())
-    physical = min_eig > -tol
+    physical = min_eig > -CHOI_TOL
     if not physical:
         warnings.warn(
             f"reconstructed channel is not completely positive "
@@ -450,16 +454,9 @@ def pauli_transfer_matrix(channel, tol: float = 1e-7) -> PTMResult:
     )
 
 
-def average_gate_fidelity(ptm: PTMResult | np.ndarray, target: np.ndarray | None = None) -> float:
-    """Average gate fidelity of a PTM against a target unitary (default
-    identity): ``F = (2 F_pro + 1) / 3`` with ``F_pro = Tr(R_t^T R) / 4``."""
+def average_gate_fidelity(ptm: PTMResult | np.ndarray) -> float:
+    """Average gate fidelity of a PTM against the identity:
+    ``F = (2 F_pro + 1) / 3`` with ``F_pro = Tr(R) / 4``."""
     r = ptm.matrix if isinstance(ptm, PTMResult) else np.asarray(ptm)
-    if target is None:
-        r_t = np.eye(4)
-    else:
-        r_t = np.empty((4, 4))
-        for i, sig_i in enumerate(_PAULIS):
-            for jj, sig_j in enumerate(_PAULIS):
-                r_t[i, jj] = 0.5 * np.trace(sig_i @ target @ sig_j @ target.conj().T).real
-    f_pro = float(np.trace(r_t.T @ r)) / 4.0
+    f_pro = float(np.trace(r)) / 4.0
     return (2.0 * f_pro + 1.0) / 3.0

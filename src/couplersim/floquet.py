@@ -33,6 +33,10 @@ from .numerics import (TWO_PI, midpoint_spectrum, periodic_propagator, strobosco
                        taylor_coefficients)
 
 
+#: samples per drive period of the exact Fourier coefficients
+FOURIER_SAMPLES = 4096
+
+
 class ValidityWarning(UserWarning):
     """A result was produced outside its stated validity window."""
 
@@ -92,13 +96,12 @@ def fourier_decompose(
     drive: DriveSpec,
     coupler: CouplerSpec,
     m_max: int = 4,
-    n_samples: int = 4096,
 ) -> DriveSpectrum:
     """Fourier decomposition of the modulated coupler frequency.
 
-    Returns both the numerically exact coefficients (FFT of one sampled
-    period) and the analytic flux-derivative series truncated at derivative
-    order ``2 * m_max``.
+    Returns both the numerically exact coefficients (FFT of one period
+    sampled at ``FOURIER_SAMPLES`` points) and the analytic flux-derivative
+    series truncated at derivative order ``2 * m_max``.
 
     Raises
     ------
@@ -120,9 +123,9 @@ def fourier_decompose(
             )
 
     # exact path: omega_C(phi_dc + a sin(wt)) is even in y = w t - pi/2
-    y = TWO_PI * np.arange(n_samples) / n_samples
+    y = TWO_PI * np.arange(FOURIER_SAMPLES) / FOURIER_SAMPLES
     f = coupler_frequency(drive.phi_dc + drive.a_d * np.sin(y + math.pi / 2), coupler)
-    coef = np.fft.rfft(f) / n_samples
+    coef = np.fft.rfft(f) / FOURIER_SAMPLES
     omega_bar = float(coef[0].real)
     d_m = tuple(float(2.0 * coef[m].real) for m in range(1, m_max + 1))
 
@@ -352,15 +355,15 @@ class EffectiveFrame:
         low = np.sort(evals[np.argsort(np.abs(evals - self.omega_tilde_a))[:2]])
         return float(low[1] - low[0])
 
-    def dressed_resonance_offset(self, window: float | None = None) -> float:
+    def dressed_resonance_offset(self) -> float:
         """B-state detuning ``delta_b`` at which the dressed A and B branches
-        anticross (the dressed-resonance condition)."""
+        anticross (the dressed-resonance condition), searched within ten
+        times the largest frame entry plus 20 MHz."""
         from scipy.optimize import minimize_scalar
 
-        if window is None:
-            scale = max(abs(self.omega_tilde_a), abs(self.omega_tilde_b),
-                        abs(self.g_tilde_ab), 1e5)
-            window = 10.0 * scale + 20e6
+        scale = max(abs(self.omega_tilde_a), abs(self.omega_tilde_b),
+                    abs(self.g_tilde_ab), 1e5)
+        window = 10.0 * scale + 20e6
         res = minimize_scalar(self._qubit_gap, bounds=(-window, window),
                               method="bounded", options={"xatol": 1e-2})
         return float(res.x)
@@ -383,7 +386,6 @@ def k2_closed_forms(
     circuit: CircuitSpec,
     drive: DriveSpec,
     states: str | TransitionManifold,
-    m_max: int = 4,
 ) -> EffectiveFrame:
     """Closed-form drive-frame parameters for a k = 2 parametric transition.
 
@@ -396,7 +398,7 @@ def k2_closed_forms(
     if drive.k != 2:
         raise ValueError("closed forms are k = 2 specific")
     man = states if isinstance(states, TransitionManifold) else transition_manifold(circuit, states)
-    spec = fourier_decompose(drive, circuit.coupler, m_max=max(m_max, 2))
+    spec = fourier_decompose(drive, circuit.coupler)
     wd = drive.omega_d
     x1 = spec.d_m[0] / wd
     x2 = -spec.d_m[1] / (2.0 * wd)
@@ -499,19 +501,13 @@ class ReadoutOperatingPoint:
     g_tilde_qr: float
     delta: float
     chi: float
-    delta_p: float = 0.0
 
 
-def readout_operating_point(
-    g_tilde_qr: float,
-    delta_lab: float,
-    k: int = 2,
-    delta_p: float = 0.0,
-) -> ReadoutOperatingPoint:
+def readout_operating_point(g_tilde_qr: float, delta_lab: float,
+                            k: int = 2) -> ReadoutOperatingPoint:
     delta = lab_to_drive_detuning(delta_lab, k)
-    return ReadoutOperatingPoint(
-        g_tilde_qr=g_tilde_qr, delta=delta, chi=chi_shift(g_tilde_qr, delta), delta_p=delta_p
-    )
+    return ReadoutOperatingPoint(g_tilde_qr=g_tilde_qr, delta=delta,
+                                 chi=chi_shift(g_tilde_qr, delta))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ BOLTZMANN_K = 1.380649e-23
 MIN_CALIBRATION_SHOTS = 1000
 #: tolerance on the sum of a population vector
 POPULATION_SUM_TOL = 1e-9
+#: histogram bins per IQ axis of the readout-classifier fits
+CLASSIFIER_BINS = 60
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +221,9 @@ class ShotSet:
         return self.iq.shape[0]
 
 
-def shotset_to_csv(shots: ShotSet, path: str) -> None:
-    """Write a shot set as CSV with columns (I, Q, label)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["I", "Q", "label"])
-        for i, q in shots.iq:
-            writer.writerow([format(i, ".17g"), format(q, ".17g"), shots.label])
-
-
 def shotset_from_csv(path: str) -> ShotSet:
-    """Read a shot set written by :func:`shotset_to_csv`."""
+    """Read a shot table with columns (I, Q, label), as the ``readout-shots``
+    scenario writes it."""
     import csv
 
     iq = []
@@ -283,18 +275,41 @@ def generate_shots(
     return ShotSet(iq=iq, label=label)
 
 
-def _histogram2d(iq: np.ndarray, bins: int):
+def _histogram2d(iq: np.ndarray):
     lo = iq.min(axis=0)
     hi = iq.max(axis=0)
     pad = 0.05 * (hi - lo + 1e-12)
     counts, xe, ye = np.histogram2d(
-        iq[:, 0], iq[:, 1], bins=bins,
+        iq[:, 0], iq[:, 1], bins=CLASSIFIER_BINS,
         range=[[lo[0] - pad[0], hi[0] + pad[0]], [lo[1] - pad[1], hi[1] + pad[1]]],
     )
     xc = 0.5 * (xe[:-1] + xe[1:])
     yc = 0.5 * (ye[:-1] + ye[1:])
     gx, gy = np.meshgrid(xc, yc, indexing="ij")
     return np.column_stack([gx.ravel(), gy.ravel()]), counts.ravel()
+
+
+def _nearest(iq: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of the centre nearest to each IQ shot."""
+    d2 = ((iq[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return np.argmin(d2, axis=1)
+
+
+def _fit_blob(iq: np.ndarray, sigma: float | None) -> tuple:
+    """Centre and width of a 2-D Gaussian fitted to the histogram of ``iq``;
+    the width is fitted when ``sigma`` is None, else held."""
+    xy, counts = _histogram2d(iq)
+    x0, y0 = xy[int(np.argmax(counts))]
+
+    def model(x, h, cx, cy, sig=sigma):
+        r2 = (x[:, 0] - cx) ** 2 + (x[:, 1] - cy) ** 2
+        return h * np.exp(-r2 / (2.0 * sig ** 2))
+
+    guess = [counts.max(), x0, y0]
+    if sigma is None:
+        guess.append(float(np.mean(np.std(iq, axis=0))))
+    _, cx, cy, *width = fit_least_squares(model, xy, counts, guess).params
+    return (cx, cy), abs(width[0]) if width else sigma
 
 
 class ReadoutClassifier:
@@ -310,41 +325,13 @@ class ReadoutClassifier:
     measured assignment fractions into state populations.
     """
 
-    def __init__(self, bins: int = 60):
-        self.bins = bins
-
     # -- calibration --------------------------------------------------------
-
-    def _fit_blob(self, iq: np.ndarray, sigma: float | None):
-        xy, counts = _histogram2d(iq, self.bins)
-        i0 = int(np.argmax(counts))
-        x0, y0 = xy[i0]
-        if sigma is None:
-            spread = float(np.mean(np.std(iq, axis=0)))
-
-            def model(x, h, cx, cy, sig):
-                r2 = (x[:, 0] - cx) ** 2 + (x[:, 1] - cy) ** 2
-                return h * np.exp(-r2 / (2.0 * sig ** 2))
-
-            fit = fit_least_squares(model, xy, counts,
-                                    [counts.max(), x0, y0, spread])
-            h, cx, cy, sig = fit.params
-            return (cx, cy), abs(sig), h, fit
-        else:
-
-            def model(x, h, cx, cy, _s=sigma):
-                r2 = (x[:, 0] - cx) ** 2 + (x[:, 1] - cy) ** 2
-                return h * np.exp(-r2 / (2.0 * _s ** 2))
-
-            fit = fit_least_squares(model, xy, counts, [counts.max(), x0, y0])
-            h, cx, cy = fit.params
-            return (cx, cy), sigma, h, fit
 
     def _component_heights(self, iq: np.ndarray) -> np.ndarray:
         """Height-only three-component fit (centers and width held fixed)."""
         from scipy.optimize import nnls
 
-        xy, counts = _histogram2d(iq, self.bins)
+        xy, counts = _histogram2d(iq)
         design = np.stack([
             np.exp(-((xy[:, 0] - cx) ** 2 + (xy[:, 1] - cy) ** 2) / (2.0 * self.sigma_ ** 2))
             for cx, cy in self.centers_
@@ -352,25 +339,22 @@ class ReadoutClassifier:
         heights, _ = nnls(design, counts.astype(float))
         return heights
 
-    def fit(self, X, y) -> "ReadoutClassifier":
-        """Calibrate from labelled IQ shots (labels 0, 1, 2 for g, e, f)."""
-        X = np.asarray(X, dtype=float).reshape(-1, 2)
-        y = np.asarray(y)
-        sets = [X[y == s] for s in range(3)]
+    def fit(self, iq_g, iq_e, iq_f) -> "ReadoutClassifier":
+        """Calibrate from the IQ shots prepared in g, e and f."""
+        sets = [np.asarray(iq, dtype=float).reshape(-1, 2) for iq in (iq_g, iq_e, iq_f)]
         for s, shots in zip(STATE_LABELS, sets):
             if shots.shape[0] < MIN_CALIBRATION_SHOTS:
                 raise ValueError(f"calibration set '{s}' needs >= {MIN_CALIBRATION_SHOTS} shots")
 
-        center_g, sigma, _, _ = self._fit_blob(sets[0], sigma=None)
+        center_g, sigma = _fit_blob(sets[0], None)
         self.sigma_ = float(sigma)
-        center_e, _, _, _ = self._fit_blob(sets[1], sigma=self.sigma_)
-        center_f, _, _, _ = self._fit_blob(sets[2], sigma=self.sigma_)
-        self.centers_ = np.array([center_g, center_e, center_f])
+        self.centers_ = np.array([center_g] + [_fit_blob(s, self.sigma_)[0]
+                                               for s in sets[1:]])
 
         self.heights_ = np.stack([self._component_heights(s) for s in sets])
 
         confusion = np.stack([
-            np.bincount(self._assign(s), minlength=3) / s.shape[0] for s in sets
+            np.bincount(_nearest(s, self.centers_), minlength=3) / s.shape[0] for s in sets
         ])
         # the inverse amplifies statistical noise by 1/sigma_min; reject
         # calibrations whose states are effectively indistinguishable
@@ -381,21 +365,17 @@ class ReadoutClassifier:
 
     # -- inference -----------------------------------------------------------
 
-    def _assign(self, iq: np.ndarray) -> np.ndarray:
-        d2 = ((iq[:, None, :] - self.centers_[None, :, :]) ** 2).sum(axis=2)
-        return np.argmin(d2, axis=1)
-
     def predict(self, X) -> np.ndarray:
         """Maximum-likelihood state assignment (nearest centre at shared
         width)."""
-        return self._assign(np.asarray(X, dtype=float).reshape(-1, 2))
+        return _nearest(np.asarray(X, dtype=float).reshape(-1, 2), self.centers_)
 
     def assignment_fractions(self, X) -> np.ndarray:
         return np.bincount(self.predict(X), minlength=3) / np.asarray(X).reshape(-1, 2).shape[0]
 
     def to_json(self) -> str:
         return json.dumps({
-            "bins": self.bins,
+            "bins": CLASSIFIER_BINS,
             "centers": self.centers_.tolist(),
             "sigma": self.sigma_,
             "heights": self.heights_.tolist(),
@@ -405,7 +385,7 @@ class ReadoutClassifier:
     @classmethod
     def from_json(cls, text: str) -> "ReadoutClassifier":
         data = json.loads(text)
-        obj = cls(bins=data["bins"])
+        obj = cls()
         obj.centers_ = np.asarray(data["centers"], dtype=float)
         obj.sigma_ = float(data["sigma"])
         obj.heights_ = np.asarray(data["heights"], dtype=float)
@@ -413,13 +393,10 @@ class ReadoutClassifier:
         return obj
 
 
-def calibrate_classifier(shots_g: ShotSet, shots_e: ShotSet, shots_f: ShotSet,
-                         bins: int = 60) -> ReadoutClassifier:
+def calibrate_classifier(shots_g: ShotSet, shots_e: ShotSet,
+                         shots_f: ShotSet) -> ReadoutClassifier:
     """Run the sequential Gaussian calibration on three labelled shot sets."""
-    sets = (shots_g, shots_e, shots_f)
-    x = np.concatenate([s.iq for s in sets])
-    y = np.concatenate([np.full(len(s), i) for i, s in enumerate(sets)])
-    return ReadoutClassifier(bins=bins).fit(x, y)
+    return ReadoutClassifier().fit(shots_g.iq, shots_e.iq, shots_f.iq)
 
 
 @dataclass(frozen=True)
@@ -489,12 +466,8 @@ def assignment_fidelity(
     relaxation during the measurement, reported when the budget inputs are
     supplied, together with the product ``f_overlap * f_decay``.
     """
-    def binary_assign(iq):
-        d2 = ((iq[:, None, :] - classifier.centers_[None, :2, :]) ** 2).sum(axis=2)
-        return np.argmin(d2, axis=1)
-
-    p_gg = float(np.mean(binary_assign(shots_g.iq) == 0))
-    p_ee = float(np.mean(binary_assign(shots_e.iq) == 1))
+    p_gg = float(np.mean(_nearest(shots_g.iq, classifier.centers_[:2]) == 0))
+    p_ee = float(np.mean(_nearest(shots_e.iq, classifier.centers_[:2]) == 1))
     f_meas = 0.5 * (p_gg + p_ee)
     dist = float(np.linalg.norm(classifier.centers_[1] - classifier.centers_[0]))
     f_overlap = 1.0 - gaussian_overlap_error(dist, classifier.sigma_)

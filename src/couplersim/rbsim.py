@@ -32,6 +32,9 @@ from .circuit import DecayRates
 from .numerics import TWO_PI, RngStream, fit_least_squares, liouvillian
 
 DEFAULT_N_CL_GRID = tuple(int(round(x)) for x in np.unique(np.geomspace(1, 1000, 20).round()))
+#: stopping rule of the steady-state power iteration
+_POWER_TOL = 1e-14
+_POWER_MAX_ITER = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -111,15 +114,15 @@ def cycle_matrix(scenario: RBScenario, with_lr: bool) -> np.ndarray:
     return m["fe"] @ m["leak"]
 
 
-def steady_state_leakage(scenario: RBScenario, with_lr: bool, tol: float = 1e-14,
-                         max_iter: int = 2_000_000) -> float:
+def steady_state_leakage(scenario: RBScenario, with_lr: bool) -> float:
     """Equilibrium P_f by power iteration of the cycle matrix (the oracle
-    for the closed forms)."""
+    for the closed forms): at most ``_POWER_MAX_ITER`` steps, stopping when
+    no entry moves by ``_POWER_TOL``."""
     m = cycle_matrix(scenario, with_lr)
     vec = np.array([1.0, 0.0, 0.0])
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         new = m @ vec
-        if np.max(np.abs(new - vec)) < tol:
+        if np.max(np.abs(new - vec)) < _POWER_TOL:
             return float(new[1])
         vec = new
     warnings.warn("power iteration did not converge to tolerance", UserWarning, stacklevel=2)

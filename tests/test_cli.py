@@ -1,7 +1,11 @@
+import csv
 import hashlib
+import io
+import itertools
 import json
 import os
 
+import numpy as np
 import pytest
 import yaml
 
@@ -27,6 +31,63 @@ def run(config, out):
 def data_files(out_dir):
     return {name: (out_dir / name).read_bytes()
             for name in sorted(os.listdir(out_dir)) if name != "manifest.json"}
+
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def reference_csv(header, rows) -> bytes:
+    """The per-row CSV writer the column encoder replaced (one ``_fmt``
+    call per cell); kept as the reference for ``cli._encode``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    return buf.getvalue().encode()
+
+
+EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+               2.2250738585072014e-308 / 3, 1e300, -1e-300, 0.1, 1 / 3, 2.07e6, 1.0]
+EDGE_STRINGS = ["g", "a,b", 'say "hi"', "two\nlines", "", " pad", "tab\tx", "cr\rx"]
+
+
+class TestEncoder:
+    @pytest.mark.parametrize("n", [0, 1, 13, 2 * cli._CSV_CHUNK_ROWS + 5])
+    def test_matches_the_per_row_writer_bitwise(self, n):
+        floats = np.resize(np.array(EDGE_FLOATS), n)
+        header = ["f64", "py_float", "int64", "py_int", "bool", "str", "label", "scalar"]
+        columns = [
+            floats,
+            floats[::-1].tolist(),
+            np.arange(n, dtype=np.int64) * 10 ** 15 - 7,
+            [2 ** 62 + k for k in range(n)],
+            np.arange(n) % 3 == 0,
+            [EDGE_STRINGS[k % len(EDGE_STRINGS)] for k in range(n)],
+            "experiment",   # a scalar fills its column
+            0.1,
+        ]
+        rows = zip(*(c if np.ndim(c) else [c] * n for c in columns))
+        assert cli._encode((header, columns)) == reference_csv(header, rows)
+
+    @pytest.mark.parametrize("lengths", [(3, 2), (3, 4), (3, 3, 1)])
+    def test_column_of_another_length_raises(self, lengths):
+        columns = [np.zeros(k) for k in lengths]
+        with pytest.raises(ValueError, match="rows, expected 3"):
+            cli._encode(([f"c{i}" for i in range(len(lengths))], columns))
+
+    def test_failing_runner_writes_no_data_file(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("fit failed")
+
+        monkeypatch.setattr(cli.rbsim, "fit_rb", fail)
+        config = write_config(tmp_path, "leakage-rb", RB_PARAMS)
+        assert run(config, tmp_path / "a") == 3
+        assert "fit failed" in capsys.readouterr().err
+        assert not (tmp_path / "a" / "leakage_rb.csv").exists()
 
 
 class TestExitCodes:
@@ -98,6 +159,12 @@ class TestOutputs:
         assert set(listed) == set(data_files(tmp_path / "a"))
         for path, digest in listed.items():
             assert hashlib.sha256((tmp_path / "a" / path).read_bytes()).hexdigest() == digest
+
+    def test_wall_time_ignores_wall_clock_jumps(self, tmp_path, monkeypatch):
+        clock = itertools.count(1e9, -3600.0)  # a wall clock set back every call
+        monkeypatch.setattr(cli.time, "time", lambda: next(clock))
+        config = write_config(tmp_path, "reset-metrics")
+        assert 0.0 <= cli.run_config(config, out=str(tmp_path / "a"))["wall_time_s"] < 3600.0
 
     def test_list_shows_every_read_parameter_of_cz_chevron(self, capsys):
         assert cli.main(["list"]) == 0

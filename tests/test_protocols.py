@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from couplersim import presets
+from couplersim import cli, presets
 from couplersim.floquet import DriveSpec
 from couplersim.numerics import TWO_PI, RngStream
 from couplersim.protocols import (
@@ -25,7 +25,6 @@ from couplersim.protocols import (
     reset_metrics,
     resonator_response,
     shotset_from_csv,
-    shotset_to_csv,
     static_zz_shift,
     temperature_to_population,
     thermal_budget,
@@ -202,12 +201,15 @@ class TestGenerateShots:
         assert flipped == pytest.approx(expected, abs=4 * math.sqrt(expected / n) + 1e-3)
 
     def test_csv_roundtrip(self, tmp_path):
-        shots = generate_shots((0.6, 0.3, 0.1), CENTERS, 1.0, 64, RngStream(11), label="e")
-        path = tmp_path / "shots.csv"
-        shotset_to_csv(shots, str(path))
+        # the shot table of the readout-shots scenario, as the CLI encodes it
+        ctx = cli.build_context({"scenario": "readout-shots", "params": {"n_shots": 1000}})
+        table = cli._run_readout_shots(ctx)["shots_e.csv"]
+        path = tmp_path / "shots_e.csv"
+        path.write_bytes(cli._encode(table))
         back = shotset_from_csv(str(path))
-        assert back.label == "e"
-        assert np.array_equal(back.iq, shots.iq)
+        i, q, label = table[1]
+        assert back.label == label == "e"
+        assert np.array_equal(back.iq, np.column_stack([i, q]))
 
 
 def _calibration_sets(centers, sigma=1.0, n=6000, seed=100):
