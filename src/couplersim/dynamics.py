@@ -20,6 +20,10 @@ from .numerics import TWO_PI
 
 EDGE_SIGMAS = 2.5  # each Gaussian edge occupies this many sigma
 
+#: the qubit whose reset and leakage recovery the models describe; its
+#: decay rates enter the closed forms and the Lindblad references
+QUBIT = "Q1"
+
 
 class NonPhysicalChannelWarning(UserWarning):
     """A reconstructed channel is not completely positive."""
@@ -224,8 +228,7 @@ class PopulationVector:
         return self.p_g + self.p_e
 
 
-def lr_three_level_populations(t: float, g_tilde: float, rates: DecayRates,
-                               qubit: str = "Q1") -> PopulationVector:
+def lr_three_level_populations(t: float, g_tilde: float, rates: DecayRates) -> PopulationVector:
     """Populations during the leakage-recovery drive, starting from |f, 0>.
 
     The |f0> <-> |e1> swap follows the damped two-level closed form (donor
@@ -240,7 +243,7 @@ def lr_three_level_populations(t: float, g_tilde: float, rates: DecayRates,
     propagation quantifies the residual approximation error.
     """
     p_f = damped_swap_population(t, g_tilde, rates.gamma_fe, rates.kappa_r)
-    decay = math.exp(-TWO_PI * rates.gamma1[qubit] * t)
+    decay = math.exp(-TWO_PI * rates.gamma1[QUBIT] * t)
     p_e = (1.0 - p_f) * decay
     p_g = (1.0 - p_f) * (1.0 - decay)
     p_r = min(acceptor_population(t, g_tilde, rates.gamma_fe, rates.kappa_r), 1.0)
@@ -256,8 +259,7 @@ def lr_swap_time(g_tilde: float, rates: DecayRates) -> float:
 # Lindblad reference models (oracles for the closed forms)
 # ---------------------------------------------------------------------------
 
-def reset_lindblad_model(g_tilde: float, rates: DecayRates, env: EnvelopeSpec | None = None,
-                         qubit: str = "Q1"):
+def reset_lindblad_model(g_tilde: float, rates: DecayRates, env: EnvelopeSpec | None = None):
     """Resonant-frame model of the reset swap on basis {|e0>, |g1>, |g0>}.
 
     Returns ``(hamiltonian, collapse_list, initial_state)`` for
@@ -272,14 +274,14 @@ def reset_lindblad_model(g_tilde: float, rates: DecayRates, env: EnvelopeSpec | 
             return envelope_value(t, _env) * _h
     collapse = [
         (np.array([[0, 0, 0], [0, 0, 0], [0, 1, 0]], dtype=complex), rates.kappa_r),
-        (np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0]], dtype=complex), rates.gamma1[qubit]),
+        (np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0]], dtype=complex), rates.gamma1[QUBIT]),
     ]
     rho0 = np.zeros((3, 3), dtype=complex)
     rho0[0, 0] = 1.0
     return h, collapse, rho0
 
 
-def lr_lindblad_model(g_tilde: float, rates: DecayRates, qubit: str = "Q1"):
+def lr_lindblad_model(g_tilde: float, rates: DecayRates):
     """Resonant-frame LR model on basis {|g0>, |e0>, |f0>, |e1>, |g1>}.
 
     |f0> <-> |e1> swap at g~, resonator decay |e1> -> |e0>, |g1> -> |g0>,
@@ -298,8 +300,8 @@ def lr_lindblad_model(g_tilde: float, rates: DecayRates, qubit: str = "Q1"):
     collapse = [
         (op(e0, e1), rates.kappa_r),
         (op(g0, g1), rates.kappa_r),
-        (op(g0, e0), rates.gamma1[qubit]),
-        (op(g1, e1), rates.gamma1[qubit]),
+        (op(g0, e0), rates.gamma1[QUBIT]),
+        (op(g1, e1), rates.gamma1[QUBIT]),
         (op(e0, f0), rates.gamma_fe),
     ]
     rho0 = np.zeros((dim, dim), dtype=complex)
@@ -308,8 +310,7 @@ def lr_lindblad_model(g_tilde: float, rates: DecayRates, qubit: str = "Q1"):
     return h, collapse, rho0, labels
 
 
-def lr_subspace_channel(rates: DecayRates, duration: float,
-                        qubit_shift: float = 0.0, qubit: str = "Q1"):
+def lr_subspace_channel(rates: DecayRates, duration: float, qubit_shift: float = 0.0):
     """Channel seen by computational-subspace inputs during the LR drive.
 
     The recovery drive is resonant only with |f0> <-> |e1>; a qubit prepared
@@ -322,9 +323,9 @@ def lr_subspace_channel(rates: DecayRates, duration: float,
 
     h = TWO_PI * qubit_shift * np.diag([0.0, 1.0, 0.0]).astype(complex)
     collapse = [
-        (np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex), rates.gamma1[qubit]),
+        (np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex), rates.gamma1[QUBIT]),
         (np.array([[0, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=complex), rates.gamma_fe),
-        (math.sqrt(2.0) * np.diag([0.0, 1.0, 2.0]).astype(complex), rates.gamma_phi[qubit]),
+        (math.sqrt(2.0) * np.diag([0.0, 1.0, 2.0]).astype(complex), rates.gamma_phi[QUBIT]),
     ]
 
     def channel(rho2: np.ndarray) -> np.ndarray:

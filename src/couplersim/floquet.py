@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuit import ELEMENTS, CircuitSpec, CouplerSpec, coupler_frequency, manifold_hamiltonian
-from .numerics import (TWO_PI, midpoint_spectrum, periodic_propagator, stroboscopic_powers,
+from .numerics import (TWO_PI, midpoint_spectrum, periodic_propagator, stroboscopic_diagonal,
                        taylor_coefficients)
 
 
@@ -600,5 +600,5 @@ def stroboscopic_populations(
     period), starting from A.  Micromotion-free by construction."""
     wd = drive.omega_d
     u = periodic_propagator(modulation_spectrum(manifold.block, coupler, drive, n_sub), 1.0 / wd)
-    pops = np.abs(stroboscopic_powers(u, n_periods)[:, 0, 0]) ** 2
+    pops = np.abs(stroboscopic_diagonal(u, n_periods)[:, 0]) ** 2
     return np.arange(n_periods) / wd, pops

@@ -46,6 +46,9 @@ A_D_LR = 0.49080991682237063       # swap coupling 0.91 MHz on |f0> <-> |e1>
 A_D_READOUT = 0.7640194132070083   # swap coupling 2.12 MHz on |f0> <-> |e1>
 A_D_CZ = 0.07937531612644286       # pi-phase crossing at 339 ns on |ee> <-> |fg>
 
+#: upper end of the amplitude search of :func:`calibrate_drive_amplitude`
+A_MAX = 1.1
+
 #: flat-top Gaussian reset pulse (150 ns, 10 ns rise/fall sigma)
 RESET_PULSE = EnvelopeSpec(total_length=150e-9, sigma_rise=10e-9, sigma_fall=10e-9)
 
@@ -102,15 +105,10 @@ def cz_drive() -> DriveSpec:
     return _drive("cz", A_D_CZ, phi_dc=PHI_DC_CZ)
 
 
-def calibrate_drive_amplitude(
-    circuit: CircuitSpec,
-    kind: str,
-    target_coupling: float,
-    phi_dc: float = PHI_DC,
-    a_max: float = 1.1,
-) -> float:
-    """Fixture calibration: the drive amplitude whose closed-form effective
-    coupling magnitude equals ``target_coupling``.
+def calibrate_drive_amplitude(circuit: CircuitSpec, kind: str, target_coupling: float) -> float:
+    """Fixture calibration: the drive amplitude at the static flux offset
+    ``PHI_DC`` whose closed-form effective coupling magnitude equals
+    ``target_coupling``, searched up to ``A_MAX``.
 
     Uses the k = 2 closed forms with the Schrieffer-Wolff correction for the
     second-harmonic operations and the leading-order formula for k = 1.
@@ -120,7 +118,7 @@ def calibrate_drive_amplitude(
     man = transition_manifold(circuit, kind)
 
     def coupling(a: float) -> float:
-        drive = DriveSpec(phi_dc=phi_dc, a_d=a, omega_d=man.bare_drive_frequency, k=man.k)
+        drive = DriveSpec(phi_dc=PHI_DC, a_d=a, omega_d=man.bare_drive_frequency, k=man.k)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
             if man.k == 2:
@@ -128,4 +126,4 @@ def calibrate_drive_amplitude(
             spec = fourier_decompose(drive, circuit.coupler)
             return abs(effective_coupling(man.g_ac, man.g_bc, man.k, drive.omega_d, spec))
 
-    return brentq(lambda a: coupling(a) - target_coupling, 1e-4, a_max, xtol=1e-13)
+    return brentq(lambda a: coupling(a) - target_coupling, 1e-4, A_MAX, xtol=1e-13)

@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import CircuitSpec, CouplerSpec, coupler_frequency, manifold_hamiltonian
-from .floquet import DriveSpec, coupler_block, modulation_spectrum
+from .floquet import DriveSpec, coupler_block, fourier_decompose, modulation_spectrum
 from .numerics import (TWO_PI, FitResult, RngStream, fit_least_squares, periodic_propagator,
-                       stroboscopic_powers)
+                       stroboscopic_diagonal)
 
 STATE_LABELS = ("g", "e", "f")
 
@@ -132,13 +132,6 @@ def thermal_budget(
 # flux-amplitude calibration
 # ---------------------------------------------------------------------------
 
-def mean_coupler_frequency(phi_dc: float, a_d: float, coupler: CouplerSpec,
-                           n_samples: int = 2048) -> float:
-    """Average coupler frequency over one drive period."""
-    theta = TWO_PI * np.arange(n_samples) / n_samples
-    return float(np.mean(coupler_frequency(phi_dc + a_d * np.sin(theta), coupler)))
-
-
 def flux_amplitude_calibration(
     volts: np.ndarray,
     delta_c: np.ndarray,
@@ -163,14 +156,17 @@ def flux_amplitude_calibration(
 
     w_static = float(coupler_frequency(phi_dc, coupler))
 
+    def mean_frequency(a: float) -> float:
+        # the period average does not depend on the drive frequency
+        return fourier_decompose(DriveSpec(phi_dc, abs(a), 1.0), coupler).omega_bar_c
+
     def model(v, c):
-        return np.array([mean_coupler_frequency(phi_dc, abs(c) * vi, coupler)
-                         for vi in np.atleast_1d(v)]) - w_static
+        return np.array([mean_frequency(c * vi) for vi in np.atleast_1d(v)]) - w_static
 
     if c0 is None:
         # quadratic small-signal guess from the largest point
         i = int(np.argmax(np.abs(volts)))
-        curv = (mean_coupler_frequency(phi_dc, 0.1, coupler) - w_static) / 0.1 ** 2
+        curv = (mean_frequency(0.1) - w_static) / 0.1 ** 2
         c0 = math.sqrt(max(delta_c[i] / curv, 1e-12)) / abs(volts[i]) if curv != 0 else 1.0
     fit = fit_least_squares(model, volts, delta_c, [c0])
     fit.params = np.abs(fit.params)
@@ -561,10 +557,15 @@ def cz_conditional_phase(
 
     The midpoint samples of H(t) do not depend on the drive frequency, so
     each manifold is diagonalised once per scan
-    (:func:`~couplersim.floquet.modulation_spectrum`) and only the
-    per-period products are formed per drive frequency.  The undriven
-    reference has a constant H and a one-sample spectrum: its one-period
-    propagator is the closed form ``V exp(-i E T) V^dag``.
+    (:func:`~couplersim.floquet.modulation_spectrum`), together with the
+    overlaps of neighbouring eigenbases.  Per drive frequency only the step
+    phases change: they scale the columns of the stored overlaps, whose
+    product is the one-period propagator.  The undriven reference has a
+    constant H and a one-sample spectrum: its one-period propagator is the
+    closed form ``V exp(-i E T) V^dag``.  The scan reads only diagonal
+    elements of the stroboscopic powers ``U^n``, so it takes them from
+    :func:`~couplersim.numerics.stroboscopic_diagonal` and never forms the
+    full stacks.
     """
     blocks = [coupler_block(circuit, states) for states in (_CZ_DOUBLE, _CZ_SINGLE)]
     h2 = blocks[0][0]
@@ -585,13 +586,13 @@ def cz_conditional_phase(
     for i, wd in enumerate(omega_grid):
         period = 1.0 / wd
         n_per = int(max_duration / period)
-        m2, m1, m2_0, m1_0 = (stroboscopic_powers(periodic_propagator(s, period), n_per)
+        m2, m1, m2_0, m1_0 = (stroboscopic_diagonal(periodic_propagator(s, period), n_per)
                               for s in spectra)
 
-        z_ee = m2[:, 0, 0]
-        z_eg = m1[:, 0, 0]
-        z_ge = m1[:, 1, 1]
-        z_ref = m2_0[:, 0, 0] * np.conj(m1_0[:, 0, 0]) * np.conj(m1_0[:, 1, 1])
+        z_ee = m2[:, 0]
+        z_eg = m1[:, 0]
+        z_ge = m1[:, 1]
+        z_ref = m2_0[:, 0] * np.conj(m1_0[:, 0]) * np.conj(m1_0[:, 1])
         pop = np.abs(z_ee) ** 2
         rows.append(pop)
         if times_ref is None:

@@ -18,10 +18,11 @@ from couplersim.numerics import (
     midpoint_spectrum,
     periodic_propagator,
     propagate,
+    stroboscopic_diagonal,
     stroboscopic_powers,
     taylor_coefficients,
 )
-from couplersim.protocols import _CZ_DOUBLE, _CZ_SINGLE
+from couplersim.protocols import _CZ_DOUBLE, _CZ_SINGLE, cz_conditional_phase
 
 # J1(1.0) from the integral representation (1/pi) int_0^pi cos(t - sin t) dt,
 # evaluated with adaptive quadrature before the build
@@ -224,6 +225,24 @@ class TestPeriodicPropagator:
             assert np.max(np.abs(u - ref)) < 1e-12
 
     @pytest.mark.parametrize("kind", ["cz-double", "cz-single"])
+    @pytest.mark.parametrize("n_sub", [1, 2])
+    def test_short_spectra_match_sequential_product(self, cz_blocks, kind, n_sub):
+        # no overlap and one overlap: the ends V_(n-1) D_(n-1) and V_0^dag
+        # carry the whole product
+        coupler = presets.table_circuit().coupler
+        for wd in CZ_DRIVES:
+            h_of_t = modulated_hamiltonian(cz_blocks[kind], coupler,
+                                           replace(presets.cz_drive(), omega_d=wd))
+            spectrum = midpoint_spectrum(h_of_t, 1.0 / wd, n_sub)
+            assert spectrum[2].shape == (n_sub - 1, *spectrum[1].shape[1:])
+            u = periodic_propagator(spectrum, 1.0 / wd)
+            ref = sequential_midpoint_propagator(h_of_t, 1.0 / wd, n_sub)
+            assert np.max(np.abs(u - ref)) < 1e-12
+            if n_sub == 1:
+                h = h_of_t(np.array([0.5 / wd]))[0]
+                assert np.max(np.abs(u - expm(-1j * h / wd))) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["cz-double", "cz-single"])
     def test_spectrum_reused_across_drive_frequencies(self, cz_blocks, kind):
         # the midpoint samples of modulated_hamiltonian depend on omega_d
         # only through round-off, so one spectrum serves every period
@@ -265,6 +284,56 @@ class TestPeriodicPropagator:
             return np.abs(stack @ np.conj(np.swapaxes(stack, -1, -2)) - np.eye(4)).max()
 
         assert drift(powers) <= drift(exact) + 1e-12
+        # the diagonals alone, from about sqrt(7500) baby and giant steps,
+        # hold the same bound
+        diagonal = stroboscopic_diagonal(u, 7500)
+        assert np.max(np.abs(diagonal - np.einsum("kii->ki", exact))) < 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 25])
+    def test_stroboscopic_diagonal_matches_matrix_power(self, n):
+        rng = np.random.default_rng(3)
+        u = expm(-1j * random_hermitian(rng, 4) * 1e-7)
+        diagonal = stroboscopic_diagonal(u, n)
+        assert diagonal.shape == (n, 4)
+        for k in range(n):
+            assert np.max(np.abs(diagonal[k] - np.diag(np.linalg.matrix_power(u, k)))) < 1e-12
+
+
+class TestCZScanOracle:
+    """The fast CZ scan (one spectrum per manifold, overlap products and
+    diagonal-only powers) against the same scan rebuilt from H resampled
+    per drive frequency, step exponentials multiplied one at a time and
+    ``matrix_power``."""
+
+    MAX_DURATION = 0.8e-6
+    N_SUB = 64
+
+    @pytest.fixture(scope="class")
+    def scan(self):
+        return cz_conditional_phase(presets.table_circuit(), presets.cz_drive(),
+                                    omega_d_span=(0.0, 6e6), n_omega=3,
+                                    max_duration=self.MAX_DURATION, n_sub=self.N_SUB)
+
+    def test_populations_and_phases_match_sequential_scan(self, scan, cz_blocks):
+        coupler = presets.table_circuit().coupler
+        assert np.any(scan.valid)
+        for i, wd in enumerate(scan.omega_d):
+            period = 1.0 / wd
+            n_per = int(self.MAX_DURATION / period)
+            drives = (replace(presets.cz_drive(), omega_d=wd),
+                      replace(presets.cz_drive(), omega_d=wd, a_d=0.0))
+            m2, m1, m2_0, m1_0 = (
+                np.array([np.diag(np.linalg.matrix_power(u, k)) for k in range(n_per)])
+                for u in (sequential_midpoint_propagator(
+                    modulated_hamiltonian(cz_blocks[kind], coupler, drive), period, self.N_SUB)
+                    for drive in drives for kind in ("cz-double", "cz-single")))
+            n_cols = scan.p_ee.shape[1]
+            assert np.max(np.abs(scan.p_ee[i] - np.abs(m2[:n_cols, 0]) ** 2)) < 1e-10
+            if scan.valid[i]:
+                n_full = int(round(scan.duration[i] / period))
+                zc = (m2[n_full, 0] * np.conj(m1[n_full, 0]) * np.conj(m1[n_full, 1])
+                      * np.conj(m2_0[n_full, 0]) * m1_0[n_full, 0] * m1_0[n_full, 1])
+                assert abs(np.angle(zc * np.exp(-1j * scan.phase[i]))) < 1e-10
 
 
 class TestFitLeastSquares:

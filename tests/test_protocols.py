@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from couplersim import cli, presets
-from couplersim.floquet import DriveSpec
+from couplersim.floquet import DriveSpec, fourier_decompose
 from couplersim.numerics import TWO_PI, RngStream
 from couplersim.protocols import (
     BOLTZMANN_K,
@@ -20,7 +20,6 @@ from couplersim.protocols import (
     gaussian_overlap_error,
     generate_shots,
     interleaved_rb_gate_error,
-    mean_coupler_frequency,
     population_to_temperature,
     reset_metrics,
     resonator_response,
@@ -113,14 +112,19 @@ class TestThermalBudget:
         assert b.t_r_bound == pytest.approx((3.83 / 5.85) * b.temperature, rel=1e-12)
 
 
+def mean_frequency(phi_dc, a_d, coupler):
+    """Mean coupler frequency over one drive period of amplitude ``a_d``."""
+    return fourier_decompose(DriveSpec(phi_dc, a_d, 1.0), coupler).omega_bar_c
+
+
 class TestFluxAmplitudeCalibration:
     def test_noiseless_roundtrip(self):
         coupler = presets.table_coupler()
         phi_dc = presets.PHI_DC
         c_true = 0.37
         volts = np.array([0.0, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9])
-        delta = np.array([mean_coupler_frequency(phi_dc, c_true * v, coupler)
-                          for v in volts]) - mean_coupler_frequency(phi_dc, 0.0, coupler)
+        delta = np.array([mean_frequency(phi_dc, c_true * v, coupler)
+                          for v in volts]) - mean_frequency(phi_dc, 0.0, coupler)
         fit = flux_amplitude_calibration(volts, delta, coupler, phi_dc, c0=0.3)
         assert fit.converged
         assert fit.params[0] == pytest.approx(c_true, rel=1e-6)
@@ -131,8 +135,8 @@ class TestFluxAmplitudeCalibration:
         c_true = 0.42
         rng = RngStream(seed=5).generator()
         volts = np.linspace(0.1, 0.9, 9)
-        clean = np.array([mean_coupler_frequency(phi_dc, c_true * v, coupler)
-                          for v in volts]) - mean_coupler_frequency(phi_dc, 0.0, coupler)
+        clean = np.array([mean_frequency(phi_dc, c_true * v, coupler)
+                          for v in volts]) - mean_frequency(phi_dc, 0.0, coupler)
         noisy = clean * (1.0 + 0.01 * rng.standard_normal(volts.size))
         fit = flux_amplitude_calibration(volts, noisy, coupler, phi_dc, c0=0.4)
         assert abs(fit.params[0] - c_true) < 3 * fit.stderr()[0] + 1e-6
