@@ -12,14 +12,12 @@ Subpackages follow the physics: :mod:`~couplersim.numerics` (kernels),
 Import rule: the modules import only the standard library, numpy and PyYAML
 at module level.  Every scipy import sits at the top of the function that
 calls it, because each ``couplersim run`` is its own process and pays for
-every module the package imports.  ``import couplersim.cli`` therefore loads
-no scipy module (``tests/test_import_path.py``), and of the scenarios:
-
-* ``leakage-rb`` and ``readout-shots`` load ``scipy.linalg``,
-  ``scipy.optimize`` and ``scipy.special``;
-* ``reset-dynamics`` and ``floquet-report`` load ``scipy.special`` only;
-* ``reset-metrics``, ``lr-dynamics``, ``periodic-lr``, ``chi-map`` and
-  ``cz-chevron`` load none.
+every module the package imports; for the same reason no module-level code
+calls a numpy function that loads ``numpy.ma`` (numpy 2.4's ``np.unique``
+does).  ``import couplersim.cli`` therefore loads neither scipy nor
+``numpy.ma`` (``tests/test_import_path.py``), and of the scenarios only
+``leakage-rb`` and ``readout-shots`` load scipy (``scipy.linalg``,
+``scipy.optimize`` and ``scipy.special``); the other seven load none.
 """
 
 __version__ = "0.1.0"

@@ -86,14 +86,12 @@ def envelope_value(t, env: EnvelopeSpec):
 def _edge_integral(x: float, sigma: float) -> float:
     """Integral of the offset-subtracted edge over the first x seconds of a
     rise (x measured from the pulse boundary, 0 <= x <= EDGE_SIGMAS*sigma)."""
-    from scipy.special import erf
-
     if sigma == 0:
         return 0.0
     cut = math.exp(-(EDGE_SIGMAS ** 2) / 2.0)
     e = EDGE_SIGMAS * sigma
     gauss = sigma * math.sqrt(math.pi / 2.0) * (
-        erf(e / (sigma * math.sqrt(2.0))) - erf((e - x) / (sigma * math.sqrt(2.0)))
+        math.erf(e / (sigma * math.sqrt(2.0))) - math.erf((e - x) / (sigma * math.sqrt(2.0)))
     )
     return (gauss - cut * x) / (1.0 - cut)
 

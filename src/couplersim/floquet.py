@@ -17,6 +17,18 @@ modulated coupler frequency is expanded as
 
     omega_C(t) = omega_bar_C + sum_m D_m cos[m (2*pi*f_d*t - pi/2)].
 
+The couplings need the Bessel functions J_n(x) at x = D_m / (m omega_d).
+They come from the Jacobi-Anger identity
+
+    exp(i x sin t) = sum_n J_n(x) exp(i n t),
+
+so one FFT of 64 samples of the left side gives J_0, J_1, ... at once
+(:func:`_bessel_j`).  The table is tested against ``scipy.special.jv`` and
+a quadrature oracle for |x| <= 20, and refuses larger arguments.  Since
+``|D_m| <= (2/pi) (omega_C,max - omega_C,min)``, the reference coupler band
+(3.13-5.45 GHz) keeps every floquet-report drive at |x| <= 2.9: the CZ
+drive (k = 1, omega_d = 515 MHz) comes closest, at 2.48 for a_d near 0.8.
+
 All frequencies are cyclic (Hz).
 """
 
@@ -35,6 +47,11 @@ from .numerics import (TWO_PI, midpoint_spectrum, periodic_propagator, strobosco
 
 #: samples per drive period of the exact Fourier coefficients
 FOURIER_SAMPLES = 4096
+
+#: samples of the Jacobi-Anger table of :func:`_bessel_j`, and the largest
+#: argument it serves (the range of its oracle tests)
+_BESSEL_SAMPLES = 64
+_BESSEL_MAX_ARG = 20.0
 
 
 class ValidityWarning(UserWarning):
@@ -62,18 +79,15 @@ class DriveSpec:
 
 @dataclass(frozen=True)
 class DriveSpectrum:
-    """Mean coupler frequency and Fourier harmonics of omega_C(t).
-
-    ``omega_bar_c`` / ``d_m`` come from an FFT of one exactly sampled drive
-    period (exact up to sampling); ``series_omega_bar_c`` / ``series_d_m``
-    are the analytic flux-derivative series truncated at derivative order
-    ``2 * m_max``.  The two agree within 1% for a_d <= 0.1 rad.
+    """Mean coupler frequency ``omega_bar_c`` and Fourier harmonics ``d_m``
+    (D_1 ... D_m_max) of omega_C(t), from :func:`fourier_decompose` (FFT of
+    one exactly sampled drive period, exact up to sampling) or from
+    :func:`derivative_series` (analytic flux-derivative series).  The two
+    agree within 1% for a_d <= 0.1 rad.
     """
 
     omega_bar_c: float
     d_m: tuple
-    series_omega_bar_c: float
-    series_d_m: tuple
 
     def coefficient(self, m: int) -> float:
         if not 1 <= m <= len(self.d_m):
@@ -92,27 +106,12 @@ def _singularity_distance(phi_dc: float, d: float) -> float:
     return dist
 
 
-def fourier_decompose(
-    drive: DriveSpec,
-    coupler: CouplerSpec,
-    m_max: int = 4,
-) -> DriveSpectrum:
-    """Fourier decomposition of the modulated coupler frequency.
-
-    Returns both the numerically exact coefficients (FFT of one period
-    sampled at ``FOURIER_SAMPLES`` points) and the analytic flux-derivative
-    series truncated at derivative order ``2 * m_max``.
-
-    Raises
-    ------
-    ValueError
-        If the flux excursion crosses the E_J = 0 point of a symmetric
-        (d = 0) SQUID, where omega_C(phi) is not analytic.
-    """
+def _check_expansion(drive: DriveSpec, coupler: CouplerSpec, m_max: int) -> None:
+    """Refuse an ``m_max`` below the drive harmonic, and a flux excursion
+    crossing the E_J = 0 point of a symmetric (d = 0) SQUID, where
+    omega_C(phi) is not analytic (the |cos| kink)."""
     if m_max < drive.k:
         raise ValueError("m_max must be at least the drive harmonic k")
-
-    # excursion must stay clear of the |cos| kink of a d = 0 SQUID
     if coupler.d < 1e-9:
         lo, hi = drive.phi_dc - drive.a_d, drive.phi_dc + drive.a_d
         k_lo = math.ceil((lo - math.pi / 2) / math.pi)
@@ -122,14 +121,42 @@ def fourier_decompose(
                 "the Fourier expansion is invalid there"
             )
 
-    # exact path: omega_C(phi_dc + a sin(wt)) is even in y = w t - pi/2
+
+def fourier_decompose(
+    drive: DriveSpec,
+    coupler: CouplerSpec,
+    m_max: int = 4,
+) -> DriveSpectrum:
+    """Fourier decomposition of the modulated coupler frequency: FFT of one
+    period sampled at ``FOURIER_SAMPLES`` points (numerically exact).
+
+    Raises
+    ------
+    ValueError
+        If the flux excursion crosses the E_J = 0 point of a symmetric
+        (d = 0) SQUID, where omega_C(phi) is not analytic.
+    """
+    _check_expansion(drive, coupler, m_max)
+    # omega_C(phi_dc + a sin(wt)) is even in y = w t - pi/2
     y = TWO_PI * np.arange(FOURIER_SAMPLES) / FOURIER_SAMPLES
     f = coupler_frequency(drive.phi_dc + drive.a_d * np.sin(y + math.pi / 2), coupler)
     coef = np.fft.rfft(f) / FOURIER_SAMPLES
-    omega_bar = float(coef[0].real)
-    d_m = tuple(float(2.0 * coef[m].real) for m in range(1, m_max + 1))
+    return DriveSpectrum(
+        omega_bar_c=float(coef[0].real),
+        d_m=tuple(float(2.0 * coef[m].real) for m in range(1, m_max + 1)),
+    )
 
-    # analytic path: flux-derivative series
+
+def derivative_series(
+    drive: DriveSpec,
+    coupler: CouplerSpec,
+    m_max: int = 4,
+) -> DriveSpectrum:
+    """The spectrum of :func:`fourier_decompose` from the analytic
+    flux-derivative series of omega_C about ``phi_dc``, truncated at
+    derivative order ``2 * m_max``.  Raises as :func:`fourier_decompose`.
+    """
+    _check_expansion(drive, coupler, m_max)
     dist = _singularity_distance(drive.phi_dc, coupler.d)
     radius = 0.8 * min(dist, 1.2)
     deriv = taylor_coefficients(
@@ -158,13 +185,24 @@ def fourier_decompose(
                     / (4 ** n * math.factorial((2 * n + 1 - m) // 2) * math.factorial((2 * n + 1 + m) // 2))
                 )
         series.append(float(total))
+    return DriveSpectrum(omega_bar_c=float(omega_bar_series), d_m=tuple(series))
 
-    return DriveSpectrum(
-        omega_bar_c=omega_bar,
-        d_m=d_m,
-        series_omega_bar_c=float(omega_bar_series),
-        series_d_m=tuple(series),
-    )
+
+def _bessel_j(x) -> np.ndarray:
+    """Table of Bessel functions J_n(x): one FFT of ``_BESSEL_SAMPLES``
+    samples of exp(i x sin t) (Jacobi-Anger, see the module docstring).
+
+    Shape ``x.shape + (_BESSEL_SAMPLES,)``; entry ``n`` holds J_n(x) for
+    ``|n| < _BESSEL_SAMPLES / 2`` (a negative ``n`` indexes from the end),
+    aliased by J_{n -+ _BESSEL_SAMPLES}(x), which is below round-off for
+    ``|n| <= 8`` and ``|x| <= _BESSEL_MAX_ARG``.  Larger arguments raise
+    ``ValueError``.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(np.abs(x) > _BESSEL_MAX_ARG):
+        raise ValueError(f"Bessel argument beyond |x| <= {_BESSEL_MAX_ARG}: {x}")
+    t = TWO_PI * np.arange(_BESSEL_SAMPLES) / _BESSEL_SAMPLES
+    return np.fft.fft(np.exp(1j * np.multiply.outer(x, np.sin(t))), axis=-1).real / _BESSEL_SAMPLES
 
 
 def effective_coupling(
@@ -183,8 +221,6 @@ def effective_coupling(
     :class:`ValidityWarning` when ``|D_k| > k * omega_D / 2``, outside the
     stated small-modulation window.
     """
-    from scipy.special import jv
-
     if k < 1:
         raise ValueError("harmonic order k must be positive")
     d_k = spectrum.coefficient(k)
@@ -195,7 +231,7 @@ def effective_coupling(
             ValidityWarning,
             stacklevel=2,
         )
-    return float(g_ic * g_jc / (k * omega_d) * jv(1, d_k / (k * omega_d)))
+    return float(g_ic * g_jc / (k * omega_d) * _bessel_j(d_k / (k * omega_d))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +429,6 @@ def k2_closed_forms(
     of ``J_{n,m} = J_n(D1/omega_D) * J_m(-D2/(2*omega_D))``.  Only k = 2 is
     supported; the analytic block is specific to the second harmonic.
     """
-    from scipy.special import jv
-
     if drive.k != 2:
         raise ValueError("closed forms are k = 2 specific")
     man = states if isinstance(states, TransitionManifold) else transition_manifold(circuit, states)
@@ -402,7 +436,7 @@ def k2_closed_forms(
     wd = drive.omega_d
     x1 = spec.d_m[0] / wd
     x2 = -spec.d_m[1] / (2.0 * wd)
-    jn = jv(np.arange(3)[:, None], [x1, x2])  # jn[n] = (J_n(x1), J_n(x2))
+    jn = _bessel_j([x1, x2])[:, :3].T  # jn[n] = (J_n(x1), J_n(x2))
     j = np.outer(jn[:, 0], jn[:, 1])
 
     g_ac, g_bc, g_ab = man.g_ac, man.g_bc, man.g_ab

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import curve_fit
 from scipy.special import jv
 
-from couplersim import presets
+from couplersim import floquet, presets
 from couplersim.circuit import CouplerSpec, coupler_frequency, coupler_spec_from_band
 from couplersim.floquet import (
     DriveSpec,
@@ -15,6 +15,7 @@ from couplersim.floquet import (
     ValidityWarning,
     chi_shift,
     coupler_block,
+    derivative_series,
     effective_coupling,
     find_parametric_resonance,
     fourier_decompose,
@@ -74,7 +75,7 @@ class TestFourierDecompose:
         drive = DriveSpec(phi_dc=0.4, a_d=0.0, omega_d=1.01e9)
         spec = fourier_decompose(drive, coupler)
         assert all(abs(d) < 1e-3 for d in spec.d_m)
-        assert all(abs(d) < 1e-3 for d in spec.series_d_m)
+        assert all(abs(d) < 1e-3 for d in derivative_series(drive, coupler).d_m)
         assert spec.omega_bar_c == pytest.approx(coupler_frequency(0.4, coupler), rel=1e-12)
 
     def test_sweet_spot_suppresses_odd_harmonics(self, coupler):
@@ -93,29 +94,40 @@ class TestFourierDecompose:
     def test_series_agrees_with_fft_small_amplitude(self, coupler, phi_frac):
         for a_d in (0.02, 0.05, 0.1):
             drive = DriveSpec(phi_dc=phi_frac * math.pi, a_d=a_d, omega_d=1.01e9)
-            spec = fourier_decompose(drive, coupler)
+            spec, series = fourier_decompose(drive, coupler), derivative_series(drive, coupler)
             scale = 1e-9 * abs(spec.omega_bar_c)
-            for fft_val, series_val in zip(spec.d_m[:2], spec.series_d_m[:2]):
+            for fft_val, series_val in zip(spec.d_m[:2], series.d_m[:2]):
                 if abs(fft_val) > scale:
                     assert series_val == pytest.approx(fft_val, rel=0.01)
-        assert spec.series_omega_bar_c == pytest.approx(spec.omega_bar_c, rel=1e-4)
+        assert series.omega_bar_c == pytest.approx(spec.omega_bar_c, rel=1e-4)
 
     def test_series_degrades_gracefully_at_moderate_amplitude(self, coupler):
         drive = DriveSpec(phi_dc=0.12 * math.pi, a_d=0.3, omega_d=1.01e9)
-        spec = fourier_decompose(drive, coupler)
-        for fft_val, series_val in zip(spec.d_m[:2], spec.series_d_m[:2]):
+        spec, series = fourier_decompose(drive, coupler), derivative_series(drive, coupler)
+        for fft_val, series_val in zip(spec.d_m[:2], series.d_m[:2]):
             assert series_val == pytest.approx(fft_val, rel=0.10)
 
     def test_symmetric_squid_crossing_reported(self):
         sym = CouplerSpec(e_sigma=24e9, d=0.0, e_c=161e6)
         drive = DriveSpec(phi_dc=0.45 * math.pi, a_d=0.3, omega_d=1.0e9)
-        with pytest.raises(ValueError, match="E_J = 0"):
-            fourier_decompose(drive, sym)
+        for decompose in (fourier_decompose, derivative_series):
+            with pytest.raises(ValueError, match="E_J = 0"):
+                decompose(drive, sym)
 
     def test_m_max_must_cover_harmonic(self, coupler):
         drive = DriveSpec(phi_dc=0.3, a_d=0.1, omega_d=1e9, k=2)
-        with pytest.raises(ValueError, match="m_max"):
-            fourier_decompose(drive, coupler, m_max=1)
+        for decompose in (fourier_decompose, derivative_series):
+            with pytest.raises(ValueError, match="m_max"):
+                decompose(drive, coupler, m_max=1)
+
+    def test_fft_does_not_evaluate_the_series(self, coupler, monkeypatch):
+        # most callers read only the FFT coefficients; the flux-derivative
+        # series (taylor_coefficients) is derivative_series' alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("series evaluated")
+
+        monkeypatch.setattr(floquet, "taylor_coefficients", refuse)
+        fourier_decompose(DriveSpec(phi_dc=0.12 * math.pi, a_d=0.25, omega_d=1.01e9), coupler)
 
 
 class TestEffectiveCoupling:
@@ -153,8 +165,7 @@ class TestEffectiveCoupling:
         assert a == b
 
     def test_validity_warning_outside_window(self):
-        spec = DriveSpectrum(omega_bar_c=5e9, d_m=(2.0e9, 1.5e9),
-                             series_omega_bar_c=5e9, series_d_m=(2.0e9, 1.5e9))
+        spec = DriveSpectrum(omega_bar_c=5e9, d_m=(2.0e9, 1.5e9))
         with pytest.warns(ValidityWarning):
             effective_coupling(115e6, 75e6, 2, 1.01e9, spec)
 
@@ -175,8 +186,7 @@ class TestEffectiveCoupling:
         assert best < 2.07e6
 
         x = 1.1491197930377983  # J1(x) solving the 2.07 MHz target
-        synth = DriveSpectrum(omega_bar_c=5e9, d_m=(0.0, 2 * wd * x),
-                              series_omega_bar_c=5e9, series_d_m=(0.0, 2 * wd * x))
+        synth = DriveSpectrum(omega_bar_c=5e9, d_m=(0.0, 2 * wd * x))
         with pytest.warns(ValidityWarning):
             g = effective_coupling(man.g_ac, man.g_bc, 2, wd, synth)
         assert abs(g) == pytest.approx(2.07e6, rel=5e-3)

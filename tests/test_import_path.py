@@ -1,9 +1,11 @@
-"""Importing the CLI loads numpy and PyYAML but no scipy module.
+"""Importing the CLI loads numpy and PyYAML but no scipy module and no
+``numpy.ma``; of the scenarios only ``leakage-rb`` and ``readout-shots``
+load scipy.
 
 Every ``couplersim run`` is its own process and pays for what the package
 imports, so scipy is imported inside the functions that call it.  Each
-check runs in a fresh interpreter and lists the ``scipy`` entries of
-``sys.modules`` after the import, or after a scenario run.
+check runs in a fresh interpreter and lists the entries of ``sys.modules``
+under the given packages after the import, or after a scenario run.
 """
 
 import json
@@ -23,13 +25,14 @@ PROBE = """
 import json, sys
 from couplersim import cli
 {body}
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules
+                        if any(m == p or m.startswith(p + ".") for p in {packages!r}))))
 """
 
 
-def scipy_modules(body: str = "") -> list:
+def loaded_modules(body: str = "", packages=("scipy",)) -> list:
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", PROBE.format(body=body)],
+    proc = subprocess.run([sys.executable, "-c", PROBE.format(body=body, packages=packages)],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -42,21 +45,32 @@ def scipy_modules_after_run(tmp_path, scenario: str, params=None) -> list:
         cfg["params"] = params
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(cfg))
-    return scipy_modules(f"assert cli.main(['run', {str(path)!r}]) == 0")
+    return loaded_modules(f"assert cli.main(['run', {str(path)!r}]) == 0")
 
 
 def test_import_cli_loads_no_scipy():
-    assert scipy_modules() == []
+    assert loaded_modules() == []
+
+
+def test_import_cli_loads_no_numpy_ma():
+    assert loaded_modules(packages=("numpy.ma",)) == []
 
 
 @pytest.mark.parametrize("scenario, params", [
     ("cz-chevron", {"n_omega": 3, "n_sub": 64}),
     ("reset-metrics", None),
+    ("reset-dynamics", None),
+    ("lr-dynamics", None),
+    ("periodic-lr", None),
+    ("chi-map", None),
+    *(pytest.param("floquet-report", {"kind": kind}, id=f"floquet-report-{kind}")
+      for kind in ("reset", "lr", "readout", "cz")),
 ])
 def test_scenarios_without_scipy_calls_load_none(tmp_path, scenario, params):
     assert scipy_modules_after_run(tmp_path, scenario, params) == []
 
 
 def test_probe_sees_a_scenario_that_uses_scipy(tmp_path):
-    # reset-dynamics evaluates the pulse area with scipy.special.erf
-    assert "scipy.special" in scipy_modules_after_run(tmp_path, "reset-dynamics", {"n_points": 5})
+    # readout-shots fits the classifier with scipy.optimize.nnls
+    assert "scipy.optimize" in scipy_modules_after_run(tmp_path, "readout-shots",
+                                                       {"n_shots": 1000})

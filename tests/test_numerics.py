@@ -11,7 +11,8 @@ from scipy.linalg import expm
 from scipy.special import factorial, jv
 
 from couplersim import presets
-from couplersim.floquet import coupler_block, modulated_hamiltonian, modulation_spectrum
+from couplersim.floquet import (_BESSEL_MAX_ARG, _bessel_j, coupler_block,
+                                modulated_hamiltonian, modulation_spectrum)
 from couplersim.numerics import (
     RngStream,
     fit_least_squares,
@@ -35,35 +36,53 @@ def bessel_quadrature(n, x):
     return val
 
 
+def bessel_j(n, x):
+    """J_n(x) read from the Jacobi-Anger table of ``floquet``."""
+    return _bessel_j(x)[n]
+
+
 class TestBessel:
     def test_identity_cases(self):
-        assert jv(0, 0.0) == 1.0
-        assert jv(1, 0.0) == 0.0
+        assert bessel_j(0, 0.0) == 1.0
+        assert bessel_j(1, 0.0) == 0.0
 
     def test_j1_at_one_matches_frozen_quadrature(self):
-        assert jv(1, 1.0) == pytest.approx(J1_AT_1, abs=1e-12)
+        assert bessel_j(1, 1.0) == pytest.approx(J1_AT_1, abs=1e-12)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
     @pytest.mark.parametrize("x", [0.3, 2.0, 7.5, 13.0, 20.0])
     def test_against_quadrature(self, n, x):
-        assert jv(n, x) == pytest.approx(bessel_quadrature(n, x), abs=1e-12)
+        assert bessel_j(n, x) == pytest.approx(bessel_quadrature(n, x), abs=1e-12)
 
     def test_negative_argument_parity(self):
-        assert jv(2, -3.7) == pytest.approx(jv(2, 3.7), abs=1e-14)
-        assert jv(3, -3.7) == pytest.approx(-jv(3, 3.7), abs=1e-14)
+        assert bessel_j(2, -3.7) == pytest.approx(bessel_j(2, 3.7), abs=1e-14)
+        assert bessel_j(3, -3.7) == pytest.approx(-bessel_j(3, 3.7), abs=1e-14)
 
     def test_recurrence_on_grid(self):
         for x in np.linspace(0.1, 20.0, 64):
             for n in range(1, 7):
-                lhs = jv(n - 1, x) + jv(n + 1, x)
-                rhs = (2.0 * n / x) * jv(n, x)
+                lhs = bessel_j(n - 1, x) + bessel_j(n + 1, x)
+                rhs = (2.0 * n / x) * bessel_j(n, x)
                 assert lhs == pytest.approx(rhs, abs=1e-10)
 
     @given(n=st.integers(1, 8), x=st.floats(0.1, 20.0))
     @settings(max_examples=60, deadline=None)
     def test_recurrence_property(self, n, x):
-        lhs = jv(n - 1, x) + jv(n + 1, x)
-        assert lhs == pytest.approx((2.0 * n / x) * jv(n, x), abs=1e-10)
+        lhs = bessel_j(n - 1, x) + bessel_j(n + 1, x)
+        assert lhs == pytest.approx((2.0 * n / x) * bessel_j(n, x), abs=1e-10)
+
+    def test_matches_scipy_on_the_admissible_range(self):
+        # every order the couplings read (0..2) and up to 8, both signs of
+        # n and x, densely over |x| <= _BESSEL_MAX_ARG; measured 8.6e-16
+        x = np.linspace(-_BESSEL_MAX_ARG, _BESSEL_MAX_ARG, 4001)
+        n = np.arange(-8, 9)
+        table = _bessel_j(x)[:, n]
+        assert np.max(np.abs(table - jv(n, x[:, None]))) < 1e-14
+
+    @pytest.mark.parametrize("x", [_BESSEL_MAX_ARG * (1 + 1e-12), -25.0, [0.5, 30.0]])
+    def test_refuses_arguments_beyond_the_tested_range(self, x):
+        with pytest.raises(ValueError, match="Bessel argument"):
+            _bessel_j(x)
 
 
 class TestTaylorCoefficients:

@@ -15,6 +15,12 @@ def scenario(**kwargs):
 
 
 class TestScenario:
+    def test_default_grid(self):
+        # the 19 distinct rounded lengths of geomspace(1, 1000, 20), as ints
+        assert rbsim.DEFAULT_N_CL_GRID == (1, 2, 3, 4, 6, 9, 13, 18, 26, 38, 55, 78, 113,
+                                           162, 234, 336, 483, 695, 1000)
+        assert all(type(n) is int for n in rbsim.DEFAULT_N_CL_GRID)
+
     def test_repeated_lengths_rejected(self):
         with pytest.raises(ValueError, match="n_cl_grid"):
             scenario(n_cl_grid=(1, 2, 2, 4, 8))
