@@ -379,8 +379,7 @@ def _run_leakage_rb(ctx: RunContext) -> dict:
 def _run_periodic_lr(ctx: RunContext) -> dict:
     """Rate-equation P_f traces (:func:`rbsim.periodic_lr_trace`), recovery
     every N Cliffords.  ``max_p_f_every_N`` is therefore the incoherent
-    limit: at N = 1 it reads 4.24e-4 where the exact late-time P_f of the
-    coherent cycle is 1.115e-4 (see the :mod:`couplersim.rbsim` docstring)."""
+    limit (see the :mod:`couplersim.rbsim` docstring)."""
     n_max = ctx.params["n_max"]
     base = _rb_scenario(ctx)
     header = ["n_cl"]

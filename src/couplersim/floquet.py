@@ -106,12 +106,9 @@ def _singularity_distance(phi_dc: float, d: float) -> float:
     return dist
 
 
-def _check_expansion(drive: DriveSpec, coupler: CouplerSpec, m_max: int) -> None:
-    """Refuse an ``m_max`` below the drive harmonic, and a flux excursion
-    crossing the E_J = 0 point of a symmetric (d = 0) SQUID, where
-    omega_C(phi) is not analytic (the |cos| kink)."""
-    if m_max < drive.k:
-        raise ValueError("m_max must be at least the drive harmonic k")
+def _check_expansion(drive: DriveSpec, coupler: CouplerSpec) -> None:
+    """Refuse a flux excursion crossing the E_J = 0 point of a symmetric
+    (d = 0) SQUID, where omega_C(phi) is not analytic (the |cos| kink)."""
     if coupler.d < 1e-9:
         lo, hi = drive.phi_dc - drive.a_d, drive.phi_dc + drive.a_d
         k_lo = math.ceil((lo - math.pi / 2) / math.pi)
@@ -133,10 +130,13 @@ def fourier_decompose(
     Raises
     ------
     ValueError
-        If the flux excursion crosses the E_J = 0 point of a symmetric
-        (d = 0) SQUID, where omega_C(phi) is not analytic.
+        If ``m_max`` is below the drive harmonic, or the flux excursion
+        crosses the E_J = 0 point of a symmetric (d = 0) SQUID, where
+        omega_C(phi) is not analytic.
     """
-    _check_expansion(drive, coupler, m_max)
+    if m_max < drive.k:
+        raise ValueError("m_max must be at least the drive harmonic k")
+    _check_expansion(drive, coupler)
     # omega_C(phi_dc + a sin(wt)) is even in y = w t - pi/2
     y = TWO_PI * np.arange(FOURIER_SAMPLES) / FOURIER_SAMPLES
     f = coupler_frequency(drive.phi_dc + drive.a_d * np.sin(y + math.pi / 2), coupler)
@@ -147,16 +147,14 @@ def fourier_decompose(
     )
 
 
-def derivative_series(
-    drive: DriveSpec,
-    coupler: CouplerSpec,
-    m_max: int = 4,
-) -> DriveSpectrum:
-    """The spectrum of :func:`fourier_decompose` from the analytic
-    flux-derivative series of omega_C about ``phi_dc``, truncated at
-    derivative order ``2 * m_max``.  Raises as :func:`fourier_decompose`.
+def derivative_series(drive: DriveSpec, coupler: CouplerSpec) -> DriveSpectrum:
+    """The spectrum D_1 ... D_4 of :func:`fourier_decompose` from the
+    analytic flux-derivative series of omega_C about ``phi_dc``, truncated
+    at derivative order 8.  Raises as :func:`fourier_decompose` at a
+    symmetric-SQUID kink.
     """
-    _check_expansion(drive, coupler, m_max)
+    _check_expansion(drive, coupler)
+    m_max = 4
     dist = _singularity_distance(drive.phi_dc, coupler.d)
     radius = 0.8 * min(dist, 1.2)
     deriv = taylor_coefficients(
@@ -220,6 +218,12 @@ def effective_coupling(
     drive-frame derivation is absorbed into the basis convention.  Emits a
     :class:`ValidityWarning` when ``|D_k| > k * omega_D / 2``, outside the
     stated small-modulation window.
+
+    Raises
+    ------
+    ValueError
+        If ``|D_k / (k * omega_D)| > 20``, beyond the tested range of the
+        Bessel table (see the module docstring).
     """
     if k < 1:
         raise ValueError("harmonic order k must be positive")
@@ -428,6 +432,14 @@ def k2_closed_forms(
     Evaluates the second-order truncation of the Floquet expansion in terms
     of ``J_{n,m} = J_n(D1/omega_D) * J_m(-D2/(2*omega_D))``.  Only k = 2 is
     supported; the analytic block is specific to the second harmonic.
+
+    Raises
+    ------
+    ValueError
+        If ``drive.k`` is not 2, if :func:`fourier_decompose` refuses the
+        drive, or if ``|D1 / omega_D|`` or ``|D2 / (2 omega_D)|`` exceeds 20,
+        beyond the tested range of the Bessel table (see the module
+        docstring).
     """
     if drive.k != 2:
         raise ValueError("closed forms are k = 2 specific")

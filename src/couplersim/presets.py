@@ -111,7 +111,9 @@ def calibrate_drive_amplitude(circuit: CircuitSpec, kind: str, target_coupling: 
     ``target_coupling``, searched up to ``A_MAX``.
 
     Uses the k = 2 closed forms with the Schrieffer-Wolff correction for the
-    second-harmonic operations and the leading-order formula for k = 1.
+    second-harmonic operations and the leading-order formula for k = 1,
+    so it raises ``ValueError`` where those do (a Bessel argument beyond
+    20, reachable only with a low drive frequency or a wide coupler band).
     """
     from scipy.optimize import brentq
 

@@ -131,8 +131,7 @@ def steady_state_leakage(scenario: RBScenario, with_lr: bool) -> float:
     no entry moves by ``_POWER_TOL``.
 
     A rate-equation value, the incoherent limit of the Monte Carlo model
-    (see the module docstring): it overstates the coherent late-time P_f
-    3.8x at the table rates with recovery every Clifford."""
+    (see the module docstring)."""
     m = cycle_matrix(scenario, with_lr)
     vec = np.array([1.0, 0.0, 0.0])
     for _ in range(_POWER_MAX_ITER):

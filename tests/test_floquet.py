@@ -116,9 +116,8 @@ class TestFourierDecompose:
 
     def test_m_max_must_cover_harmonic(self, coupler):
         drive = DriveSpec(phi_dc=0.3, a_d=0.1, omega_d=1e9, k=2)
-        for decompose in (fourier_decompose, derivative_series):
-            with pytest.raises(ValueError, match="m_max"):
-                decompose(drive, coupler, m_max=1)
+        with pytest.raises(ValueError, match="m_max"):
+            fourier_decompose(drive, coupler, m_max=1)
 
     def test_fft_does_not_evaluate_the_series(self, coupler, monkeypatch):
         # most callers read only the FFT coefficients; the flux-derivative
@@ -167,6 +166,12 @@ class TestEffectiveCoupling:
     def test_validity_warning_outside_window(self):
         spec = DriveSpectrum(omega_bar_c=5e9, d_m=(2.0e9, 1.5e9))
         with pytest.warns(ValidityWarning):
+            effective_coupling(115e6, 75e6, 2, 1.01e9, spec)
+
+    def test_refuses_bessel_argument_beyond_tested_range(self):
+        # D_2 / (2 omega_D) = 21, past the |x| <= 20 range of the J table
+        spec = DriveSpectrum(omega_bar_c=5e9, d_m=(0.0, 2 * 1.01e9 * 21.0))
+        with pytest.warns(ValidityWarning), pytest.raises(ValueError, match="Bessel argument"):
             effective_coupling(115e6, 75e6, 2, 1.01e9, spec)
 
     def test_reset_target_requires_unphysical_harmonic(self, circuit, coupler):
