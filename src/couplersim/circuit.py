@@ -200,6 +200,9 @@ def build_hamiltonian(spec: CircuitSpec) -> np.ndarray:
     full (non-RWA) coupling operator.  Tensor order is Q1 x Q2 x C x R; the
     single-excitation off-diagonal element of a coupled pair is ``-g_ij``.
     The matrix is assembled in Hz and scaled by 2 pi once.
+
+    Test oracle: the full-circuit check of :func:`manifold_hamiltonian`,
+    whose blocks every driven scenario uses, and of the static ZZ.
     """
     return TWO_PI * _hamiltonian_hz(spec)
 

@@ -174,9 +174,10 @@ def _convert(spec: _Param, value, path: str, kind: type = None):
         return items
     if kind in (str, bool):
         choices = (True, False) if kind is bool else spec.choices
-        _require(value in choices, path,
+        # type check first: 1 and 1.0 compare equal to True
+        _require(type(value) is kind and value in choices, path,
                  f"must be one of {', '.join(map(str, choices))}, got {value!r}")
-        return kind(value)
+        return value
     try:
         x = kind(value)
         ok = (not isinstance(value, bool) and math.isfinite(x)
@@ -490,7 +491,7 @@ def _run_floquet_report(ctx: RunContext) -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
         if man.k == 2:
-            frame = k2_closed_forms(circuit, drive, man)
+            frame = k2_closed_forms(man, drive, spectrum)
             report.update({
                 "omega_tilde_a_hz": frame.omega_tilde_a,
                 "omega_tilde_b_hz": frame.omega_tilde_b,
@@ -511,7 +512,7 @@ def _run_floquet_report(ctx: RunContext) -> dict:
             spec_a = fourier_decompose(d2, circuit.coupler)
             g_eq = effective_coupling(man.g_ac, man.g_bc, man.k, drive.omega_d, spec_a)
             if man.k == 2:
-                fr = k2_closed_forms(circuit, d2, man)
+                fr = k2_closed_forms(man, d2, spec_a)
                 rows.append((a, g_eq, fr.g_tilde_ab, schrieffer_wolff_correction(fr)))
             else:
                 rows.append((a, g_eq, g_eq, g_eq))

@@ -221,10 +221,6 @@ class PopulationVector:
     def qubit_total(self) -> float:
         return self.p_g + self.p_e + self.p_f
 
-    @property
-    def p_subspace(self) -> float:
-        return self.p_g + self.p_e
-
 
 def lr_three_level_populations(t: float, g_tilde: float, rates: DecayRates) -> PopulationVector:
     """Populations during the leakage-recovery drive, starting from |f, 0>.
@@ -262,7 +258,8 @@ def reset_lindblad_model(g_tilde: float, rates: DecayRates, env: EnvelopeSpec | 
 
     Returns ``(hamiltonian, collapse_list, initial_state)`` for
     :func:`couplersim.numerics.propagate`; the donor population is element
-    (0, 0) of the propagated density matrix.
+    (0, 0) of the propagated density matrix.  Test oracle of the
+    ``reset-dynamics`` populations (damped and pulsed swap).
     """
     h_bare = TWO_PI * g_tilde * np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
     if env is None:
@@ -283,7 +280,8 @@ def lr_lindblad_model(g_tilde: float, rates: DecayRates):
     """Resonant-frame LR model on basis {|g0>, |e0>, |f0>, |e1>, |g1>}.
 
     |f0> <-> |e1> swap at g~, resonator decay |e1> -> |e0>, |g1> -> |g0>,
-    qubit decay |e0> -> |g0>, |e1> -> |g1>, and f -> e relaxation.
+    qubit decay |e0> -> |g0>, |e1> -> |g1>, and f -> e relaxation.  Test
+    oracle of the ``lr-dynamics`` populations.
     """
     dim = 5
     g0, e0, f0, e1, g1 = range(dim)
@@ -315,7 +313,10 @@ def lr_subspace_channel(rates: DecayRates, duration: float, qubit_shift: float =
     in the subspace just decoheres for the pulse duration and picks up the
     drive-induced frequency shift ``qubit_shift`` (Hz) on |e>.  Returns a
     callable mapping 2x2 density matrices to 3x3 outputs (qutrit space), for
-    use with :func:`pauli_transfer_matrix`.
+    use with :func:`pauli_transfer_matrix`.  With :func:`virtual_z_phase`,
+    :func:`with_virtual_z` and :func:`average_gate_fidelity` it is the test
+    oracle of the subspace fidelity of the LR window that ``leakage-rb``
+    applies every cycle.
     """
     from .numerics import propagate
 
@@ -338,7 +339,8 @@ def virtual_z_phase(channel) -> float:
     """Drive-induced qubit phase extracted from a superposition input.
 
     Mirrors the experimental virtual-Z calibration: the phase of the
-    off-diagonal element of the channel output for the |+> state.
+    off-diagonal element of the channel output for the |+> state.  A step of
+    the LR-window fidelity oracle (:func:`lr_subspace_channel`).
     """
     plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
     out = np.asarray(channel(plus))
@@ -347,7 +349,8 @@ def virtual_z_phase(channel) -> float:
 
 def with_virtual_z(channel, phase: float):
     """Compose a channel with the frame rotation cancelling the measured
-    phase (pass the value returned by :func:`virtual_z_phase`)."""
+    phase (pass the value returned by :func:`virtual_z_phase`).  A step of
+    the LR-window fidelity oracle (:func:`lr_subspace_channel`)."""
     rz = np.diag([1.0, np.exp(1j * phase)])
 
     def corrected(rho2: np.ndarray) -> np.ndarray:
@@ -396,7 +399,8 @@ def pauli_transfer_matrix(channel) -> PTMResult:
     larger dimension are projected onto their upper-left 2x2 block and
     renormalised, with the discarded population reported as leakage.  The
     channel counts as physical when its Choi matrix has no eigenvalue below
-    ``-CHOI_TOL``.
+    ``-CHOI_TOL``.  A step of the LR-window fidelity oracle
+    (:func:`lr_subspace_channel`).
     """
     probes = [
         np.array([[1, 0], [0, 0]], dtype=complex),
@@ -455,7 +459,8 @@ def pauli_transfer_matrix(channel) -> PTMResult:
 
 def average_gate_fidelity(ptm: PTMResult | np.ndarray) -> float:
     """Average gate fidelity of a PTM against the identity:
-    ``F = (2 F_pro + 1) / 3`` with ``F_pro = Tr(R) / 4``."""
+    ``F = (2 F_pro + 1) / 3`` with ``F_pro = Tr(R) / 4``.  The last step of
+    the LR-window fidelity oracle (:func:`lr_subspace_channel`)."""
     r = ptm.matrix if isinstance(ptm, PTMResult) else np.asarray(ptm)
     f_pro = float(np.trace(r)) / 4.0
     return (2.0 * f_pro + 1.0) / 3.0

@@ -47,6 +47,8 @@ from .numerics import (TWO_PI, midpoint_spectrum, periodic_propagator, strobosco
 
 #: samples per drive period of the exact Fourier coefficients
 FOURIER_SAMPLES = 4096
+#: harmonics D_1 ... D_M of a :class:`DriveSpectrum`
+HARMONICS = 4
 
 #: samples of the Jacobi-Anger table of :func:`_bessel_j`, and the largest
 #: argument it serves (the range of its oracle tests)
@@ -80,7 +82,7 @@ class DriveSpec:
 @dataclass(frozen=True)
 class DriveSpectrum:
     """Mean coupler frequency ``omega_bar_c`` and Fourier harmonics ``d_m``
-    (D_1 ... D_m_max) of omega_C(t), from :func:`fourier_decompose` (FFT of
+    (D_1 ... D_HARMONICS) of omega_C(t), from :func:`fourier_decompose` (FFT of
     one exactly sampled drive period, exact up to sampling) or from
     :func:`derivative_series` (analytic flux-derivative series).  The two
     agree within 1% for a_d <= 0.1 rad.
@@ -91,7 +93,7 @@ class DriveSpectrum:
 
     def coefficient(self, m: int) -> float:
         if not 1 <= m <= len(self.d_m):
-            raise ValueError(f"harmonic m={m} not available (m_max={len(self.d_m)})")
+            raise ValueError(f"harmonic m={m} not available (D_1 ... D_{len(self.d_m)})")
         return self.d_m[m - 1]
 
 
@@ -119,23 +121,16 @@ def _check_expansion(drive: DriveSpec, coupler: CouplerSpec) -> None:
             )
 
 
-def fourier_decompose(
-    drive: DriveSpec,
-    coupler: CouplerSpec,
-    m_max: int = 4,
-) -> DriveSpectrum:
+def fourier_decompose(drive: DriveSpec, coupler: CouplerSpec) -> DriveSpectrum:
     """Fourier decomposition of the modulated coupler frequency: FFT of one
     period sampled at ``FOURIER_SAMPLES`` points (numerically exact).
 
     Raises
     ------
     ValueError
-        If ``m_max`` is below the drive harmonic, or the flux excursion
-        crosses the E_J = 0 point of a symmetric (d = 0) SQUID, where
-        omega_C(phi) is not analytic.
+        If the flux excursion crosses the E_J = 0 point of a symmetric
+        (d = 0) SQUID, where omega_C(phi) is not analytic.
     """
-    if m_max < drive.k:
-        raise ValueError("m_max must be at least the drive harmonic k")
     _check_expansion(drive, coupler)
     # omega_C(phi_dc + a sin(wt)) is even in y = w t - pi/2
     y = TWO_PI * np.arange(FOURIER_SAMPLES) / FOURIER_SAMPLES
@@ -143,41 +138,38 @@ def fourier_decompose(
     coef = np.fft.rfft(f) / FOURIER_SAMPLES
     return DriveSpectrum(
         omega_bar_c=float(coef[0].real),
-        d_m=tuple(float(2.0 * coef[m].real) for m in range(1, m_max + 1)),
+        d_m=tuple(float(2.0 * coef[m].real) for m in range(1, HARMONICS + 1)),
     )
 
 
 def derivative_series(drive: DriveSpec, coupler: CouplerSpec) -> DriveSpectrum:
-    """The spectrum D_1 ... D_4 of :func:`fourier_decompose` from the
-    analytic flux-derivative series of omega_C about ``phi_dc``, truncated
-    at derivative order 8.  Raises as :func:`fourier_decompose` at a
-    symmetric-SQUID kink.
+    """The spectrum D_1 ... D_HARMONICS of :func:`fourier_decompose` from
+    the analytic flux-derivative series of omega_C about ``phi_dc``,
+    truncated at derivative order ``2 * HARMONICS``.  Raises as
+    :func:`fourier_decompose` at a symmetric-SQUID kink.
     """
     _check_expansion(drive, coupler)
-    m_max = 4
     dist = _singularity_distance(drive.phi_dc, coupler.d)
     radius = 0.8 * min(dist, 1.2)
     deriv = taylor_coefficients(
-        lambda z: coupler_frequency(z, coupler), drive.phi_dc, 2 * m_max, radius
+        lambda z: coupler_frequency(z, coupler), drive.phi_dc, 2 * HARMONICS, radius
     )
     a = drive.a_d
     omega_bar_series = sum(
         deriv[2 * n] * a ** (2 * n) / (4 ** n * math.factorial(n) ** 2)
-        for n in range(m_max + 1)
+        for n in range(HARMONICS + 1)
     )
     series = []
-    for m in range(1, m_max + 1):
+    for m in range(1, HARMONICS + 1):
         total = 0.0
         if m % 2 == 0:
-            for n in range(m // 2, m_max + 1):
+            for n in range(m // 2, HARMONICS + 1):
                 total += (
                     deriv[2 * n] * 2.0 * a ** (2 * n)
                     / (4 ** n * math.factorial((2 * n - m) // 2) * math.factorial((2 * n + m) // 2))
                 )
         else:
-            for n in range((m - 1) // 2, m_max):
-                if 2 * n + 1 > 2 * m_max:
-                    break
+            for n in range((m - 1) // 2, HARMONICS):
                 total += (
                     deriv[2 * n + 1] * a ** (2 * n + 1)
                     / (4 ** n * math.factorial((2 * n + 1 - m) // 2) * math.factorial((2 * n + 1 + m) // 2))
@@ -327,34 +319,29 @@ class TransitionManifold:
 
 
 #: kind -> (label A, label B, harmonic k, occupations of A, B and the
-#: coupler-excited state); ``q`` stands for the driven qubit
+#: coupler-excited state); the qubit-resonator operations drive Q1
 _TRANSITIONS = {
-    "reset": ("e0({q})", "g1", 2, {"q": 1}, {"R": 1}, {"C": 1}),
-    "lr": ("f0({q})", "e1({q})", 2, {"q": 2}, {"q": 1, "R": 1}, {"q": 1, "C": 1}),
-    "readout": ("f0({q})", "e1({q})", 2, {"q": 2}, {"q": 1, "R": 1}, {"q": 1, "C": 1}),
+    "reset": ("e0(Q1)", "g1", 2, {"Q1": 1}, {"R": 1}, {"C": 1}),
+    "lr": ("f0(Q1)", "e1(Q1)", 2, {"Q1": 2}, {"Q1": 1, "R": 1}, {"Q1": 1, "C": 1}),
+    "readout": ("f0(Q1)", "e1(Q1)", 2, {"Q1": 2}, {"Q1": 1, "R": 1}, {"Q1": 1, "C": 1}),
     "cz": ("ee", "fg", 1, {"Q1": 1, "Q2": 1}, {"Q1": 2}, {"Q1": 1, "C": 1}),
 }
 
 
-def transition_manifold(circuit: CircuitSpec, kind: str, qubit: str = "Q1") -> TransitionManifold:
+def transition_manifold(circuit: CircuitSpec, kind: str) -> TransitionManifold:
     """Manifold for one of the four driven operations.
 
-    ``reset``   |e0> <-> |g1>   (qubit-resonator, k = 2)
-    ``lr``      |f0> <-> |e1>   (qubit-resonator, k = 2)
+    ``reset``   |e0> <-> |g1>   (Q1-resonator, k = 2)
+    ``lr``      |f0> <-> |e1>   (Q1-resonator, k = 2)
     ``readout`` same transition as ``lr`` driven off-resonantly (k = 2)
-    ``cz``      |ee> <-> |fg>   (Q1-Q2, k = 1; ``qubit`` is not used)
+    ``cz``      |ee> <-> |fg>   (Q1-Q2, k = 1)
     """
     if kind not in _TRANSITIONS:
         raise ValueError(f"unknown transition kind {kind!r}")
     label_a, label_b, k, *occupations = _TRANSITIONS[kind]
-    states = []
-    for occ in occupations:
-        occ = {qubit if el == "q" else el: n for el, n in occ.items()}
-        states.append(tuple(occ.get(el, 0) for el in ELEMENTS))
-    return TransitionManifold(
-        kind=kind, label_a=label_a.format(q=qubit), label_b=label_b.format(q=qubit),
-        k=k, block=coupler_block(circuit, states),
-    )
+    states = [tuple(occ.get(el, 0) for el in ELEMENTS) for occ in occupations]
+    return TransitionManifold(kind=kind, label_a=label_a, label_b=label_b, k=k,
+                              block=coupler_block(circuit, states))
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +409,10 @@ class EffectiveFrame:
         return 0.5 * self._qubit_gap(self.dressed_resonance_offset())
 
 
-def k2_closed_forms(
-    circuit: CircuitSpec,
-    drive: DriveSpec,
-    states: str | TransitionManifold,
-) -> EffectiveFrame:
-    """Closed-form drive-frame parameters for a k = 2 parametric transition.
+def k2_closed_forms(man: TransitionManifold, drive: DriveSpec,
+                    spectrum: DriveSpectrum) -> EffectiveFrame:
+    """Closed-form drive-frame parameters for a k = 2 parametric transition
+    of ``man``, from the :func:`fourier_decompose` ``spectrum`` of ``drive``.
 
     Evaluates the second-order truncation of the Floquet expansion in terms
     of ``J_{n,m} = J_n(D1/omega_D) * J_m(-D2/(2*omega_D))``.  Only k = 2 is
@@ -436,23 +421,20 @@ def k2_closed_forms(
     Raises
     ------
     ValueError
-        If ``drive.k`` is not 2, if :func:`fourier_decompose` refuses the
-        drive, or if ``|D1 / omega_D|`` or ``|D2 / (2 omega_D)|`` exceeds 20,
-        beyond the tested range of the Bessel table (see the module
-        docstring).
+        If ``drive.k`` is not 2, or if ``|D1 / omega_D|`` or
+        ``|D2 / (2 omega_D)|`` exceeds 20, beyond the tested range of the
+        Bessel table (see the module docstring).
     """
     if drive.k != 2:
         raise ValueError("closed forms are k = 2 specific")
-    man = states if isinstance(states, TransitionManifold) else transition_manifold(circuit, states)
-    spec = fourier_decompose(drive, circuit.coupler)
     wd = drive.omega_d
-    x1 = spec.d_m[0] / wd
-    x2 = -spec.d_m[1] / (2.0 * wd)
+    x1 = spectrum.d_m[0] / wd
+    x2 = -spectrum.d_m[1] / (2.0 * wd)
     jn = _bessel_j([x1, x2])[:, :3].T  # jn[n] = (J_n(x1), J_n(x2))
     j = np.outer(jn[:, 0], jn[:, 1])
 
     g_ac, g_bc, g_ab = man.g_ac, man.g_bc, man.g_ab
-    delta_c = spec.omega_bar_c + man.delta_c_offset
+    delta_c = spectrum.omega_bar_c + man.delta_c_offset
 
     gt_ac = g_ac * j[0, 0] + g_ab * g_bc / (2 * wd) * (j[0, 2] + j[2, 1])
     wt_a = (1.0 / wd) * (
@@ -517,43 +499,18 @@ def schrieffer_wolff_correction(frame: EffectiveFrame) -> float:
 # parametric chi shift
 # ---------------------------------------------------------------------------
 
-def lab_to_drive_detuning(delta_lab: float, k: int) -> float:
-    """Detuning conversion: the drive frame sees k times the lab detuning."""
-    return k * delta_lab
-
-
 def chi_shift(g_tilde_qr: float, delta_drive: float) -> float:
     """Qubit-state dependent resonator shift (Hz) of the driven avoided
     crossing:
 
         2*chi = (|Delta| - sqrt(4 |g~_QR|^2 + Delta^2)) / 2
 
-    ``delta_drive`` must already be in the drive frame (lab detuning times
-    k, see :func:`lab_to_drive_detuning`).  The returned value is <= 0 on
+    ``delta_drive`` must already be in the drive frame, which sees k times
+    the lab detuning at the k-th harmonic.  The returned value is <= 0 on
     this branch and reaches -|g~_QR| at Delta = 0.
     """
     ad = abs(delta_drive)
     return (ad - math.sqrt(4.0 * g_tilde_qr ** 2 + delta_drive ** 2)) / 2.0
-
-
-@dataclass(frozen=True)
-class ReadoutOperatingPoint:
-    """Parametric readout working point (all Hz).
-
-    ``delta`` is stored in the drive frame; ``chi`` holds the shift returned
-    by :func:`chi_shift` at this point.
-    """
-
-    g_tilde_qr: float
-    delta: float
-    chi: float
-
-
-def readout_operating_point(g_tilde_qr: float, delta_lab: float,
-                            k: int = 2) -> ReadoutOperatingPoint:
-    delta = lab_to_drive_detuning(delta_lab, k)
-    return ReadoutOperatingPoint(g_tilde_qr=g_tilde_qr, delta=delta,
-                                 chi=chi_shift(g_tilde_qr, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +555,7 @@ def quasi_energy_gap(
     The eigenphases of the lab-frame one-period propagator of
     :func:`modulated_hamiltonian` give the quasi-energies (frame-independent
     modulo ``omega_d``); the avoided-crossing gap equals twice the exact
-    effective coupling.
+    effective coupling.  Test oracle of the ``floquet-report`` couplings.
     """
     spectrum = modulation_spectrum(manifold.block, coupler, drive, n_sub)
     return _branch_gap(periodic_propagator(spectrum, 1.0 / drive.omega_d), drive.omega_d)
@@ -616,7 +573,8 @@ def find_parametric_resonance(
     quasi-energy gap.  Returns ``(omega_d_star, gap_hz)``.
 
     The drive amplitude is fixed, so one :func:`modulation_spectrum` serves
-    the coarse grid and the bounded search."""
+    the coarse grid and the bounded search.  Test oracle of the
+    ``cz-chevron`` oscillation frequencies and of the k = 2 coupling scaling."""
     from scipy.optimize import minimize_scalar
 
     w0 = manifold.bare_drive_frequency
@@ -643,7 +601,8 @@ def stroboscopic_populations(
     n_sub: int = 4096,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Population of state A at stroboscopic times (multiples of the drive
-    period), starting from A.  Micromotion-free by construction."""
+    period), starting from A.  Micromotion-free by construction.  The
+    one-manifold test form of the ``cz-chevron`` p_ee columns."""
     wd = drive.omega_d
     u = periodic_propagator(modulation_spectrum(manifold.block, coupler, drive, n_sub), 1.0 / wd)
     pops = np.abs(stroboscopic_diagonal(u, n_periods)[:, 0]) ** 2

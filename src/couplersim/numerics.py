@@ -151,8 +151,6 @@ def propagate(
     duration: float,
     step: float | None = None,
     t_eval: np.ndarray | None = None,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> np.ndarray:
     """Propagate a density matrix under the Lindblad master equation.
 
@@ -221,7 +219,7 @@ def propagate(
     max_step = step if step is not None else min(step_required, duration)
     sol = solve_ivp(
         rhs, (0.0, duration), rho0.reshape(-1), method="DOP853",
-        t_eval=t_eval, rtol=rtol, atol=atol, max_step=max_step,
+        t_eval=t_eval, rtol=1e-10, atol=1e-12, max_step=max_step,
     )
     if not sol.success:
         raise RuntimeError(f"propagation failed: {sol.message}")
@@ -240,7 +238,9 @@ def schrodinger_propagate(
     atol: float = 1e-12,
     max_step: float | None = None,
 ) -> np.ndarray:
-    """State-vector evolution (no dissipation); H in rad/s."""
+    """State-vector evolution (no dissipation); H in rad/s.  Test oracle of
+    :func:`periodic_propagator` (``cz-chevron``) and of the closed-form
+    drive-frame dynamics (``floquet-report``)."""
     from scipy.integrate import solve_ivp
 
     psi0 = np.asarray(psi0, dtype=complex)

@@ -114,6 +114,7 @@ def calibrate_drive_amplitude(circuit: CircuitSpec, kind: str, target_coupling: 
     second-harmonic operations and the leading-order formula for k = 1,
     so it raises ``ValueError`` where those do (a Bessel argument beyond
     20, reachable only with a low drive frequency or a wide coupler band).
+    Test oracle of the ``A_D_*`` amplitudes of the ``floquet-report`` drives.
     """
     from scipy.optimize import brentq
 
@@ -121,11 +122,11 @@ def calibrate_drive_amplitude(circuit: CircuitSpec, kind: str, target_coupling: 
 
     def coupling(a: float) -> float:
         drive = DriveSpec(phi_dc=PHI_DC, a_d=a, omega_d=man.bare_drive_frequency, k=man.k)
+        spec = fourier_decompose(drive, circuit.coupler)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
             if man.k == 2:
-                return abs(k2_closed_forms(circuit, drive, man).swap_coupling())
-            spec = fourier_decompose(drive, circuit.coupler)
+                return abs(k2_closed_forms(man, drive, spec).swap_coupling())
             return abs(effective_coupling(man.g_ac, man.g_bc, man.k, drive.omega_d, spec))
 
     return brentq(lambda a: coupling(a) - target_coupling, 1e-4, A_MAX, xtol=1e-13)

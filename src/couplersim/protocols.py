@@ -1,20 +1,19 @@
 """Scenario models for the four coupler operations and their metrics:
 reset, leakage-recovery support, parametric readout with Gaussian-mixture
-classification, CZ calibration, and flux-amplitude calibration.
+classification and CZ calibration.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import CircuitSpec, CouplerSpec, coupler_frequency, manifold_hamiltonian
-from .floquet import DriveSpec, coupler_block, fourier_decompose, modulation_spectrum
-from .numerics import (TWO_PI, FitResult, RngStream, fit_least_squares, periodic_propagator,
+from .circuit import CircuitSpec, manifold_hamiltonian
+from .floquet import DriveSpec, coupler_block, modulation_spectrum
+from .numerics import (TWO_PI, RngStream, fit_least_squares, periodic_propagator,
                        stroboscopic_diagonal)
 
 STATE_LABELS = ("g", "e", "f")
@@ -63,7 +62,8 @@ def population_to_temperature(p_e: float, omega_q: float) -> float:
 
 
 def temperature_to_population(temperature: float, omega_q: float) -> float:
-    """Inverse of :func:`population_to_temperature` (exact roundtrip)."""
+    """Inverse of :func:`population_to_temperature` (exact roundtrip): test
+    oracle of the ``reset-metrics`` temperatures."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     x = math.exp(-PLANCK_H * omega_q / (BOLTZMANN_K * temperature))
@@ -82,7 +82,7 @@ class ThermalBudget:
     """Thermal limits on the reset floor.
 
     ``n_th`` is the resonator thermal occupation (shared bath at the qubit's
-    idle temperature unless overridden), ``n_up`` the rethermalisation during
+    idle temperature), ``n_up`` the rethermalisation during
     reset + measurement, and their sum the floor on the post-reset
     excited-state population.  ``t_r_bound`` is the swap bound
     ``T^r >= (omega_q / omega_r) T_R``.
@@ -108,7 +108,6 @@ def thermal_budget(
     omega_r: float,
     tau_r: float,
     tau_m: float,
-    resonator_temperature: float | None = None,
 ) -> ThermalBudget:
     """Thermal reset budget from the idle population and qubit decay rate.
 
@@ -117,82 +116,14 @@ def thermal_budget(
     resonator occupation is the Bose factor at its frequency.
     """
     t_id = population_to_temperature(p_id, omega_q)
-    t_res = t_id if resonator_temperature is None else resonator_temperature
-    n_th = bose_occupation(omega_r, t_res)
+    n_th = bose_occupation(omega_r, t_id)
     kappa_01 = p_id * gamma_1  # cyclic Hz
     n_up = TWO_PI * kappa_01 * (tau_r + tau_m) / 2.0
     return ThermalBudget(
         temperature=t_id, n_th=n_th, n_up=n_up, kappa_01=kappa_01,
         tau_r=tau_r, tau_m=tau_m,
-        t_r_bound=(omega_q / omega_r) * t_res,
+        t_r_bound=(omega_q / omega_r) * t_id,
     )
-
-
-# ---------------------------------------------------------------------------
-# flux-amplitude calibration
-# ---------------------------------------------------------------------------
-
-def flux_amplitude_calibration(
-    volts: np.ndarray,
-    delta_c: np.ndarray,
-    coupler: CouplerSpec,
-    phi_dc: float,
-    c0: float | None = None,
-) -> FitResult:
-    """Volts-to-flux conversion factor from the drive-induced coupler shift.
-
-    Fits the measured mean-frequency shift ``Delta_C(V)`` with the model
-    ``omega_bar_C(a = c V) - omega_C(phi_dc)``; the single parameter is the
-    conversion factor c (rad/V).
-    """
-    volts = np.asarray(volts, dtype=float)
-    delta_c = np.asarray(delta_c, dtype=float)
-    if volts.size < 3:
-        raise ValueError("need at least 3 calibration points")
-    order = np.argsort(np.abs(volts))
-    trend = np.abs(delta_c[order])
-    if np.any(np.diff(trend) < -0.05 * (trend.max() + 1e-30)):
-        raise ValueError("|Delta_C| must grow monotonically with |V_D|")
-
-    w_static = float(coupler_frequency(phi_dc, coupler))
-
-    def mean_frequency(a: float) -> float:
-        # the period average does not depend on the drive frequency
-        return fourier_decompose(DriveSpec(phi_dc, abs(a), 1.0), coupler).omega_bar_c
-
-    def model(v, c):
-        return np.array([mean_frequency(c * vi) for vi in np.atleast_1d(v)]) - w_static
-
-    if c0 is None:
-        # quadratic small-signal guess from the largest point
-        i = int(np.argmax(np.abs(volts)))
-        curv = (mean_frequency(0.1) - w_static) / 0.1 ** 2
-        c0 = math.sqrt(max(delta_c[i] / curv, 1e-12)) / abs(volts[i]) if curv != 0 else 1.0
-    fit = fit_least_squares(model, volts, delta_c, [c0])
-    fit.params = np.abs(fit.params)
-    return fit
-
-
-# ---------------------------------------------------------------------------
-# resonator response
-# ---------------------------------------------------------------------------
-
-def resonator_response(chi: float, kappa_r: float, delta_p, qubit_state: str = "g"):
-    """Complex transmission of the readout resonator near resonance.
-
-    Lorentzian line of half-width ``kappa_r / 2`` centred at the undriven
-    resonance for ``qubit_state='g'`` and pulled by the full state-dependent
-    shift ``2*chi`` for ``qubit_state='e'`` (``chi`` is the half-shift).
-    """
-    if kappa_r <= 0:
-        raise ValueError("kappa_r must be positive")
-    if qubit_state not in ("g", "e"):
-        raise ValueError("qubit_state must be 'g' or 'e'")
-    center = 0.0 if qubit_state == "g" else 2.0 * chi
-    delta = np.asarray(delta_p, dtype=float)
-    hw = kappa_r / 2.0
-    s21 = np.asarray(hw / (hw + 1j * (delta - center)))
-    return s21 if s21.ndim else complex(s21)
 
 
 # ---------------------------------------------------------------------------
@@ -215,22 +146,6 @@ class ShotSet:
 
     def __len__(self) -> int:
         return self.iq.shape[0]
-
-
-def shotset_from_csv(path: str) -> ShotSet:
-    """Read a shot table with columns (I, Q, label), as the ``readout-shots``
-    scenario writes it."""
-    import csv
-
-    iq = []
-    labels = set()
-    with open(path, "r", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            iq.append((float(row["I"]), float(row["Q"])))
-            labels.add(row["label"])
-    label = labels.pop() if len(labels) == 1 else "unknown"
-    return ShotSet(iq=np.asarray(iq), label=label)
 
 
 def generate_shots(
@@ -519,6 +434,8 @@ def static_zz_shift(circuit: CircuitSpec, phi_dc: float) -> float:
     from dense diagonalisation of the excitation manifolds of the circuit at
     that flux (E_gg = 0: the zero-excitation block is |gg> alone).  Flux
     points with small |zeta| are natural two-qubit-gate operating points.
+    Tested against :func:`~couplersim.circuit.build_hamiltonian`; it is the
+    idle interaction of the manifolds ``cz-chevron`` propagates.
     """
     at_flux = circuit.at_flux(phi_dc)
     w = circuit.omega
@@ -669,23 +586,3 @@ def cz_conditional_phase(
         phase_star=float(phi_star),
     )
 
-
-# ---------------------------------------------------------------------------
-# interleaved randomized benchmarking
-# ---------------------------------------------------------------------------
-
-def interleaved_rb_gate_error(lambda_b: float, lambda_i: float, d: int = 4) -> float:
-    """Interleaved-gate error from baseline and interleaved RB decays:
-
-        eps = (1 - lambda_i / lambda_b) * (d - 1) / d
-
-    ``d = 4`` for a two-qubit system.  A negative estimate (lambda_i >
-    lambda_b, possible with fit noise) is returned as-is with a warning.
-    """
-    if not 0.0 < lambda_b <= 1.0 or not 0.0 < lambda_i <= 1.0:
-        raise ValueError("decay parameters must lie in (0, 1]")
-    eps = (1.0 - lambda_i / lambda_b) * (d - 1) / d
-    if eps < 0:
-        warnings.warn("lambda_i > lambda_b: negative gate-error estimate",
-                      UserWarning, stacklevel=2)
-    return eps

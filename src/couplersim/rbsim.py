@@ -40,9 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import DecayRates
+from .dynamics import QUBIT
 from .numerics import TWO_PI, RngStream, fit_least_squares, liouvillian
 
 DEFAULT_N_CL_GRID = tuple(sorted({round(x) for x in np.geomspace(1, 1000, 20).tolist()}))
+#: relative gap between the two fitted decays below which :func:`fit_rb`
+#: calls them degenerate
+DEGENERACY_THRESHOLD = 0.01
 #: stopping rule of the steady-state power iteration
 _POWER_TOL = 1e-14
 _POWER_MAX_ITER = 2_000_000
@@ -54,7 +58,8 @@ class RBScenario:
 
     ``l_cl`` is the injected leakage per Clifford, ``f_lr`` the recovery
     success probability and ``n_lr`` the recovery cadence (every N
-    Cliffords; 0 disables recovery).  Times are seconds, rates cyclic Hz.
+    Cliffords; 0 disables recovery).  Times are seconds, rates cyclic Hz;
+    the benchmarked qubit is :data:`~couplersim.dynamics.QUBIT`.
     """
 
     l_cl: float
@@ -66,7 +71,6 @@ class RBScenario:
     n_lr: int = 1
     n_cl_grid: tuple = DEFAULT_N_CL_GRID
     shots_per_point: int = 0
-    qubit: str = "Q1"
 
     def __post_init__(self):
         if not 0.0 <= self.l_cl <= 1.0:
@@ -131,7 +135,8 @@ def steady_state_leakage(scenario: RBScenario, with_lr: bool) -> float:
     no entry moves by ``_POWER_TOL``.
 
     A rate-equation value, the incoherent limit of the Monte Carlo model
-    (see the module docstring)."""
+    (see the module docstring); test oracle of the ``leakage-rb``
+    ``a2_closed_forms``."""
     m = cycle_matrix(scenario, with_lr)
     vec = np.array([1.0, 0.0, 0.0])
     for _ in range(_POWER_MAX_ITER):
@@ -213,7 +218,7 @@ def error_models(scenario: RBScenario) -> ErrorModels:
     and the break-even injected leakage ``L* = tau_LR * Gamma_S`` above
     which recovery lowers the total error.  Gamma_S is angular internally.
     """
-    gs = TWO_PI * scenario.rates.gamma_sigma(scenario.qubit)
+    gs = TWO_PI * scenario.rates.gamma_sigma(QUBIT)
     l_cl = scenario.l_cl
     return ErrorModels(
         eps_ref=gs * scenario.tau_cl / 3.0,
@@ -313,16 +318,15 @@ def _decoherence_superops(scenario: RBScenario) -> dict:
     """Lindblad channels of the Clifford, leak and LR windows."""
     from scipy.linalg import expm
 
-    q = scenario.qubit
     r = scenario.rates
     low_q = np.kron(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex), np.eye(2))
     low_f = np.kron(np.array([[0, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=complex), np.eye(2))
     deph = np.kron(np.diag([0.0, 1.0, 2.0]).astype(complex), np.eye(2)) * math.sqrt(2.0)
     low_r = np.kron(np.eye(3), np.array([[0, 1], [0, 0]], dtype=complex))
     liou = liouvillian(np.zeros((6, 6)), [
-        (low_q, r.gamma1[q]),
+        (low_q, r.gamma1[QUBIT]),
         (low_f, r.gamma_fe),
-        (deph, r.gamma_phi[q]),
+        (deph, r.gamma_phi[QUBIT]),
         (low_r, r.kappa_r),
     ])
     return {"cl": expm(liou * scenario.tau_cl),
@@ -504,17 +508,10 @@ def _rb_initial_guess(n, p_g, p_f):
     return [a0, b0, lam0, a2, b2, lam2]
 
 
-def fit_rb(
-    n_cl: np.ndarray,
-    p_g: np.ndarray,
-    p_f: np.ndarray | None = None,
-    sigma_g: np.ndarray | None = None,
-    sigma_f: np.ndarray | None = None,
-    degeneracy_threshold: float = 0.01,
-) -> RBFitResult:
+def fit_rb(n_cl: np.ndarray, p_g: np.ndarray, p_f: np.ndarray | None = None) -> RBFitResult:
     """Fit leakage-RB curves; joint in (B2, lambda2) when P_f is given.
 
-    When the two decays come out within ``degeneracy_threshold`` (relative)
+    When the two decays come out within ``DEGENERACY_THRESHOLD`` (relative)
     of each other the leakage amplitude is poorly identified: the fit is
     redone with the single-exponential model for P_g, the degeneracy flag is
     set and the covariance is the (wider) fallback one.
@@ -529,7 +526,6 @@ def fit_rb(
             return a0 + b0 * lam0 ** x
 
         fit = fit_least_squares(model_g, n, p_g, [p_g[-1], p_g[0] - p_g[-1], 0.99],
-                                sigma=sigma_g,
                                 bounds=([-1, -2, 1e-6], [2, 2, 1.0]))
         cov = np.zeros((6, 6))
         cov[:3, :3] = fit.covariance
@@ -541,12 +537,6 @@ def fit_rb(
     m = len(n)
     x_joint = np.concatenate([n, n])
     y_joint = np.concatenate([p_g, p_f])
-    if sigma_g is not None or sigma_f is not None:
-        sg = np.ones(m) if sigma_g is None else np.asarray(sigma_g, dtype=float)
-        sf = np.ones(m) if sigma_f is None else np.asarray(sigma_f, dtype=float)
-        sigma = np.concatenate([sg, sf])
-    else:
-        sigma = None
 
     # curve tag rides along as a second x column so the model can split
     x2 = np.column_stack([x_joint, np.concatenate([np.zeros(m), np.ones(m)])])
@@ -560,18 +550,17 @@ def fit_rb(
     p0 = _rb_initial_guess(n, p_g, p_f)
     lo = [-1.0, -2.0, 1e-6, -1.0, -2.0, 1e-6]
     hi = [2.0, 2.0, 1.0, 2.0, 2.0, 1.0]
-    fit = fit_least_squares(model, x2, y_joint, p0, sigma=sigma, bounds=(lo, hi))
+    fit = fit_least_squares(model, x2, y_joint, p0, bounds=(lo, hi))
     a0, b0, lam0, a2, b2, lam2 = fit.params
 
-    degenerate = abs(lam0 - lam2) < degeneracy_threshold * max(lam0, lam2)
+    degenerate = abs(lam0 - lam2) < DEGENERACY_THRESHOLD * max(lam0, lam2)
     if degenerate:
-        g_only = fit_rb(n_cl, p_g, None, sigma_g=sigma_g)
+        g_only = fit_rb(n_cl, p_g)
 
         def model_f(x, a2_, b2_, lam2_):
             return a2_ + b2_ * lam2_ ** x
 
         f_fit = fit_least_squares(model_f, n, p_f, [p_f[-1], p_f[0] - p_f[-1], 0.9],
-                                  sigma=sigma_f,
                                   bounds=([-1, -2, 1e-6], [2, 2, 1.0]))
         cov = np.zeros((6, 6))
         cov[:3, :3] = g_only.covariance[:3, :3]

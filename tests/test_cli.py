@@ -233,6 +233,10 @@ class TestSchema:
         ("leakage-rb", {"n_cl_grid": [1, 1, 1, 1, 1], "n_randomizations": 2}, "params.n_cl_grid"),
         ("readout-shots", {"experiment_populations": [0.5, 0.5, 0.5]},
          "params.experiment_populations"),
+        # YAML booleans only: 1 == True and 1.0 == True in Python
+        ("readout-shots", {"include_decay": 1}, "params.include_decay"),
+        ("readout-shots", {"include_decay": 0}, "params.include_decay"),
+        ("readout-shots", {"include_decay": 1.0}, "params.include_decay"),
     ])
     def test_bad_values_are_schema_errors(self, tmp_path, capsys, scenario, params, key_path):
         config = write_config(tmp_path, scenario, params)

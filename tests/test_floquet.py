@@ -20,10 +20,8 @@ from couplersim.floquet import (
     find_parametric_resonance,
     fourier_decompose,
     k2_closed_forms,
-    lab_to_drive_detuning,
     modulated_hamiltonian,
     quasi_energy_gap,
-    readout_operating_point,
     schrieffer_wolff_correction,
     stroboscopic_populations,
     transition_manifold,
@@ -48,6 +46,16 @@ def with_block_entry(man, i, j, value):
     h = h.copy()
     h[i, j] = h[j, i] = value
     return dataclasses.replace(man, block=(h, n_c))
+
+
+def closed_forms(circuit, drive, man):
+    """:func:`k2_closed_forms` of ``man`` at the spectrum of ``drive``."""
+    return k2_closed_forms(man, drive, fourier_decompose(drive, circuit.coupler))
+
+
+def reset_frame(circuit):
+    """The k = 2 closed forms of the reset manifold at the fixture drive."""
+    return closed_forms(circuit, presets.reset_drive(), transition_manifold(circuit, "reset"))
 
 
 @pytest.fixture(scope="module")
@@ -113,11 +121,6 @@ class TestFourierDecompose:
         for decompose in (fourier_decompose, derivative_series):
             with pytest.raises(ValueError, match="E_J = 0"):
                 decompose(drive, sym)
-
-    def test_m_max_must_cover_harmonic(self, coupler):
-        drive = DriveSpec(phi_dc=0.3, a_d=0.1, omega_d=1e9, k=2)
-        with pytest.raises(ValueError, match="m_max"):
-            fourier_decompose(drive, coupler, m_max=1)
 
     def test_fft_does_not_evaluate_the_series(self, coupler, monkeypatch):
         # most callers read only the FFT coefficients; the flux-derivative
@@ -221,27 +224,20 @@ class TestTransitionManifolds:
         with pytest.raises(ValueError):
             transition_manifold(circuit, "swap")
 
-    @pytest.mark.parametrize("kind, qubit, expected", [
-        ("reset", "Q1", ("e0(Q1)", "g1", 3.83e9, 5.85e9,
-                         -115e6, 75e6, -9e6, -3.83e9, 2)),
-        ("reset", "Q2", ("e0(Q2)", "g1", 3.11e9, 5.85e9,
-                         -110e6, 75e6, -5e6, -3.11e9, 2)),
-        ("lr", "Q1", ("f0(Q1)", "e1(Q1)", 2 * 3.83e9 - 205e6, 3.83e9 + 5.85e9,
-                      -ROOT2 * 115e6, 75e6, -ROOT2 * 9e6, -(3.83e9 - 205e6), 2)),
-        ("lr", "Q2", ("f0(Q2)", "e1(Q2)", 2 * 3.11e9 - 216e6, 3.11e9 + 5.85e9,
-                      -ROOT2 * 110e6, 75e6, -ROOT2 * 5e6, -(3.11e9 - 216e6), 2)),
-        ("readout", "Q1", ("f0(Q1)", "e1(Q1)", 2 * 3.83e9 - 205e6, 3.83e9 + 5.85e9,
-                           -ROOT2 * 115e6, 75e6, -ROOT2 * 9e6, -(3.83e9 - 205e6), 2)),
-        ("readout", "Q2", ("f0(Q2)", "e1(Q2)", 2 * 3.11e9 - 216e6, 3.11e9 + 5.85e9,
-                           -ROOT2 * 110e6, 75e6, -ROOT2 * 5e6, -(3.11e9 - 216e6), 2)),
-        ("cz", "Q1", ("ee", "fg", 3.83e9 + 3.11e9, 2 * 3.83e9 - 205e6,
-                      -110e6, -ROOT2 * 115e6, -ROOT2 * 15e6, -3.11e9, 1)),
+    @pytest.mark.parametrize("kind, expected", [
+        ("reset", ("e0(Q1)", "g1", 3.83e9, 5.85e9, -115e6, 75e6, -9e6, -3.83e9, 2)),
+        ("lr", ("f0(Q1)", "e1(Q1)", 2 * 3.83e9 - 205e6, 3.83e9 + 5.85e9,
+                -ROOT2 * 115e6, 75e6, -ROOT2 * 9e6, -(3.83e9 - 205e6), 2)),
+        ("readout", ("f0(Q1)", "e1(Q1)", 2 * 3.83e9 - 205e6, 3.83e9 + 5.85e9,
+                     -ROOT2 * 115e6, 75e6, -ROOT2 * 9e6, -(3.83e9 - 205e6), 2)),
+        ("cz", ("ee", "fg", 3.83e9 + 3.11e9, 2 * 3.83e9 - 205e6,
+                -110e6, -ROOT2 * 115e6, -ROOT2 * 15e6, -3.11e9, 1)),
     ])
-    def test_golden_fields(self, circuit, kind, qubit, expected):
+    def test_golden_fields(self, circuit, kind, expected):
         # every field pinned exactly on the reference circuit: the signed
         # single-excitation element is -g_ij, each doubly occupied transmon
         # level brings a factor sqrt(2)
-        man = transition_manifold(circuit, kind, qubit)
+        man = transition_manifold(circuit, kind)
         names = ("label_a", "label_b", "omega_a", "omega_b", "g_ac", "g_bc", "g_ab",
                  "delta_c_offset", "k")
         assert man.kind == kind
@@ -255,7 +251,7 @@ class TestK2ClosedForms:
     def test_requires_second_harmonic(self, circuit):
         drive = DriveSpec(phi_dc=0.3, a_d=0.05, omega_d=5e8, k=1)
         with pytest.raises(ValueError, match="k = 2"):
-            k2_closed_forms(circuit, drive, "reset")
+            closed_forms(circuit, drive, transition_manifold(circuit, "reset"))
 
     def test_zero_drive_reduction(self, circuit):
         # at a_d = 0 only J_{0,0} = 1 survives: the frame keeps the bare A-C
@@ -263,7 +259,7 @@ class TestK2ClosedForms:
         man = with_block_entry(transition_manifold(circuit, "reset"), 0, 1, 0.0)
         drive = DriveSpec(phi_dc=presets.PHI_DC, a_d=0.0,
                           omega_d=man.bare_drive_frequency, k=2)
-        frame = k2_closed_forms(circuit, drive, man)
+        frame = closed_forms(circuit, drive, man)
         assert frame.g_tilde_ac == pytest.approx(man.g_ac, rel=1e-12)
         assert frame.g_tilde_ab == 0.0
         assert frame.g_tilde_bc == 0.0
@@ -288,8 +284,8 @@ class TestK2ClosedForms:
         man = with_block_entry(transition_manifold(circuit, "reset"), 0, 1, 0.0)
         drive = DriveSpec(phi_dc=0.12 * math.pi, a_d=0.3,
                           omega_d=man.bare_drive_frequency, k=2)
-        frame = k2_closed_forms(circuit, drive, man)
         spec = fourier_decompose(drive, coupler)
+        frame = k2_closed_forms(man, drive, spec)
         wd = drive.omega_d
         j00 = jv(0, spec.d_m[0] / wd) * jv(0, -spec.d_m[1] / (2 * wd))
         assert frame.g_tilde_ac / man.g_ac == pytest.approx(j00, rel=1e-12)
@@ -304,8 +300,8 @@ class TestK2ClosedForms:
                           omega_d=man.bare_drive_frequency, k=2)
         wd = drive.omega_d
         assert zeroed.g_ab == 0.0 and man.g_ab != 0.0
-        assert k2_closed_forms(circuit, drive, zeroed).omega_tilde_a == 0.0
-        assert k2_closed_forms(circuit, drive, man).omega_tilde_a == pytest.approx(
+        assert closed_forms(circuit, drive, zeroed).omega_tilde_a == 0.0
+        assert closed_forms(circuit, drive, man).omega_tilde_a == pytest.approx(
             man.g_ab ** 2 / (2 * wd), rel=1e-12)
         gaps = []
         for m in (man, zeroed):
@@ -318,13 +314,13 @@ class TestK2ClosedForms:
         assert gaps[0] != pytest.approx(gaps[1], rel=1e-3)
 
     def test_reset_fixture_swap_coupling(self, circuit):
-        frame = k2_closed_forms(circuit, presets.reset_drive(), "reset")
+        frame = reset_frame(circuit)
         assert frame.swap_coupling() == pytest.approx(2.07e6, rel=1e-6)
 
     def test_fixture_effective_model_time_domain_agreement(self, circuit):
         # time-domain propagation of the closed-form drive-frame Hamiltonian
         # vs the extracted swap coupling (sin^2 fit of population transfer)
-        frame = k2_closed_forms(circuit, presets.reset_drive(), "reset")
+        frame = reset_frame(circuit)
         g_expect = frame.swap_coupling()
         h_eff = TWO_PI * frame.matrix(frame.dressed_resonance_offset()).astype(complex)
         t = np.linspace(0.0, 1.2 / (2 * g_expect), 500)
@@ -376,7 +372,7 @@ class TestSchriefferWolff:
         # weight and overestimates this fixture's gap by ~50%.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
-            frame = k2_closed_forms(circuit, presets.reset_drive(), "reset")
+            frame = reset_frame(circuit)
         g_standard = frame.g_tilde_ab - frame.g_tilde_ac * frame.g_tilde_bc / frame.delta_tilde_c
         gap = 2.0 * frame.swap_coupling()
         assert gap == pytest.approx(2 * abs(g_standard), rel=0.02)
@@ -395,10 +391,11 @@ class TestChiShift:
         assert abs(chi_shift(2.5e6, 0.0)) == pytest.approx(2.5e6, rel=1e-12)
 
     def test_operating_point_fixture(self):
-        point = readout_operating_point(g_tilde_qr=2.12e6, delta_lab=4.02e6, k=2)
-        assert point.delta == pytest.approx(8.04e6)
-        assert point.chi == pytest.approx(-0.53e6, rel=0.03)
-        assert point.chi == pytest.approx(-0.5247e6, rel=1e-3)
+        # the readout point: 4.02 MHz lab detuning is 8.04 MHz in the k = 2
+        # drive frame, where the quoted 2.12 MHz coupling gives 2 chi = -0.53 MHz
+        two_chi = chi_shift(2.12e6, 2 * 4.02e6)
+        assert two_chi == pytest.approx(-0.53e6, rel=0.03)
+        assert two_chi == pytest.approx(-0.5247e6, rel=1e-3)
 
     def test_symmetric_and_monotone_in_detuning(self):
         g = 1.7e6
@@ -408,9 +405,6 @@ class TestChiShift:
             assert chi_shift(g, d) == chi_shift(g, -d)
         assert np.all(np.diff(vals) <= 1e-9)
         assert np.all(np.array([chi_shift(g, d) for d in deltas]) <= 0.0)
-
-    def test_lab_to_drive_conversion(self):
-        assert lab_to_drive_detuning(4.02e6, 2) == pytest.approx(8.04e6)
 
 
 class TestExactOracle:
@@ -457,7 +451,7 @@ class TestExactOracle:
                           omega_d=man.bare_drive_frequency, k=2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
-            frame = k2_closed_forms(circuit, drive, man)
+            frame = closed_forms(circuit, drive, man)
         _, gap = find_parametric_resonance(man, circuit.coupler, drive,
                                            span=25e6, n_coarse=25, n_sub=1024)
         ratio = gap / (2 * frame.swap_coupling())

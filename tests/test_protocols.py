@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from couplersim import cli, presets
-from couplersim.floquet import DriveSpec, fourier_decompose
+from couplersim import presets
 from couplersim.numerics import TWO_PI, RngStream
 from couplersim.protocols import (
     BOLTZMANN_K,
@@ -16,14 +15,10 @@ from couplersim.protocols import (
     calibrate_classifier,
     cz_conditional_phase,
     estimate_populations,
-    flux_amplitude_calibration,
     gaussian_overlap_error,
     generate_shots,
-    interleaved_rb_gate_error,
     population_to_temperature,
     reset_metrics,
-    resonator_response,
-    shotset_from_csv,
     static_zz_shift,
     temperature_to_population,
     thermal_budget,
@@ -100,76 +95,9 @@ class TestThermalBudget:
         b = thermal_budget(0.0062, RATES.gamma1["Q1"], 3.83e9, 5.85e9, 150e-9, 2.3e-6)
         assert b.floor == pytest.approx(0.00074, abs=3e-4)
 
-    def test_cold_resonator_floor_reduces_to_rethermalisation(self):
-        b = thermal_budget(0.0062, RATES.gamma1["Q1"], 3.83e9, 5.85e9, 150e-9, 2.3e-6,
-                           resonator_temperature=0.0)
-        assert b.n_th == 0.0
-        assert b.floor == b.n_up
-        assert b.t_r_bound == 0.0
-
     def test_swap_temperature_bound(self):
         b = thermal_budget(0.0062, RATES.gamma1["Q1"], 3.83e9, 5.85e9, 150e-9, 2.3e-6)
         assert b.t_r_bound == pytest.approx((3.83 / 5.85) * b.temperature, rel=1e-12)
-
-
-def mean_frequency(phi_dc, a_d, coupler):
-    """Mean coupler frequency over one drive period of amplitude ``a_d``."""
-    return fourier_decompose(DriveSpec(phi_dc, a_d, 1.0), coupler).omega_bar_c
-
-
-class TestFluxAmplitudeCalibration:
-    def test_noiseless_roundtrip(self):
-        coupler = presets.table_coupler()
-        phi_dc = presets.PHI_DC
-        c_true = 0.37
-        volts = np.array([0.0, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9])
-        delta = np.array([mean_frequency(phi_dc, c_true * v, coupler)
-                          for v in volts]) - mean_frequency(phi_dc, 0.0, coupler)
-        fit = flux_amplitude_calibration(volts, delta, coupler, phi_dc, c0=0.3)
-        assert fit.converged
-        assert fit.params[0] == pytest.approx(c_true, rel=1e-6)
-
-    def test_noisy_recovery_within_three_sigma(self):
-        coupler = presets.table_coupler()
-        phi_dc = presets.PHI_DC
-        c_true = 0.42
-        rng = RngStream(seed=5).generator()
-        volts = np.linspace(0.1, 0.9, 9)
-        clean = np.array([mean_frequency(phi_dc, c_true * v, coupler)
-                          for v in volts]) - mean_frequency(phi_dc, 0.0, coupler)
-        noisy = clean * (1.0 + 0.01 * rng.standard_normal(volts.size))
-        fit = flux_amplitude_calibration(volts, noisy, coupler, phi_dc, c0=0.4)
-        assert abs(fit.params[0] - c_true) < 3 * fit.stderr()[0] + 1e-6
-
-    def test_rejects_non_monotone_trend(self):
-        coupler = presets.table_coupler()
-        volts = np.array([0.1, 0.5, 0.9])
-        delta = np.array([-5e6, -1e6, -9e6])
-        with pytest.raises(ValueError, match="monoton"):
-            flux_amplitude_calibration(volts, delta, coupler, presets.PHI_DC)
-
-
-class TestResonatorResponse:
-    def test_chi_zero_states_identical(self):
-        d = np.linspace(-3e6, 3e6, 11)
-        assert np.allclose(resonator_response(0.0, 770e3, d, "g"),
-                           resonator_response(0.0, 770e3, d, "e"))
-
-    def test_peak_positions_and_width(self):
-        chi, kappa = -0.53e6, 770e3
-        assert abs(resonator_response(chi, kappa, 0.0, "g")) == 1.0
-        assert abs(resonator_response(chi, kappa, 2 * chi, "e")) == 1.0
-        for state, center in (("g", 0.0), ("e", 2 * chi)):
-            val = abs(resonator_response(chi, kappa, center + kappa / 2, state))
-            assert val ** 2 == pytest.approx(0.5, rel=1e-12)
-
-    def test_separation_vs_linewidth_near_optimum(self):
-        chi, kappa = -0.53e6, 770e3
-        assert abs(2 * chi) / kappa == pytest.approx(1.4, abs=0.05)
-
-    def test_requires_positive_linewidth(self):
-        with pytest.raises(ValueError):
-            resonator_response(1e6, 0.0, 0.0, "g")
 
 
 class TestGenerateShots:
@@ -203,17 +131,6 @@ class TestGenerateShots:
         flipped = np.mean(np.argmin(d2, axis=1) == 0)
         expected = 1.0 - math.exp(-TWO_PI * gamma_1 * tau / 2)
         assert flipped == pytest.approx(expected, abs=4 * math.sqrt(expected / n) + 1e-3)
-
-    def test_csv_roundtrip(self, tmp_path):
-        # the shot table of the readout-shots scenario, as the CLI encodes it
-        ctx = cli.build_context({"scenario": "readout-shots", "params": {"n_shots": 1000}})
-        table = cli._run_readout_shots(ctx)["shots_e.csv"]
-        path = tmp_path / "shots_e.csv"
-        path.write_bytes(cli._encode(table))
-        back = shotset_from_csv(str(path))
-        i, q, label = table[1]
-        assert back.label == label == "e"
-        assert np.array_equal(back.iq, np.column_stack([i, q]))
 
 
 def _calibration_sets(centers, sigma=1.0, n=6000, seed=100):
@@ -425,40 +342,6 @@ class TestCZCalibration:
         u = expm(-1j * h * t_full)
         assert abs(u[0, 0]) == pytest.approx(1.0, abs=1e-12)
         assert np.angle(u[0, 0]) == pytest.approx(math.pi, abs=1e-12)
-
-
-class TestInterleavedRB:
-    def test_equal_decays_give_zero(self):
-        assert interleaved_rb_gate_error(0.98, 0.98) == 0.0
-
-    def test_faster_interleaved_decay_flags_warning(self):
-        with pytest.warns(UserWarning, match="negative"):
-            val = interleaved_rb_gate_error(0.97, 0.98)
-        assert val < 0
-
-    def test_recovers_known_depolarizing_strength(self):
-        from couplersim.rbsim import fit_rb
-
-        p_mix = 0.02  # interleaved depolarizing mixing probability
-        lam_b, a0, b0 = 0.97, 0.25, 0.75
-        n = np.unique(np.geomspace(1, 120, 14).astype(int))
-        curve_b = a0 + b0 * lam_b ** n
-        curve_i = a0 + b0 * (lam_b * (1 - p_mix)) ** n
-        fit_b = fit_rb(n, curve_b)
-        fit_i = fit_rb(n, curve_i)
-        eps = interleaved_rb_gate_error(fit_b.lambda0, fit_i.lambda0, d=4)
-        assert eps == pytest.approx(p_mix * 3 / 4, rel=1e-6)
-
-    def test_quoted_gate_fidelity_fixture(self):
-        lam_b = 0.98
-        lam_i = lam_b * (1 - 0.017 * 4 / 3)
-        eps = interleaved_rb_gate_error(lam_b, lam_i, d=4)
-        assert eps == pytest.approx(0.017, rel=1e-12)
-        assert 1 - eps == pytest.approx(0.983, rel=1e-12)
-
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            interleaved_rb_gate_error(0.0, 0.5)
 
 
 def cz_models(circuit, drive):

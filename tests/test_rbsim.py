@@ -105,3 +105,37 @@ class TestMonteCarlo:
         np.testing.assert_allclose(curves.p_g_mean, 0.5 + 0.5 * (1.0 - 2.0 * eps) ** n,
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(curves.p_f_mean, 0.0, rtol=0, atol=1e-12)
+
+
+def joint_curves(n, a0, b0, lambda0, a2, b2, lambda2):
+    """Noiseless P_g and P_f of the joint leakage-RB model of ``fit_rb``."""
+    n = np.asarray(n, dtype=float)
+    return a0 + b0 * lambda0 ** n + b2 * lambda2 ** n, a2 + b2 * lambda2 ** n
+
+
+class TestFitRB:
+    def test_single_exponential_recovers_lambda0(self):
+        # baseline and depolarized (mixing 0.02) standard-RB curves
+        n = np.unique(np.geomspace(1, 120, 14).astype(int))
+        for lam in (0.97, 0.97 * (1 - 0.02)):
+            fit = rbsim.fit_rb(n, 0.25 + 0.75 * lam ** n)
+            assert fit.converged
+            assert fit.lambda0 == pytest.approx(lam, abs=1e-6)
+            assert (fit.a2, fit.b2, fit.lambda2) == (0.0, 0.0, 1.0)
+
+    def test_joint_fit_recovers_all_six_parameters(self):
+        truth = {"a0": 0.5, "b0": 0.49, "lambda0": 0.99, "a2": 0.01, "b2": -0.01,
+                 "lambda2": 0.9}
+        n = rbsim.DEFAULT_N_CL_GRID
+        fit = rbsim.fit_rb(n, *joint_curves(n, **truth))
+        assert fit.converged and not fit.degenerate
+        for name, value in truth.items():
+            assert getattr(fit, name) == pytest.approx(value, rel=1e-6), name
+
+    def test_equal_decays_are_flagged_degenerate(self):
+        n = rbsim.DEFAULT_N_CL_GRID
+        p_g, p_f = joint_curves(n, a0=0.5, b0=0.49, lambda0=0.95, a2=0.01, b2=-0.01,
+                                lambda2=0.951)
+        fit = rbsim.fit_rb(n, p_g, p_f)
+        assert fit.degenerate
+        assert fit.lambda2 == pytest.approx(0.951, rel=1e-6)  # from the P_f-only refit

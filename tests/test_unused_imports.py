@@ -1,6 +1,8 @@
 """Stdlib-only lint: every module-level import in the package is used, and
 so is every private module-level name (``_helper``, ``_TABLE``; dunders
-are exempt).
+are exempt).  Every public top-level function and class is referenced by
+another definition of the package, or is a test oracle listed in
+``TEST_ONLY`` with the scenario quantity it checks.
 
 ``__init__.py`` is skipped (its imports are re-exports), and so is
 ``from __future__ import annotations``.
@@ -49,6 +51,61 @@ def unused_private_names(source: str) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
+def unreferenced_public_names(sources) -> dict:
+    """Public top-level functions and classes that no module of ``sources``
+    reads outside their own definition (a recursive call does not count),
+    as ``{name: line}``."""
+    defined, read = {}, set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(node.name)
+                if not node.name.startswith("_"):
+                    defined[node.name] = node.lineno
+            read |= names
+    return {name: line for name, line in defined.items() if name not in read}
+
+
+def surface_violations(sources, allowed: dict) -> list:
+    """Unreferenced public names missing from ``allowed``, and ``allowed``
+    entries that are referenced or no longer defined."""
+    dead = unreferenced_public_names(sources)
+    return sorted([(name, "unreferenced, not allow-listed") for name in dead
+                   if name not in allowed]
+                  + [(name, "stale allow-list entry") for name in allowed if name not in dead])
+
+
+#: public names only tests call: each is the oracle of a scenario quantity
+TEST_ONLY = {
+    "build_hamiltonian": "full non-RWA circuit H: oracle of static_zz_shift and of the "
+                         "manifold blocks every driven scenario uses",
+    "reset_lindblad_model": "Lindblad oracle of reset-dynamics' p_e columns "
+                            "(damped and pulsed swap)",
+    "lr_lindblad_model": "Lindblad oracle of the lr-dynamics populations",
+    "lr_subspace_channel": "LR-window channel on subspace inputs: pins the leakage-rb LR "
+                           "window fidelity to 0.97-1 (test_lr_operation_gate_fidelity)",
+    "virtual_z_phase": "virtual-Z step of the LR-window fidelity chain",
+    "with_virtual_z": "virtual-Z step of the LR-window fidelity chain",
+    "pauli_transfer_matrix": "PTM step of the LR-window fidelity chain",
+    "average_gate_fidelity": "last step of the LR-window fidelity chain",
+    "quasi_energy_gap": "exact Floquet gap: oracle of the floquet-report couplings",
+    "find_parametric_resonance": "exact dressed resonance: oracle of the cz-chevron "
+                                 "Rabi frequencies and the k = 2 coupling scaling",
+    "stroboscopic_populations": "one-manifold stroboscopic population, the oracle form "
+                                "of the cz-chevron p_ee columns",
+    "schrodinger_propagate": "ODE oracle of the periodic propagator (cz-chevron) and of "
+                             "the closed-form frame dynamics (floquet-report)",
+    "calibrate_drive_amplitude": "reproduces the fixture drive amplitudes of "
+                                 "floquet-report and the presets",
+    "temperature_to_population": "roundtrip oracle of the reset-metrics temperatures",
+    "static_zz_shift": "idle ZZ of the cz-chevron excitation manifolds, checked against "
+                       "build_hamiltonian",
+    "steady_state_leakage": "power-iteration oracle of leakage-rb's a2_closed_forms",
+}
+
+
 def test_package_modules_found():
     assert len(MODULES) >= 8
 
@@ -86,3 +143,29 @@ def test_checker_flags_unused_private_names():
         "    return _helper() + _local\n"
     )
     assert unused_private_names(source) == [(2, "_SPARE"), (5, "_Dead")]
+
+
+def test_no_unreferenced_public_names():
+    assert surface_violations([p.read_text() for p in MODULES], TEST_ONLY) == []
+
+
+def test_checker_flags_dead_public_names_and_stale_entries():
+    source = (
+        "def used():\n"
+        "    return 1\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else used()\n"
+        "class Oracle:\n"
+        "    pass\n"
+        "def _private():\n"
+        "    pass\n"
+    )
+    caller = "import m\nm.recursive(2)\n"
+    assert unreferenced_public_names([source, caller]) == {"Oracle": 5}
+    assert unreferenced_public_names([source]) == {"recursive": 3, "Oracle": 5}
+    allowed = {"Oracle": "oracle", "used": "now referenced", "gone": "deleted"}
+    assert surface_violations([source, caller], allowed) == [
+        ("gone", "stale allow-list entry"), ("used", "stale allow-list entry")]
+    assert surface_violations([source], {}) == [
+        ("Oracle", "unreferenced, not allow-listed"),
+        ("recursive", "unreferenced, not allow-listed")]
