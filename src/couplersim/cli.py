@@ -11,11 +11,11 @@ config with it (``_parse_params``: defaults, conversion, unknown keys and
 ranges), ``list`` prints it, and the runners index ``ctx.params[key]``.
 
 A runner (``_run_*``) is pure: it opens no file and returns an ordered
-``{file name: content}`` mapping, the content a ``(header, columns)`` pair
-for a CSV table (a scalar fills its column), a mapping for JSON or a ``str``
-already rendered.  ``run_config`` alone encodes (``_encode``), writes
-atomically and hashes each file and lists them in the manifest in the
-runner's order, so a runner that raises writes nothing.
+``{file name: content}`` mapping, the content either a ``(header, columns)``
+pair for a CSV table (a scalar fills its column) or a mapping for JSON.
+``run_config`` alone encodes (``_encode``), writes atomically and hashes
+each file and lists them in the manifest in the runner's order, so a runner
+that raises writes nothing.
 
 Exit codes: 0 success, 2 schema violation, 3 numerical failure, 4 I/O
 failure.
@@ -92,9 +92,7 @@ def _encode_csv(header: list, columns: list) -> bytes:
 
 def _encode(content) -> bytes:
     """The bytes of one output file: a ``(header, columns)`` pair is a CSV
-    table, a mapping a JSON document, a ``str`` text already rendered."""
-    if isinstance(content, str):
-        return content.encode()
+    table, a mapping a JSON document (sorted keys, two-space indent)."""
     if isinstance(content, tuple):
         return _encode_csv(*content)
     return (json.dumps(_jsonable(content), indent=2, sort_keys=True) + "\n").encode()
@@ -429,7 +427,7 @@ def _run_readout_shots(ctx: RunContext) -> dict:
         **{f"shots_{label}.csv": (["I", "Q", "label"],
                                   [shots.iq[:, 0], shots.iq[:, 1], shots.label])
            for label, shots in {**cal, "experiment": mixed}.items()},
-        "classifier.json": clf.to_json() + "\n",
+        "classifier.json": {"bins": protocols.CLASSIFIER_BINS, **asdict(clf)},
         "readout_metrics.json": {
             "f_meas": fid.f_meas,
             "f_overlap": fid.f_overlap,
@@ -553,7 +551,6 @@ SCENARIOS = {
         **_RB_PARAMS, "n_lr": _Param(_RB_FIELDS["n_lr"], "[0, inf)"),
         "n_cl_grid": _Param(_RB_FIELDS["n_cl_grid"], "[0, inf)", length=(5, math.inf),
                             whole=(lambda g: len(set(g)) == len(g), "lengths must be distinct")),
-        "shots_per_point": _Param(_RB_FIELDS["shots_per_point"], "[0, inf)"),
         "n_randomizations": _Param(50, "[2, inf)")}),
     "periodic-lr": (_run_periodic_lr, "Fig. 7 (rate eq.)", {
         **_RB_PARAMS, "n_lr_list": _Param((20, 10, 5, 1), "[0, inf)"),

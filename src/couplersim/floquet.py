@@ -41,8 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuit import ELEMENTS, CircuitSpec, CouplerSpec, coupler_frequency, manifold_hamiltonian
-from .numerics import (TWO_PI, midpoint_spectrum, periodic_propagator, stroboscopic_diagonal,
-                       taylor_coefficients)
+from .numerics import TWO_PI, midpoint_spectrum, periodic_propagator, taylor_coefficients
 
 
 #: samples per drive period of the exact Fourier coefficients
@@ -591,19 +590,3 @@ def find_parametric_resonance(
     res = minimize_scalar(gap, bounds=(lo, hi), method="bounded",
                           options={"xatol": span * 1e-5})
     return float(res.x), float(res.fun)
-
-
-def stroboscopic_populations(
-    manifold: TransitionManifold,
-    coupler: CouplerSpec,
-    drive: DriveSpec,
-    n_periods: int = 2000,
-    n_sub: int = 4096,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Population of state A at stroboscopic times (multiples of the drive
-    period), starting from A.  Micromotion-free by construction.  The
-    one-manifold test form of the ``cz-chevron`` p_ee columns."""
-    wd = drive.omega_d
-    u = periodic_propagator(modulation_spectrum(manifold.block, coupler, drive, n_sub), 1.0 / wd)
-    pops = np.abs(stroboscopic_diagonal(u, n_periods)[:, 0]) ** 2
-    return np.arange(n_periods) / wd, pops

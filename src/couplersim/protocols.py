@@ -5,7 +5,6 @@ classification and CZ calibration.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -144,9 +143,6 @@ class ShotSet:
         if not np.all(np.isfinite(self.iq)):
             raise ValueError("shots must be finite")
 
-    def __len__(self) -> int:
-        return self.iq.shape[0]
-
 
 def generate_shots(
     populations,
@@ -223,91 +219,63 @@ def _fit_blob(iq: np.ndarray, sigma: float | None) -> tuple:
     return (cx, cy), abs(width[0]) if width else sigma
 
 
+@dataclass(frozen=True, eq=False)
 class ReadoutClassifier:
-    """Three-state Gaussian readout calibration.
+    """Three-state Gaussian readout calibration, the value
+    :func:`calibrate_classifier` returns.
 
-    Sequential calibration: a single 2-D Gaussian fit on the ground-state
-    histogram pins the shared width ``sigma_`` and the g centre; the e and f
-    centres are then fitted at fixed width; finally three-component
-    height-only fits on each calibration set give the per-state mixture
-    amplitudes ``heights_``.  The assignment ``confusion_`` matrix (row
-    -stochastic, P(assigned j | prepared i)) comes from nearest-centre
-    classification of the calibration sets, and its inverse converts
-    measured assignment fractions into state populations.
+    ``centers`` (3, 2) are the g, e and f component means and ``sigma`` their
+    shared width; ``heights`` (3, 3) holds the mixture amplitudes fitted on
+    each calibration set (row: prepared state).  The assignment
+    ``confusion`` matrix (row-stochastic, P(assigned j | prepared i)) comes
+    from nearest-centre classification of the calibration sets, and its
+    inverse converts measured assignment fractions into state populations.
+    Equality is identity (the fields are arrays).
     """
 
-    # -- calibration --------------------------------------------------------
+    centers: np.ndarray
+    sigma: float
+    heights: np.ndarray
+    confusion: np.ndarray
 
-    def _component_heights(self, iq: np.ndarray) -> np.ndarray:
-        """Height-only three-component fit (centers and width held fixed)."""
-        from scipy.optimize import nnls
 
-        xy, counts = _histogram2d(iq)
-        design = np.stack([
-            np.exp(-((xy[:, 0] - cx) ** 2 + (xy[:, 1] - cy) ** 2) / (2.0 * self.sigma_ ** 2))
-            for cx, cy in self.centers_
-        ], axis=1)
-        heights, _ = nnls(design, counts.astype(float))
-        return heights
+def _component_heights(iq: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
+    """Height-only three-component fit (centers and width held fixed)."""
+    from scipy.optimize import nnls
 
-    def fit(self, iq_g, iq_e, iq_f) -> "ReadoutClassifier":
-        """Calibrate from the IQ shots prepared in g, e and f."""
-        sets = [np.asarray(iq, dtype=float).reshape(-1, 2) for iq in (iq_g, iq_e, iq_f)]
-        for s, shots in zip(STATE_LABELS, sets):
-            if shots.shape[0] < MIN_CALIBRATION_SHOTS:
-                raise ValueError(f"calibration set '{s}' needs >= {MIN_CALIBRATION_SHOTS} shots")
-
-        center_g, sigma = _fit_blob(sets[0], None)
-        self.sigma_ = float(sigma)
-        self.centers_ = np.array([center_g] + [_fit_blob(s, self.sigma_)[0]
-                                               for s in sets[1:]])
-
-        self.heights_ = np.stack([self._component_heights(s) for s in sets])
-
-        confusion = np.stack([
-            np.bincount(_nearest(s, self.centers_), minlength=3) / s.shape[0] for s in sets
-        ])
-        # the inverse amplifies statistical noise by 1/sigma_min; reject
-        # calibrations whose states are effectively indistinguishable
-        if np.linalg.svd(confusion, compute_uv=False).min() < 0.05:
-            raise ValueError("confusion matrix is singular: states are indistinguishable")
-        self.confusion_ = confusion
-        return self
-
-    # -- inference -----------------------------------------------------------
-
-    def predict(self, X) -> np.ndarray:
-        """Maximum-likelihood state assignment (nearest centre at shared
-        width)."""
-        return _nearest(np.asarray(X, dtype=float).reshape(-1, 2), self.centers_)
-
-    def assignment_fractions(self, X) -> np.ndarray:
-        return np.bincount(self.predict(X), minlength=3) / np.asarray(X).reshape(-1, 2).shape[0]
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "bins": CLASSIFIER_BINS,
-            "centers": self.centers_.tolist(),
-            "sigma": self.sigma_,
-            "heights": self.heights_.tolist(),
-            "confusion": self.confusion_.tolist(),
-        }, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReadoutClassifier":
-        data = json.loads(text)
-        obj = cls()
-        obj.centers_ = np.asarray(data["centers"], dtype=float)
-        obj.sigma_ = float(data["sigma"])
-        obj.heights_ = np.asarray(data["heights"], dtype=float)
-        obj.confusion_ = np.asarray(data["confusion"], dtype=float)
-        return obj
+    xy, counts = _histogram2d(iq)
+    design = np.stack([
+        np.exp(-((xy[:, 0] - cx) ** 2 + (xy[:, 1] - cy) ** 2) / (2.0 * sigma ** 2))
+        for cx, cy in centers
+    ], axis=1)
+    heights, _ = nnls(design, counts.astype(float))
+    return heights
 
 
 def calibrate_classifier(shots_g: ShotSet, shots_e: ShotSet,
                          shots_f: ShotSet) -> ReadoutClassifier:
-    """Run the sequential Gaussian calibration on three labelled shot sets."""
-    return ReadoutClassifier().fit(shots_g.iq, shots_e.iq, shots_f.iq)
+    """Sequential Gaussian calibration on the shots prepared in g, e and f:
+    a single 2-D Gaussian fit on the ground-state histogram pins the shared
+    width and the g centre; the e and f centres are then fitted at fixed
+    width; finally three-component height-only fits on each calibration set
+    give the per-state mixture amplitudes."""
+    sets = [shots.iq for shots in (shots_g, shots_e, shots_f)]
+    for label, iq in zip(STATE_LABELS, sets):
+        if iq.shape[0] < MIN_CALIBRATION_SHOTS:
+            raise ValueError(f"calibration set '{label}' needs >= {MIN_CALIBRATION_SHOTS} shots")
+
+    center_g, sigma = _fit_blob(sets[0], None)
+    sigma = float(sigma)
+    centers = np.array([center_g] + [_fit_blob(s, sigma)[0] for s in sets[1:]])
+    heights = np.stack([_component_heights(s, centers, sigma) for s in sets])
+    confusion = np.stack([
+        np.bincount(_nearest(s, centers), minlength=3) / s.shape[0] for s in sets
+    ])
+    # the inverse amplifies statistical noise by 1/sigma_min; reject
+    # calibrations whose states are effectively indistinguishable
+    if np.linalg.svd(confusion, compute_uv=False).min() < 0.05:
+        raise ValueError("confusion matrix is singular: states are indistinguishable")
+    return ReadoutClassifier(centers=centers, sigma=sigma, heights=heights, confusion=confusion)
 
 
 @dataclass(frozen=True)
@@ -319,7 +287,6 @@ class PopulationEstimate:
     """
 
     populations: np.ndarray
-    raw_fractions: np.ndarray
     clamp_correction: float
 
 
@@ -332,14 +299,14 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def estimate_populations(classifier: ReadoutClassifier, shots: ShotSet) -> PopulationEstimate:
-    """State populations from assignment fractions and the inverse confusion
-    matrix, projected back onto the probability simplex if needed."""
-    fractions = classifier.assignment_fractions(shots.iq)
-    raw = np.linalg.solve(classifier.confusion_.T, fractions)
+    """State populations from nearest-centre assignment fractions and the
+    inverse confusion matrix, projected back onto the probability simplex if
+    needed."""
+    fractions = np.bincount(_nearest(shots.iq, classifier.centers), minlength=3) / len(shots.iq)
+    raw = np.linalg.solve(classifier.confusion.T, fractions)
     clamped = _project_simplex(raw)
     return PopulationEstimate(
         populations=clamped,
-        raw_fractions=fractions,
         clamp_correction=float(np.linalg.norm(clamped - raw)),
     )
 
@@ -356,39 +323,35 @@ def gaussian_overlap_error(distance: float, sigma: float) -> float:
 class AssignmentFidelity:
     f_meas: float
     f_overlap: float
-    f_decay: float | None
-    f_budget: float | None
+    f_decay: float
+    f_budget: float
 
 
 def assignment_fidelity(
     shots_g: ShotSet,
     shots_e: ShotSet,
     classifier: ReadoutClassifier,
-    gamma_1: float | None = None,
-    tau_meas: float | None = None,
+    gamma_1: float,
+    tau_meas: float,
 ) -> AssignmentFidelity:
     """Two-state assignment fidelity decomposition.
 
     ``f_meas`` is the empirical [P(g|g) + P(e|e)]/2 from hard two-state
     discrimination (each shot assigned to the nearer of the g and e
     centres, as in a thresholded one-dimensional histogram);
-    ``f_overlap`` the fidelity limit set by the fitted Gaussian overlap; and
+    ``f_overlap`` the fidelity limit set by the fitted Gaussian overlap;
     ``f_decay = exp(-tau_meas * Gamma_1 / 2)`` (angular rate) the limit from
-    relaxation during the measurement, reported when the budget inputs are
-    supplied, together with the product ``f_overlap * f_decay``.
+    relaxation during the measurement; and ``f_budget`` the product
+    ``f_overlap * f_decay``.
     """
-    p_gg = float(np.mean(_nearest(shots_g.iq, classifier.centers_[:2]) == 0))
-    p_ee = float(np.mean(_nearest(shots_e.iq, classifier.centers_[:2]) == 1))
+    p_gg = float(np.mean(_nearest(shots_g.iq, classifier.centers[:2]) == 0))
+    p_ee = float(np.mean(_nearest(shots_e.iq, classifier.centers[:2]) == 1))
     f_meas = 0.5 * (p_gg + p_ee)
-    dist = float(np.linalg.norm(classifier.centers_[1] - classifier.centers_[0]))
-    f_overlap = 1.0 - gaussian_overlap_error(dist, classifier.sigma_)
-    f_decay = None
-    f_budget = None
-    if gamma_1 is not None and tau_meas is not None:
-        f_decay = math.exp(-tau_meas * TWO_PI * gamma_1 / 2.0)
-        f_budget = f_overlap * f_decay
+    dist = float(np.linalg.norm(classifier.centers[1] - classifier.centers[0]))
+    f_overlap = 1.0 - gaussian_overlap_error(dist, classifier.sigma)
+    f_decay = math.exp(-tau_meas * TWO_PI * gamma_1 / 2.0)
     return AssignmentFidelity(f_meas=f_meas, f_overlap=f_overlap,
-                              f_decay=f_decay, f_budget=f_budget)
+                              f_decay=f_decay, f_budget=f_overlap * f_decay)
 
 
 # ---------------------------------------------------------------------------

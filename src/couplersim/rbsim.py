@@ -70,7 +70,6 @@ class RBScenario:
     f_lr: float = 0.985
     n_lr: int = 1
     n_cl_grid: tuple = DEFAULT_N_CL_GRID
-    shots_per_point: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.l_cl <= 1.0:
@@ -364,7 +363,6 @@ class RBCurves:
     p_g_std: np.ndarray
     p_f_mean: np.ndarray
     p_f_std: np.ndarray
-    n_randomizations: int
 
 
 def _conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -440,20 +438,12 @@ def monte_carlo_rb(
             p_g[:, col[n]] = (rho_m[:, 0, 0] + rho_m[:, 1, 1]).real
             p_f[:, col[n]] = (rho_m[:, 4, 4] + rho_m[:, 5, 5]).real
 
-    if scenario.shots_per_point > 0:
-        shots = scenario.shots_per_point
-        for r in range(r_count):
-            rng = stream.child(r, 10_000)
-            p_g[r] = rng.binomial(shots, np.clip(p_g[r], 0, 1)) / shots
-            p_f[r] = rng.binomial(shots, np.clip(p_f[r], 0, 1)) / shots
-
     return RBCurves(
         n_cl=n_grid,
         p_g_mean=p_g.mean(axis=0),
         p_g_std=p_g.std(axis=0, ddof=1),
         p_f_mean=p_f.mean(axis=0),
         p_f_std=p_f.std(axis=0, ddof=1),
-        n_randomizations=r_count,
     )
 
 

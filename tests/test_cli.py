@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from couplersim import cli
+from couplersim import cli, protocols
 
 RB_PARAMS = {"n_randomizations": 3, "n_cl_grid": [1, 2, 4, 8, 16, 32, 64]}
 CZ_PARAMS = {"n_omega": 3, "n_sub": 64}
@@ -166,6 +166,20 @@ class TestOutputs:
         config = write_config(tmp_path, "reset-metrics")
         assert 0.0 <= cli.run_config(config, out=str(tmp_path / "a"))["wall_time_s"] < 3600.0
 
+    def test_classifier_file_holds_the_calibration(self, tmp_path):
+        config = write_config(tmp_path, "readout-shots", {"n_shots": 1000})
+        assert run(config, tmp_path / "a") == 0
+        shots = []
+        for label in protocols.STATE_LABELS:
+            with open(tmp_path / "a" / f"shots_{label}.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            shots.append(protocols.ShotSet([[float(r["I"]), float(r["Q"])] for r in rows]))
+        clf = protocols.calibrate_classifier(*shots)
+        on_disk = json.loads((tmp_path / "a" / "classifier.json").read_text())
+        assert on_disk == {"bins": protocols.CLASSIFIER_BINS, "sigma": clf.sigma,
+                           **{key: getattr(clf, key).tolist()
+                              for key in ("centers", "heights", "confusion")}}
+
     def test_list_shows_every_read_parameter_of_cz_chevron(self, capsys):
         assert cli.main(["list"]) == 0
         line = next(row for row in capsys.readouterr().out.splitlines()
@@ -209,12 +223,18 @@ class TestSchema:
         assert set(TINY_PARAMS) == set(cli.SCENARIOS)
 
     @pytest.mark.parametrize("scenario", sorted(TINY_PARAMS))
-    def test_every_scenario_runs(self, tmp_path, capsys, scenario):
+    def test_every_scenario_runs(self, tmp_path, capsys, monkeypatch, scenario):
+        contents = []
+        encode = cli._encode
+        monkeypatch.setattr(cli, "_encode", lambda c: contents.append(c) or encode(c))
         config = write_config(tmp_path, scenario, TINY_PARAMS[scenario])
         assert run(config, tmp_path / "a") == 0
         manifest = json.loads(capsys.readouterr().out)
         assert manifest["scenario"] == scenario
         assert manifest["files"]
+        # _encode would write any other content, a stray str too, as JSON
+        assert all(isinstance(c, dict) or (isinstance(c, tuple) and len(c) == 2)
+                   for c in contents)
 
     @pytest.mark.parametrize("scenario, params, key_path", [
         ("chi-map", {"n_pionts": 5}, "params.n_pionts"),
@@ -255,6 +275,7 @@ class TestSchema:
         ("periodic-lr", {"n_randomizations": 5}, "params.n_randomizations"),
         ("periodic-lr", {"with_lr": False}, "params.with_lr"),
         ("leakage-rb", {"with_lr": False}, "params.with_lr"),
+        ("leakage-rb", {"shots_per_point": 10}, "params.shots_per_point"),
     ])
     def test_dead_keys_are_unknown(self, tmp_path, capsys, scenario, params, key_path):
         config = write_config(tmp_path, scenario, params)

@@ -23,7 +23,6 @@ from couplersim.floquet import (
     modulated_hamiltonian,
     quasi_energy_gap,
     schrieffer_wolff_correction,
-    stroboscopic_populations,
     transition_manifold,
 )
 from couplersim.numerics import (TWO_PI, midpoint_spectrum, periodic_propagator,
@@ -456,15 +455,6 @@ class TestExactOracle:
                                            span=25e6, n_coarse=25, n_sub=1024)
         ratio = gap / (2 * frame.swap_coupling())
         assert 1.3 < ratio < 3.0
-
-    def test_stroboscopic_populations_start_at_one(self, circuit):
-        man = transition_manifold(circuit, "reset")
-        drive = DriveSpec(phi_dc=presets.PHI_DC, a_d=0.2,
-                          omega_d=man.bare_drive_frequency, k=2)
-        t, pops = stroboscopic_populations(man, circuit.coupler, drive,
-                                           n_periods=50, n_sub=512)
-        assert pops[0] == 1.0
-        assert np.all((pops >= 0) & (pops <= 1 + 1e-9))
 
     def test_propagator_matches_ode_integration(self, circuit):
         # one-period propagator (piecewise-exact product) against DOP853

@@ -173,13 +173,6 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(h, [], np.array([[1.5, 0], [0, -0.5]]), 1e-7)  # not PSD
 
-    def test_rejects_too_coarse_step(self):
-        f0 = 5e9
-        h = 2 * math.pi * f0 * np.diag([0.0, 1.0])
-        rho0 = np.diag([0.0, 1.0]).astype(complex)
-        with pytest.raises(ValueError, match="too coarse"):
-            propagate(lambda t: h, [], rho0, 1e-8, step=1e-9)
-
 
 def sequential_midpoint_propagator(h_of_t, period, n_sub):
     """Reference: the midpoint piecewise-exact product with H resampled for

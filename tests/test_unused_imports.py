@@ -93,8 +93,6 @@ TEST_ONLY = {
     "quasi_energy_gap": "exact Floquet gap: oracle of the floquet-report couplings",
     "find_parametric_resonance": "exact dressed resonance: oracle of the cz-chevron "
                                  "Rabi frequencies and the k = 2 coupling scaling",
-    "stroboscopic_populations": "one-manifold stroboscopic population, the oracle form "
-                                "of the cz-chevron p_ee columns",
     "schrodinger_propagate": "ODE oracle of the periodic propagator (cz-chevron) and of "
                              "the closed-form frame dynamics (floquet-report)",
     "calibrate_drive_amplitude": "reproduces the fixture drive amplitudes of "
