@@ -157,6 +157,10 @@ class _Param:
     whole: tuple = (lambda items: True, "")
 
 
+#: a ``whole`` check: no entry repeats (entries name output columns or rows)
+_DISTINCT = (lambda items: len(set(items)) == len(items), "entries must be distinct")
+
+
 def _convert(spec: _Param, value, path: str, kind: type = None):
     """``value`` checked against ``spec`` and converted as ``float``, ``int``
     and ``bool`` convert it (PyYAML reads ``2e-6`` as a string)."""
@@ -259,6 +263,12 @@ def _checked(cfg: dict) -> tuple[RunContext, list]:
     rates = DecayRates(**params["rates"]) if "rates" in params else None
     ctx = RunContext(name, _convert(_SEED, cfg.get("seed", 0), "seed"), output, params, rates)
     notes = []
+    if name == "cz-chevron":
+        lowest = protocols.cz_drive_frequencies(presets.table_circuit(), params["omega_d_span"],
+                                                params["n_omega"]).min()
+        _require(lowest > 0, "params.omega_d_span", f"reaches drive frequency {lowest:.6g} Hz <= 0")
+        _require(params["max_duration"] >= 1.0 / lowest, "params.max_duration",
+                 f"shorter than one period ({1.0 / lowest:.6g} s) of the lowest drive frequency")
     if name == "floquet-report":
         _, _, man, spectrum, in_window = _floquet_drive(params)
         if not in_window:
@@ -536,8 +546,9 @@ _RB_PARAMS = {
 #: scenario -> (runner, paper figure, parameter schema)
 SCENARIOS = {
     "reset-dynamics": (_run_reset_dynamics, "Fig. 2(a)", {
-        "g_tilde": _Param((0.0, 0.5e6, 2.07e6)), "duration": _Param(0.6e-6, "(0, inf)"),
-        "n_points": _Param(301, "[1, inf)"), "rates": _RATES}),
+        "g_tilde": _Param((0.0, 0.5e6, 2.07e6), whole=_DISTINCT),
+        "duration": _Param(0.6e-6, "(0, inf)"), "n_points": _Param(301, "[1, inf)"),
+        "rates": _RATES}),
     "reset-metrics": (_run_reset_metrics, "Fig. 2(b)", {
         "p_id": _Param(0.0062, "(0, 0.5)"), "p_pi": _Param(0.88, "(0, 1]"),
         "p_id_r": _Param(0.00074, "(0, 0.5)"), "p_pi_r": _Param(0.0033, "[0, 1]"),
@@ -550,13 +561,14 @@ SCENARIOS = {
     "leakage-rb": (_run_leakage_rb, "Fig. 3", {
         **_RB_PARAMS, "n_lr": _Param(_RB_FIELDS["n_lr"], "[0, inf)"),
         "n_cl_grid": _Param(_RB_FIELDS["n_cl_grid"], "[0, inf)", length=(5, math.inf),
-                            whole=(lambda g: len(set(g)) == len(g), "lengths must be distinct")),
+                            whole=_DISTINCT),
         "n_randomizations": _Param(50, "[2, inf)")}),
     "periodic-lr": (_run_periodic_lr, "Fig. 7 (rate eq.)", {
-        **_RB_PARAMS, "n_lr_list": _Param((20, 10, 5, 1), "[0, inf)"),
+        **_RB_PARAMS, "n_lr_list": _Param((20, 10, 5, 1), "[0, inf)", whole=_DISTINCT),
         "n_max": _Param(200, "[1, inf)")}),
     "chi-map": (_run_chi_map, "Fig. 4(c)", {
-        "g_tilde": _Param((0.06e6, 0.15e6, 0.41e6, 0.90e6, 1.50e6, 2.12e6, 2.50e6)),
+        "g_tilde": _Param((0.06e6, 0.15e6, 0.41e6, 0.90e6, 1.50e6, 2.12e6, 2.50e6),
+                          whole=_DISTINCT),
         "delta_span": _Param(16e6, "(0, inf)"), "n_points": _Param(161, "[1, inf)")}),
     "readout-shots": (_run_readout_shots, "Fig. 4(d,e)", {
         "n_shots": _Param(20000, f"[{protocols.MIN_CALIBRATION_SHOTS}, inf)"),

@@ -1,6 +1,5 @@
 """Time-domain models: pulse envelopes, the closed-form damped two-level
-swap, three-level leakage-recovery dynamics, and Pauli-transfer-matrix
-characterisation of simulated channels.
+swap, three-level leakage-recovery dynamics and their Lindblad references.
 
 Rates and couplings are cyclic (Hz); formulas convert to angular units
 internally, consistent with :mod:`couplersim.numerics`.
@@ -10,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,23 +23,18 @@ EDGE_SIGMAS = 2.5  # each Gaussian edge occupies this many sigma
 QUBIT = "Q1"
 
 
-class NonPhysicalChannelWarning(UserWarning):
-    """A reconstructed channel is not completely positive."""
-
-
 @dataclass(frozen=True)
 class EnvelopeSpec:
     """Flat-top Gaussian pulse envelope.
 
     Gaussian rise/fall of widths ``sigma_rise`` / ``sigma_fall`` (each edge
     truncated at ``EDGE_SIGMAS`` sigma, offset-subtracted so the envelope is
-    exactly 0 at the pulse boundary and ``peak`` on the plateau).
+    exactly 0 at the pulse boundary and 1 on the plateau).
     """
 
     total_length: float
     sigma_rise: float
     sigma_fall: float
-    peak: float = 1.0
 
     def __post_init__(self):
         if self.total_length <= 0:
@@ -79,7 +72,6 @@ def envelope_value(t, env: EnvelopeSpec):
     if env.sigma_fall > 0:
         falling = inside & (t > env.fall_start)
         out[falling] = _edge(t[falling] - env.fall_start, env.sigma_fall)
-    out *= env.peak
     return out if out.ndim else float(out)
 
 
@@ -110,7 +102,7 @@ def envelope_area(tau: float, env: EnvelopeSpec) -> float:
         full_fall = _edge_integral(EDGE_SIGMAS * env.sigma_fall, env.sigma_fall)
         remaining = _edge_integral(env.total_length - tau, env.sigma_fall)
         area += full_fall - remaining
-    return env.peak * area
+    return area
 
 
 # ---------------------------------------------------------------------------
@@ -304,163 +296,3 @@ def lr_lindblad_model(g_tilde: float, rates: DecayRates):
     rho0[f0, f0] = 1.0
     labels = {"g": (g0, g1), "e": (e0, e1), "f": (f0,), "r": (e1, g1)}
     return h, collapse, rho0, labels
-
-
-def lr_subspace_channel(rates: DecayRates, duration: float, qubit_shift: float = 0.0):
-    """Channel seen by computational-subspace inputs during the LR drive.
-
-    The recovery drive is resonant only with |f0> <-> |e1>; a qubit prepared
-    in the subspace just decoheres for the pulse duration and picks up the
-    drive-induced frequency shift ``qubit_shift`` (Hz) on |e>.  Returns a
-    callable mapping 2x2 density matrices to 3x3 outputs (qutrit space), for
-    use with :func:`pauli_transfer_matrix`.  With :func:`virtual_z_phase`,
-    :func:`with_virtual_z` and :func:`average_gate_fidelity` it is the test
-    oracle of the subspace fidelity of the LR window that ``leakage-rb``
-    applies every cycle.
-    """
-    from .numerics import propagate
-
-    h = TWO_PI * qubit_shift * np.diag([0.0, 1.0, 0.0]).astype(complex)
-    collapse = [
-        (np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex), rates.gamma1[QUBIT]),
-        (np.array([[0, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=complex), rates.gamma_fe),
-        (math.sqrt(2.0) * np.diag([0.0, 1.0, 2.0]).astype(complex), rates.gamma_phi[QUBIT]),
-    ]
-
-    def channel(rho2: np.ndarray) -> np.ndarray:
-        rho3 = np.zeros((3, 3), dtype=complex)
-        rho3[:2, :2] = rho2
-        return propagate(h, collapse, rho3, duration)
-
-    return channel
-
-
-def virtual_z_phase(channel) -> float:
-    """Drive-induced qubit phase extracted from a superposition input.
-
-    Mirrors the experimental virtual-Z calibration: the phase of the
-    off-diagonal element of the channel output for the |+> state.  A step of
-    the LR-window fidelity oracle (:func:`lr_subspace_channel`).
-    """
-    plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
-    out = np.asarray(channel(plus))
-    return float(np.angle(out[0, 1]))
-
-
-def with_virtual_z(channel, phase: float):
-    """Compose a channel with the frame rotation cancelling the measured
-    phase (pass the value returned by :func:`virtual_z_phase`).  A step of
-    the LR-window fidelity oracle (:func:`lr_subspace_channel`)."""
-    rz = np.diag([1.0, np.exp(1j * phase)])
-
-    def corrected(rho2: np.ndarray) -> np.ndarray:
-        out = np.asarray(channel(rho2), dtype=complex)
-        full = np.eye(out.shape[0], dtype=complex)
-        full[:2, :2] = rz
-        return full @ out @ full.conj().T
-
-    return corrected
-
-
-# ---------------------------------------------------------------------------
-# Pauli transfer matrix
-# ---------------------------------------------------------------------------
-
-_PAULIS = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-#: most negative Choi eigenvalue of a channel still counted as physical
-CHOI_TOL = 1e-7
-
-
-@dataclass
-class PTMResult:
-    """Pauli transfer matrix of a qubit-subspace channel.
-
-    ``leakage`` is the population that left the {|g>, |e>} block for each
-    probe state (the PTM itself is computed on the renormalised block).
-    ``physical`` is False when the Choi operator has an eigenvalue below
-    tolerance.
-    """
-
-    matrix: np.ndarray
-    leakage: np.ndarray
-    choi_min_eigenvalue: float
-    physical: bool
-
-
-def pauli_transfer_matrix(channel) -> PTMResult:
-    """Reconstruct the PTM of ``channel`` from the standard tomography set.
-
-    ``channel`` maps a 2x2 density matrix to a density matrix; outputs of
-    larger dimension are projected onto their upper-left 2x2 block and
-    renormalised, with the discarded population reported as leakage.  The
-    channel counts as physical when its Choi matrix has no eigenvalue below
-    ``-CHOI_TOL``.  A step of the LR-window fidelity oracle
-    (:func:`lr_subspace_channel`).
-    """
-    probes = [
-        np.array([[1, 0], [0, 0]], dtype=complex),
-        np.array([[0, 0], [0, 1]], dtype=complex),
-        0.5 * np.array([[1, 1], [1, 1]], dtype=complex),
-        0.5 * np.array([[1, -1j], [1j, 1]], dtype=complex),
-    ]
-    outputs = []
-    leakage = []
-    for rho in probes:
-        out = np.asarray(channel(rho), dtype=complex)
-        if out.shape[0] > 2:
-            block = out[:2, :2]
-            leak = float(np.trace(out).real - np.trace(block).real)
-            tr = np.trace(block).real
-            block = block / tr if tr > 0 else block
-            outputs.append(block)
-            leakage.append(leak)
-        else:
-            outputs.append(out)
-            leakage.append(0.0)
-
-    lam_0, lam_1, lam_p, lam_i = outputs
-    lam = {
-        0: lam_0 + lam_1,                        # identity
-        1: 2.0 * lam_p - lam_0 - lam_1,          # X
-        2: 2.0 * lam_i - lam_0 - lam_1,          # Y
-        3: lam_0 - lam_1,                        # Z
-    }
-    r = np.empty((4, 4))
-    for i, sig_i in enumerate(_PAULIS):
-        for jj in range(4):
-            r[i, jj] = 0.5 * np.trace(sig_i @ lam[jj]).real
-
-    # Choi operator from the PTM; CP requires it positive semidefinite
-    choi = np.zeros((4, 4), dtype=complex)
-    for i, sig_i in enumerate(_PAULIS):
-        for jj, sig_j in enumerate(_PAULIS):
-            choi += 0.25 * r[i, jj] * np.kron(sig_j.T, sig_i)
-    min_eig = float(np.linalg.eigvalsh(choi).min())
-    physical = min_eig > -CHOI_TOL
-    if not physical:
-        warnings.warn(
-            f"reconstructed channel is not completely positive "
-            f"(Choi min eigenvalue {min_eig:.2e})",
-            NonPhysicalChannelWarning,
-            stacklevel=2,
-        )
-    return PTMResult(
-        matrix=r,
-        leakage=np.asarray(leakage),
-        choi_min_eigenvalue=min_eig,
-        physical=physical,
-    )
-
-
-def average_gate_fidelity(ptm: PTMResult | np.ndarray) -> float:
-    """Average gate fidelity of a PTM against the identity:
-    ``F = (2 F_pro + 1) / 3`` with ``F_pro = Tr(R) / 4``.  The last step of
-    the LR-window fidelity oracle (:func:`lr_subspace_channel`)."""
-    r = ptm.matrix if isinstance(ptm, PTMResult) else np.asarray(ptm)
-    f_pro = float(np.trace(r)) / 4.0
-    return (2.0 * f_pro + 1.0) / 3.0

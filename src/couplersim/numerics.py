@@ -56,10 +56,10 @@ class RngStream:
             np.random.PCG64(np.random.SeedSequence([self.seed, self.stream_id]))
         )
 
-    def child(self, *keys: int) -> np.random.Generator:
+    def child(self, key: int) -> np.random.Generator:
         """Generator for a sub-task, independent of how work is chunked."""
         return np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.seed, self.stream_id, *keys]))
+            np.random.PCG64(np.random.SeedSequence([self.seed, self.stream_id, key]))
         )
 
 
@@ -158,6 +158,8 @@ def propagate(
     equation with its step bounded by ``min(1/(20 f_max), duration)``, where
     ``f_max`` is the fastest frequency (Hz) among the spectral widths of H
     at the start, middle and end of the window and the collapse rates.
+    With the Lindblad models of :mod:`couplersim.dynamics` it is the ODE
+    oracle of the ``reset-dynamics`` and ``lr-dynamics`` closed forms.
 
     Parameters
     ----------

@@ -410,6 +410,17 @@ def static_zz_shift(circuit: CircuitSpec, phi_dc: float) -> float:
     return float(e_ee - e_eg - e_ge)
 
 
+def _drive_grid(h2: np.ndarray, omega_d_span: tuple, n_omega: int) -> np.ndarray:
+    """The bare |ee> -> |fg> transition of the double-excitation block
+    ``h2`` (driven at k = 1) offset by ``linspace(*omega_d_span, n_omega)``."""
+    return (h2[1, 1] - h2[0, 0]).real + np.linspace(omega_d_span[0], omega_d_span[1], n_omega)
+
+
+def cz_drive_frequencies(circuit: CircuitSpec, omega_d_span: tuple, n_omega: int) -> np.ndarray:
+    """Drive frequencies (Hz) that :func:`cz_conditional_phase` scans."""
+    return _drive_grid(coupler_block(circuit, _CZ_DOUBLE)[0], omega_d_span, n_omega)
+
+
 def cz_conditional_phase(
     circuit: CircuitSpec,
     drive: DriveSpec,
@@ -448,9 +459,7 @@ def cz_conditional_phase(
     full stacks.
     """
     blocks = [coupler_block(circuit, states) for states in (_CZ_DOUBLE, _CZ_SINGLE)]
-    h2 = blocks[0][0]
-    w0 = (h2[1, 1] - h2[0, 0]).real  # bare |ee> -> |fg> transition, driven at k = 1
-    omega_grid = w0 + np.linspace(omega_d_span[0], omega_d_span[1], n_omega)
+    omega_grid = _drive_grid(blocks[0][0], omega_d_span, n_omega)
 
     rows = []
     durations = np.full(n_omega, np.nan)

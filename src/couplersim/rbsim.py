@@ -314,7 +314,9 @@ def _lr_unitary(f_lr: float) -> np.ndarray:
 
 
 def _decoherence_superops(scenario: RBScenario) -> dict:
-    """Lindblad channels of the Clifford, leak and LR windows."""
+    """Lindblad channels of the Clifford, leak and LR windows (row-major
+    vec); ``TestDecoherenceWindows`` in ``tests/test_rbsim.py`` pins the
+    {g0, e0} fidelity of each to its closed form (LR window: 0.9928)."""
     from scipy.linalg import expm
 
     r = scenario.rates

@@ -109,6 +109,8 @@ class TestExitCodes:
         ("n_omega", 0),
         ("max_duration", 0),
         ("max_duration", -1e-6),
+        ("omega_d_span", [-600e6, 15e6]),  # reaches drive frequencies <= 0
+        ("max_duration", 1e-9),  # shorter than one drive period
     ])
     def test_bad_cz_chevron_parameters_are_schema_errors(self, tmp_path, capsys, key, value):
         config = write_config(tmp_path, "cz-chevron", {**CZ_PARAMS, key: value})
@@ -257,6 +259,10 @@ class TestSchema:
         ("readout-shots", {"include_decay": 1}, "params.include_decay"),
         ("readout-shots", {"include_decay": 0}, "params.include_decay"),
         ("readout-shots", {"include_decay": 1.0}, "params.include_decay"),
+        # repeated entries would repeat an output column
+        ("periodic-lr", {"n_lr_list": [5, 5]}, "params.n_lr_list"),
+        ("chi-map", {"g_tilde": [1e6, 1e6]}, "params.g_tilde"),
+        ("reset-dynamics", {"g_tilde": [1e6, 1e6]}, "params.g_tilde"),
     ])
     def test_bad_values_are_schema_errors(self, tmp_path, capsys, scenario, params, key_path):
         config = write_config(tmp_path, scenario, params)

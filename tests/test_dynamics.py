@@ -6,23 +6,17 @@ from scipy.integrate import quad
 
 from couplersim.dynamics import (
     EnvelopeSpec,
-    NonPhysicalChannelWarning,
     PopulationVector,
     acceptor_population,
-    average_gate_fidelity,
     damped_swap_population,
     envelope_area,
     envelope_value,
     lr_lindblad_model,
-    lr_subspace_channel,
     lr_swap_time,
     lr_three_level_populations,
-    pauli_transfer_matrix,
     pulsed_swap_population,
     reset_lindblad_model,
     swap_completion_time,
-    virtual_z_phase,
-    with_virtual_z,
 )
 from couplersim.numerics import TWO_PI, propagate
 from couplersim.presets import RESET_PULSE, table_decay_rates
@@ -189,75 +183,3 @@ class TestLeakageRecoveryDynamics:
             PopulationVector(p_g=0.8, p_e=0.5, p_f=0.2)
         with pytest.raises(ValueError):
             PopulationVector(p_g=-0.2, p_e=0.0, p_f=0.0)
-
-
-def identity_channel(rho):
-    return rho
-
-
-def dephasing_channel(rho):
-    out = rho.copy()
-    out[0, 1] = 0.0
-    out[1, 0] = 0.0
-    return out
-
-
-class TestPauliTransferMatrix:
-    def test_identity(self):
-        ptm = pauli_transfer_matrix(identity_channel)
-        assert np.allclose(ptm.matrix, np.eye(4), atol=1e-12)
-        assert ptm.physical
-
-    def test_complete_dephasing(self):
-        ptm = pauli_transfer_matrix(dephasing_channel)
-        assert np.allclose(ptm.matrix, np.diag([1.0, 0.0, 0.0, 1.0]), atol=1e-12)
-
-    def test_trace_preserving_row(self):
-        channel = lr_subspace_channel(RATES, 310e-9, qubit_shift=0.0)
-        ptm = pauli_transfer_matrix(channel)
-        assert np.allclose(ptm.matrix[0], [1, 0, 0, 0], atol=1e-9)
-        assert np.all(np.abs(ptm.matrix) <= 1 + 1e-9)
-
-    def test_leakage_reported(self):
-        def leaky(rho2):
-            out = np.zeros((3, 3), dtype=complex)
-            out[:2, :2] = 0.9 * rho2
-            out[2, 2] = 0.1 * np.trace(rho2)
-            return out
-
-        ptm = pauli_transfer_matrix(leaky)
-        assert np.all(ptm.leakage > 0.09)
-        # renormalised block still looks like the identity channel
-        assert np.allclose(ptm.matrix, np.eye(4), atol=1e-9)
-
-    def test_nonphysical_channel_flagged(self):
-        def transpose_map(rho):  # positive but not completely positive
-            return rho.T
-
-        with pytest.warns(NonPhysicalChannelWarning):
-            ptm = pauli_transfer_matrix(transpose_map)
-        assert not ptm.physical
-
-    def test_lr_operation_gate_fidelity(self):
-        # Lindblad-simulated LR drive on subspace inputs, virtual-Z
-        # corrected; the fidelity is set by decoherence over the pulse:
-        # F = (1 + 2 e^{-t Gamma_2} + e^{-t Gamma_1}) / ... via the PTM trace
-        duration = 310e-9
-        raw = lr_subspace_channel(RATES, duration, qubit_shift=150e3)
-        channel = with_virtual_z(raw, virtual_z_phase(raw))
-        ptm = pauli_transfer_matrix(channel)
-        fid = average_gate_fidelity(ptm)
-
-        g1 = TWO_PI * RATES.gamma1["Q1"]
-        g2 = g1 / 2 + TWO_PI * RATES.gamma_phi["Q1"]
-        expected = (1.0 + 2.0 * math.exp(-duration * g2) + math.exp(-duration * g1)
-                    + 2.0) / 6.0
-        assert fid == pytest.approx(expected, abs=1e-3)
-        assert 0.97 <= fid < 1.0  # consistent with the quoted ~98% QPT values
-
-    def test_virtual_z_extraction(self):
-        raw = lr_subspace_channel(RATES, 310e-9, qubit_shift=400e3)
-        corrected = with_virtual_z(raw, virtual_z_phase(raw))
-        plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
-        out = corrected(plus)
-        assert abs(np.angle(out[0, 1])) < 1e-9

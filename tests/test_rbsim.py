@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from couplersim import presets, rbsim
 from couplersim.circuit import DecayRates
-from couplersim.numerics import RngStream
+from couplersim.numerics import TWO_PI, RngStream
 
 RATES = presets.table_decay_rates()
 ZERO_RATES = DecayRates(gamma1={"Q1": 0.0}, gamma_phi={"Q1": 0.0}, kappa_r=0.0, gamma_fe=0.0)
@@ -70,6 +72,26 @@ class TestRateEquation:
         models = rbsim.error_models(scenario(l_cl=l_cl))
         assert 0.01 < models.breakeven_l < 0.03
         assert (models.eps_lr < models.eps_leak) == (l_cl > models.breakeven_l)
+
+
+class TestDecoherenceWindows:
+    @pytest.mark.parametrize("window", ["cl", "leak", "lr"])
+    def test_subspace_fidelity_matches_closed_form(self, window):
+        # the channels monte_carlo_rb applies every cycle; F_e on the
+        # {g0, e0} block (basis index 2 * qutrit + resonator, row-major vec)
+        # and F = (d F_e + 1) / (d + 1), Nielsen, Phys. Lett. A 303, 249 (2002)
+        sc = scenario()
+        sup = rbsim._decoherence_superops(sc)[window]
+        f_e = sum(sup[6 * i + j, 6 * i + j] for i in (0, 2) for j in (0, 2)).real / 4
+        fid = (2 * f_e + 1) / 3
+        tau = getattr(sc, f"tau_{window}")
+        g1 = TWO_PI * RATES.gamma1["Q1"]
+        g2 = g1 / 2 + TWO_PI * RATES.gamma_phi["Q1"]
+        assert fid == pytest.approx((3 + 2 * math.exp(-tau * g2) + math.exp(-tau * g1)) / 6,
+                                    rel=0, abs=1e-12)
+        if window == "lr":
+            # the ~98 % process tomography of the 310 ns recovery pulse
+            assert tau == 310e-9 and 0.97 <= fid < 1.0
 
 
 class TestMonteCarlo:

@@ -84,15 +84,10 @@ TEST_ONLY = {
     "reset_lindblad_model": "Lindblad oracle of reset-dynamics' p_e columns "
                             "(damped and pulsed swap)",
     "lr_lindblad_model": "Lindblad oracle of the lr-dynamics populations",
-    "lr_subspace_channel": "LR-window channel on subspace inputs: pins the leakage-rb LR "
-                           "window fidelity to 0.97-1 (test_lr_operation_gate_fidelity)",
-    "virtual_z_phase": "virtual-Z step of the LR-window fidelity chain",
-    "with_virtual_z": "virtual-Z step of the LR-window fidelity chain",
-    "pauli_transfer_matrix": "PTM step of the LR-window fidelity chain",
-    "average_gate_fidelity": "last step of the LR-window fidelity chain",
     "quasi_energy_gap": "exact Floquet gap: oracle of the floquet-report couplings",
     "find_parametric_resonance": "exact dressed resonance: oracle of the cz-chevron "
                                  "Rabi frequencies and the k = 2 coupling scaling",
+    "propagate": "Lindblad ODE oracle of the reset-dynamics and lr-dynamics closed forms",
     "schrodinger_propagate": "ODE oracle of the periodic propagator (cz-chevron) and of "
                              "the closed-form frame dynamics (floquet-report)",
     "calibrate_drive_amplitude": "reproduces the fixture drive amplitudes of "
