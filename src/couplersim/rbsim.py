@@ -25,9 +25,13 @@ dephasing after either coherent step brings the exact value to 4.10e-4.
 
 The Monte Carlo step keeps one fixed order of floating-point operations
 (batched ``einsum`` conjugations, the window channels, a running 2x2 Clifford
-product for the inverse gate).  The joint fit of its curves is
-ill-conditioned when A2 and B2 are barely identified: changing the curves by
-2e-13 relative moves (A0, A2, B2) by up to 2e-2, so a reordered step changes
+product for the inverse gate).  The window channels run as one GEMM per
+block of 32 states (see :func:`_channel`): one GEMM over all states is
+large enough for OpenBLAS to start a worker thread, which busy-waits on a
+second core through the ``einsum`` between calls; the blocks give the same
+bits and stay on one core.  The joint fit of its curves is ill-conditioned
+when A2 and B2 are barely identified: changing the curves by 2e-13 relative
+moves (A0, A2, B2) by up to 2e-2, so a reordered step changes
 the fit reported for a given seed.
 """
 
@@ -372,9 +376,35 @@ def _conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.einsum("rij,rjk,rlk->ril", u, rho, u.conj())
 
 
+#: states per GEMM in :func:`_channel`, at least 2: 32 rows stay well under
+#: the ~50 rows (measured on a 2-vCPU host) from which the bundled OpenBLAS
+#: threads a ``(M, 36) @ (36, 36)`` GEMM, whose worker then spins through
+#: the ``einsum`` between calls
+_CHANNEL_BLOCK = 32
+
+
 def _channel(sup: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """A superoperator (row-major vec) applied to a batch of states."""
-    return (rho.reshape(len(rho), -1) @ sup.T).reshape(rho.shape)
+    """A superoperator (row-major vec) applied to a batch of states.
+
+    One ``(B, 36) @ (36, 36)`` GEMM per block of B = ``_CHANNEL_BLOCK``
+    states; the last block takes what is left, and a single state left over
+    joins the block before it, because numpy sends a one-row product to
+    gemv, whose round-off differs from gemm's.  One GEMM over all R states
+    crosses OpenBLAS's threading threshold (between 50 and 56 rows) and
+    hands half of the rows to a worker thread, which then busy-waits through
+    the ~1 ms of ``einsum`` conjugations between calls and pins a second
+    core for the whole run.  The blocked product is bitwise equal to that
+    single GEMM (``TestMonteCarlo::test_channel_blocks_keep_the_bits``).
+    """
+    flat = rho.reshape(len(rho), -1)
+    out = np.empty_like(flat)
+    sup_t = sup.T
+    starts = list(range(0, len(flat), _CHANNEL_BLOCK))
+    if len(starts) > 1 and len(flat) - starts[-1] == 1:
+        starts.pop()
+    for s, e in zip(starts, starts[1:] + [len(flat)]):
+        np.matmul(flat[s:e], sup_t, out=out[s:e])
+    return out.reshape(rho.shape)
 
 
 def monte_carlo_rb(
@@ -398,7 +428,9 @@ def monte_carlo_rb(
     applies the inverse of the running Clifford product and then, with
     physical noise, the Clifford-window channel.  Deterministic per stream,
     independent of chunking: each randomization draws its gates from
-    ``stream.child(index)``.
+    ``stream.child(index)``, and the curves are bitwise the same for any
+    block size (2 or more) of :func:`_channel`
+    (``TestMonteCarlo::test_curves_independent_of_channel_blocks``).
     """
     n_grid = np.asarray(scenario.n_cl_grid, dtype=int)
     n_max = int(n_grid.max())

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -121,12 +124,49 @@ class TestMonteCarlo:
     def test_depolarizing_decay_is_exact(self):
         eps = 0.01
         sc = scenario(l_cl=0.0, n_cl_grid=MC_GRID)
-        curves = rbsim.monte_carlo_rb(sc, RngStream(seed=2), n_randomizations=3,
-                                      depolarizing_error=eps)
         n = np.asarray(MC_GRID)
-        np.testing.assert_allclose(curves.p_g_mean, 0.5 + 0.5 * (1.0 - 2.0 * eps) ** n,
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(curves.p_f_mean, 0.0, rtol=0, atol=1e-12)
+        for r_count in (3, 40):  # 40 states span two blocks of rbsim._channel
+            curves = rbsim.monte_carlo_rb(sc, RngStream(seed=2), n_randomizations=r_count,
+                                          depolarizing_error=eps)
+            np.testing.assert_allclose(curves.p_g_mean, 0.5 + 0.5 * (1.0 - 2.0 * eps) ** n,
+                                       rtol=0, atol=1e-12, err_msg=f"R = {r_count}")
+            np.testing.assert_allclose(curves.p_f_mean, 0.0, rtol=0, atol=1e-12,
+                                       err_msg=f"R = {r_count}")
+
+    @pytest.mark.parametrize("r_count", [1, 31, 32, 33, 64, 200])
+    def test_channel_blocks_keep_the_bits(self, r_count):
+        # the blocked GEMMs against one GEMM over all states, which OpenBLAS
+        # threads above about 50 rows
+        rng = np.random.default_rng(11)
+        sup = rng.normal(size=(36, 36)) + 1j * rng.normal(size=(36, 36))
+        rho = rng.normal(size=(r_count, 6, 6)) + 1j * rng.normal(size=(r_count, 6, 6))
+        out = rbsim._channel(sup, rho)
+        assert out.shape == rho.shape
+        assert np.array_equal(out.reshape(r_count, -1), rho.reshape(r_count, -1) @ sup.T)
+
+    def test_curves_independent_of_channel_blocks(self, monkeypatch):
+        sc = scenario(n_lr=2, n_cl_grid=MC_GRID)
+        runs = []
+        # 3 and 13 leave one state over at R = 40, which joins the block before it
+        for block in (2, 3, 7, 13, 32, 40):
+            monkeypatch.setattr(rbsim, "_CHANNEL_BLOCK", block)
+            runs.append(rbsim.monte_carlo_rb(sc, RngStream(seed=5), n_randomizations=40))
+        for field in dataclasses.fields(rbsim.RBCurves):
+            first = getattr(runs[0], field.name)
+            for other in runs[1:]:
+                assert np.array_equal(getattr(other, field.name), first), field.name
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs a second core to spin on")
+    def test_monte_carlo_keeps_to_one_core(self):
+        # a GEMM over all 96 states would start an OpenBLAS worker that
+        # spins through the einsum between calls: cpu/wall 1.8-2.0 against
+        # about 1.0 in blocks; contention can only lower the ratio
+        sc = scenario(n_cl_grid=(1, 2, 3, 4, 200))
+        rbsim.monte_carlo_rb(sc, RngStream(seed=0), n_randomizations=3)  # loads scipy
+        cpu0, wall0 = time.process_time(), time.perf_counter()
+        rbsim.monte_carlo_rb(sc, RngStream(seed=0), n_randomizations=96)
+        cpu, wall = time.process_time() - cpu0, time.perf_counter() - wall0
+        assert cpu / wall < 1.5
 
 
 def joint_curves(n, a0, b0, lambda0, a2, b2, lambda2):
