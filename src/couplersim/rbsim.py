@@ -23,16 +23,21 @@ Clifford-twirled cycle is 1.115e-4 (the Monte Carlo mean of ``leakage-rb``
 at its defaults, seed 3, reads 1.10-1.17e-4 from 336 Cliffords on);
 dephasing after either coherent step brings the exact value to 4.10e-4.
 
-The Monte Carlo step keeps one fixed order of floating-point operations
-(batched ``einsum`` conjugations, the window channels, a running 2x2 Clifford
-product for the inverse gate).  The window channels run as one GEMM per
-block of 32 states (see :func:`_channel`): one GEMM over all states is
-large enough for OpenBLAS to start a worker thread, which busy-waits on a
-second core through the ``einsum`` between calls; the blocks give the same
-bits and stay on one core.  The joint fit of its curves is ill-conditioned
-when A2 and B2 are barely identified: changing the curves by 2e-13 relative
-moves (A0, A2, B2) by up to 2e-2, so a reordered step changes
-the fit reported for a given seed.
+The Monte Carlo step keeps one fixed order of floating-point operations:
+that of the batched three-operand ``einsum`` conjugations it was written
+with, the window channels and a running 2x2 Clifford product for the
+inverse gate.  Each gate (Clifford, leak, recovery, inverse) is the identity
+except for a 2x2 block, and :func:`_block_conjugation` applies it in a few
+whole-batch ufunc calls that repeat the ``einsum``'s arithmetic bit for bit,
+with the state axis last so that every call runs over contiguous rows of
+all R states, and with its work buffers allocated once per call of
+:func:`monte_carlo_rb`.  The window channels run as one GEMM per block of
+32 states (see :func:`_channel`): one GEMM over all states is large enough
+for OpenBLAS to start a worker thread, which busy-waits on a second core
+between calls; the blocks give the same bits and stay on one core.  The
+joint fit of the curves is ill-conditioned when A2 and B2 are barely
+identified: changing the curves by 2e-13 relative moves (A0, A2, B2) by up
+to 2e-2, so a reordered step changes the fit reported for a given seed.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -283,19 +289,10 @@ def single_qubit_cliffords() -> np.ndarray:
 
 
 _CLIFFORDS_2 = single_qubit_cliffords()
-
-
-def _embed_qubit_gate(u2: np.ndarray) -> np.ndarray:
-    """Qubit gates (batched over leading axes) as exact unitaries on the {g,e}
-    block, identity on |f>, identity on the resonator (qutrit x resonator
-    ordering, idx = 2q + r)."""
-    u3 = np.zeros((*u2.shape[:-2], 3, 3), dtype=complex)
-    u3[..., :2, :2] = u2
-    u3[..., 2, 2] = 1.0
-    return np.kron(u3, np.eye(2, dtype=complex))
-
-
-_CLIFFORDS_6 = _embed_qubit_gate(_CLIFFORDS_2)
+#: the Clifford table as (re/im, row, column, gate), gathered per cycle into
+#: the block of :func:`_block_conjugation`
+_CLIFFORD_PARTS = np.ascontiguousarray(
+    np.stack([_CLIFFORDS_2.real, _CLIFFORDS_2.imag]).transpose(0, 2, 3, 1))
 
 
 def _leak_unitary(l_cl: float) -> np.ndarray:
@@ -371,15 +368,100 @@ class RBCurves:
     p_f_std: np.ndarray
 
 
-def _conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """``U_r rho_r U_r^dag`` for a batch of states and one unitary per state."""
-    return np.einsum("rij,rjk,rlk->ril", u, rho, u.conj())
+def _block_conjugation(x, v, a: int, out, work: dict):
+    """Plan of ``out = U x U^dag`` for a batch of states, where U is the
+    identity except for the 2x2 block ``v`` on levels ``(a, a + 1)``.
+
+    ``x`` and ``out`` hold the real and imaginary parts on their first axis,
+    then the two level axes, then batch axes; the last axis is the state
+    index R, so each ufunc call runs over contiguous R-long rows and its
+    fixed cost is shared by R states.  ``v`` has shape ``(c, 2, 2, *b)``:
+    ``c`` = 2 parts (re, im), or 1 for a real block, and ``b`` broadcasts
+    against the batch axes.  ``x`` is overwritten; ``out`` may be any view of
+    its shape (the caller passes the parts of a complex array).  The
+    intermediate products live in ``work``, a dict of arrays keyed by name and
+    shape that the plans of one batch share, so running a plan allocates
+    nothing.
+
+    The result is bitwise that of ``np.einsum("rij,rjk,rlk->ril", U, x,
+    U.conj())`` (``TestBlockConjugation`` in ``tests/test_rbsim.py``), whose
+    arithmetic the plan keeps: each term is the textbook complex product
+    ``(u_ij x_jk) conj(u_lk)`` in separate real operations (numpy's complex
+    ``*`` ufunc uses FMA and rounds differently), summed j-major, k-minor
+    from +0.  Terms with a zero factor of U outside the block, and the zero
+    imaginary parts of a real block, are dropped, which is exact: a sum that
+    starts at +0 is never -0, so adding a signed zero changes no bit; the last
+    step adds +0 to every entry, as that sum does.
+    """
+    n = x.shape[1]
+    blk = slice(a, a + 2)
+    rest = [s for s in (slice(0, a), slice(a + 2, n)) if s.stop > s.start]
+    calls = []
+
+    def buf(name, shape):
+        key = (name, shape)
+        if key not in work:
+            work[key] = np.empty(shape)
+        return work[key]
+
+    def product(v_u, w, dst, conj_v):
+        # dst = v_u * w, or w * conj(v_u) with conj_v, in real products:
+        # m[c, d] is part c of the block entries times part d of w
+        if len(v) == 1:
+            calls.append(partial(np.multiply, v_u[0], w, dst))
+            return
+        m = buf("m", (2,) + dst.shape)
+        calls.append(partial(np.multiply, v_u[:, None], w, m))
+        re, im = (np.add, np.subtract) if conj_v else (np.subtract, np.add)
+        calls.append(partial(re, m[0, 0], m[1, 1], dst[0]))
+        calls.append(partial(im, m[0, 1], m[1, 0], dst[1]))
+
+    # P[i, j, k] = v_ij x_jk for i, j in the block
+    xb = x[:, None, blk]
+    p = buf("p", (2, 2) + xb.shape[2:])
+    product(v[:, :, :, None], xb, p, False)
+    # Q[i, l, k] = x_ik conj(v_lk) for rows i outside the block
+    qs = []
+    for s in rest:
+        xc = x[:, s, None, blk]
+        q = buf(f"q{s.start}", xc.shape[:2] + (2,) + xc.shape[3:])
+        product(v[:, None], xc, q, True)
+        qs.append((s, q))
+    # T[i, l, j, k] = P_ijk conj(v_lk) for i, j, l, k in the block, so that
+    # (j, k) is one axis; a reduction along an outer axis adds its slices in
+    # order, j-major and k-minor as the einsum does
+    pb = p[:, :, None, :, blk]
+    t = buf("t", pb.shape[:2] + (2,) + pb.shape[3:])
+    product(v[:, None, :, None], pb, t, True)
+    # rows in the block, every column (the block's own columns are then
+    # overwritten by the sum of T), and rows outside it, columns in it
+    calls.append(partial(np.add, p[:, :, 0], p[:, :, 1], x[:, blk]))
+    for s, q in qs:
+        calls.append(partial(np.add, q[:, :, :, 0], q[:, :, :, 1], x[:, s, blk]))
+    calls.append(partial(np.add.reduce, t.reshape(t.shape[:3] + (4,) + t.shape[5:]), 3,
+                         None, x[:, blk, blk]))
+    calls.append(partial(np.add, x, 0.0, out))
+
+    def run():
+        for call in calls:
+            call()
+    return run
+
+
+def _parts(rho: np.ndarray) -> np.ndarray:
+    """The (re/im, row, column, state) view of a batch of 6x6 states."""
+    return rho.view(np.float64).reshape(len(rho), 6, 6, 2).transpose(3, 1, 2, 0)
+
+
+def _qutrit_view(parts: np.ndarray) -> np.ndarray:
+    """``parts`` as (re/im, q, q', r, r', state) for operators kron(u3, I2)."""
+    return parts.reshape(2, 3, 2, 3, 2, -1).transpose(0, 1, 3, 2, 4, 5)
 
 
 #: states per GEMM in :func:`_channel`, at least 2: 32 rows stay well under
 #: the ~50 rows (measured on a 2-vCPU host) from which the bundled OpenBLAS
-#: threads a ``(M, 36) @ (36, 36)`` GEMM, whose worker then spins through
-#: the ``einsum`` between calls
+#: threads a ``(M, 36) @ (36, 36)`` GEMM, whose worker would otherwise spin
+#: through the block conjugations between calls
 _CHANNEL_BLOCK = 32
 
 
@@ -392,8 +474,8 @@ def _channel(sup: np.ndarray, rho: np.ndarray) -> np.ndarray:
     gemv, whose round-off differs from gemm's.  One GEMM over all R states
     crosses OpenBLAS's threading threshold (between 50 and 56 rows) and
     hands half of the rows to a worker thread, which then busy-waits through
-    the ~1 ms of ``einsum`` conjugations between calls and pins a second
-    core for the whole run.  The blocked product is bitwise equal to that
+    the block conjugations between calls and pins a second core for the
+    whole run.  The blocked product is bitwise equal to that
     single GEMM (``TestMonteCarlo::test_channel_blocks_keep_the_bits``).
     """
     flat = rho.reshape(len(rho), -1)
@@ -431,6 +513,17 @@ def monte_carlo_rb(
     ``stream.child(index)``, and the curves are bitwise the same for any
     block size (2 or more) of :func:`_channel`
     (``TestMonteCarlo::test_curves_independent_of_channel_blocks``).
+
+    The gates are applied by :func:`_block_conjugation`, bitwise equal to the
+    three-operand ``einsum`` it replaced, so the curves keep their bits
+    (``TestMonteCarlo::test_curves_keep_their_bits``).  Before each gate the
+    state is copied from the channel's (R, 6, 6) complex layout to real and
+    imaginary parts with the state axis last; the gate writes its result
+    back into the channel's input.  Those buffers and the gates' work arrays
+    (about 8.6 kB per state) are allocated once per call: allocating them
+    per gate took about 55 times the minor page faults over 200 cycles of
+    200 states, because the heap is trimmed each time the temporaries are
+    freed (``test_monte_carlo_allocates_once``).
     """
     n_grid = np.asarray(scenario.n_cl_grid, dtype=int)
     n_max = int(n_grid.max())
@@ -444,12 +537,25 @@ def monte_carlo_rb(
         windows = {"cl": _depolarizing_superop(depolarizing_error),
                    "leak": noiseless, "lr": noiseless}
         measure_window = noiseless
-    u_leak = np.tile(_leak_unitary(scenario.l_cl), (r_count, 1, 1))
-    u_lr = np.tile(_lr_unitary(scenario.f_lr), (r_count, 1, 1))
-
     gate_idx = np.stack([
         stream.child(r).integers(0, 24, size=n_max) for r in range(r_count)
     ])
+
+    # the state, split and with the state axis last, is the input of every
+    # block conjugation; each writes the input of the next channel
+    parts = np.empty((2, 6, 6, r_count))
+    rho_in = np.empty((r_count, 6, 6), dtype=complex)
+    qutrit, qutrit_in = _qutrit_view(parts), _qutrit_view(_parts(rho_in))
+    v_cl = np.empty((2, 2, 2, r_count))
+    v_inv = np.empty((2, 2, 2, r_count))
+    # the leak is kron(u3, I2) with u3 = 1 (+) R(theta); recovery acts on (e1, f0)
+    v_leak = _leak_unitary(scenario.l_cl)[2::2, 2::2].real.reshape(1, 2, 2, 1, 1, 1)
+    v_lr = _lr_unitary(scenario.f_lr)[3:5, 3:5].real.reshape(1, 2, 2, 1)
+    work = {}
+    clifford = _block_conjugation(qutrit, v_cl[:, :, :, None, None], 0, qutrit_in, work)
+    leak = _block_conjugation(qutrit, v_leak, 1, qutrit_in, work)
+    recovery = _block_conjugation(parts, v_lr, 3, _parts(rho_in), work)
+    inverse = _block_conjugation(qutrit, v_inv[:, :, :, None, None], 0, qutrit_in, work)
 
     rho = np.zeros((r_count, 6, 6), dtype=complex)
     rho[:, 0, 0] = 1.0
@@ -460,15 +566,26 @@ def monte_carlo_rb(
     for n in range(n_max + 1):
         if n > 0:
             gates = gate_idx[:, n - 1]
-            rho = _channel(windows["cl"], _conjugate(_CLIFFORDS_6[gates], rho))
+            np.take(_CLIFFORD_PARTS, gates, axis=3, out=v_cl)
+            np.copyto(parts, _parts(rho))
+            clifford()
+            rho = _channel(windows["cl"], rho_in)
             ctot = np.einsum("rij,rjk->rik", _CLIFFORDS_2[gates], ctot)
-            rho = _channel(windows["leak"], _conjugate(u_leak, rho))
+            np.copyto(parts, _parts(rho))
+            leak()
+            rho = _channel(windows["leak"], rho_in)
             if scenario.n_lr > 0 and n % scenario.n_lr == 0:
-                rho = _conjugate(u_lr, rho)
+                np.copyto(parts, _parts(rho))
+                recovery()
+                rho = rho_in
             rho = _channel(windows["lr"], rho)
         if n in col:
-            u_inv = _embed_qubit_gate(ctot.conj().transpose(0, 2, 1))
-            rho_m = _channel(measure_window, _conjugate(u_inv, rho))
+            # the inverse gate ctot^dag
+            np.copyto(v_inv[0], ctot.real.transpose(2, 1, 0))
+            np.negative(ctot.imag.transpose(2, 1, 0), out=v_inv[1])
+            np.copyto(parts, _parts(rho))
+            inverse()
+            rho_m = _channel(measure_window, rho_in)
             p_g[:, col[n]] = (rho_m[:, 0, 0] + rho_m[:, 1, 1]).real
             p_f[:, col[n]] = (rho_m[:, 4, 4] + rho_m[:, 5, 5]).real
 

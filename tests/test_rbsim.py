@@ -1,11 +1,16 @@
 import dataclasses
+import hashlib
 import math
 import os
-import time
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import couplersim
 from couplersim import presets, rbsim
 from couplersim.circuit import DecayRates
 from couplersim.numerics import TWO_PI, RngStream
@@ -13,6 +18,7 @@ from couplersim.numerics import TWO_PI, RngStream
 RATES = presets.table_decay_rates()
 ZERO_RATES = DecayRates(gamma1={"Q1": 0.0}, gamma_phi={"Q1": 0.0}, kappa_r=0.0, gamma_fe=0.0)
 MC_GRID = (0, 1, 2, 5, 10, 40)
+SRC = str(Path(couplersim.__file__).resolve().parents[1])
 
 
 def scenario(**kwargs):
@@ -156,17 +162,183 @@ class TestMonteCarlo:
             for other in runs[1:]:
                 assert np.array_equal(getattr(other, field.name), first), field.name
 
+    @pytest.mark.parametrize("r_count", [2, 33])
+    @pytest.mark.parametrize("kind", ["n_lr 0", "n_lr 2", "depolarizing"])
+    def test_curves_keep_their_bits(self, r_count, kind):
+        # sha256 of the four statistics arrays as the three-operand einsum
+        # conjugations computed them (numpy 2.4.6 and its bundled OpenBLAS on
+        # x86-64: the channel GEMMs round as that BLAS does)
+        sc = scenario(n_lr=0 if kind == "n_lr 0" else 2, n_cl_grid=MC_GRID)
+        curves = rbsim.monte_carlo_rb(sc, RngStream(seed=5), n_randomizations=r_count,
+                                      depolarizing_error=0.01 if kind == "depolarizing" else None)
+        digest = hashlib.sha256()
+        for name in ("p_g_mean", "p_g_std", "p_f_mean", "p_f_std"):
+            digest.update(getattr(curves, name).tobytes())
+        assert digest.hexdigest() == CURVE_SHA256[kind, r_count]
+
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs a second core to spin on")
     def test_monte_carlo_keeps_to_one_core(self):
-        # a GEMM over all 96 states would start an OpenBLAS worker that
-        # spins through the einsum between calls: cpu/wall 1.8-2.0 against
-        # about 1.0 in blocks; contention can only lower the ratio
-        sc = scenario(n_cl_grid=(1, 2, 3, 4, 200))
-        rbsim.monte_carlo_rb(sc, RngStream(seed=0), n_randomizations=3)  # loads scipy
-        cpu0, wall0 = time.process_time(), time.perf_counter()
-        rbsim.monte_carlo_rb(sc, RngStream(seed=0), n_randomizations=96)
-        cpu, wall = time.process_time() - cpu0, time.perf_counter() - wall0
-        assert cpu / wall < 1.5
+        # a GEMM over all 96 states would start an OpenBLAS worker that spins
+        # between the channel calls: cpu/wall 1.8-2.0 against about 1.0 in
+        # blocks; contention can only lower the ratio.  A fresh process keeps
+        # out the spin of threaded calls made by earlier tests.  scipy's expm,
+        # which builds the channels, spins a worker of its own BLAS for over
+        # 0.1 s (cpu/wall up to 2.0 over a 0.1 s call), so the channels are
+        # built once, before a pause, and handed to the measured call.  The
+        # warm-up runs at the measured size: the first threaded GEMM of a
+        # process starts the workers, which can take 0.7 s and hide the spin
+        ratio = float(run_fresh("""
+            sc = scenario(n_cl_grid=(1, 2, 3, 4, 400))
+            windows = rbsim._decoherence_superops(sc)
+            rbsim._decoherence_superops = lambda _: windows
+            rbsim.monte_carlo_rb(sc, RngStream(seed=0), n_randomizations=96)
+            time.sleep(0.5)
+            cpu0, wall0 = time.process_time(), time.perf_counter()
+            rbsim.monte_carlo_rb(sc, RngStream(seed=0), n_randomizations=96)
+            print((time.process_time() - cpu0) / (time.perf_counter() - wall0))
+        """))
+        assert ratio < 1.5
+
+    def test_monte_carlo_allocates_once(self):
+        # minor page faults of one R = 200 run after a warm-up run (numpy 2.4,
+        # glibc, x86-64): 321 with the einsum conjugations, 585 with the block
+        # conjugations, whose ~1.7 MB of buffers fault in once, and 32,600 when
+        # every gate allocates its work arrays, which the heap then trims.
+        # The bound is about three times the einsum step's count
+        faults = int(run_fresh("""
+            sc = scenario(n_cl_grid=(1, 2, 5, 20, 200))
+            rbsim.monte_carlo_rb(sc, RngStream(seed=0), n_randomizations=2)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            rbsim.monte_carlo_rb(sc, RngStream(seed=3), n_randomizations=200)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """))
+        assert faults < 1000
+
+
+#: ``test_curves_keep_their_bits``: sha256 over the bytes of p_g_mean,
+#: p_g_std, p_f_mean and p_f_std, in that order
+CURVE_SHA256 = {
+    ("n_lr 0", 2): "1d38b53c4ab6cbc76b1b498c3d7bc021a6eb670c848dd2ec9ce9a734b9f497ed",
+    ("n_lr 2", 2): "2fa66459e5dfdc73ccc97b29a7f303f86f84f88d6cab9c93a9071dd9f1feedab",
+    ("depolarizing", 2): "2807e6ce4fcd07d58bdd6c6778d615613ce43a005887b0f180da86615432b17b",
+    ("n_lr 0", 33): "61cf980def66950b106cd65f494e434898a990ec033a85906996a93dcf0f7037",
+    ("n_lr 2", 33): "6f6d2c536af0b64c1ea976dcc032fcad5b0b4eaa886f727a41fd8b107213a298",
+    ("depolarizing", 33): "b1f141910ad71b15208bf074cb8214724912399eab0aaa900be426d94af29931",
+}
+
+FRESH_PROLOGUE = """
+import resource, time
+from couplersim import presets, rbsim
+from couplersim.numerics import RngStream
+
+def scenario(**kwargs):
+    return rbsim.RBScenario(l_cl=0.02, rates=presets.table_decay_rates(), **kwargs)
+"""
+
+
+def run_fresh(body: str) -> str:
+    """Run ``body`` in a fresh interpreter with this ``couplersim`` first on
+    the path; returns the last line it prints."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FRESH_PROLOGUE + textwrap.dedent(body)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def einsum_conjugate(u, rho):
+    """The oracle of ``rbsim._block_conjugation``: U_r rho_r U_r^dag."""
+    return np.einsum("rij,rjk,rlk->ril", u, rho, u.conj())
+
+
+def block_conjugate(rho, v, a, qutrit):
+    """``rbsim._block_conjugation`` on a complex batch, as ``monte_carlo_rb``
+    calls it: the block ``v`` on levels (a, a + 1) of the qutrit (gates
+    kron(u3, I2)) or of the 6 levels."""
+    parts = np.empty((2, 6, 6, len(rho)))
+    np.copyto(parts, rbsim._parts(rho))
+    out = np.empty_like(rho)
+    x, y = parts, rbsim._parts(out)
+    if qutrit:
+        x, y = rbsim._qutrit_view(x), rbsim._qutrit_view(y)
+    rbsim._block_conjugation(x, v, a, y, {})()
+    return out
+
+
+def embed_qubit_gates(u2):
+    """Qubit gates (R, 2, 2) as 6x6 unitaries kron(u2 (+) 1, I2)."""
+    u3 = np.zeros((len(u2), 3, 3), dtype=complex)
+    u3[:, :2, :2] = u2
+    u3[:, 2, 2] = 1.0
+    return np.kron(u3, np.eye(2))
+
+
+def random_states(rng, r_count):
+    """Complex 6x6 batches with exact zeros and -0.0 among their parts."""
+    rho = rng.normal(size=(r_count, 6, 6)) + 1j * rng.normal(size=(r_count, 6, 6))
+    for part, value in ((rho.real, 0.0), (rho.real, -0.0), (rho.imag, 0.0), (rho.imag, -0.0)):
+        part[rng.random(size=part.shape) < 0.15] = value
+    return rho
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestBlockConjugation:
+    """``rbsim._block_conjugation`` against the three-operand ``einsum`` it
+    replaced, bit for bit, signed zeros included."""
+
+    R_COUNTS = [1, 2, 33, 200]
+
+    def test_cliffords_are_monomial_and_dense(self):
+        zeros = (rbsim._CLIFFORDS_2 == 0).sum(axis=(1, 2))
+        assert sorted(set(zeros.tolist())) == [0, 2]
+
+    @pytest.mark.parametrize("r_count", R_COUNTS)
+    def test_all_cliffords(self, r_count):
+        rng = np.random.default_rng(r_count)
+        for start in range(0, 24, r_count):
+            gates = (start + np.arange(r_count)) % 24
+            rho = random_states(rng, r_count)
+            v = rbsim._CLIFFORD_PARTS[..., gates][:, :, :, None, None]
+            expected = einsum_conjugate(embed_qubit_gates(rbsim._CLIFFORDS_2[gates]), rho)
+            assert same_bits(block_conjugate(rho, v, 0, qutrit=True), expected), gates
+
+    @pytest.mark.parametrize("r_count", R_COUNTS)
+    def test_clifford_product_inverses(self, r_count):
+        # ctot^dag after up to 40 Cliffords, accumulated as monte_carlo_rb does
+        rng = np.random.default_rng(100 + r_count)
+        ctot = np.broadcast_to(np.eye(2, dtype=complex), (r_count, 2, 2)).copy()
+        for n in range(40):
+            ctot = np.einsum("rij,rjk->rik", rbsim._CLIFFORDS_2[rng.integers(0, 24, r_count)],
+                             ctot)
+            if n % 13 == 0:
+                v = np.stack([ctot.real, -ctot.imag]).transpose(0, 3, 2, 1)[:, :, :, None, None]
+                rho = random_states(rng, r_count)
+                expected = einsum_conjugate(embed_qubit_gates(ctot.conj().transpose(0, 2, 1)), rho)
+                assert same_bits(block_conjugate(rho, v, 0, qutrit=True), expected), n
+
+    @pytest.mark.parametrize("r_count", R_COUNTS)
+    @pytest.mark.parametrize("l_cl", [0.0, 0.02, 1.0])
+    def test_leak(self, r_count, l_cl):
+        # kron(u3, I2) with u3 = 1 (+) R(theta): the block on qutrit levels (e, f)
+        u = rbsim._leak_unitary(l_cl)
+        rho = random_states(np.random.default_rng(r_count), r_count)
+        v = u[2::2, 2::2].real.reshape(1, 2, 2, 1, 1, 1)
+        expected = einsum_conjugate(np.tile(u, (r_count, 1, 1)), rho)
+        assert same_bits(block_conjugate(rho, v, 1, qutrit=True), expected)
+
+    @pytest.mark.parametrize("r_count", R_COUNTS)
+    @pytest.mark.parametrize("f_lr", [0.0, 0.985, 1.0])
+    def test_recovery(self, r_count, f_lr):
+        # the identity except on (e1, f0) = (3, 4)
+        u = rbsim._lr_unitary(f_lr)
+        rho = random_states(np.random.default_rng(r_count), r_count)
+        v = u[3:5, 3:5].real.reshape(1, 2, 2, 1)
+        expected = einsum_conjugate(np.tile(u, (r_count, 1, 1)), rho)
+        assert same_bits(block_conjugate(rho, v, 3, qutrit=False), expected)
 
 
 def joint_curves(n, a0, b0, lambda0, a2, b2, lambda2):
