@@ -16,8 +16,8 @@ every module the package imports; for the same reason no module-level code
 calls a numpy function that loads ``numpy.ma`` (numpy 2.4's ``np.unique``
 does).  ``import couplersim.cli`` therefore loads neither scipy nor
 ``numpy.ma`` (``tests/test_import_path.py``), and of the scenarios only
-``leakage-rb`` and ``readout-shots`` load scipy (``scipy.linalg``,
-``scipy.optimize`` and ``scipy.special``); the other seven load none.
+``leakage-rb`` loads scipy (``scipy.linalg`` and ``scipy.optimize``); the
+other eight load none.
 """
 
 __version__ = "0.1.0"

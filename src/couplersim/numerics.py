@@ -364,6 +364,12 @@ def fit_least_squares(
 
     Non-convergence is flagged on the result (best point still returned),
     never raised.
+
+    scipy's trust-region solver stays for its one caller,
+    :func:`~couplersim.rbsim.fit_rb`: that fit is ill-posed on long leakage
+    plateaus, where another optimizer lands at another end point (a 2e-13
+    change in the RB curves moves it by up to 2.4e-2), so the RB outputs
+    are pinned to this solver's.  The readout blob fit does not share it.
     """
     from scipy.optimize import least_squares
 

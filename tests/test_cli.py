@@ -126,6 +126,14 @@ class TestExitCodes:
         assert run(config, tmp_path / "a") == 3
         assert "oscillation" in capsys.readouterr().err
 
+    def test_readout_without_t1_decay_runs(self, tmp_path):
+        # Gamma_1 = 0 is admitted by the schema ([0, inf)) and means no decay
+        config = write_config(tmp_path, "readout-shots",
+                              {"n_shots": 1000, "rates": {"gamma1": {"Q1": 0.0}}})
+        assert run(config, tmp_path / "a") == 0
+        metrics = json.loads((tmp_path / "a" / "readout_metrics.json").read_text())
+        assert metrics["f_decay"] == 1.0
+
     def test_output_path_is_a_file(self, tmp_path):
         config = write_config(tmp_path, "reset-metrics")
         blocker = tmp_path / "blocker"

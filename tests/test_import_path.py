@@ -1,6 +1,6 @@
 """Importing the CLI loads numpy and PyYAML but no scipy module and no
-``numpy.ma``; of the scenarios only ``leakage-rb`` and ``readout-shots``
-load scipy.
+``numpy.ma``; of the scenarios only ``leakage-rb`` loads scipy
+(``scipy.linalg`` and ``scipy.optimize``).
 
 Every ``couplersim run`` is its own process and pays for what the package
 imports, so scipy is imported inside the functions that call it.  Each
@@ -63,6 +63,7 @@ def test_import_cli_loads_no_numpy_ma():
     ("lr-dynamics", None),
     ("periodic-lr", None),
     ("chi-map", None),
+    ("readout-shots", None),
     *(pytest.param("floquet-report", {"kind": kind}, id=f"floquet-report-{kind}")
       for kind in ("reset", "lr", "readout", "cz")),
 ])
@@ -71,6 +72,7 @@ def test_scenarios_without_scipy_calls_load_none(tmp_path, scenario, params):
 
 
 def test_probe_sees_a_scenario_that_uses_scipy(tmp_path):
-    # readout-shots fits the classifier with scipy.optimize.nnls
-    assert "scipy.optimize" in scipy_modules_after_run(tmp_path, "readout-shots",
-                                                       {"n_shots": 1000})
+    # leakage-rb builds its windows with scipy.linalg.expm and fits the RB
+    # curves with scipy.optimize.least_squares
+    loaded = scipy_modules_after_run(tmp_path, "leakage-rb", {"n_randomizations": 2})
+    assert {"scipy.linalg", "scipy.optimize"} <= set(loaded)

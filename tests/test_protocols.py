@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from couplersim import presets
+from couplersim import presets, protocols
 from couplersim.numerics import TWO_PI, RngStream
 from couplersim.protocols import (
     BOLTZMANN_K,
@@ -131,11 +131,148 @@ class TestGenerateShots:
         expected = 1.0 - math.exp(-TWO_PI * gamma_1 * tau / 2)
         assert flipped == pytest.approx(expected, abs=4 * math.sqrt(expected / n) + 1e-3)
 
+    def test_zero_decay_rate_flips_nothing_and_draws_nothing(self):
+        # gamma_1 = 0 is a valid rate (no T1): it must not divide by zero,
+        # and it draws no decay times, so the shots equal those without decay
+        plain = generate_shots((0.2, 0.5, 0.3), CENTERS, 1.0, 2000, RngStream(4))
+        no_t1 = generate_shots((0.2, 0.5, 0.3), CENTERS, 1.0, 2000, RngStream(4),
+                               decay=(0.0, 10e-6))
+        assert np.array_equal(plain.iq, no_t1.iq)
+
 
 def _calibration_sets(centers, sigma=1.0, n=6000, seed=100):
     pops = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     return [generate_shots(pops[i], centers, sigma, n, RngStream(seed, i), label=l)
             for i, l in enumerate("gef")]
+
+
+def _blob_problem(seed, label):
+    """Shots of one seeded calibration set, 20000 as in ``readout-shots``;
+    the |e> set carries T1 flips to the g centre, as there."""
+    decay = (RATES.gamma1["Q1"], 10e-6) if label == 1 else None
+    pops = np.eye(3)[label]
+    return generate_shots(pops, CENTERS, 1.0, 20_000, RngStream(seed, label), decay=decay).iq
+
+
+def _profile_gradient(xy, counts, center, width, fit_width):
+    """Gradient of the blob-fit cost over (h, cx, cy[, sigma]) at the given
+    centre and width, with the height h at its least-squares value."""
+    ux, uy = xy[:, 0] - center[0], xy[:, 1] - center[1]
+    r2 = ux ** 2 + uy ** 2
+    e = np.exp(-r2 / (2 * width ** 2))
+    h = (e @ counts) / (e @ e)
+    he = h * e / width ** 2
+    jac = np.column_stack([e, he * ux, he * uy] + ([he * r2 / width] if fit_width else []))
+    return jac.T @ (h * e - counts)
+
+
+def _scipy_blob_fit(xy, counts, iq, sigma):
+    from scipy.optimize import least_squares
+
+    x0, y0 = xy[int(np.argmax(counts))]
+    guess = [counts.max(), x0, y0] + ([np.mean(np.std(iq, axis=0))] if sigma is None else [])
+
+    def residuals(p):
+        width = p[3] if sigma is None else sigma
+        return p[0] * np.exp(-((xy[:, 0] - p[1]) ** 2 + (xy[:, 1] - p[2]) ** 2)
+                             / (2 * width ** 2)) - counts
+
+    p = least_squares(residuals, guess, xtol=1e-15, ftol=1e-15, gtol=1e-15).x
+    return (p[1], p[2]), abs(p[3]) if sigma is None else sigma
+
+
+class TestBlobFit:
+    """The numpy Levenberg-Marquardt blob fit against scipy's trust-region
+    least squares at the same 1e-15 tolerances."""
+
+    @pytest.mark.parametrize("sigma", [None, 1.0], ids=["free-width", "held-width"])
+    @pytest.mark.parametrize("label", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_scipy_least_squares(self, seed, label, sigma):
+        iq = _blob_problem(seed, label)
+        xy, counts = protocols._histogram2d(iq)
+        center, width = protocols._fit_blob(iq, sigma)
+        ref_center, ref_width = _scipy_blob_fit(xy, counts, iq, sigma)
+        # relative to the blob width (1): the g centre sits near 0
+        np.testing.assert_allclose([*center, width], [*ref_center, ref_width],
+                                   rtol=1e-7, atol=1e-7)
+        # scipy stops on its cost tolerance, short of the optimum
+        grad = _profile_gradient(xy, counts, center, width, sigma is None)
+        ref_grad = _profile_gradient(xy, counts, ref_center, ref_width, sigma is None)
+        assert np.linalg.norm(grad) <= np.linalg.norm(ref_grad)
+
+    def test_converges_well_within_the_iteration_bound(self, monkeypatch):
+        # the |e> set with T1 flips takes the most iterations (about 25)
+        iq = _blob_problem(2, 1)
+        converged = protocols._fit_blob(iq, None)
+        monkeypatch.setattr(protocols, "_BLOB_FIT_MAX_ITER", 40)
+        assert protocols._fit_blob(iq, None) == converged
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 3])
+    def test_a_fit_cut_short_returns_its_best_point(self, monkeypatch, max_iter):
+        iq = _blob_problem(0, 1)
+        xy, counts = protocols._histogram2d(iq)
+        monkeypatch.setattr(protocols, "_BLOB_FIT_MAX_ITER", max_iter)
+        center, width = protocols._fit_blob(iq, None)
+        start = xy[int(np.argmax(counts))]
+        if max_iter == 0:
+            assert tuple(center) == tuple(start)
+            assert width == np.mean(np.std(iq, axis=0))
+        assert np.all(np.isfinite([*center, width]))
+
+        def cost(c, w):
+            e = np.exp(-((xy[:, 0] - c[0]) ** 2 + (xy[:, 1] - c[1]) ** 2) / (2 * w ** 2))
+            return counts @ counts - (e @ counts) ** 2 / (e @ e)
+
+        assert cost(center, width) <= cost(start, np.mean(np.std(iq, axis=0)))
+
+
+class TestComponentHeights:
+    """The enumerated three-column NNLS against ``scipy.optimize.nnls``."""
+
+    XY = np.column_stack([a.ravel() for a in np.meshgrid(np.linspace(-4, 6, 60),
+                                                         np.linspace(-4, 6, 60))])
+
+    def heights(self, monkeypatch, counts, centers, sigma):
+        monkeypatch.setattr(protocols, "_histogram2d", lambda iq: (self.XY, counts))
+        return protocols._component_heights(None, centers, sigma)
+
+    def test_matches_scipy_nnls_on_random_problems(self, monkeypatch):
+        from scipy.optimize import nnls
+
+        rng = np.random.default_rng(11)
+        n_active = set()
+        for _ in range(200):
+            centers = rng.uniform(-2, 4, (3, 2))
+            sigma = rng.uniform(0.5, 1.5)
+            design = np.stack([np.exp(-((self.XY - c) ** 2).sum(axis=1) / (2 * sigma ** 2))
+                               for c in centers], axis=1)
+            # negative true heights make constraints active; the counts
+            # stay nonnegative
+            truth = rng.uniform(-200, 400, 3)
+            counts = np.maximum(design @ truth + rng.normal(0, 5, len(self.XY)), 0.0)
+            got = self.heights(monkeypatch, counts, centers, sigma)
+            ref, _ = nnls(design, counts)
+            assert np.array_equal(got == 0, ref == 0)
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
+            n_active.add(int(np.sum(ref == 0)))
+        assert {0, 1, 2} <= n_active
+
+    def test_zero_counts_give_zero_heights(self, monkeypatch):
+        got = self.heights(monkeypatch, np.zeros(len(self.XY)), CENTERS, 1.0)
+        assert np.array_equal(got, np.zeros(3))
+
+    def test_matches_scipy_nnls_on_calibration_sets(self):
+        from scipy.optimize import nnls
+
+        for iq in _calibration_sets(CENTERS, n=6000, seed=61):
+            iq = iq.iq
+            xy, counts = protocols._histogram2d(iq)
+            design = np.stack([np.exp(-((xy - c) ** 2).sum(axis=1) / 2) for c in CENTERS], axis=1)
+            ref, _ = nnls(design, counts)
+            got = protocols._component_heights(iq, CENTERS, 1.0)
+            assert np.array_equal(got == 0, ref == 0)
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
 
 
 class TestReadoutClassifier:
@@ -220,6 +357,30 @@ class TestEstimatePopulations:
                                 measured["reset"], measured["pi_reset"])
         assert metrics["eta_r"] == pytest.approx(0.9963, abs=0.004)
         assert metrics["f_r"] == pytest.approx(0.998, abs=0.004)
+
+
+class TestGaussianOverlapError:
+    D = np.linspace(0.0, 20.0, 4001)  # d / sigma
+
+    def test_matches_scipy_erfc(self):
+        # within 2 ulp where scipy's erfc is correctly rounded (it is within
+        # 2 ulp up to d / sigma = 1.58 here); beyond, scipy's tail is up to
+        # 32 ulp off the exact value (see the next test), so the bound there
+        # is relative
+        from scipy.special import erfc
+
+        got = np.array([gaussian_overlap_error(x, 1.0) for x in self.D])
+        ref = 0.5 * erfc(self.D / 2.0 / math.sqrt(2.0))
+        near = self.D <= 1.5
+        np.testing.assert_array_max_ulp(got[near], ref[near], maxulp=2)
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+
+    def test_within_two_ulp_of_the_exact_value(self):
+        mpmath = pytest.importorskip("mpmath")
+        got = np.array([gaussian_overlap_error(x, 1.0) for x in self.D])
+        exact = np.array([float(mpmath.erfc(mpmath.mpf(x / 2.0 / math.sqrt(2.0))) / 2)
+                          for x in self.D])
+        np.testing.assert_array_max_ulp(got, exact, maxulp=2)
 
 
 class TestAssignmentFidelity:
