@@ -1,5 +1,8 @@
 """Time-domain models: pulse envelopes, the closed-form damped two-level
-swap, three-level leakage-recovery dynamics and their Lindblad references.
+swap, three-level leakage-recovery dynamics, and the one Lindblad model of
+the qutrit x resonator system behind them, :func:`qutrit_resonator_model`:
+with a swap drive it is the ODE oracle of the reset and leakage-recovery
+closed forms, and without one it gives the idle windows of ``leakage-rb``.
 
 Rates and couplings are cyclic (Hz); formulas convert to angular units
 internally, consistent with :mod:`couplersim.numerics`.
@@ -19,7 +22,7 @@ from .numerics import TWO_PI
 EDGE_SIGMAS = 2.5  # each Gaussian edge occupies this many sigma
 
 #: the qubit whose reset and leakage recovery the models describe; its
-#: decay rates enter the closed forms and the Lindblad references
+#: decay rates enter the closed forms and the Lindblad model
 QUBIT = "Q1"
 
 
@@ -242,57 +245,41 @@ def lr_swap_time(g_tilde: float, rates: DecayRates) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Lindblad reference models (oracles for the closed forms)
+# qutrit x resonator Lindblad model
 # ---------------------------------------------------------------------------
 
-def reset_lindblad_model(g_tilde: float, rates: DecayRates, env: EnvelopeSpec | None = None):
-    """Resonant-frame model of the reset swap on basis {|e0>, |g1>, |g0>}.
+#: basis of the qutrit (g, e, f) x resonator (0, 1 photon) model; level
+#: ``"<q><r>"`` has index ``2 q + r``
+LEVELS = ("g0", "g1", "e0", "e1", "f0", "f1")
 
-    Returns ``(hamiltonian, collapse_list, initial_state)`` for
-    :func:`couplersim.numerics.propagate`; the donor population is element
-    (0, 0) of the propagated density matrix.  Test oracle of the
-    ``reset-dynamics`` populations (damped and pulsed swap).
+
+def qutrit_resonator_model(rates: DecayRates, swap: tuple | None = None):
+    """Hamiltonian (rad/s) and collapse list of :data:`QUBIT` as a qutrit
+    coupled to the lossy readout resonator, on the basis :data:`LEVELS`, for
+    :func:`couplersim.numerics.liouvillian` and
+    :func:`couplersim.numerics.propagate`.
+
+    The collapse operators, in this order: qubit decay e -> g at Gamma_1,
+    f -> e at Gamma_fe, dephasing ``sqrt(2) n_q`` at Gamma_phi and photon
+    loss at kappa_R, each acting on the other factor as the identity.
+    ``swap = (level_a, level_b, g_tilde)`` adds the resonant-frame exchange
+    ``H = 2 pi g~ (|a><b| + h.c.)``, the reset (``("e0", "g1", g~)``) or
+    leakage-recovery (``("f0", "e1", g~)``) drive; ``None`` gives H = 0,
+    the idle windows of ``leakage-rb``.
     """
-    h_bare = TWO_PI * g_tilde * np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
-    if env is None:
-        h = h_bare
-    else:
-        def h(t, _h=h_bare, _env=env):
-            return envelope_value(t, _env) * _h
+    h = np.zeros((6, 6), dtype=complex)
+    if swap is not None:
+        a, b, g_tilde = swap
+        i, j = LEVELS.index(a), LEVELS.index(b)
+        h[i, j] = h[j, i] = TWO_PI * g_tilde
+    resonator = np.eye(2)
     collapse = [
-        (np.array([[0, 0, 0], [0, 0, 0], [0, 1, 0]], dtype=complex), rates.kappa_r),
-        (np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0]], dtype=complex), rates.gamma1[QUBIT]),
+        (np.kron(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex), resonator),
+         rates.gamma1[QUBIT]),
+        (np.kron(np.array([[0, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=complex), resonator),
+         rates.gamma_fe),
+        (np.kron(np.diag([0.0, 1.0, 2.0]).astype(complex), resonator) * math.sqrt(2.0),
+         rates.gamma_phi[QUBIT]),
+        (np.kron(np.eye(3), np.array([[0, 1], [0, 0]], dtype=complex)), rates.kappa_r),
     ]
-    rho0 = np.zeros((3, 3), dtype=complex)
-    rho0[0, 0] = 1.0
-    return h, collapse, rho0
-
-
-def lr_lindblad_model(g_tilde: float, rates: DecayRates):
-    """Resonant-frame LR model on basis {|g0>, |e0>, |f0>, |e1>, |g1>}.
-
-    |f0> <-> |e1> swap at g~, resonator decay |e1> -> |e0>, |g1> -> |g0>,
-    qubit decay |e0> -> |g0>, |e1> -> |g1>, and f -> e relaxation.  Test
-    oracle of the ``lr-dynamics`` populations.
-    """
-    dim = 5
-    g0, e0, f0, e1, g1 = range(dim)
-    h = np.zeros((dim, dim), dtype=complex)
-    h[f0, e1] = h[e1, f0] = TWO_PI * g_tilde
-
-    def op(i, j):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[i, j] = 1.0
-        return m
-
-    collapse = [
-        (op(e0, e1), rates.kappa_r),
-        (op(g0, g1), rates.kappa_r),
-        (op(g0, e0), rates.gamma1[QUBIT]),
-        (op(g1, e1), rates.gamma1[QUBIT]),
-        (op(e0, f0), rates.gamma_fe),
-    ]
-    rho0 = np.zeros((dim, dim), dtype=complex)
-    rho0[f0, f0] = 1.0
-    labels = {"g": (g0, g1), "e": (e0, e1), "f": (f0,), "r": (e1, g1)}
-    return h, collapse, rho0, labels
+    return h, collapse

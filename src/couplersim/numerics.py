@@ -9,7 +9,9 @@ Conventions used across the package:
   (energy/hbar in rad/s); collapse rates are cyclic Hz and are multiplied
   by ``2*pi`` inside the dissipator.
 * Superoperators act on ``vec(rho)`` in row-major order; :func:`liouvillian`
-  builds the Lindblad generator in that convention for every caller.
+  builds the Lindblad generator in that convention for every caller: the
+  ``leakage-rb`` windows exponentiate it, and :func:`propagate` integrates
+  its dissipator with DOP853, the package's one master-equation integrator.
 
 The periodic-propagator engine, shared by the Floquet oracle and the CZ
 calibration, has two steps.  :func:`midpoint_spectrum` samples a vectorised
@@ -71,7 +73,6 @@ class FitResult:
     covariance: np.ndarray
     residual_norm: float
     converged: bool
-    message: str = ""
 
     def stderr(self) -> np.ndarray:
         return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
@@ -153,13 +154,12 @@ def propagate(
 ) -> np.ndarray:
     """Propagate a density matrix under the Lindblad master equation.
 
-    A constant Hamiltonian without ``t_eval`` is propagated exactly, by one
-    exponential of the Liouvillian.  Otherwise DOP853 integrates the master
-    equation with its step bounded by ``min(1/(20 f_max), duration)``, where
-    ``f_max`` is the fastest frequency (Hz) among the spectral widths of H
-    at the start, middle and end of the window and the collapse rates.
-    With the Lindblad models of :mod:`couplersim.dynamics` it is the ODE
-    oracle of the ``reset-dynamics`` and ``lr-dynamics`` closed forms.
+    DOP853 integrates the master equation with its step bounded by
+    ``min(1/(20 f_max), duration)``, where ``f_max`` is the fastest
+    frequency (Hz) among the spectral widths of H at the start, middle and
+    end of the window and the collapse rates.  With
+    :func:`couplersim.dynamics.qutrit_resonator_model` it is the ODE oracle
+    of the ``reset-dynamics`` and ``lr-dynamics`` closed forms.
 
     Parameters
     ----------
@@ -183,7 +183,6 @@ def propagate(
         ``rho(duration)``, or the trajectory when ``t_eval`` is given.
     """
     from scipy.integrate import solve_ivp
-    from scipy.linalg import expm
 
     rho0 = np.asarray(initial_state, dtype=complex)
     _check_density_matrix(rho0)
@@ -199,11 +198,6 @@ def propagate(
             raise ValueError("Hamiltonian dimension does not match state")
         if np.linalg.norm(h - h.conj().T) > 1e-6 * max(1.0, np.linalg.norm(h)):
             raise ValueError("Hamiltonian must be Hermitian")
-
-    if static and t_eval is None:
-        # exact: exponentiate the Liouvillian once
-        liou = liouvillian(h_probe[0], collapse_rates)
-        return (expm(liou * duration) @ rho0.reshape(-1)).reshape(d, d)
 
     dissipator = liouvillian(np.zeros((d, d)), collapse_rates)
 
@@ -411,5 +405,4 @@ def fit_least_squares(
         covariance=cov,
         residual_norm=float(np.linalg.norm(res.fun)),
         converged=converged,
-        message=str(res.message),
     )

@@ -211,10 +211,11 @@ _BLOB_FIT_MAX_ITER = 200
 _BLOB_FIT_XTOL = 1e-15
 
 
-def _fit_blob(iq: np.ndarray, sigma: float | None) -> tuple:
+def _fit_blob(histogram: tuple, iq: np.ndarray, sigma: float | None) -> tuple:
     """Centre and width of the 2-D Gaussian ``h exp(-r^2 / 2 sigma^2)``
-    fitted to the histogram of ``iq``; the width is fitted when ``sigma`` is
-    None, else held.
+    fitted to ``histogram``, the ``(xy, counts)`` of :func:`_histogram2d`
+    of the shots ``iq``; the width is fitted when ``sigma`` is None,
+    starting from the shots' spread, else held.
 
     Levenberg-Marquardt (Marquardt, SIAM J. Appl. Math. 11, 431 (1963)) with
     the analytic Jacobian, run until the step, scaled by the Jacobian's
@@ -225,7 +226,7 @@ def _fit_blob(iq: np.ndarray, sigma: float | None) -> tuple:
     0.6 s of import to every ``readout-shots`` process.  A fit that has not
     converged after ``_BLOB_FIT_MAX_ITER`` iterations returns its best point.
     """
-    xy, counts = _histogram2d(iq)
+    xy, counts = histogram
     x0, y0 = xy[int(np.argmax(counts))]
     fit_width = sigma is None
     p = np.array([counts.max(), x0, y0] + ([np.mean(np.std(iq, axis=0))] if fit_width else []))
@@ -291,9 +292,10 @@ class ReadoutClassifier:
     confusion: np.ndarray
 
 
-def _component_heights(iq: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
+def _component_heights(histogram: tuple, centers: np.ndarray, sigma: float) -> np.ndarray:
     """Nonnegative heights of the three Gaussian components (centres and
-    width held) that best fit the histogram of ``iq``.
+    width held) that best fit ``histogram``, the ``(xy, counts)`` of
+    :func:`_histogram2d`.
 
     Exact NNLS by enumeration (Lawson & Hanson, *Solving Least Squares
     Problems* (1974), ch. 23): the optimum is the unconstrained least-squares
@@ -302,7 +304,7 @@ def _component_heights(iq: np.ndarray, centers: np.ndarray, sigma: float) -> np.
     It is numpy only: ``scipy.optimize.nnls`` would add about 0.6 s of import
     to every ``readout-shots`` process.
     """
-    xy, counts = _histogram2d(iq)
+    xy, counts = histogram
     design = np.stack([
         np.exp(-((xy[:, 0] - cx) ** 2 + (xy[:, 1] - cy) ** 2) / (2.0 * sigma ** 2))
         for cx, cy in centers
@@ -331,10 +333,12 @@ def calibrate_classifier(shots_g: ShotSet, shots_e: ShotSet,
         if iq.shape[0] < MIN_CALIBRATION_SHOTS:
             raise ValueError(f"calibration set '{label}' needs >= {MIN_CALIBRATION_SHOTS} shots")
 
-    center_g, sigma = _fit_blob(sets[0], None)
+    hists = [_histogram2d(s) for s in sets]
+    center_g, sigma = _fit_blob(hists[0], sets[0], None)
     sigma = float(sigma)
-    centers = np.array([center_g] + [_fit_blob(s, sigma)[0] for s in sets[1:]])
-    heights = np.stack([_component_heights(s, centers, sigma) for s in sets])
+    centers = np.array([center_g] + [_fit_blob(h, s, sigma)[0]
+                                     for h, s in zip(hists[1:], sets[1:])])
+    heights = np.stack([_component_heights(h, centers, sigma) for h in hists])
     confusion = np.stack([
         np.bincount(_nearest(s, centers), minlength=3) / s.shape[0] for s in sets
     ])

@@ -9,7 +9,7 @@ with :func:`cycle_matrix`; the qubit probability P_subspace + P_f is
 conserved and the resonator column drains at its decay rate.  The Monte
 Carlo engine evolves qutrit x resonator density matrices: exact Clifford
 unitaries, unitary leakage and recovery, and per-window Lindblad channels
-built from :func:`numerics.liouvillian` (row-major vec convention).
+of :func:`dynamics.qutrit_resonator_model` (row-major vec convention).
 ``n_lr = 0`` is the run without recovery and zero rates the noiseless run.
 
 The rate equation and its closed forms (:func:`steady_state_leakage`,
@@ -50,7 +50,7 @@ from functools import partial
 import numpy as np
 
 from .circuit import DecayRates
-from .dynamics import QUBIT
+from .dynamics import LEVELS, QUBIT, qutrit_resonator_model
 from .numerics import TWO_PI, RngStream, fit_least_squares, liouvillian
 
 DEFAULT_N_CL_GRID = tuple(sorted({round(x) for x in np.geomspace(1, 1000, 20).tolist()}))
@@ -70,6 +70,14 @@ class RBScenario:
     success probability and ``n_lr`` the recovery cadence (every N
     Cliffords; 0 disables recovery).  Times are seconds, rates cyclic Hz;
     the benchmarked qubit is :data:`~couplersim.dynamics.QUBIT`.
+
+    The default ``f_lr`` is the paper's measured 98.5 %, which both engines
+    apply as given (:func:`monte_carlo_rb` as an instantaneous partial
+    swap).  The driven |f0> <-> |e1> swap of
+    :func:`~couplersim.dynamics.qutrit_resonator_model` over one ``tau_lr``
+    at the table rates recovers about 99.7 %; the test
+    ``TestLeakageRecoveryDynamics.test_driven_lr_window_against_the_other_lr_models``
+    in ``tests/test_dynamics.py`` pins that gap.
     """
 
     l_cl: float
@@ -306,7 +314,7 @@ def _lr_unitary(f_lr: float) -> np.ndarray:
     """Partial |f0> <-> |e1> swap with transfer probability f_lr."""
     u = np.eye(6, dtype=complex)
     c, s = math.sqrt(1.0 - f_lr), math.sqrt(f_lr)
-    f0, e1 = 4, 3
+    f0, e1 = LEVELS.index("f0"), LEVELS.index("e1")
     u[f0, f0] = c
     u[e1, e1] = c
     u[f0, e1] = -s
@@ -320,17 +328,7 @@ def _decoherence_superops(scenario: RBScenario) -> dict:
     {g0, e0} fidelity of each to its closed form (LR window: 0.9928)."""
     from scipy.linalg import expm
 
-    r = scenario.rates
-    low_q = np.kron(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex), np.eye(2))
-    low_f = np.kron(np.array([[0, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=complex), np.eye(2))
-    deph = np.kron(np.diag([0.0, 1.0, 2.0]).astype(complex), np.eye(2)) * math.sqrt(2.0)
-    low_r = np.kron(np.eye(3), np.array([[0, 1], [0, 0]], dtype=complex))
-    liou = liouvillian(np.zeros((6, 6)), [
-        (low_q, r.gamma1[QUBIT]),
-        (low_f, r.gamma_fe),
-        (deph, r.gamma_phi[QUBIT]),
-        (low_r, r.kappa_r),
-    ])
+    liou = liouvillian(*qutrit_resonator_model(scenario.rates))
     return {"cl": expm(liou * scenario.tau_cl),
             "leak": expm(liou * scenario.tau_leak),
             "lr": expm(liou * scenario.tau_lr)}
@@ -501,8 +499,13 @@ def monte_carlo_rb(
     computational subspace), the Clifford-window channel, leakage injection
     (a weak |e> <-> |f> rotation), the leak-window channel, on every
     ``scenario.n_lr``-th cycle the recovery (a partial |f0> <-> |e1> swap),
-    and the LR-window channel.  With ``depolarizing_error=None`` the window
-    channels are the Lindblad channels of ``scenario.rates``; otherwise the
+    and the LR-window channel.  The recovery is instantaneous, at the
+    measured ``scenario.f_lr`` (98.5 % by default), not the driven swap of
+    the same window, which would recover about 99.7 % (see
+    :class:`RBScenario`).  With ``depolarizing_error=None`` the window
+    channels are the Lindblad channels of
+    :func:`~couplersim.dynamics.qutrit_resonator_model` at
+    ``scenario.rates`` without a drive; otherwise the
     Clifford window is a depolarizing channel of that average gate error
     and the other windows are noiseless (without leakage this is the exact
     oracle ``P_g = 1/2 + 1/2 (1 - 2 eps)^n``).  ``n_lr = 0`` disables
@@ -548,17 +551,19 @@ def monte_carlo_rb(
     qutrit, qutrit_in = _qutrit_view(parts), _qutrit_view(_parts(rho_in))
     v_cl = np.empty((2, 2, 2, r_count))
     v_inv = np.empty((2, 2, 2, r_count))
-    # the leak is kron(u3, I2) with u3 = 1 (+) R(theta); recovery acts on (e1, f0)
+    g0, g1, e1, f0, f1 = map(LEVELS.index, ("g0", "g1", "e1", "f0", "f1"))
+    # the leak is kron(u3, I2) with u3 = 1 (+) R(theta); recovery acts on
+    # the neighbouring levels (e1, f0)
     v_leak = _leak_unitary(scenario.l_cl)[2::2, 2::2].real.reshape(1, 2, 2, 1, 1, 1)
-    v_lr = _lr_unitary(scenario.f_lr)[3:5, 3:5].real.reshape(1, 2, 2, 1)
+    v_lr = _lr_unitary(scenario.f_lr)[e1:f0 + 1, e1:f0 + 1].real.reshape(1, 2, 2, 1)
     work = {}
     clifford = _block_conjugation(qutrit, v_cl[:, :, :, None, None], 0, qutrit_in, work)
     leak = _block_conjugation(qutrit, v_leak, 1, qutrit_in, work)
-    recovery = _block_conjugation(parts, v_lr, 3, _parts(rho_in), work)
+    recovery = _block_conjugation(parts, v_lr, e1, _parts(rho_in), work)
     inverse = _block_conjugation(qutrit, v_inv[:, :, :, None, None], 0, qutrit_in, work)
 
     rho = np.zeros((r_count, 6, 6), dtype=complex)
-    rho[:, 0, 0] = 1.0
+    rho[:, g0, g0] = 1.0
     ctot = np.broadcast_to(np.eye(2, dtype=complex), (r_count, 2, 2)).copy()
     col = {int(n): j for j, n in enumerate(n_grid)}
     p_g = np.empty((r_count, len(n_grid)))
@@ -586,8 +591,8 @@ def monte_carlo_rb(
             np.copyto(parts, _parts(rho))
             inverse()
             rho_m = _channel(measure_window, rho_in)
-            p_g[:, col[n]] = (rho_m[:, 0, 0] + rho_m[:, 1, 1]).real
-            p_f[:, col[n]] = (rho_m[:, 4, 4] + rho_m[:, 5, 5]).real
+            p_g[:, col[n]] = (rho_m[:, g0, g0] + rho_m[:, g1, g1]).real
+            p_f[:, col[n]] = (rho_m[:, f0, f0] + rho_m[:, f1, f1]).real
 
     return RBCurves(
         n_cl=n_grid,

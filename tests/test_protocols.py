@@ -191,7 +191,7 @@ class TestBlobFit:
     def test_matches_scipy_least_squares(self, seed, label, sigma):
         iq = _blob_problem(seed, label)
         xy, counts = protocols._histogram2d(iq)
-        center, width = protocols._fit_blob(iq, sigma)
+        center, width = protocols._fit_blob((xy, counts), iq, sigma)
         ref_center, ref_width = _scipy_blob_fit(xy, counts, iq, sigma)
         # relative to the blob width (1): the g centre sits near 0
         np.testing.assert_allclose([*center, width], [*ref_center, ref_width],
@@ -204,16 +204,17 @@ class TestBlobFit:
     def test_converges_well_within_the_iteration_bound(self, monkeypatch):
         # the |e> set with T1 flips takes the most iterations (about 25)
         iq = _blob_problem(2, 1)
-        converged = protocols._fit_blob(iq, None)
+        hist = protocols._histogram2d(iq)
+        converged = protocols._fit_blob(hist, iq, None)
         monkeypatch.setattr(protocols, "_BLOB_FIT_MAX_ITER", 40)
-        assert protocols._fit_blob(iq, None) == converged
+        assert protocols._fit_blob(hist, iq, None) == converged
 
     @pytest.mark.parametrize("max_iter", [0, 1, 3])
     def test_a_fit_cut_short_returns_its_best_point(self, monkeypatch, max_iter):
         iq = _blob_problem(0, 1)
         xy, counts = protocols._histogram2d(iq)
         monkeypatch.setattr(protocols, "_BLOB_FIT_MAX_ITER", max_iter)
-        center, width = protocols._fit_blob(iq, None)
+        center, width = protocols._fit_blob((xy, counts), iq, None)
         start = xy[int(np.argmax(counts))]
         if max_iter == 0:
             assert tuple(center) == tuple(start)
@@ -233,11 +234,10 @@ class TestComponentHeights:
     XY = np.column_stack([a.ravel() for a in np.meshgrid(np.linspace(-4, 6, 60),
                                                          np.linspace(-4, 6, 60))])
 
-    def heights(self, monkeypatch, counts, centers, sigma):
-        monkeypatch.setattr(protocols, "_histogram2d", lambda iq: (self.XY, counts))
-        return protocols._component_heights(None, centers, sigma)
+    def heights(self, counts, centers, sigma):
+        return protocols._component_heights((self.XY, counts), centers, sigma)
 
-    def test_matches_scipy_nnls_on_random_problems(self, monkeypatch):
+    def test_matches_scipy_nnls_on_random_problems(self):
         from scipy.optimize import nnls
 
         rng = np.random.default_rng(11)
@@ -251,15 +251,15 @@ class TestComponentHeights:
             # stay nonnegative
             truth = rng.uniform(-200, 400, 3)
             counts = np.maximum(design @ truth + rng.normal(0, 5, len(self.XY)), 0.0)
-            got = self.heights(monkeypatch, counts, centers, sigma)
+            got = self.heights(counts, centers, sigma)
             ref, _ = nnls(design, counts)
             assert np.array_equal(got == 0, ref == 0)
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
             n_active.add(int(np.sum(ref == 0)))
         assert {0, 1, 2} <= n_active
 
-    def test_zero_counts_give_zero_heights(self, monkeypatch):
-        got = self.heights(monkeypatch, np.zeros(len(self.XY)), CENTERS, 1.0)
+    def test_zero_counts_give_zero_heights(self):
+        got = self.heights(np.zeros(len(self.XY)), CENTERS, 1.0)
         assert np.array_equal(got, np.zeros(3))
 
     def test_matches_scipy_nnls_on_calibration_sets(self):
@@ -270,7 +270,7 @@ class TestComponentHeights:
             xy, counts = protocols._histogram2d(iq)
             design = np.stack([np.exp(-((xy - c) ** 2).sum(axis=1) / 2) for c in CENTERS], axis=1)
             ref, _ = nnls(design, counts)
-            got = protocols._component_heights(iq, CENTERS, 1.0)
+            got = protocols._component_heights((xy, counts), CENTERS, 1.0)
             assert np.array_equal(got == 0, ref == 0)
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
 

@@ -13,6 +13,7 @@ import pytest
 import couplersim
 from couplersim import presets, rbsim
 from couplersim.circuit import DecayRates
+from couplersim.dynamics import LEVELS
 from couplersim.numerics import TWO_PI, RngStream
 
 RATES = presets.table_decay_rates()
@@ -87,11 +88,12 @@ class TestDecoherenceWindows:
     @pytest.mark.parametrize("window", ["cl", "leak", "lr"])
     def test_subspace_fidelity_matches_closed_form(self, window):
         # the channels monte_carlo_rb applies every cycle; F_e on the
-        # {g0, e0} block (basis index 2 * qutrit + resonator, row-major vec)
-        # and F = (d F_e + 1) / (d + 1), Nielsen, Phys. Lett. A 303, 249 (2002)
+        # {g0, e0} block (row-major vec) and F = (d F_e + 1) / (d + 1),
+        # Nielsen, Phys. Lett. A 303, 249 (2002)
         sc = scenario()
         sup = rbsim._decoherence_superops(sc)[window]
-        f_e = sum(sup[6 * i + j, 6 * i + j] for i in (0, 2) for j in (0, 2)).real / 4
+        block = (LEVELS.index("g0"), LEVELS.index("e0"))
+        f_e = sum(sup[6 * i + j, 6 * i + j] for i in block for j in block).real / 4
         fid = (2 * f_e + 1) / 3
         tau = getattr(sc, f"tau_{window}")
         g1 = TWO_PI * RATES.gamma1["Q1"]

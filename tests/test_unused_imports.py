@@ -81,9 +81,8 @@ def surface_violations(sources, allowed: dict) -> list:
 TEST_ONLY = {
     "build_hamiltonian": "full non-RWA circuit H: oracle of static_zz_shift and of the "
                          "manifold blocks every driven scenario uses",
-    "reset_lindblad_model": "Lindblad oracle of reset-dynamics' p_e columns "
-                            "(damped and pulsed swap)",
-    "lr_lindblad_model": "Lindblad oracle of the lr-dynamics populations",
+    "envelope_value": "pulse envelope A(t): quadrature oracle of envelope_area and the "
+                      "drive of the pulsed reset Lindblad test (reset-dynamics)",
     "quasi_energy_gap": "exact Floquet gap: oracle of the floquet-report couplings",
     "find_parametric_resonance": "exact dressed resonance: oracle of the cz-chevron "
                                  "Rabi frequencies and the k = 2 coupling scaling",
