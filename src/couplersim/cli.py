@@ -306,7 +306,7 @@ def _run_reset_dynamics(ctx: RunContext) -> dict:
     cols = [t]
     header = ["t_s"]
     for g in g_list:
-        cols.append(dynamics.damped_swap_population(t, g, rates.gamma1["Q1"], rates.kappa_r))
+        cols.append(dynamics.damped_swap(t, g, rates.gamma1["Q1"], rates.kappa_r)[0])
         header.append(f"p_e_g{g:.17g}")
     env = presets.RESET_PULSE
     cols.append(dynamics.pulsed_swap_population(t, env, g_list[-1],
@@ -335,11 +335,10 @@ def _run_lr_dynamics(ctx: RunContext) -> dict:
     p = ctx.params
     g = p["g_tilde"]
     t = np.linspace(0.0, p["duration"], p["n_points"])
-    pops = [dynamics.lr_three_level_populations(ti, g, ctx.rates) for ti in t]
+    pop = dynamics.lr_three_level_populations(t, g, ctx.rates)
     header = ["t_s", "p_g", "p_e", "p_f", "p_r"]
     return {
-        "lr_dynamics.csv": (header, [t] + [[getattr(q, key) for q in pops]
-                                           for key in header[1:]]),
+        "lr_dynamics.csv": (header, [t] + [getattr(pop, key) for key in header[1:]]),
         "lr_summary.json": {
             "g_tilde_hz": g,
             "swap_time_s": dynamics.lr_swap_time(g, ctx.rates),

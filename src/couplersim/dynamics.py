@@ -4,13 +4,19 @@ the qutrit x resonator system behind them, :func:`qutrit_resonator_model`:
 with a swap drive it is the ODE oracle of the reset and leakage-recovery
 closed forms, and without one it gives the idle windows of ``leakage-rb``.
 
+One closed form, :func:`damped_swap`, gives the donor and acceptor
+populations of the damped swap, for reset (``reset-dynamics``) and leakage
+recovery (``lr-dynamics``) alike, on a whole array of times.  Its damping
+is folded into two exponents that both decay, e^{(mu - a) t} and
+e^{-2 mu t}, with ``mu - a`` formed without cancellation and without
+squaring a rate, so no time or rate overflows.
+
 Rates and couplings are cyclic (Hz); formulas convert to angular units
 internally, consistent with :mod:`couplersim.numerics`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -112,54 +118,45 @@ def envelope_area(tau: float, env: EnvelopeSpec) -> float:
 # damped swap (single-excitation manifold, non-Hermitian model)
 # ---------------------------------------------------------------------------
 
-def _sinh_over(mu: complex, t: float) -> complex:
-    """sinh(mu t) / mu, through its series near mu t = 0 (finite at mu = 0)."""
-    z = mu * t
-    return t * (1.0 + (z * z) / 6.0) if abs(z) < 1e-8 else cmath.sinh(z) / mu
+def damped_swap(t, g_tilde: float, gamma_1: float, kappa_r: float):
+    """Donor and acceptor populations ``(P_d, P_a)`` of the damped two-level
+    swap at the times ``t`` (array in, arrays out; rates cyclic Hz).
 
+    With the angular coupling g, donor decay gamma and acceptor decay kappa,
+    a = (kappa + gamma)/4, d = (kappa - gamma)/4 and mu = sqrt(d^2 - g^2),
+    real if overdamped and imaginary if underdamped, P_d = c_d^2 and
+    P_a = c_a^2 with
 
-def _swap_bracket(t: float, g_ang: float, kappa_delta: float) -> float:
-    """cos(M t) + (kappa_delta / 4M) sin(M t), continuous across branches."""
-    mu = cmath.sqrt(complex((kappa_delta / 4.0) ** 2 - g_ang ** 2))  # real if overdamped
-    return (cmath.cosh(mu * t) + (kappa_delta / 4.0) * _sinh_over(mu, t)).real
+        c_d = e^{-a t} (cosh(mu t) + d sinh(mu t)/mu),
+        c_a = g e^{-a t} sinh(mu t)/mu,
 
+    and sinh(mu t)/mu = t at mu = 0.  The damping is folded into two
+    exponents that both decay (Re mu <= a), so no time overflows:
 
-def damped_swap_population(t, g_tilde: float, gamma_1: float, kappa_r: float):
-    """Donor-state population of the damped two-level swap (Appendix-style
-    closed form; all rates cyclic Hz).
+        e^{-a t} cosh(mu t)    = e^{(mu - a) t} (1 + expm1(-2 mu t)/2),
+        e^{-a t} sinh(mu t)/mu = -e^{(mu - a) t} expm1(-2 mu t)/(2 mu).
 
-    Overdamped, critically damped and underdamped branches are selected by
-    the sign of ``|g~| - kappa_Delta/4`` (angular) and evaluated through one
-    analytically continued expression, so the result is continuous across
-    the branch boundaries.  ``P(0) = 1``.
+    ``mu - a = -(kappa gamma/4 + g^2)/(mu + a)`` has no cancellation; with
+    each term divided by ``mu + a`` first (|g/(mu + a)| <= 1 and
+    |kappa/(mu + a)| <= 4) and ``mu = sqrt(|d| - g) sqrt(|d| + g)``, no
+    rate is squared, so no rate overflows.  ``expm1`` keeps the sinh
+    accurate near critical damping.
     """
+    t = np.asarray(t, dtype=float)
     g = TWO_PI * abs(g_tilde)
     kap = TWO_PI * kappa_r
     gam = TWO_PI * gamma_1
-    k_sigma = kap + gam
-    k_delta = kap - gam
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(ts)
-    for i, ti in enumerate(ts):
-        br = _swap_bracket(ti, g, k_delta)
-        out[i] = math.exp(-k_sigma * ti / 2.0) * br * br
-    out = np.clip(out, 0.0, None)
-    return out if np.ndim(t) else float(out[0])
-
-
-def acceptor_population(t, g_tilde: float, gamma_1: float, kappa_r: float):
-    """Acceptor-state population of the damped swap: ``g^2 e^{-k_S t/2}
-    |sin(M t)/M|^2`` (cyclic inputs)."""
-    g = TWO_PI * abs(g_tilde)
-    kap = TWO_PI * kappa_r
-    gam = TWO_PI * gamma_1
-    k_sigma = kap + gam
-    mu = cmath.sqrt(complex(((kap - gam) / 4.0) ** 2 - g ** 2))
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(ts)
-    for i, ti in enumerate(ts):
-        out[i] = g * g * math.exp(-k_sigma * ti / 2.0) * abs(_sinh_over(mu, ti)) ** 2
-    return out if np.ndim(t) else float(out[0])
+    a = (kap + gam) / 4.0
+    d = (kap - gam) / 4.0
+    mu = np.sqrt(complex(abs(d) - g)) * math.sqrt(abs(d) + g)
+    s = mu + a  # zero only if g = gamma = kappa = 0
+    mu_minus_a = -(gam / 4.0 * (kap / s) + g * (g / s)) if s else 0.0
+    decay = np.exp(mu_minus_a * t)
+    e2 = np.expm1(-2.0 * mu * t)
+    sinh_over = -e2 / (2.0 * mu) if mu else t
+    donor = (decay * (1.0 + e2 / 2.0 + d * sinh_over)).real
+    acceptor = (g * decay * sinh_over).real
+    return donor * donor, acceptor * acceptor
 
 
 def swap_completion_time(g_tilde: float, gamma_1: float, kappa_r: float) -> float:
@@ -183,10 +180,8 @@ def pulsed_swap_population(t, env: EnvelopeSpec, g_tilde: float,
                            gamma_1: float, kappa_r: float):
     """Damped swap with the envelope-weighted time substitution
     ``t -> gamma(t)`` (accounts for the pulse edges)."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    eff = np.array([envelope_area(ti, env) for ti in ts])
-    out = damped_swap_population(eff, g_tilde, gamma_1, kappa_r)
-    return out if np.ndim(t) else float(np.atleast_1d(out)[0])
+    area = [envelope_area(ti, env) for ti in np.ravel(t)]
+    return damped_swap(area, g_tilde, gamma_1, kappa_r)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +190,10 @@ def pulsed_swap_population(t, env: EnvelopeSpec, g_tilde: float,
 
 @dataclass(frozen=True)
 class PopulationVector:
-    """Tracked populations.  ``p_r`` counts the resonator photon and overlaps
-    with ``p_e`` while the excitation sits in |e1> (the qubit-state sum
-    ``p_g + p_e + p_f`` is the conserved quantity)."""
+    """Tracked populations, each a number or an array over time.  ``p_r``
+    counts the resonator photon and overlaps with ``p_e`` while the
+    excitation sits in |e1> (the qubit-state sum ``p_g + p_e + p_f`` is the
+    conserved quantity).  The range checks hold elementwise."""
 
     p_g: float
     p_e: float
@@ -206,19 +202,21 @@ class PopulationVector:
 
     def __post_init__(self):
         for name in ("p_g", "p_e", "p_f", "p_r"):
-            v = getattr(self, name)
-            if not -1e-9 <= v <= 1.0 + 1e-9:
-                raise ValueError(f"{name} = {v} outside [0, 1]")
-        if self.qubit_total > 1.0 + 1e-9:
+            v = np.asarray(getattr(self, name))
+            outside = (v < -1e-9) | (v > 1.0 + 1e-9)
+            if outside.any():
+                raise ValueError(f"{name} = {v[outside].flat[0]} outside [0, 1]")
+        if np.any(self.qubit_total > 1.0 + 1e-9):
             raise ValueError("qubit populations exceed unity")
 
     @property
-    def qubit_total(self) -> float:
+    def qubit_total(self):
         return self.p_g + self.p_e + self.p_f
 
 
-def lr_three_level_populations(t: float, g_tilde: float, rates: DecayRates) -> PopulationVector:
-    """Populations during the leakage-recovery drive, starting from |f, 0>.
+def lr_three_level_populations(t, g_tilde: float, rates: DecayRates) -> PopulationVector:
+    """Populations during the leakage-recovery drive at the times ``t``,
+    starting from |f, 0>.
 
     The |f0> <-> |e1> swap follows the damped two-level closed form (donor
     decay Gamma_f->e, acceptor decay kappa_R); everything that has left |f>
@@ -231,12 +229,11 @@ def lr_three_level_populations(t: float, g_tilde: float, rates: DecayRates) -> P
     This is the probability-conserving reading of the model; the Lindblad
     propagation quantifies the residual approximation error.
     """
-    p_f = damped_swap_population(t, g_tilde, rates.gamma_fe, rates.kappa_r)
-    decay = math.exp(-TWO_PI * rates.gamma1[QUBIT] * t)
+    p_f, p_r = damped_swap(t, g_tilde, rates.gamma_fe, rates.kappa_r)
+    decay = np.exp(-TWO_PI * rates.gamma1[QUBIT] * np.asarray(t))
     p_e = (1.0 - p_f) * decay
     p_g = (1.0 - p_f) * (1.0 - decay)
-    p_r = min(acceptor_population(t, g_tilde, rates.gamma_fe, rates.kappa_r), 1.0)
-    return PopulationVector(p_g=p_g, p_e=p_e, p_f=p_f, p_r=p_r)
+    return PopulationVector(p_g=p_g, p_e=p_e, p_f=p_f, p_r=np.minimum(p_r, 1.0))
 
 
 def lr_swap_time(g_tilde: float, rates: DecayRates) -> float:

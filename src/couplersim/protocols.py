@@ -6,6 +6,7 @@ classification and CZ calibration.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,6 +28,8 @@ MIN_CALIBRATION_SHOTS = 1000
 POPULATION_SUM_TOL = 1e-9
 #: histogram bins per IQ axis of the readout-classifier fits
 CLASSIFIER_BINS = 60
+#: largest argument of exp that stays finite, log(sys.float_info.max)
+_EXP_MAX = math.log(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +72,13 @@ def temperature_to_population(temperature: float, omega_q: float) -> float:
 
 
 def bose_occupation(omega: float, temperature: float) -> float:
-    """Bose-Einstein occupation of a mode at ``omega`` (Hz) and T (K)."""
+    """Bose-Einstein occupation of a mode at ``omega`` (Hz) and T (K); 0 at
+    T <= 0 and where ``h omega / k T`` exceeds :data:`_EXP_MAX`, where
+    the occupation underflows."""
     if temperature <= 0:
         return 0.0
-    return 1.0 / math.expm1(PLANCK_H * omega / (BOLTZMANN_K * temperature))
+    x = PLANCK_H * omega / (BOLTZMANN_K * temperature)
+    return 1.0 / math.expm1(x) if x <= _EXP_MAX else 0.0
 
 
 @dataclass(frozen=True)
@@ -82,17 +88,12 @@ class ThermalBudget:
     ``n_th`` is the resonator thermal occupation (shared bath at the qubit's
     idle temperature), ``n_up`` the rethermalisation during
     reset + measurement, and their sum the floor on the post-reset
-    excited-state population.  ``t_r_bound`` is the swap bound
-    ``T^r >= (omega_q / omega_r) T_R``.
+    excited-state population.
     """
 
-    temperature: float
     n_th: float
     n_up: float
     kappa_01: float
-    tau_r: float
-    tau_m: float
-    t_r_bound: float
 
     @property
     def floor(self) -> float:
@@ -113,15 +114,10 @@ def thermal_budget(
     ``n_up ~ kappa_01 (tau_r + tau_m) / 2`` (angular rate times time); the
     resonator occupation is the Bose factor at its frequency.
     """
-    t_id = population_to_temperature(p_id, omega_q)
-    n_th = bose_occupation(omega_r, t_id)
+    n_th = bose_occupation(omega_r, population_to_temperature(p_id, omega_q))
     kappa_01 = p_id * gamma_1  # cyclic Hz
     n_up = TWO_PI * kappa_01 * (tau_r + tau_m) / 2.0
-    return ThermalBudget(
-        temperature=t_id, n_th=n_th, n_up=n_up, kappa_01=kappa_01,
-        tau_r=tau_r, tau_m=tau_m,
-        t_r_bound=(omega_q / omega_r) * t_id,
-    )
+    return ThermalBudget(n_th=n_th, n_up=n_up, kappa_01=kappa_01)
 
 
 # ---------------------------------------------------------------------------

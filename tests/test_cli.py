@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -353,3 +354,81 @@ class TestSeed:
         config = write_config(tmp_path, "reset-metrics")
         assert cli.main(["run", config, "--seed", "9", "--out", str(tmp_path / "a")]) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 9
+
+
+#: scenarios whose declared scalars the boundary sweep tries one at a time
+SWEPT_SCENARIOS = ("reset-dynamics", "lr-dynamics", "reset-metrics")
+#: the sweep's largest ``n_points``, the default x 1e3; ``n_points: 1e30``
+#: passes the schema but asks for an array no machine holds, and is left out
+SWEEP_MAX_POINTS = 301_000
+#: JSON keys whose value may be infinite by definition, written as null:
+#: the swap time of an overdamped swap, which never completes
+INFINITE_BY_DEFINITION = {"swap_time_s"}
+
+
+def declared_scalars(schema: dict, prefix: str = ""):
+    """``(key path, _Param)`` of every declared parameter that is not a list."""
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            yield from declared_scalars(spec, f"{prefix}{key}.")
+        elif not isinstance(spec.default, tuple):
+            yield prefix + key, spec
+
+
+def boundary_values(key_path: str, spec) -> list:
+    """The finite interval ends, 0, -1, 1e-30, 1e30 and the default x 1e3
+    and x 1e-3, where the interval admits them."""
+    lo, hi = (float(v) for v in spec.interval[1:-1].split(","))
+    cap = SWEEP_MAX_POINTS if key_path.endswith("n_points") else math.inf
+    values = []
+    for v in (lo, hi, 0.0, -1.0, 1e-30, 1e30, spec.default * 1e3, spec.default * 1e-3):
+        if math.isfinite(v) and cli._within(spec.interval, v) and v <= cap and v not in values:
+            values.append(v)
+    return values
+
+
+BOUNDARY_SWEEP = [(scenario, key_path, value)
+                  for scenario in SWEPT_SCENARIOS
+                  for key_path, spec in declared_scalars(cli.SCENARIOS[scenario][2])
+                  for value in boundary_values(key_path, spec)]
+
+
+def nested(key_path: str, value) -> dict:
+    for key in reversed(key_path.split(".")):
+        value = {key: value}
+    return value
+
+
+def non_finite_cells(name: str, data: bytes) -> list:
+    """Cells of a data file that hold NaN or +-inf (a JSON null is how the
+    encoder writes one)."""
+    if name.endswith(".csv"):
+        rows = list(csv.reader(io.StringIO(data.decode())))
+        cells = np.array(rows[1:], dtype=float)
+        return [(rows[0][j], cells[i, j]) for i, j in zip(*np.nonzero(~np.isfinite(cells)))]
+    return [(key, value) for key, value in json.loads(data).items()
+            if key not in INFINITE_BY_DEFINITION
+            and not (isinstance(value, (int, float)) and math.isfinite(value))]
+
+
+class TestBoundarySweep:
+    """Each declared scalar of the closed-form scenarios at the ends of its
+    interval and beyond the physical scale: a config that ``validate``
+    admits runs (exit 0) with finite data, and any other is a schema error
+    (exit 2), never a numerical failure (exit 3)."""
+
+    def test_sweep_covers_every_declared_scalar(self):
+        assert len(BOUNDARY_SWEEP) == 167
+        swept = {(s, k) for s, k, _ in BOUNDARY_SWEEP}
+        assert swept == {(s, k) for s in SWEPT_SCENARIOS
+                         for k, _ in declared_scalars(cli.SCENARIOS[s][2])}
+
+    @pytest.mark.parametrize("scenario, key_path, value", BOUNDARY_SWEEP,
+                             ids=[f"{s}:{k}={v:g}" for s, k, v in BOUNDARY_SWEEP])
+    def test_runs_or_is_a_schema_error(self, tmp_path, capsys, scenario, key_path, value):
+        config = write_config(tmp_path, scenario, nested(key_path, value))
+        admitted = cli.main(["validate", config]) == 0
+        assert run(config, tmp_path / "a") == (0 if admitted else 2), capsys.readouterr().err
+        if admitted:
+            for name, data in data_files(tmp_path / "a").items():
+                assert not non_finite_cells(name, data), name

@@ -94,9 +94,16 @@ class TestThermalBudget:
         b = thermal_budget(0.0062, RATES.gamma1["Q1"], 3.83e9, 5.85e9, 150e-9, 2.3e-6)
         assert b.floor == pytest.approx(0.00074, abs=3e-4)
 
-    def test_swap_temperature_bound(self):
-        b = thermal_budget(0.0062, RATES.gamma1["Q1"], 3.83e9, 5.85e9, 150e-9, 2.3e-6)
-        assert b.t_r_bound == pytest.approx((3.83 / 5.85) * b.temperature, rel=1e-12)
+    def test_bose_occupation_underflows_to_zero(self):
+        # beyond h omega / k T = log(float max), 1 / expm1 would overflow
+        omega = 5.85e9
+        for x in (700.0, 709.7):
+            temperature = PLANCK_H * omega / (BOLTZMANN_K * x)
+            assert protocols.bose_occupation(omega, temperature) == pytest.approx(
+                1.0 / math.expm1(x), rel=1e-12)
+        for x in (709.8, 1e5, 1e300):
+            assert protocols.bose_occupation(omega, PLANCK_H * omega / (BOLTZMANN_K * x)) == 0.0
+        assert protocols.bose_occupation(omega, 0.0) == 0.0
 
 
 class TestGenerateShots:
