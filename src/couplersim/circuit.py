@@ -141,28 +141,29 @@ class CircuitSpec:
 
 @dataclass(frozen=True)
 class DecayRates:
-    """Dissipation rates, all cyclic (Hz, the Gamma/2pi numbers).
+    """Dissipation rates of Q1 and the readout resonator, all cyclic (Hz,
+    the Gamma/2pi numbers).
 
-    ``gamma1`` and ``gamma_phi`` are per-element; ``kappa_r`` is the
-    resonator linewidth and ``gamma_fe`` the qubit f -> e relaxation rate.
-    ``gamma_sigma`` is the derived sum Gamma_1 + Gamma_phi.
+    ``gamma1`` is the qubit e -> g relaxation rate, ``gamma_phi`` its pure
+    dephasing rate, ``gamma_fe`` its f -> e relaxation rate and ``kappa_r``
+    the resonator linewidth.  Every dissipative operation of the package
+    (reset, leakage recovery, readout and the leakage-RB cycle) acts on Q1
+    and the resonator; Q2 and the coupler enter only the unitary models
+    (the CZ gate and the Floquet couplings), so they carry no rates.
     """
 
-    gamma1: dict
-    gamma_phi: dict
-    kappa_r: float
+    gamma1: float
+    gamma_phi: float
     gamma_fe: float
+    kappa_r: float
 
     def __post_init__(self):
-        for name, table in (("gamma1", self.gamma1), ("gamma_phi", self.gamma_phi)):
-            for el, val in table.items():
-                if val < 0:
-                    raise ValueError(f"{name}[{el}] must be non-negative")
-        if self.kappa_r < 0 or self.gamma_fe < 0:
+        if min(self.gamma1, self.gamma_phi, self.gamma_fe, self.kappa_r) < 0:
             raise ValueError("rates must be non-negative")
 
-    def gamma_sigma(self, element: str = "Q1") -> float:
-        return self.gamma1[element] + self.gamma_phi[element]
+    @property
+    def gamma_sigma(self) -> float:
+        return self.gamma1 + self.gamma_phi
 
 
 def destroy(dim: int) -> np.ndarray:

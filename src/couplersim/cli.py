@@ -9,6 +9,9 @@ Each ``SCENARIOS`` entry declares its parameter schema once, key ->
 ``_Param`` (default, interval, choices).  ``validate`` and ``run`` parse a
 config with it (``_parse_params``: defaults, conversion, unknown keys and
 ranges), ``list`` prints it, and the runners index ``ctx.params[key]``.
+Each scenario declares only the decay rates its outputs read, as flat keys
+such as ``rates.gamma1``; ``ctx.rates`` holds the table values of the rest,
+which nothing reads.
 
 A runner (``_run_*``) is pure: it opens no file and returns an ordered
 ``{file name: content}`` mapping, the content either a ``(header, columns)``
@@ -155,6 +158,7 @@ class _Param:
     choices: tuple = ()             # admissible str values
     kind: type = None
     whole: tuple = (lambda items: True, "")
+    note: str = ""                  # what the interval protects, for its error
 
 
 #: a ``whole`` check: no entry repeats (entries name output columns or rows)
@@ -187,7 +191,8 @@ def _convert(spec: _Param, value, path: str, kind: type = None):
     except (TypeError, ValueError, OverflowError):
         ok = False
     _require(ok, path, f"must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    _require(_within(spec.interval, x), path, f"must lie in {spec.interval}, got {value!r}")
+    _require(_within(spec.interval, x), path,
+             f"must lie in {spec.interval}{spec.note and f' ({spec.note})'}, got {value!r}")
     return x
 
 
@@ -260,7 +265,7 @@ def _checked(cfg: dict) -> tuple[RunContext, list]:
     output = cfg.get("output", "out")
     _require(isinstance(output, str), "output", "must be a string")
     params = _parse_params(SCENARIOS[name][2], cfg.get("params"))
-    rates = DecayRates(**params["rates"]) if "rates" in params else None
+    rates = replace(presets.table_decay_rates(), **params["rates"]) if "rates" in params else None
     ctx = RunContext(name, _convert(_SEED, cfg.get("seed", 0), "seed"), output, params, rates)
     notes = []
     if name == "cz-chevron":
@@ -306,11 +311,11 @@ def _run_reset_dynamics(ctx: RunContext) -> dict:
     cols = [t]
     header = ["t_s"]
     for g in g_list:
-        cols.append(dynamics.damped_swap(t, g, rates.gamma1["Q1"], rates.kappa_r)[0])
+        cols.append(dynamics.damped_swap(t, g, rates.gamma1, rates.kappa_r)[0])
         header.append(f"p_e_g{g:.17g}")
     env = presets.RESET_PULSE
     cols.append(dynamics.pulsed_swap_population(t, env, g_list[-1],
-                                                rates.gamma1["Q1"], rates.kappa_r))
+                                                rates.gamma1, rates.kappa_r))
     header.append("p_e_pulsed_strongest")
     return {"reset_dynamics.csv": (header, cols)}
 
@@ -318,7 +323,7 @@ def _run_reset_dynamics(ctx: RunContext) -> dict:
 def _run_reset_metrics(ctx: RunContext) -> dict:
     p = ctx.params
     metrics = protocols.reset_metrics(p["p_id"], p["p_pi"], p["p_id_r"], p["p_pi_r"])
-    budget = protocols.thermal_budget(p["p_id"], ctx.rates.gamma1["Q1"], p["omega_q"],
+    budget = protocols.thermal_budget(p["p_id"], ctx.rates.gamma1, p["omega_q"],
                                       p["omega_r"], p["tau_r"], p["tau_m"])
     return {"reset_metrics.json": {
         **metrics,
@@ -415,7 +420,7 @@ def _run_readout_shots(ctx: RunContext) -> dict:
     p = ctx.params
     n_shots, sep, tau_meas, sigma = p["n_shots"], p["separation_sigma"], p["tau_meas"], 1.0
     centers = np.array([[0.0, 0.0], [sep, 0.0], [sep / 2.0, 0.9 * sep]]) * sigma
-    gamma_1 = ctx.rates.gamma1["Q1"]
+    gamma_1 = ctx.rates.gamma1
     decay = (gamma_1, tau_meas) if p["include_decay"] else None
 
     cal = {}
@@ -530,45 +535,50 @@ def _run_floquet_report(ctx: RunContext) -> dict:
                 list(zip(*rows)))}
 
 
-#: the reference-device decay rates, each entry overridable
-_RATES = {key: ({el: _Param(v, "[0, inf)") for el, v in value.items()}
-                if isinstance(value, dict) else _Param(value, "[0, inf)"))
-          for key, value in asdict(presets.table_decay_rates()).items()}
+def _rates(*keys: str) -> dict:
+    """Schema of the named ``DecayRates`` fields, the table's as defaults."""
+    table = presets.table_decay_rates()
+    return {key: _Param(getattr(table, key), "[0, inf)") for key in keys}
+
+
+#: ``n_points``: one output row per point, at most a million
+_POINTS = {"interval": "[1, 1e6]", "note": "one output row per point"}
 
 #: RB physics of leakage-rb and periodic-lr
 _RB_PARAMS = {
     "l_cl": _Param(0.02, "[0, 1]"), "f_lr": _Param(_RB_FIELDS["f_lr"], "[0, 1]"),
     **{key: _Param(_RB_FIELDS[key], "[0, inf)") for key in ("tau_cl", "tau_leak", "tau_lr")},
-    "rates": _RATES,
 }
 
 #: scenario -> (runner, paper figure, parameter schema)
 SCENARIOS = {
     "reset-dynamics": (_run_reset_dynamics, "Fig. 2(a)", {
         "g_tilde": _Param((0.0, 0.5e6, 2.07e6), whole=_DISTINCT),
-        "duration": _Param(0.6e-6, "(0, inf)"), "n_points": _Param(301, "[1, inf)"),
-        "rates": _RATES}),
+        "duration": _Param(0.6e-6, "(0, inf)"), "n_points": _Param(301, **_POINTS),
+        "rates": _rates("gamma1", "kappa_r")}),
     "reset-metrics": (_run_reset_metrics, "Fig. 2(b)", {
         "p_id": _Param(0.0062, "(0, 0.5)"), "p_pi": _Param(0.88, "(0, 1]"),
         "p_id_r": _Param(0.00074, "(0, 0.5)"), "p_pi_r": _Param(0.0033, "[0, 1]"),
         "omega_q": _Param(3.83e9, "(0, inf)"), "omega_r": _Param(5.85e9, "(0, inf)"),
         "tau_r": _Param(150e-9, "[0, inf)"), "tau_m": _Param(2.3e-6, "[0, inf)"),
-        "rates": _RATES}),
+        "rates": _rates("gamma1")}),
     "lr-dynamics": (_run_lr_dynamics, "Fig. 6(a)", {
         "g_tilde": _Param(0.91e6), "duration": _Param(1.2e-6, "(0, inf)"),
-        "n_points": _Param(301, "[1, inf)"), "rates": _RATES}),
+        "n_points": _Param(301, **_POINTS), "rates": _rates("gamma1", "gamma_fe", "kappa_r")}),
     "leakage-rb": (_run_leakage_rb, "Fig. 3", {
-        **_RB_PARAMS, "n_lr": _Param(_RB_FIELDS["n_lr"], "[0, inf)"),
+        **_RB_PARAMS, "rates": _rates("gamma1", "gamma_phi", "gamma_fe", "kappa_r"),
+        "n_lr": _Param(_RB_FIELDS["n_lr"], "[0, inf)"),
         "n_cl_grid": _Param(_RB_FIELDS["n_cl_grid"], "[0, inf)", length=(5, math.inf),
                             whole=_DISTINCT),
         "n_randomizations": _Param(50, "[2, inf)")}),
     "periodic-lr": (_run_periodic_lr, "Fig. 7 (rate eq.)", {
-        **_RB_PARAMS, "n_lr_list": _Param((20, 10, 5, 1), "[0, inf)", whole=_DISTINCT),
+        **_RB_PARAMS, "rates": _rates("gamma_fe", "kappa_r"),
+        "n_lr_list": _Param((20, 10, 5, 1), "[0, inf)", whole=_DISTINCT),
         "n_max": _Param(200, "[1, inf)")}),
     "chi-map": (_run_chi_map, "Fig. 4(c)", {
         "g_tilde": _Param((0.06e6, 0.15e6, 0.41e6, 0.90e6, 1.50e6, 2.12e6, 2.50e6),
                           whole=_DISTINCT),
-        "delta_span": _Param(16e6, "(0, inf)"), "n_points": _Param(161, "[1, inf)")}),
+        "delta_span": _Param(16e6, "(0, inf)"), "n_points": _Param(161, **_POINTS)}),
     "readout-shots": (_run_readout_shots, "Fig. 4(d,e)", {
         "n_shots": _Param(20000, f"[{protocols.MIN_CALIBRATION_SHOTS}, inf)"),
         "separation_sigma": _Param(3.29, "(0, inf)"), "tau_meas": _Param(10e-6, "[0, inf)"),
@@ -576,7 +586,7 @@ SCENARIOS = {
         "experiment_populations": _Param(
             (0.5, 0.3, 0.2), "[0, 1]", length=(3, 3),
             whole=(lambda p: abs(sum(p) - 1.0) <= protocols.POPULATION_SUM_TOL, "must sum to 1")),
-        "rates": _RATES}),
+        "rates": _rates("gamma1")}),
     "cz-chevron": (_run_cz_chevron, "Fig. 8(a,b)", {
         "omega_d_span": _Param((-15e6, 15e6), length=(2, 2)), "n_omega": _Param(13, "[1, inf)"),
         "max_duration": _Param(1.2e-6, "(0, inf)"), "n_sub": _Param(1024, "[1, inf)")}),

@@ -11,8 +11,10 @@ is folded into two exponents that both decay, e^{(mu - a) t} and
 e^{-2 mu t}, with ``mu - a`` formed without cancellation and without
 squaring a rate, so no time or rate overflows.
 
-Rates and couplings are cyclic (Hz); formulas convert to angular units
-internally, consistent with :mod:`couplersim.numerics`.
+The models are of Q1 and the readout resonator, whose rates are the four
+fields of :class:`~couplersim.circuit.DecayRates`.  Rates and couplings are
+cyclic (Hz); formulas convert to angular units internally, consistent with
+:mod:`couplersim.numerics`.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ from .circuit import DecayRates
 from .numerics import TWO_PI
 
 EDGE_SIGMAS = 2.5  # each Gaussian edge occupies this many sigma
-
-#: the qubit whose reset and leakage recovery the models describe; its
-#: decay rates enter the closed forms and the Lindblad model
-QUBIT = "Q1"
 
 
 @dataclass(frozen=True)
@@ -230,7 +228,7 @@ def lr_three_level_populations(t, g_tilde: float, rates: DecayRates) -> Populati
     propagation quantifies the residual approximation error.
     """
     p_f, p_r = damped_swap(t, g_tilde, rates.gamma_fe, rates.kappa_r)
-    decay = np.exp(-TWO_PI * rates.gamma1[QUBIT] * np.asarray(t))
+    decay = np.exp(-TWO_PI * rates.gamma1 * np.asarray(t))
     p_e = (1.0 - p_f) * decay
     p_g = (1.0 - p_f) * (1.0 - decay)
     return PopulationVector(p_g=p_g, p_e=p_e, p_f=p_f, p_r=np.minimum(p_r, 1.0))
@@ -251,8 +249,8 @@ LEVELS = ("g0", "g1", "e0", "e1", "f0", "f1")
 
 
 def qutrit_resonator_model(rates: DecayRates, swap: tuple | None = None):
-    """Hamiltonian (rad/s) and collapse list of :data:`QUBIT` as a qutrit
-    coupled to the lossy readout resonator, on the basis :data:`LEVELS`, for
+    """Hamiltonian (rad/s) and collapse list of Q1 as a qutrit coupled to
+    the lossy readout resonator, on the basis :data:`LEVELS`, for
     :func:`couplersim.numerics.liouvillian` and
     :func:`couplersim.numerics.propagate`.
 
@@ -272,11 +270,11 @@ def qutrit_resonator_model(rates: DecayRates, swap: tuple | None = None):
     resonator = np.eye(2)
     collapse = [
         (np.kron(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex), resonator),
-         rates.gamma1[QUBIT]),
+         rates.gamma1),
         (np.kron(np.array([[0, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=complex), resonator),
          rates.gamma_fe),
         (np.kron(np.diag([0.0, 1.0, 2.0]).astype(complex), resonator) * math.sqrt(2.0),
-         rates.gamma_phi[QUBIT]),
+         rates.gamma_phi),
         (np.kron(np.eye(3), np.array([[0, 1], [0, 0]], dtype=complex)), rates.kappa_r),
     ]
     return h, collapse

@@ -76,12 +76,7 @@ def table_circuit() -> CircuitSpec:
 
 
 def table_decay_rates() -> DecayRates:
-    return DecayRates(
-        gamma1={"Q1": 6.8e3, "Q2": 4.7e3, "C": 20e3},
-        gamma_phi={"Q1": 4.4e3, "Q2": 11.3e3, "C": 143e3},
-        kappa_r=770e3,
-        gamma_fe=6.3e3,
-    )
+    return DecayRates(gamma1=6.8e3, gamma_phi=4.4e3, gamma_fe=6.3e3, kappa_r=770e3)
 
 
 def _drive(kind: str, a_d: float, phi_dc: float = PHI_DC) -> DriveSpec:

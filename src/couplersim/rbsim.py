@@ -50,7 +50,7 @@ from functools import partial
 import numpy as np
 
 from .circuit import DecayRates
-from .dynamics import LEVELS, QUBIT, qutrit_resonator_model
+from .dynamics import LEVELS, qutrit_resonator_model
 from .numerics import TWO_PI, RngStream, fit_least_squares, liouvillian
 
 DEFAULT_N_CL_GRID = tuple(sorted({round(x) for x in np.geomspace(1, 1000, 20).tolist()}))
@@ -69,7 +69,8 @@ class RBScenario:
     ``l_cl`` is the injected leakage per Clifford, ``f_lr`` the recovery
     success probability and ``n_lr`` the recovery cadence (every N
     Cliffords; 0 disables recovery).  Times are seconds, rates cyclic Hz;
-    the benchmarked qubit is :data:`~couplersim.dynamics.QUBIT`.
+    ``rates`` are those of the benchmarked qubit Q1 and the resonator; the
+    rate equation reads only ``gamma_fe`` and ``kappa_r``.
 
     The default ``f_lr`` is the paper's measured 98.5 %, which both engines
     apply as given (:func:`monte_carlo_rb` as an instantaneous partial
@@ -191,7 +192,7 @@ def a2_closed_forms(scenario: RBScenario) -> LeakageSteadyStates:
     """
     l_cl = scenario.l_cl
     d_q, d_r, f_lr = scenario.d_q, scenario.d_r, scenario.f_lr
-    e_fe = 1.0 / d_q
+    e_fe = 1.0 / d_q if d_q else math.inf  # d_q = 0: no f survives a Clifford
 
     denom_leak = 3.0 * l_cl + 2.0 * (e_fe - 1.0)
     a2_leak = l_cl / denom_leak if denom_leak > 0 else (1.0 / 3.0 if l_cl > 0 else 0.0)
@@ -235,7 +236,7 @@ def error_models(scenario: RBScenario) -> ErrorModels:
     and the break-even injected leakage ``L* = tau_LR * Gamma_S`` above
     which recovery lowers the total error.  Gamma_S is angular internally.
     """
-    gs = TWO_PI * scenario.rates.gamma_sigma(QUBIT)
+    gs = TWO_PI * scenario.rates.gamma_sigma
     l_cl = scenario.l_cl
     return ErrorModels(
         eps_ref=gs * scenario.tau_cl / 3.0,
@@ -623,7 +624,6 @@ class RBFitResult:
     a2: float
     b2: float
     lambda2: float
-    covariance: np.ndarray
     converged: bool
     degenerate: bool = False
 
@@ -659,8 +659,8 @@ def fit_rb(n_cl: np.ndarray, p_g: np.ndarray, p_f: np.ndarray | None = None) -> 
 
     When the two decays come out within ``DEGENERACY_THRESHOLD`` (relative)
     of each other the leakage amplitude is poorly identified: the fit is
-    redone with the single-exponential model for P_g, the degeneracy flag is
-    set and the covariance is the (wider) fallback one.
+    redone with the single-exponential model for P_g, a separate one for
+    P_f, and the degeneracy flag is set.
     """
     n = np.asarray(n_cl, dtype=float)
     p_g = np.asarray(p_g, dtype=float)
@@ -673,11 +673,8 @@ def fit_rb(n_cl: np.ndarray, p_g: np.ndarray, p_f: np.ndarray | None = None) -> 
 
         fit = fit_least_squares(model_g, n, p_g, [p_g[-1], p_g[0] - p_g[-1], 0.99],
                                 bounds=([-1, -2, 1e-6], [2, 2, 1.0]))
-        cov = np.zeros((6, 6))
-        cov[:3, :3] = fit.covariance
         return RBFitResult(a0=fit.params[0], b0=fit.params[1], lambda0=fit.params[2],
-                           a2=0.0, b2=0.0, lambda2=1.0,
-                           covariance=cov, converged=fit.converged)
+                           a2=0.0, b2=0.0, lambda2=1.0, converged=fit.converged)
 
     p_f = np.asarray(p_f, dtype=float)
     m = len(n)
@@ -708,13 +705,9 @@ def fit_rb(n_cl: np.ndarray, p_g: np.ndarray, p_f: np.ndarray | None = None) -> 
 
         f_fit = fit_least_squares(model_f, n, p_f, [p_f[-1], p_f[0] - p_f[-1], 0.9],
                                   bounds=([-1, -2, 1e-6], [2, 2, 1.0]))
-        cov = np.zeros((6, 6))
-        cov[:3, :3] = g_only.covariance[:3, :3]
-        cov[3:, 3:] = f_fit.covariance
         return RBFitResult(a0=g_only.a0, b0=g_only.b0, lambda0=g_only.lambda0,
                            a2=f_fit.params[0], b2=f_fit.params[1], lambda2=f_fit.params[2],
-                           covariance=cov, converged=g_only.converged and f_fit.converged,
-                           degenerate=True)
+                           converged=g_only.converged and f_fit.converged, degenerate=True)
 
     return RBFitResult(a0=a0, b0=b0, lambda0=lam0, a2=a2, b2=b2, lambda2=lam2,
-                       covariance=fit.covariance, converged=fit.converged)
+                       converged=fit.converged)

@@ -184,12 +184,11 @@ class TestBuildHamiltonian:
 class TestDecayRates:
     def test_gamma_sigma_is_exact_sum(self):
         r = table_decay_rates()
-        assert r.gamma_sigma("Q1") == r.gamma1["Q1"] + r.gamma_phi["Q1"]
+        assert r.gamma_sigma == r.gamma1 + r.gamma_phi
 
     def test_rejects_negative_rates(self):
         with pytest.raises(ValueError):
-            DecayRates(gamma1={"Q1": -1.0}, gamma_phi={"Q1": 0.0},
-                       kappa_r=1e3, gamma_fe=1e3)
+            DecayRates(gamma1=-1.0, gamma_phi=0.0, gamma_fe=1e3, kappa_r=1e3)
 
 
 class TestTableFixture:

@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -130,10 +131,21 @@ class TestExitCodes:
     def test_readout_without_t1_decay_runs(self, tmp_path):
         # Gamma_1 = 0 is admitted by the schema ([0, inf)) and means no decay
         config = write_config(tmp_path, "readout-shots",
-                              {"n_shots": 1000, "rates": {"gamma1": {"Q1": 0.0}}})
+                              {"n_shots": 1000, "rates": {"gamma1": 0.0}})
         assert run(config, tmp_path / "a") == 0
         metrics = json.loads((tmp_path / "a" / "readout_metrics.json").read_text())
         assert metrics["f_decay"] == 1.0
+
+    def test_f_decaying_within_a_clifford_runs(self, tmp_path):
+        # d_q = exp(-tau_cl Gamma_fe) underflows to 0: no leakage survives
+        config = write_config(tmp_path, "leakage-rb", {**RB_PARAMS, "tau_cl": 1e30})
+        assert run(config, tmp_path / "a") == 0
+        fit = json.loads((tmp_path / "a" / "leakage_rb_fit.json").read_text())
+        assert fit["a2_closed_forms"] == {
+            "a2_leak": 0.0, "a2_lr_full": 0.0, "a2_lr_simplified": 0.0}
+        for name, data in data_files(tmp_path / "a").items():
+            if name.endswith(".csv"):
+                assert not non_finite_cells(name, data), name
 
     def test_output_path_is_a_file(self, tmp_path):
         config = write_config(tmp_path, "reset-metrics")
@@ -249,9 +261,10 @@ class TestSchema:
 
     @pytest.mark.parametrize("scenario, params, key_path", [
         ("chi-map", {"n_pionts": 5}, "params.n_pionts"),
-        ("reset-metrics", {"rates": {"gamma1": 5.0}}, "params.rates.gamma1"),
+        ("reset-metrics", {"rates": {"gamma1": -5.0}}, "params.rates.gamma1"),
         ("reset-metrics", {"rates": {"kappa_r": {"Q1": 5}}}, "params.rates.kappa_r"),
-        ("reset-metrics", {"rates": {"gamma1": {"Q9": 1}}}, "params.rates.gamma1.Q9"),
+        # rates are flat keys: a per-element mapping is not a number
+        ("reset-metrics", {"rates": {"gamma1": {"Q1": 5.0}}}, "params.rates.gamma1"),
         ("floquet-report", {"drive": [1, 2]}, "params.drive"),
         ("floquet-report", {"kind": "foo"}, "params.kind"),
         ("leakage-rb", {"l_cl": 2}, "params.l_cl"),
@@ -272,6 +285,10 @@ class TestSchema:
         ("periodic-lr", {"n_lr_list": [5, 5]}, "params.n_lr_list"),
         ("chi-map", {"g_tilde": [1e6, 1e6]}, "params.g_tilde"),
         ("reset-dynamics", {"g_tilde": [1e6, 1e6]}, "params.g_tilde"),
+        # one output row per point: a table no machine holds is refused
+        ("reset-dynamics", {"n_points": 1e30}, "params.n_points"),
+        ("lr-dynamics", {"n_points": 1e30}, "params.n_points"),
+        ("chi-map", {"n_points": 1e30}, "params.n_points"),
     ])
     def test_bad_values_are_schema_errors(self, tmp_path, capsys, scenario, params, key_path):
         config = write_config(tmp_path, scenario, params)
@@ -291,6 +308,12 @@ class TestSchema:
         ("periodic-lr", {"with_lr": False}, "params.with_lr"),
         ("leakage-rb", {"with_lr": False}, "params.with_lr"),
         ("leakage-rb", {"shots_per_point": 10}, "params.shots_per_point"),
+        # rates no output of the scenario reads
+        ("reset-metrics", {"rates": {"gamma_phi": 1.0}}, "params.rates.gamma_phi"),
+        ("readout-shots", {"rates": {"kappa_r": 1.0}}, "params.rates.kappa_r"),
+        ("reset-dynamics", {"rates": {"gamma_fe": 1.0}}, "params.rates.gamma_fe"),
+        ("lr-dynamics", {"rates": {"gamma_phi": 1.0}}, "params.rates.gamma_phi"),
+        ("periodic-lr", {"rates": {"gamma1": 1.0}}, "params.rates.gamma1"),
     ])
     def test_dead_keys_are_unknown(self, tmp_path, capsys, scenario, params, key_path):
         config = write_config(tmp_path, scenario, params)
@@ -358,8 +381,8 @@ class TestSeed:
 
 #: scenarios whose declared scalars the boundary sweep tries one at a time
 SWEPT_SCENARIOS = ("reset-dynamics", "lr-dynamics", "reset-metrics")
-#: the sweep's largest ``n_points``, the default x 1e3; ``n_points: 1e30``
-#: passes the schema but asks for an array no machine holds, and is left out
+#: the sweep's largest ``n_points``, the default x 1e3; the schema's bound
+#: on output rows lies above it, so the sweep never runs a table that large
 SWEEP_MAX_POINTS = 301_000
 #: JSON keys whose value may be infinite by definition, written as null:
 #: the swap time of an overdamped swap, which never completes
@@ -392,6 +415,19 @@ BOUNDARY_SWEEP = [(scenario, key_path, value)
                   for key_path, spec in declared_scalars(cli.SCENARIOS[scenario][2])
                   for value in boundary_values(key_path, spec)]
 
+#: the rate keys the swept scenarios once declared, per element and with
+#: the table values of that form; those a scenario no longer declares (no
+#: output read them) are swept at the values they were, as schema errors
+RETIRED_RATES = {"gamma1.Q1": 6.8e3, "gamma1.Q2": 4.7e3, "gamma1.C": 20e3,
+                 "gamma_phi.Q1": 4.4e3, "gamma_phi.Q2": 11.3e3, "gamma_phi.C": 143e3,
+                 "gamma_fe": 6.3e3, "kappa_r": 770e3}
+RETIRED_SWEEP = [(scenario, key_path, value)
+                 for scenario in SWEPT_SCENARIOS
+                 for key, default in RETIRED_RATES.items()
+                 if (key_path := f"rates.{key}") not in
+                 dict(declared_scalars(cli.SCENARIOS[scenario][2]))
+                 for value in (0.0, 1e-30, 1e30, default * 1e3, default * 1e-3)]
+
 
 def nested(key_path: str, value) -> dict:
     for key in reversed(key_path.split(".")):
@@ -415,20 +451,101 @@ class TestBoundarySweep:
     """Each declared scalar of the closed-form scenarios at the ends of its
     interval and beyond the physical scale: a config that ``validate``
     admits runs (exit 0) with finite data, and any other is a schema error
-    (exit 2), never a numerical failure (exit 3)."""
+    (exit 2), never a numerical failure (exit 3). A rate key the scenario
+    no longer declares is a schema error that names the rate."""
 
     def test_sweep_covers_every_declared_scalar(self):
-        assert len(BOUNDARY_SWEEP) == 167
+        assert len(BOUNDARY_SWEEP) == 77
         swept = {(s, k) for s, k, _ in BOUNDARY_SWEEP}
         assert swept == {(s, k) for s in SWEPT_SCENARIOS
                          for k, _ in declared_scalars(cli.SCENARIOS[s][2])}
+        # the nested per-element form of every rate, and each flat rate
+        # no output of the scenario reads
+        assert len(RETIRED_SWEEP) == 105
+        assert not swept & {(s, k) for s, k, _ in RETIRED_SWEEP}
 
-    @pytest.mark.parametrize("scenario, key_path, value", BOUNDARY_SWEEP,
-                             ids=[f"{s}:{k}={v:g}" for s, k, v in BOUNDARY_SWEEP])
+    @pytest.mark.parametrize("scenario, key_path, value", BOUNDARY_SWEEP + RETIRED_SWEEP,
+                             ids=[f"{s}:{k}={v:g}" for s, k, v in BOUNDARY_SWEEP + RETIRED_SWEEP])
     def test_runs_or_is_a_schema_error(self, tmp_path, capsys, scenario, key_path, value):
         config = write_config(tmp_path, scenario, nested(key_path, value))
+        if (scenario, key_path, value) in RETIRED_SWEEP:
+            # the error names the rate, not the element under it
+            assert_schema_error(tmp_path, capsys, config, ".".join(key_path.split(".")[:2]))
+            return
         admitted = cli.main(["validate", config]) == 0
         assert run(config, tmp_path / "a") == (0 if admitted else 2), capsys.readouterr().err
         if admitted:
             for name, data in data_files(tmp_path / "a").items():
                 assert not non_finite_cells(name, data), name
+
+
+#: the small base run of every scenario for the parameter walk; each
+#: scenario takes the keys it declares
+WALK_BASE = {"n_randomizations": 2, "n_cl_grid": [1, 2, 3, 4, 5], "n_shots": 1000,
+             "n_points": 11, "n_max": 20, "n_amplitudes": 3, "n_omega": 3, "n_sub": 64}
+WALK = [(scenario, key_path) for scenario, (_, _, schema) in sorted(cli.SCENARIOS.items())
+        for key_path, _ in cli._flat(schema)]
+
+
+def walk_base(scenario: str) -> dict:
+    return {k: v for k, v in WALK_BASE.items() if k in cli.SCENARIOS[scenario][2]}
+
+
+def moved(spec, value):
+    """Another value ``spec`` admits: a bool flipped, the other choice, a
+    number for a ``None`` default, a number scaled or shifted, a list with
+    its first entry so changed or else its first two entries swapped."""
+    if value is None:
+        return 0.5
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, str):
+        return next(c for c in spec.choices if c != value)
+    listed = isinstance(value, (list, tuple))
+    first = value[0] if listed else value
+    numbers = [x for x in (first * 1.5, first * 0.5, first + 1, first + 7) if x != first]
+    candidates = ([[x, *value[1:]] for x in numbers] + [[value[1], value[0], *value[2:]]]
+                  if listed else numbers)
+    for candidate in candidates:
+        try:
+            cli._convert(spec, candidate, "walk")
+        except cli.ConfigError:
+            continue
+        return candidate
+    raise AssertionError(f"no other admitted value near {value!r}")
+
+
+def data_hashes(tmp_path, scenario: str, params: dict) -> dict:
+    manifest = cli.run_config(write_config(tmp_path, scenario, params),
+                              out=str(tmp_path / "out"))
+    return {entry["path"]: entry["sha256"] for entry in manifest["files"]}
+
+
+@pytest.fixture(scope="module")
+def base_hashes(tmp_path_factory):
+    cache = {}
+
+    def of(scenario):
+        if scenario not in cache:
+            cache[scenario] = data_hashes(tmp_path_factory.mktemp(scenario), scenario,
+                                          walk_base(scenario))
+        return cache[scenario]
+    return of
+
+
+class TestEveryDeclaredParameterIsRead:
+    """Each declared parameter, moved alone from a small base run to
+    another admitted value, changes some data file: the schema declares no
+    knob that no output reads."""
+
+    def test_walk_covers_every_declared_parameter(self):
+        assert len(WALK) == 57
+
+    @pytest.mark.parametrize("scenario, key_path", WALK, ids=[f"{s}:{k}" for s, k in WALK])
+    def test_moving_it_changes_a_data_file(self, tmp_path, base_hashes, scenario, key_path):
+        spec = functools.reduce(dict.__getitem__, key_path.split("."),
+                                cli.SCENARIOS[scenario][2])
+        params = walk_base(scenario)
+        value = moved(spec, params.get(key_path, spec.default))
+        assert data_hashes(tmp_path, scenario, {**params, **nested(key_path, value)}) \
+            != base_hashes(scenario)

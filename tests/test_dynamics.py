@@ -122,7 +122,7 @@ class TestDampedSwap:
     ])
     def test_matches_lindblad_propagation(self, g, gamma, kappa):
         rates = table_decay_rates()
-        rates = type(rates)(gamma1={"Q1": gamma}, gamma_phi={"Q1": 0.0},
+        rates = type(rates)(gamma1=gamma, gamma_phi=0.0,
                             kappa_r=kappa, gamma_fe=rates.gamma_fe)
         h, collapse = qutrit_resonator_model(rates, ("e0", "g1", g))
         ts = np.linspace(0, 1.0e-6, 11)
@@ -160,7 +160,7 @@ class TestDampedSwap:
     def test_envelope_weighted_swap_matches_pulsed_lindblad(self):
         # time substitution t -> gamma(t) against the pulsed Lindblad model
         g, gamma, kappa = 2.07e6, 6.8e3, 770e3
-        rates = type(RATES)(gamma1={"Q1": gamma}, gamma_phi={"Q1": 0.0},
+        rates = type(RATES)(gamma1=gamma, gamma_phi=0.0,
                             kappa_r=kappa, gamma_fe=RATES.gamma_fe)
         h, collapse = qutrit_resonator_model(rates, ("e0", "g1", g))
         ts = np.linspace(0, 150e-9, 16)
@@ -249,7 +249,7 @@ class TestLeakageRecoveryDynamics:
         # measured f_lr that leakage-rb applies
         g, sc = 0.91e6, RBScenario(l_cl=0.0, rates=RATES)
         no_dephasing = type(RATES)(gamma1=RATES.gamma1,
-                                   gamma_phi={q: 0.0 for q in RATES.gamma_phi},
+                                   gamma_phi=0.0,
                                    kappa_r=RATES.kappa_r, gamma_fe=RATES.gamma_fe)
 
         def driven_p_f(rates):
@@ -265,7 +265,7 @@ class TestLeakageRecoveryDynamics:
         p_f = driven_p_f(no_dephasing)
         assert p_f == pytest.approx(DRIVEN_LR_P_F_NO_DEPHASING, rel=1e-2)
         assert p_f == pytest.approx(damped_swap(
-            sc.tau_lr, g, RATES.gamma_fe, RATES.kappa_r + RATES.gamma1["Q1"])[0], rel=1e-9)
+            sc.tau_lr, g, RATES.gamma_fe, RATES.kappa_r + RATES.gamma1)[0], rel=1e-9)
         assert 0.0 < p_f - closed < 1.5e-4
         # dephasing at the table rate more than doubles the residual, which
         # stays a fifth of the measured one: 99.7 % against f_lr = 98.5 %

@@ -75,7 +75,7 @@ def test_checker_flags_a_mutated_module():
         # a collapse list built by hand
         "\n\ndef _windows(r):\n"
         "    low_q = np.kron(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), np.eye(2))\n"
-        "    return liouvillian(np.zeros((6, 6)), [(low_q, r.gamma1[QUBIT])])\n"
+        "    return liouvillian(np.zeros((6, 6)), [(low_q, r.gamma1)])\n"
         # the model, extended before the call
         "\n\ndef _extended(r, extra):\n"
         "    h, collapse = qutrit_resonator_model(r)\n"

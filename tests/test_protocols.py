@@ -87,11 +87,11 @@ class TestTemperature:
 
 class TestThermalBudget:
     def test_resonator_occupation_in_quoted_band(self):
-        b = thermal_budget(0.0062, RATES.gamma1["Q1"], 3.83e9, 5.85e9, 150e-9, 2.3e-6)
+        b = thermal_budget(0.0062, RATES.gamma1, 3.83e9, 5.85e9, 150e-9, 2.3e-6)
         assert 0.0004 <= b.n_th <= 0.00055
 
     def test_floor_consistent_with_quoted_post_reset_population(self):
-        b = thermal_budget(0.0062, RATES.gamma1["Q1"], 3.83e9, 5.85e9, 150e-9, 2.3e-6)
+        b = thermal_budget(0.0062, RATES.gamma1, 3.83e9, 5.85e9, 150e-9, 2.3e-6)
         assert b.floor == pytest.approx(0.00074, abs=3e-4)
 
     def test_bose_occupation_underflows_to_zero(self):
@@ -156,7 +156,7 @@ def _calibration_sets(centers, sigma=1.0, n=6000, seed=100):
 def _blob_problem(seed, label):
     """Shots of one seeded calibration set, 20000 as in ``readout-shots``;
     the |e> set carries T1 flips to the g centre, as there."""
-    decay = (RATES.gamma1["Q1"], 10e-6) if label == 1 else None
+    decay = (RATES.gamma1, 10e-6) if label == 1 else None
     pops = np.eye(3)[label]
     return generate_shots(pops, CENTERS, 1.0, 20_000, RngStream(seed, label), decay=decay).iq
 
@@ -394,12 +394,12 @@ class TestAssignmentFidelity:
     def test_separated_no_decay(self):
         g, e, f = _calibration_sets(8 * CENTERS, n=4000, seed=41)
         clf = calibrate_classifier(g, e, f)
-        fid = assignment_fidelity(g, e, clf, gamma_1=RATES.gamma1["Q1"], tau_meas=10e-6)
+        fid = assignment_fidelity(g, e, clf, gamma_1=RATES.gamma1, tau_meas=10e-6)
         assert fid.f_meas >= 0.999
 
     def test_paper_matched_fixture(self):
         n = 30_000
-        gamma_1, tau = RATES.gamma1["Q1"], 10e-6
+        gamma_1, tau = RATES.gamma1, 10e-6
         cal_g = generate_shots((1, 0, 0), CENTERS, 1.0, n, RngStream(43, 0), label="g")
         cal_e = generate_shots((0, 1, 0), CENTERS, 1.0, n, RngStream(43, 1), label="e",
                                decay=(gamma_1, tau))
@@ -423,7 +423,7 @@ class TestAssignmentFidelity:
 
     def test_invariant_under_global_iq_rotation(self):
         g, e, f = _calibration_sets(CENTERS, n=4000, seed=53)
-        budget = {"gamma_1": RATES.gamma1["Q1"], "tau_meas": 10e-6}
+        budget = {"gamma_1": RATES.gamma1, "tau_meas": 10e-6}
         clf = calibrate_classifier(g, e, f)
         fid = assignment_fidelity(g, e, clf, **budget)
 

@@ -17,7 +17,7 @@ from couplersim.dynamics import LEVELS
 from couplersim.numerics import TWO_PI, RngStream
 
 RATES = presets.table_decay_rates()
-ZERO_RATES = DecayRates(gamma1={"Q1": 0.0}, gamma_phi={"Q1": 0.0}, kappa_r=0.0, gamma_fe=0.0)
+ZERO_RATES = DecayRates(gamma1=0.0, gamma_phi=0.0, gamma_fe=0.0, kappa_r=0.0)
 MC_GRID = (0, 1, 2, 5, 10, 40)
 SRC = str(Path(couplersim.__file__).resolve().parents[1])
 
@@ -96,8 +96,8 @@ class TestDecoherenceWindows:
         f_e = sum(sup[6 * i + j, 6 * i + j] for i in block for j in block).real / 4
         fid = (2 * f_e + 1) / 3
         tau = getattr(sc, f"tau_{window}")
-        g1 = TWO_PI * RATES.gamma1["Q1"]
-        g2 = g1 / 2 + TWO_PI * RATES.gamma_phi["Q1"]
+        g1 = TWO_PI * RATES.gamma1
+        g2 = g1 / 2 + TWO_PI * RATES.gamma_phi
         assert fid == pytest.approx((3 + 2 * math.exp(-tau * g2) + math.exp(-tau * g1)) / 6,
                                     rel=0, abs=1e-12)
         if window == "lr":
