@@ -570,7 +570,12 @@ SCENARIOS = {
         "n_lr": _Param(_RB_FIELDS["n_lr"], "[0, inf)"),
         "n_cl_grid": _Param(_RB_FIELDS["n_cl_grid"], "[0, inf)", length=(5, math.inf),
                             whole=_DISTINCT),
-        "n_randomizations": _Param(50, "[2, inf)")}),
+        # each Monte Carlo state holds about 8.6 kB of buffers plus its int64
+        # Clifford draws, 16.6 kB at the default grid: the bound keeps a run
+        # near 170 MB there (about 45 s at 4.3 us per state-cycle, the
+        # rb-paper rate on one core)
+        "n_randomizations": _Param(
+            50, "[2, 1e4]", note="8.6 kB of state buffers plus max(n_cl_grid) int64 draws each")}),
     "periodic-lr": (_run_periodic_lr, "Fig. 7 (rate eq.)", {
         **_RB_PARAMS, "rates": _rates("gamma_fe", "kappa_r"),
         "n_lr_list": _Param((20, 10, 5, 1), "[0, inf)", whole=_DISTINCT),

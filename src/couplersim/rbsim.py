@@ -30,19 +30,33 @@ inverse gate.  Each gate (Clifford, leak, recovery, inverse) is the identity
 except for a 2x2 block, and :func:`_block_conjugation` applies it in a few
 whole-batch ufunc calls that repeat the ``einsum``'s arithmetic bit for bit,
 with the state axis last so that every call runs over contiguous rows of
-all R states, and with its work buffers allocated once per call of
-:func:`monte_carlo_rb`.  The window channels run as one GEMM per block of
-32 states (see :func:`_channel`): one GEMM over all states is large enough
-for OpenBLAS to start a worker thread, which busy-waits on a second core
-between calls; the blocks give the same bits and stay on one core.  The
-joint fit of the curves is ill-conditioned when A2 and B2 are barely
-identified: changing the curves by 2e-13 relative moves (A0, A2, B2) by up
-to 2e-2, so a reordered step changes the fit reported for a given seed.
+all the states of a chunk, and with its work buffers allocated once per
+chunk.  The window channels run as one GEMM per block of 32 states (see
+:func:`_channel`): one GEMM over all states is large enough for OpenBLAS to
+start a worker thread, which busy-waits on a second core between calls;
+the blocks give the same bits and stay on one core.  The joint fit of the
+curves is ill-conditioned when A2 and B2 are barely identified: changing
+the curves by 2e-13 relative moves (A0, A2, B2) by up to 2e-2, so a
+reordered step changes the fit reported for a given seed.
+
+The randomizations run on every usable core, in forked children, without
+reordering any of that arithmetic.  No operation of the step mixes two
+randomizations, and each draws its Cliffords from its own child stream of
+the :class:`~couplersim.numerics.RngStream` (whose rule is that parallel
+work partitions by child keys).  So :func:`monte_carlo_rb` cuts them into
+contiguous chunks of at least ``_MIN_CHUNK`` (20, from a measured
+break-even table), runs one ``os.fork`` child per chunk when there are two
+or more, and puts the rows back in order before the statistics: the
+curves, the fit and the ``leakage-rb`` files are bitwise those of a single
+process.  A chunk whose child cannot start or fails runs again in-process.
+Threads would not help: numpy holds the GIL through the small ufunc calls
+of each gate.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -488,62 +502,47 @@ def _channel(sup: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return out.reshape(rho.shape)
 
 
-def monte_carlo_rb(
-    scenario: RBScenario,
-    stream: RngStream,
-    n_randomizations: int = 50,
-    depolarizing_error: float | None = None,
-) -> RBCurves:
-    """Monte Carlo leakage RB on a qutrit coupled to a two-level resonator.
+#: fewest randomizations per forked child of :func:`monte_carlo_rb`.  Two
+#: children against one process, wall time at the default grid over two
+#: rounds of five alternated runs on a 2-vCPU host: ratio 1.06-1.48 at
+#: R 24, 0.94-1.18 at R 32, 0.77-0.84 at R 40, 0.94-0.96 at R 50, 0.51-0.55
+#: at R 200.  A chunk pays for its child from about 20 randomizations: each
+#: gate costs the same number of ufunc calls at any chunk size
+_MIN_CHUNK = 20
 
-    Every cycle applies a random Clifford (an exact unitary on the
-    computational subspace), the Clifford-window channel, leakage injection
-    (a weak |e> <-> |f> rotation), the leak-window channel, on every
-    ``scenario.n_lr``-th cycle the recovery (a partial |f0> <-> |e1> swap),
-    and the LR-window channel.  The recovery is instantaneous, at the
-    measured ``scenario.f_lr`` (98.5 % by default), not the driven swap of
-    the same window, which would recover about 99.7 % (see
-    :class:`RBScenario`).  With ``depolarizing_error=None`` the window
-    channels are the Lindblad channels of
-    :func:`~couplersim.dynamics.qutrit_resonator_model` at
-    ``scenario.rates`` without a drive; otherwise the
-    Clifford window is a depolarizing channel of that average gate error
-    and the other windows are noiseless (without leakage this is the exact
-    oracle ``P_g = 1/2 + 1/2 (1 - 2 eps)^n``).  ``n_lr = 0`` disables
-    recovery and zero rates make every window noiseless.  Each measurement
-    applies the inverse of the running Clifford product and then, with
-    physical noise, the Clifford-window channel.  Deterministic per stream,
-    independent of chunking: each randomization draws its gates from
-    ``stream.child(index)``, and the curves are bitwise the same for any
-    block size (2 or more) of :func:`_channel`
-    (``TestMonteCarlo::test_curves_independent_of_channel_blocks``).
 
-    The gates are applied by :func:`_block_conjugation`, bitwise equal to the
-    three-operand ``einsum`` it replaced, so the curves keep their bits
-    (``TestMonteCarlo::test_curves_keep_their_bits``).  Before each gate the
-    state is copied from the channel's (R, 6, 6) complex layout to real and
-    imaginary parts with the state axis last; the gate writes its result
-    back into the channel's input.  Those buffers and the gates' work arrays
-    (about 8.6 kB per state) are allocated once per call: allocating them
-    per gate took about 55 times the minor page faults over 200 cycles of
-    200 states, because the heap is trimmed each time the temporaries are
-    freed (``test_monte_carlo_allocates_once``).
-    """
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunk_count(r_count: int) -> int:
+    """Chunks, one forked child each, for ``r_count`` randomizations; 1 runs
+    them in-process."""
+    return max(1, min(_usable_cores(), r_count // _MIN_CHUNK))
+
+
+def _chunks(r_count: int, k: int) -> list[range]:
+    """``range(r_count)`` as at most ``k`` contiguous chunks whose sizes
+    differ by at most one, none of them smaller than 2 states: a one-state
+    chunk would send its channels to gemv (see :func:`_channel`)."""
+    k = max(1, min(k, r_count // 2))
+    ends = [r_count * i // k for i in range(k + 1)]
+    return [range(a, b) for a, b in zip(ends, ends[1:])]
+
+
+def _randomizations(scenario: RBScenario, stream: RngStream, rows: range, windows: dict,
+                    measure_window: np.ndarray) -> np.ndarray:
+    """P_g and P_f of the randomizations ``rows`` on the scenario grid, as
+    one (2, len(rows), len(n_cl_grid)) array; randomization r draws its
+    Cliffords from ``stream.child(r)``.  The step of :func:`monte_carlo_rb`,
+    with its own buffers."""
     n_grid = np.asarray(scenario.n_cl_grid, dtype=int)
     n_max = int(n_grid.max())
-    r_count = n_randomizations
-
-    if depolarizing_error is None:
-        windows = _decoherence_superops(scenario)
-        measure_window = windows["cl"]
-    else:
-        noiseless = np.eye(36)
-        windows = {"cl": _depolarizing_superop(depolarizing_error),
-                   "leak": noiseless, "lr": noiseless}
-        measure_window = noiseless
-    gate_idx = np.stack([
-        stream.child(r).integers(0, 24, size=n_max) for r in range(r_count)
-    ])
+    r_count = len(rows)
+    gate_idx = np.stack([stream.child(r).integers(0, 24, size=n_max) for r in rows])
 
     # the state, split and with the state axis last, is the input of every
     # block conjugation; each writes the input of the next channel
@@ -567,8 +566,8 @@ def monte_carlo_rb(
     rho[:, g0, g0] = 1.0
     ctot = np.broadcast_to(np.eye(2, dtype=complex), (r_count, 2, 2)).copy()
     col = {int(n): j for j, n in enumerate(n_grid)}
-    p_g = np.empty((r_count, len(n_grid)))
-    p_f = np.empty((r_count, len(n_grid)))
+    out = np.empty((2, r_count, len(n_grid)))
+    p_g, p_f = out
     for n in range(n_max + 1):
         if n > 0:
             gates = gate_idx[:, n - 1]
@@ -594,6 +593,151 @@ def monte_carlo_rb(
             rho_m = _channel(measure_window, rho_in)
             p_g[:, col[n]] = (rho_m[:, g0, g0] + rho_m[:, g1, g1]).real
             p_f[:, col[n]] = (rho_m[:, f0, f0] + rho_m[:, f1, f1]).real
+    return out
+
+
+def _child(run, rows: range, read_fd: int, write_fd: int) -> None:
+    """A forked child: sends the bytes of ``run(rows)`` down its pipe and
+    leaves through ``os._exit`` only, 0 when all was sent and 1 on any
+    error, so that no code of the parent's stack runs on in it."""
+    code = 1
+    try:
+        os.close(read_fd)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(run(rows).tobytes())
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _in_children(run, chunks: list[range], n_cols: int) -> list[np.ndarray]:
+    """``run(rows)``, a (2, len(rows), n_cols) float array, for every chunk,
+    each in a forked child that sends it over an ``os.pipe``; the results in
+    chunk order.
+
+    A chunk whose child could not start (no ``os.fork``, or ``OSError``),
+    exited non-zero or sent short data is rerun in-process after every child
+    is reaped, so a real error is raised here with its own type.  Every
+    child is reaped before this returns or raises, killed first when the
+    parent leaves on an exception."""
+    results = [None] * len(chunks)
+    children = {}  # chunk index -> (pid, read end of its pipe)
+    try:
+        for i, rows in enumerate(chunks):
+            fds = ()
+            try:
+                fds = read_fd, write_fd = os.pipe()
+                pid = os.fork()
+            except (AttributeError, OSError):
+                for fd in fds:
+                    os.close(fd)
+                continue
+            if pid == 0:
+                _child(run, rows, read_fd, write_fd)
+            os.close(write_fd)
+            children[i] = pid, open(read_fd, "rb")
+        for i in list(children):
+            pid, pipe = children[i]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[i]
+            if status == 0 and len(data) == 2 * len(chunks[i]) * n_cols * 8:
+                results[i] = np.frombuffer(data).reshape(2, len(chunks[i]), n_cols)
+    finally:
+        for pid, pipe in children.values():
+            import signal  # only on this path: every CLI process imports rbsim
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+    return [run(rows) if result is None else result for rows, result in zip(chunks, results)]
+
+
+def monte_carlo_rb(
+    scenario: RBScenario,
+    stream: RngStream,
+    n_randomizations: int = 50,
+    depolarizing_error: float | None = None,
+) -> RBCurves:
+    """Monte Carlo leakage RB on a qutrit coupled to a two-level resonator.
+
+    Every cycle applies a random Clifford (an exact unitary on the
+    computational subspace), the Clifford-window channel, leakage injection
+    (a weak |e> <-> |f> rotation), the leak-window channel, on every
+    ``scenario.n_lr``-th cycle the recovery (a partial |f0> <-> |e1> swap),
+    and the LR-window channel.  The recovery is instantaneous, at the
+    measured ``scenario.f_lr`` (98.5 % by default), not the driven swap of
+    the same window, which would recover about 99.7 % (see
+    :class:`RBScenario`).  With ``depolarizing_error=None`` the window
+    channels are the Lindblad channels of
+    :func:`~couplersim.dynamics.qutrit_resonator_model` at
+    ``scenario.rates`` without a drive; otherwise the
+    Clifford window is a depolarizing channel of that average gate error
+    and the other windows are noiseless (without leakage this is the exact
+    oracle ``P_g = 1/2 + 1/2 (1 - 2 eps)^n``).  ``n_lr = 0`` disables
+    recovery and zero rates make every window noiseless.  Each measurement
+    applies the inverse of the running Clifford product and then, with
+    physical noise, the Clifford-window channel.
+
+    Deterministic per stream, independent of chunking: randomization r
+    draws its gates from ``stream.child(r)``, as the :class:`RngStream`
+    rule for parallel work asks (partition by child keys), and no operation
+    mixes two randomizations.  The window channels are built once, here.
+    The randomizations then run as :func:`_chunk_count` contiguous chunks
+    (:func:`_chunks`): one chunk in-process, two or more as one ``os.fork``
+    child each, which computes its rows of P_g and P_f in buffers of its own
+    and sends them over a pipe.  The chunk count is the number of usable
+    cores, but no chunk holds fewer than ``_MIN_CHUNK`` = 20 randomizations,
+    the break-even of a measured table (two children against one process:
+    wall-time ratio 1.06-1.48 at R 24, 0.77-0.84 at R 40, 0.51-0.55 at
+    R 200).  This process computes nothing meanwhile: taking a chunk itself
+    was no faster at R 200 on 2 vCPUs (medians 0.47-0.57 s either way) and
+    faulted about 1,100 pages here against 330.  It puts the (R, n) rows
+    back in order before the mean and standard deviation, so the curves are
+    bitwise the same for any chunk count, as they are for any block size
+    (2 or more) of :func:`_channel`
+    (``TestForkedChunks::test_curves_independent_of_chunks``,
+    ``TestMonteCarlo::test_curves_independent_of_channel_blocks``).
+    Without ``os.fork``, when it raises ``OSError``, or when a child exits
+    non-zero or sends short data, that chunk runs again in-process, so a
+    real error is raised here with its own type.  Every child is reaped
+    before this returns or raises, and killed first when this process
+    fails.  Python 3.12 and later warn (``DeprecationWarning``) on
+    ``os.fork`` in a process that has other threads, such as the BLAS
+    workers; the children call BLAS only on blocks below its threading
+    threshold.  In a traced run, the spans of the children's calls are not
+    recorded.
+
+    The gates are applied by :func:`_block_conjugation`, bitwise equal to the
+    three-operand ``einsum`` it replaced, so the curves keep their bits
+    (``TestMonteCarlo::test_curves_keep_their_bits``).  Before each gate the
+    state is copied from the channel's (R, 6, 6) complex layout to real and
+    imaginary parts with the state axis last; the gate writes its result
+    back into the channel's input.  Those buffers and the gates' work arrays
+    (about 8.6 kB per state) are allocated once per chunk: allocating them
+    per gate took about 55 times the minor page faults over 200 cycles of
+    200 states, because the heap is trimmed each time the temporaries are
+    freed (``TestMonteCarlo::test_monte_carlo_allocates_once`` for this
+    process, ``TestForkedChunks::test_children_keep_to_one_core_each`` for
+    the children).
+    """
+    n_grid = np.asarray(scenario.n_cl_grid, dtype=int)
+    if depolarizing_error is None:
+        windows = _decoherence_superops(scenario)
+        measure_window = windows["cl"]
+    else:
+        noiseless = np.eye(36)
+        windows = {"cl": _depolarizing_superop(depolarizing_error),
+                   "leak": noiseless, "lr": noiseless}
+        measure_window = noiseless
+    run = partial(_randomizations, scenario, stream, windows=windows,
+                  measure_window=measure_window)
+    chunks = _chunks(n_randomizations, _chunk_count(n_randomizations))
+    if len(chunks) == 1:
+        p_g, p_f = run(chunks[0])
+    else:
+        p_g, p_f = np.concatenate(_in_children(run, chunks, len(n_grid)), axis=1)
 
     return RBCurves(
         n_cl=n_grid,

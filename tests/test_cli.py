@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from couplersim import cli, protocols
+from couplersim import cli, protocols, rbsim
 
 RB_PARAMS = {"n_randomizations": 3, "n_cl_grid": [1, 2, 4, 8, 16, 32, 64]}
 CZ_PARAMS = {"n_omega": 3, "n_sub": 64}
@@ -173,6 +173,18 @@ class TestOutputs:
         assert first
         assert first == data_files(tmp_path / "b")
 
+    def test_forked_randomizations_write_the_same_bytes(self, tmp_path, monkeypatch):
+        # 200 randomizations at the default chunk count, forked children on
+        # a host with two cores or more, against one in-process chunk; the
+        # ill-conditioned fit would show any change of the curves
+        config = write_config(tmp_path, "leakage-rb", {"n_randomizations": 200})
+        assert run(config, tmp_path / "default") == 0
+        monkeypatch.setattr(rbsim, "_chunk_count", lambda r: 1)
+        assert run(config, tmp_path / "in-process") == 0
+        split = data_files(tmp_path / "default")
+        assert set(split) == {"leakage_rb.csv", "leakage_rb_fit.json"}
+        assert split == data_files(tmp_path / "in-process")
+
     def test_manifest_hashes_match_files(self, tmp_path):
         config = write_config(tmp_path, "leakage-rb", RB_PARAMS)
         assert run(config, tmp_path / "a") == 0
@@ -289,6 +301,8 @@ class TestSchema:
         ("reset-dynamics", {"n_points": 1e30}, "params.n_points"),
         ("lr-dynamics", {"n_points": 1e30}, "params.n_points"),
         ("chi-map", {"n_points": 1e30}, "params.n_points"),
+        # each Monte Carlo state holds its buffers and Clifford draws
+        ("leakage-rb", {"n_randomizations": 1e30}, "params.n_randomizations"),
     ])
     def test_bad_values_are_schema_errors(self, tmp_path, capsys, scenario, params, key_path):
         config = write_config(tmp_path, scenario, params)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import subprocess
@@ -215,6 +216,178 @@ class TestMonteCarlo:
             print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         """))
         assert faults < 1000
+
+
+def reaped_run(*args, **kwargs):
+    """``rbsim.monte_carlo_rb``, then a check that it left no child behind."""
+    curves = rbsim.monte_carlo_rb(*args, **kwargs)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return curves
+
+
+def curve_bytes(curves) -> bytes:
+    return b"".join(getattr(curves, f.name).tobytes() for f in dataclasses.fields(curves))
+
+
+class TestForkedChunks:
+    """The randomizations of ``monte_carlo_rb`` split into forked children:
+    the same bits for any chunk count, and no process left behind."""
+
+    @pytest.mark.parametrize("r_count", [64, 65, 200])
+    @pytest.mark.parametrize("kind", ["n_lr 0", "n_lr 2", "depolarizing"])
+    def test_curves_independent_of_chunks(self, monkeypatch, r_count, kind):
+        sc = scenario(n_lr=0 if kind == "n_lr 0" else 2, n_cl_grid=MC_GRID)
+        runs = []
+        for k in (1, 2, 3):
+            monkeypatch.setattr(rbsim, "_chunk_count", lambda r, k=k: k)
+            runs.append(curve_bytes(reaped_run(
+                sc, RngStream(seed=5), n_randomizations=r_count,
+                depolarizing_error=0.01 if kind == "depolarizing" else None)))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_chunks_hold_two_states_or_more(self):
+        # a one-state chunk would send its channel products to gemv, which
+        # rounds differently from gemm
+        for r_count in range(2, 130):
+            for k in range(1, 9):
+                chunks = rbsim._chunks(r_count, k)
+                assert 1 <= len(chunks) <= k
+                assert [i for rows in chunks for i in rows] == list(range(r_count))
+                sizes = [len(rows) for rows in chunks]
+                assert min(sizes) >= 2 and max(sizes) - min(sizes) <= 1, (r_count, k)
+
+    def test_chunk_count_follows_the_cores_and_the_minimum_chunk(self, monkeypatch):
+        monkeypatch.setattr(rbsim, "_usable_cores", lambda: 4)
+        minimum = rbsim._MIN_CHUNK
+        assert [rbsim._chunk_count(r) for r in (2, 2 * minimum - 1, 2 * minimum, 200)] == [
+            1, 1, 2, 4]
+
+    @pytest.mark.parametrize("failure", ["raises", "exits", "short data", "exits after sending"])
+    def test_failed_child_is_rerun_in_process(self, monkeypatch, failure):
+        sc = scenario(n_lr=2, n_cl_grid=MC_GRID)
+        monkeypatch.setattr(rbsim, "_chunk_count", lambda r: 1)
+        expected = curve_bytes(reaped_run(sc, RngStream(seed=5), n_randomizations=64))
+        parent = os.getpid()
+        randomizations = rbsim._randomizations
+
+        def failing(scenario, stream, rows, **kwargs):
+            out = randomizations(scenario, stream, rows, **kwargs)
+            if os.getpid() == parent or rows.start != 0:
+                return out
+            if failure == "raises":
+                raise RuntimeError("child fails")
+            if failure == "exits":
+                os._exit(7)
+            if failure == "short data":
+                return out[:, :-1]
+            # wrong rows of the right size, then a non-zero exit status
+            exit_ = os._exit
+            os._exit = lambda code: exit_(9)
+            return out + 1.0
+
+        monkeypatch.setattr(rbsim, "_randomizations", failing)
+        monkeypatch.setattr(rbsim, "_chunk_count", lambda r: 3)
+        assert curve_bytes(reaped_run(sc, RngStream(seed=5), n_randomizations=64)) == expected
+
+    def test_a_real_error_keeps_its_type(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise FloatingPointError("no chunk runs")
+
+        monkeypatch.setattr(rbsim, "_randomizations", broken)
+        monkeypatch.setattr(rbsim, "_chunk_count", lambda r: 2)
+        with pytest.raises(FloatingPointError, match="no chunk runs"):
+            rbsim.monte_carlo_rb(scenario(n_cl_grid=MC_GRID), RngStream(seed=5),
+                                 n_randomizations=64)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fork", ["missing", "OSError"])
+    def test_runs_in_process_without_fork(self, monkeypatch, fork):
+        sc = scenario(n_lr=2, n_cl_grid=MC_GRID)
+        monkeypatch.setattr(rbsim, "_chunk_count", lambda r: 1)
+        expected = curve_bytes(reaped_run(sc, RngStream(seed=5), n_randomizations=64))
+        monkeypatch.setattr(rbsim, "_chunk_count", lambda r: 2)
+        if fork == "missing":
+            monkeypatch.delattr(os, "fork")
+        else:
+            def refuse():
+                raise BlockingIOError("no process left")
+            monkeypatch.setattr(os, "fork", refuse)
+        assert curve_bytes(reaped_run(sc, RngStream(seed=5), n_randomizations=64)) == expected
+
+    def test_parent_error_kills_the_children(self, monkeypatch):
+        # the parent fails while reading the first child's rows; every child,
+        # still computing its 1000 cycles, is killed and reaped
+        killed = []
+        kill = os.kill
+        monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append(pid) or kill(pid, sig))
+
+        class Interrupted(Exception):
+            pass
+
+        class Stalls(io.BufferedReader):
+            def read(self, *args):
+                raise Interrupted
+
+        def fake_open(fd, mode):
+            return Stalls(io.FileIO(fd, "r")) if mode == "rb" else open(fd, mode)
+
+        monkeypatch.setattr(rbsim, "open", fake_open, raising=False)
+        monkeypatch.setattr(rbsim, "_chunk_count", lambda r: 2)
+        with pytest.raises(Interrupted):
+            rbsim.monte_carlo_rb(scenario(), RngStream(seed=5), n_randomizations=64)
+        assert len(killed) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs a second core to spin on")
+    def test_children_keep_to_one_core_each(self):
+        # CPU time and minor faults of a run split in two children (summed
+        # through RUSAGE_CHILDREN) against the same run in-process, the
+        # least of three alternated rounds each, and cpu/wall of the
+        # in-process run.  Measured on a 2-vCPU host (numpy 2.4.6, glibc,
+        # x86-64): CPU ratio 1.10-1.22, cpu/wall 0.96-0.99, and 2,230-2,310
+        # faults for both children, where gates that allocate per call
+        # fault 32,600 times in one process.  A BLAS worker spinning
+        # between the channel calls doubles the CPU time: one GEMM over all
+        # states reads cpu/wall 1.88-1.94 in-process.  The parent itself
+        # computes nothing while its children run, so
+        # test_monte_carlo_keeps_to_one_core reads only its idle wait
+        cpu_ratio, in_process, faults = run_fresh("""
+            sc = scenario(n_cl_grid=(1, 2, 5, 20, 200))
+            windows = rbsim._decoherence_superops(sc)
+            rbsim._decoherence_superops = lambda _: windows
+            for k in (1, 2):  # at the measured size, which starts any BLAS workers
+                rbsim._chunk_count = lambda r, k=k: k
+                rbsim.monte_carlo_rb(sc, RngStream(seed=0), n_randomizations=200)
+            time.sleep(0.5)
+
+            def usage(who):
+                u = resource.getrusage(who)
+                return u.ru_utime + u.ru_stime, u.ru_minflt
+
+            cpu = {1: [], 2: []}
+            in_process = []
+            faults = []
+            for _ in range(3):
+                for k, who in ((1, resource.RUSAGE_SELF), (2, resource.RUSAGE_CHILDREN)):
+                    rbsim._chunk_count = lambda r, k=k: k
+                    cpu0, flt0 = usage(who)
+                    wall0 = time.perf_counter()
+                    rbsim.monte_carlo_rb(sc, RngStream(seed=3), n_randomizations=200)
+                    wall = time.perf_counter() - wall0
+                    cpu1, flt1 = usage(who)
+                    cpu[k].append(cpu1 - cpu0)
+                    if k == 1:
+                        in_process.append((cpu1 - cpu0) / wall)
+                    else:
+                        faults.append(flt1 - flt0)
+            print(min(cpu[2]) / min(cpu[1]), min(in_process), min(faults))
+        """).split()
+        assert float(cpu_ratio) < 1.5
+        assert float(in_process) < 1.5
+        assert int(faults) < 7000
 
 
 #: ``test_curves_keep_their_bits``: sha256 over the bytes of p_g_mean,
