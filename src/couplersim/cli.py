@@ -541,8 +541,11 @@ def _rates(*keys: str) -> dict:
     return {key: _Param(getattr(table, key), "[0, inf)") for key in keys}
 
 
-#: ``n_points``: one output row per point, at most a million
-_POINTS = {"interval": "[1, 1e6]", "note": "one output row per point"}
+def _rows(per: str, least: int = 1) -> dict:
+    """Bound of a count that sets the rows of an output table: at most a
+    million, and the error says so."""
+    return {"interval": f"[{least}, 1e6]", "note": f"one output row per {per}"}
+
 
 #: RB physics of leakage-rb and periodic-lr
 _RB_PARAMS = {
@@ -554,7 +557,7 @@ _RB_PARAMS = {
 SCENARIOS = {
     "reset-dynamics": (_run_reset_dynamics, "Fig. 2(a)", {
         "g_tilde": _Param((0.0, 0.5e6, 2.07e6), whole=_DISTINCT),
-        "duration": _Param(0.6e-6, "(0, inf)"), "n_points": _Param(301, **_POINTS),
+        "duration": _Param(0.6e-6, "(0, inf)"), "n_points": _Param(301, **_rows("point")),
         "rates": _rates("gamma1", "kappa_r")}),
     "reset-metrics": (_run_reset_metrics, "Fig. 2(b)", {
         "p_id": _Param(0.0062, "(0, 0.5)"), "p_pi": _Param(0.88, "(0, 1]"),
@@ -564,7 +567,8 @@ SCENARIOS = {
         "rates": _rates("gamma1")}),
     "lr-dynamics": (_run_lr_dynamics, "Fig. 6(a)", {
         "g_tilde": _Param(0.91e6), "duration": _Param(1.2e-6, "(0, inf)"),
-        "n_points": _Param(301, **_POINTS), "rates": _rates("gamma1", "gamma_fe", "kappa_r")}),
+        "n_points": _Param(301, **_rows("point")),
+        "rates": _rates("gamma1", "gamma_fe", "kappa_r")}),
     "leakage-rb": (_run_leakage_rb, "Fig. 3", {
         **_RB_PARAMS, "rates": _rates("gamma1", "gamma_phi", "gamma_fe", "kappa_r"),
         "n_lr": _Param(_RB_FIELDS["n_lr"], "[0, inf)"),
@@ -579,13 +583,13 @@ SCENARIOS = {
     "periodic-lr": (_run_periodic_lr, "Fig. 7 (rate eq.)", {
         **_RB_PARAMS, "rates": _rates("gamma_fe", "kappa_r"),
         "n_lr_list": _Param((20, 10, 5, 1), "[0, inf)", whole=_DISTINCT),
-        "n_max": _Param(200, "[1, inf)")}),
+        "n_max": _Param(200, **_rows("Clifford"))}),
     "chi-map": (_run_chi_map, "Fig. 4(c)", {
         "g_tilde": _Param((0.06e6, 0.15e6, 0.41e6, 0.90e6, 1.50e6, 2.12e6, 2.50e6),
                           whole=_DISTINCT),
-        "delta_span": _Param(16e6, "(0, inf)"), "n_points": _Param(161, **_POINTS)}),
+        "delta_span": _Param(16e6, "(0, inf)"), "n_points": _Param(161, **_rows("point"))}),
     "readout-shots": (_run_readout_shots, "Fig. 4(d,e)", {
-        "n_shots": _Param(20000, f"[{protocols.MIN_CALIBRATION_SHOTS}, inf)"),
+        "n_shots": _Param(20000, **_rows("shot", protocols.MIN_CALIBRATION_SHOTS)),
         "separation_sigma": _Param(3.29, "(0, inf)"), "tau_meas": _Param(10e-6, "[0, inf)"),
         "include_decay": _Param(True),
         "experiment_populations": _Param(
@@ -598,7 +602,7 @@ SCENARIOS = {
     "floquet-report": (_run_floquet_report, "Fig. 4(c) couplings", {
         "kind": _Param("reset", choices=tuple(_FIXTURE_DRIVES)),
         "drive": {"a_d": _Param(None, "[0, inf)", kind=float)},  # None: the fixture's
-        "n_amplitudes": _Param(41, "[1, inf)")}),
+        "n_amplitudes": _Param(41, **_rows("amplitude"))}),
 }
 
 

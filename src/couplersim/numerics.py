@@ -65,19 +65,6 @@ class RngStream:
         )
 
 
-@dataclass
-class FitResult:
-    """Outcome of a nonlinear least-squares fit."""
-
-    params: np.ndarray
-    covariance: np.ndarray
-    residual_norm: float
-    converged: bool
-
-    def stderr(self) -> np.ndarray:
-        return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
-
-
 def taylor_coefficients(
     func: Callable[[np.ndarray], np.ndarray],
     center: float,
@@ -334,75 +321,3 @@ def stroboscopic_diagonal(u: np.ndarray, n: int) -> np.ndarray:
     # [j, q, l] @ [j, l, r] -> [j, q, r], flattened to k = q m + r
     diag = np.transpose(giant, (2, 0, 1)) @ np.transpose(baby[:m], (1, 2, 0))
     return np.transpose(diag, (1, 2, 0)).reshape(-1, u.shape[0])[:n]
-
-
-# ---------------------------------------------------------------------------
-# nonlinear least squares
-# ---------------------------------------------------------------------------
-
-def fit_least_squares(
-    model: Callable[..., np.ndarray],
-    x: np.ndarray,
-    y: np.ndarray,
-    initial_guess: Sequence[float],
-    sigma: np.ndarray | None = None,
-    bounds: tuple | None = None,
-    max_nfev: int | None = None,
-) -> FitResult:
-    """Weighted nonlinear least squares, ``model(x, *params) -> y``.
-
-    Data are canonically re-ordered internally (lexicographic sort), so the
-    result is invariant to the ordering of the input samples.  The parameter
-    covariance comes from the Jacobian at the optimum: ``inv(J^T J)`` scaled
-    by the reduced chi-square when no ``sigma`` is supplied.
-
-    Non-convergence is flagged on the result (best point still returned),
-    never raised.
-
-    scipy's trust-region solver stays for its one caller,
-    :func:`~couplersim.rbsim.fit_rb`: that fit is ill-posed on long leakage
-    plateaus, where another optimizer lands at another end point (a 2e-13
-    change in the RB curves moves it by up to 2.4e-2), so the RB outputs
-    are pinned to this solver's.  The readout blob fit does not share it.
-    """
-    from scipy.optimize import least_squares
-
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    p0 = np.asarray(initial_guess, dtype=float)
-    n = y.shape[0]
-    if n < p0.size:
-        raise ValueError(f"need at least {p0.size} data points, got {n}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("data must be finite")
-    w = np.ones(n) if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
-
-    xcols = x.reshape(n, -1)
-    # lexsort treats the last key as primary, so x columns go last
-    order = np.lexsort((w, y) + tuple(xcols[:, i] for i in range(xcols.shape[1] - 1, -1, -1)))
-    xs, ys, ws = x[order], y[order], w[order]
-
-    def residuals(p):
-        return (np.asarray(model(xs, *p), dtype=float) - ys) * ws
-
-    res = least_squares(
-        residuals, p0, bounds=bounds if bounds is not None else (-np.inf, np.inf),
-        max_nfev=max_nfev, xtol=1e-15, ftol=1e-15, gtol=1e-15,
-    )
-    converged = bool(res.success) and res.status in (1, 2, 3, 4)
-
-    jac = res.jac
-    jtj = jac.T @ jac
-    try:
-        cov = np.linalg.pinv(jtj)
-    except np.linalg.LinAlgError:  # pragma: no cover
-        cov = np.full((p0.size, p0.size), np.nan)
-    dof = max(n - p0.size, 1)
-    if sigma is None:
-        cov = cov * (2.0 * res.cost / dof)
-    return FitResult(
-        params=res.x,
-        covariance=cov,
-        residual_norm=float(np.linalg.norm(res.fun)),
-        converged=converged,
-    )

@@ -65,7 +65,7 @@ import numpy as np
 
 from .circuit import DecayRates
 from .dynamics import LEVELS, qutrit_resonator_model
-from .numerics import TWO_PI, RngStream, fit_least_squares, liouvillian
+from .numerics import TWO_PI, RngStream, liouvillian
 
 DEFAULT_N_CL_GRID = tuple(sorted({round(x) for x in np.geomspace(1, 1000, 20).tolist()}))
 #: relative gap between the two fitted decays below which :func:`fit_rb`
@@ -182,13 +182,11 @@ def steady_state_leakage(scenario: RBScenario, with_lr: bool) -> float:
 
 @dataclass(frozen=True)
 class LeakageSteadyStates:
-    """Closed-form equilibrium leakage values and the no-recovery transient."""
+    """Closed-form equilibrium leakage values."""
 
     a2_leak: float
     a2_lr_full: float
     a2_lr_simplified: float
-    n_cl: np.ndarray
-    p_f_of_n: np.ndarray
 
 
 def a2_closed_forms(scenario: RBScenario) -> LeakageSteadyStates:
@@ -198,8 +196,8 @@ def a2_closed_forms(scenario: RBScenario) -> LeakageSteadyStates:
     recovery, finite fidelity and f-state decay.  ``a2_lr_simplified``: the
     resonator-limited form, i.e. the exact steady state of the simplified
     model (perfect recovery, no f-state decay); its denominator is
-    ``4(1 - d_r) + 3 L d_r``.  ``p_f_of_n`` is the no-recovery transient on
-    the scenario grid.
+    ``4(1 - d_r) + 3 L d_r``.  The no-recovery transient is
+    :func:`periodic_lr_trace` at ``n_lr = 0``.
 
     All are rate-equation values, the incoherent limit of the Monte Carlo
     model (see the module docstring).
@@ -216,19 +214,10 @@ def a2_closed_forms(scenario: RBScenario) -> LeakageSteadyStates:
     a2_lr_full = l_cl * d_q * block / denom_full
 
     a2_lr_simplified = l_cl * d_r / (4.0 * (1.0 - d_r) + 3.0 * l_cl * d_r)
-
-    n = np.asarray(scenario.n_cl_grid, dtype=float)
-    base = d_q * (1.0 - 1.5 * l_cl)
-    if denom_leak > 0:
-        p_f = l_cl * (1.0 - base ** n) / denom_leak
-    else:
-        p_f = np.full_like(n, 0.0)
     return LeakageSteadyStates(
         a2_leak=float(a2_leak),
         a2_lr_full=float(a2_lr_full),
         a2_lr_simplified=float(a2_lr_simplified),
-        n_cl=n.astype(int),
-        p_f_of_n=p_f,
     )
 
 
@@ -753,7 +742,7 @@ def monte_carlo_rb(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class RBFitResult:
+class RBFit:
     """Joint leakage-RB fit of P_g and P_f sharing (B2, lambda2):
 
         P_g = A0 + B0 lambda0^n + B2 lambda2^n
@@ -798,60 +787,74 @@ def _rb_initial_guess(n, p_g, p_f):
     return [a0, b0, lam0, a2, b2, lam2]
 
 
-def fit_rb(n_cl: np.ndarray, p_g: np.ndarray, p_f: np.ndarray | None = None) -> RBFitResult:
+#: bounds of one decay's (A, B, lambda)
+_LOWER, _UPPER = [-1.0, -2.0, 1e-6], [2.0, 2.0, 1.0]
+
+
+def _least_squares(residuals, p0, lower, upper):
+    """scipy's bounded trust-region fit at full precision; returns the end
+    point and whether the solver stopped on one of its tolerances."""
+    from scipy.optimize import least_squares
+
+    res = least_squares(residuals, np.asarray(p0, dtype=float), bounds=(lower, upper),
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    return res.x, bool(res.success) and res.status in (1, 2, 3, 4)
+
+
+def _decay_fit(n, y, lam):
+    """``A + B lambda^n`` fitted to one curve, starting at its last point,
+    its span and ``lam``."""
+    return _least_squares(lambda p: p[0] + p[1] * p[2] ** n - y,
+                          [y[-1], y[0] - y[-1], lam], _LOWER, _UPPER)
+
+
+def fit_rb(n_cl: np.ndarray, p_g: np.ndarray, p_f: np.ndarray | None = None) -> RBFit:
     """Fit leakage-RB curves; joint in (B2, lambda2) when P_f is given.
 
-    When the two decays come out within ``DEGENERACY_THRESHOLD`` (relative)
-    of each other the leakage amplitude is poorly identified: the fit is
-    redone with the single-exponential model for P_g, a separate one for
-    P_f, and the degeneracy flag is set.
+    The lengths are sorted once on entry, so the fit does not depend on the
+    order of the grid: the initial guess reads the first, middle and last
+    lengths, and the joint residual runs P_g then P_f at each length, in
+    ascending length.  When the two decays come out within
+    ``DEGENERACY_THRESHOLD`` (relative) of each other the leakage amplitude
+    is poorly identified: the fit is redone with the single-exponential
+    model for P_g, a separate one for P_f, and the degeneracy flag is set.
+    Non-convergence is flagged on the result (best point still returned),
+    never raised.
+
+    The solver stays scipy's bounded trust-region ``least_squares``: the
+    fit is ill-posed on long leakage plateaus, where another optimizer lands
+    at another end point (a 2e-13 change in the RB curves moves it by up to
+    2.4e-2), so the RB outputs are pinned to this solver's
+    (``TestFitRB::test_fit_keeps_its_bits``).
     """
-    n = np.asarray(n_cl, dtype=float)
-    p_g = np.asarray(p_g, dtype=float)
-    if len(n) < 5:
+    # one row per curve; ragged curves raise here
+    curves = np.array([n_cl, p_g] if p_f is None else [n_cl, p_g, p_f], dtype=float)
+    if curves.shape[1] < 5:
         raise ValueError("need at least 5 sequence lengths")
+    if not np.isfinite(curves).all():
+        raise ValueError("lengths and curves must be finite")
+    curves = curves[:, np.argsort(curves[0])]
+    n, p_g = curves[:2]
 
     if p_f is None:
-        def model_g(x, a0, b0, lam0):
-            return a0 + b0 * lam0 ** x
+        (a0, b0, lam0), converged = _decay_fit(n, p_g, 0.99)
+        return RBFit(a0=a0, b0=b0, lambda0=lam0, a2=0.0, b2=0.0, lambda2=1.0,
+                     converged=converged)
 
-        fit = fit_least_squares(model_g, n, p_g, [p_g[-1], p_g[0] - p_g[-1], 0.99],
-                                bounds=([-1, -2, 1e-6], [2, 2, 1.0]))
-        return RBFitResult(a0=fit.params[0], b0=fit.params[1], lambda0=fit.params[2],
-                           a2=0.0, b2=0.0, lambda2=1.0, converged=fit.converged)
+    p_f = curves[2]
+    data = np.column_stack([p_g, p_f]).ravel()
 
-    p_f = np.asarray(p_f, dtype=float)
-    m = len(n)
-    x_joint = np.concatenate([n, n])
-    y_joint = np.concatenate([p_g, p_f])
+    def residuals(p):
+        a0, b0, lam0, a2, b2, lam2 = p
+        leak = b2 * lam2 ** n
+        return np.column_stack([a0 + b0 * lam0 ** n + leak, a2 + leak]).ravel() - data
 
-    # curve tag rides along as a second x column so the model can split
-    x2 = np.column_stack([x_joint, np.concatenate([np.zeros(m), np.ones(m)])])
-
-    def model(x, a0, b0, lam0, a2, b2, lam2):
-        nn, tag = x[:, 0], x[:, 1]
-        g = a0 + b0 * lam0 ** nn + b2 * lam2 ** nn
-        f = a2 + b2 * lam2 ** nn
-        return np.where(tag < 0.5, g, f)
-
-    p0 = _rb_initial_guess(n, p_g, p_f)
-    lo = [-1.0, -2.0, 1e-6, -1.0, -2.0, 1e-6]
-    hi = [2.0, 2.0, 1.0, 2.0, 2.0, 1.0]
-    fit = fit_least_squares(model, x2, y_joint, p0, bounds=(lo, hi))
-    a0, b0, lam0, a2, b2, lam2 = fit.params
-
-    degenerate = abs(lam0 - lam2) < DEGENERACY_THRESHOLD * max(lam0, lam2)
+    (a0, b0, lam0, a2, b2, lam2), converged = _least_squares(
+        residuals, _rb_initial_guess(n, p_g, p_f), _LOWER * 2, _UPPER * 2)
+    degenerate = bool(abs(lam0 - lam2) < DEGENERACY_THRESHOLD * max(lam0, lam2))
     if degenerate:
-        g_only = fit_rb(n_cl, p_g)
-
-        def model_f(x, a2_, b2_, lam2_):
-            return a2_ + b2_ * lam2_ ** x
-
-        f_fit = fit_least_squares(model_f, n, p_f, [p_f[-1], p_f[0] - p_f[-1], 0.9],
-                                  bounds=([-1, -2, 1e-6], [2, 2, 1.0]))
-        return RBFitResult(a0=g_only.a0, b0=g_only.b0, lambda0=g_only.lambda0,
-                           a2=f_fit.params[0], b2=f_fit.params[1], lambda2=f_fit.params[2],
-                           converged=g_only.converged and f_fit.converged, degenerate=True)
-
-    return RBFitResult(a0=a0, b0=b0, lambda0=lam0, a2=a2, b2=b2, lambda2=lam2,
-                       converged=fit.converged)
+        (a0, b0, lam0), g_converged = _decay_fit(n, p_g, 0.99)
+        (a2, b2, lam2), f_converged = _decay_fit(n, p_f, 0.9)
+        converged = g_converged and f_converged
+    return RBFit(a0=a0, b0=b0, lambda0=lam0, a2=a2, b2=b2, lambda2=lam2,
+                 converged=converged, degenerate=degenerate)

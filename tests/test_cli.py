@@ -185,6 +185,19 @@ class TestOutputs:
         assert set(split) == {"leakage_rb.csv", "leakage_rb_fit.json"}
         assert split == data_files(tmp_path / "in-process")
 
+    def test_fit_ignores_the_order_of_the_grid(self, tmp_path):
+        # the default grid descending: the same curve rows in reverse, and
+        # the same fit, byte for byte
+        assert run(write_config(tmp_path, "leakage-rb"), tmp_path / "ascending") == 0
+        grid = list(reversed(rbsim.DEFAULT_N_CL_GRID))
+        config = write_config(tmp_path, "leakage-rb", {"n_cl_grid": grid})
+        assert run(config, tmp_path / "descending") == 0
+        ascending = data_files(tmp_path / "ascending")
+        descending = data_files(tmp_path / "descending")
+        assert descending["leakage_rb_fit.json"] == ascending["leakage_rb_fit.json"]
+        header, *rows = ascending["leakage_rb.csv"].splitlines()
+        assert descending["leakage_rb.csv"].splitlines() == [header, *reversed(rows)]
+
     def test_manifest_hashes_match_files(self, tmp_path):
         config = write_config(tmp_path, "leakage-rb", RB_PARAMS)
         assert run(config, tmp_path / "a") == 0
@@ -301,6 +314,9 @@ class TestSchema:
         ("reset-dynamics", {"n_points": 1e30}, "params.n_points"),
         ("lr-dynamics", {"n_points": 1e30}, "params.n_points"),
         ("chi-map", {"n_points": 1e30}, "params.n_points"),
+        ("periodic-lr", {"n_max": 1e30}, "params.n_max"),
+        ("floquet-report", {"n_amplitudes": 1e30}, "params.n_amplitudes"),
+        ("readout-shots", {"n_shots": 1e30}, "params.n_shots"),
         # each Monte Carlo state holds its buffers and Clifford draws
         ("leakage-rb", {"n_randomizations": 1e30}, "params.n_randomizations"),
     ])

@@ -15,7 +15,6 @@ from couplersim.floquet import (_BESSEL_MAX_ARG, _bessel_j, coupler_block,
                                 modulated_hamiltonian, modulation_spectrum)
 from couplersim.numerics import (
     RngStream,
-    fit_least_squares,
     midpoint_spectrum,
     periodic_propagator,
     propagate,
@@ -346,94 +345,6 @@ class TestCZScanOracle:
                 zc = (m2[n_full, 0] * np.conj(m1[n_full, 0]) * np.conj(m1[n_full, 1])
                       * np.conj(m2_0[n_full, 0]) * m1_0[n_full, 0] * m1_0[n_full, 1])
                 assert abs(np.angle(zc * np.exp(-1j * scan.phase[i]))) < 1e-10
-
-
-class TestFitLeastSquares:
-    def test_exact_linear(self):
-        x = np.linspace(0, 10, 14)
-        y = 3.0 * x - 1.25
-
-        def model(x, a, b):
-            return a * x + b
-
-        fit = fit_least_squares(model, x, y, [1.0, 0.0])
-        assert fit.converged
-        assert fit.residual_norm == pytest.approx(0.0, abs=1e-10)
-        assert fit.params[0] == pytest.approx(3.0, abs=1e-12)
-        assert fit.params[1] == pytest.approx(-1.25, abs=1e-11)
-
-    def test_noiseless_exponential_roundtrip(self):
-        n = np.arange(0, 60, 3, dtype=float)
-        a_true, lam_true = 0.71, 0.955
-        y = a_true * lam_true ** n
-
-        def model(n, a, lam):
-            return a * lam ** n
-
-        fit = fit_least_squares(model, n, y, [0.5, 0.9])
-        assert abs(fit.params[0] - a_true) < 1e-8
-        assert abs(fit.params[1] - lam_true) < 1e-8
-
-    def test_permutation_invariance_is_exact(self):
-        rng = np.random.default_rng(3)
-        x = np.linspace(0, 5, 40)
-        y = 2.0 * np.exp(-0.7 * x) + 0.05 * rng.standard_normal(40)
-
-        def model(x, a, b):
-            return a * np.exp(-b * x)
-
-        fit1 = fit_least_squares(model, x, y, [1.0, 1.0])
-        perm = rng.permutation(40)
-        fit2 = fit_least_squares(model, x[perm], y[perm], [1.0, 1.0])
-        assert np.array_equal(fit1.params, fit2.params)
-
-    def test_rb_curve_vs_grid_search_oracle(self):
-        rng = np.random.default_rng(42)
-        n = np.unique(np.geomspace(1, 400, 16).astype(int)).astype(float)
-        a0, b0, lam = 0.5, 0.5, 0.992
-        p_true = a0 + b0 * lam ** n
-        shots = 10_000
-        y = rng.binomial(shots, p_true) / shots
-        sigma = np.sqrt(np.clip(p_true * (1 - p_true), 1e-6, None) / shots)
-
-        def model(n, a, b, l):
-            return a + b * l ** n
-
-        fit = fit_least_squares(model, n, y, [0.4, 0.6, 0.98], sigma=sigma)
-        err_lam = fit.stderr()[2]
-        assert abs(fit.params[2] - lam) < 3 * err_lam
-
-        # dense grid-search oracle over (A0, B0, lambda0)
-        grid_a = np.linspace(0.4, 0.6, 41)
-        grid_b = np.linspace(0.4, 0.6, 41)
-        grid_l = np.linspace(0.985, 0.998, 53)
-        best = (np.inf, None)
-        for a in grid_a:
-            for b in grid_b:
-                resid = (a + b * grid_l[:, None] ** n[None, :] - y) / sigma
-                cost = np.sum(resid ** 2, axis=1)
-                i = int(np.argmin(cost))
-                if cost[i] < best[0]:
-                    best = (cost[i], grid_l[i])
-        fit_cost = fit.residual_norm ** 2
-        assert fit_cost <= best[0] + 1e-9
-        assert abs(best[1] - fit.params[2]) < 3 * err_lam + (grid_l[1] - grid_l[0])
-
-    def test_nonconvergence_flagged(self):
-        x = np.linspace(0, 1, 8)
-        y = np.sin(7 * x)
-
-        def model(x, a, b):
-            return a * np.exp(b * x)
-
-        fit = fit_least_squares(model, x, y, [1.0, 1.0], max_nfev=2)
-        assert not fit.converged
-        assert fit.params is not None
-
-    def test_requires_enough_points(self):
-        with pytest.raises(ValueError):
-            fit_least_squares(lambda x, a, b, c: a * x, np.array([1.0]), np.array([2.0]),
-                              [1.0, 1.0, 1.0])
 
 
 class TestRngStream:

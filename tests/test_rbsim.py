@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import io
 import math
@@ -68,15 +69,6 @@ class TestRateEquation:
             vec = rbsim.cycle_matrix(sc, n % 3 == 0) @ vec
             expected.append(vec[1])
         assert rbsim.periodic_lr_trace(sc)[1].tolist() == expected
-
-    @pytest.mark.parametrize("l_cl", [0.005, 0.02, 0.2])
-    def test_no_recovery_transient_matches_stepped_rate_equation(self, l_cl):
-        # the closed-form transient against n_lr = 0 stepping on the grid
-        sc = scenario(l_cl=l_cl, n_lr=0)
-        forms = rbsim.a2_closed_forms(sc)
-        _, p_f = rbsim.periodic_lr_trace(sc)
-        assert forms.n_cl.tolist() == list(sc.n_cl_grid)
-        np.testing.assert_allclose(forms.p_f_of_n, p_f[forms.n_cl], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("l_cl", [0.0, 0.01, 0.03, 0.1])
     def test_recovery_pays_off_above_breakeven(self, l_cl):
@@ -171,9 +163,7 @@ class TestMonteCarlo:
         # sha256 of the four statistics arrays as the three-operand einsum
         # conjugations computed them (numpy 2.4.6 and its bundled OpenBLAS on
         # x86-64: the channel GEMMs round as that BLAS does)
-        sc = scenario(n_lr=0 if kind == "n_lr 0" else 2, n_cl_grid=MC_GRID)
-        curves = rbsim.monte_carlo_rb(sc, RngStream(seed=5), n_randomizations=r_count,
-                                      depolarizing_error=0.01 if kind == "depolarizing" else None)
+        curves = pinned_curves(kind, r_count)
         digest = hashlib.sha256()
         for name in ("p_g_mean", "p_g_std", "p_f_mean", "p_f_std"):
             digest.update(getattr(curves, name).tobytes())
@@ -401,6 +391,29 @@ CURVE_SHA256 = {
     ("depolarizing", 33): "b1f141910ad71b15208bf074cb8214724912399eab0aaa900be426d94af29931",
 }
 
+#: ``TestFitRB::test_fit_keeps_its_bits``: on the ``CURVE_SHA256`` curves,
+#: the degeneracy flag and the sha256 over the bytes of the six fitted
+#: parameters (a0, b0, lambda0, a2, b2, lambda2), as scipy 1.17.1's
+#: trust-region solver returns them
+FIT_SHA256 = {
+    ("n_lr 0", 2): (True, "b6a96223688e2f9167490b1ca9ee9c53d1a675ebdea3f6becea41a8d42a49c00"),
+    ("n_lr 2", 2): (False, "905030c304d24ca20a55d1747b395c2cd1edde2a997ef728e6240cd05d559dfb"),
+    ("depolarizing", 2): (True,
+                          "158e1e0caea1359991b7736ea51ba61e624dc03f80b0c85874a7a21fe3e59201"),
+    ("n_lr 0", 33): (True, "af3ba73ae445981a1b5544942c3cddcdc2b77ab5e61918a54c651eaaf385f320"),
+    ("n_lr 2", 33): (False, "1967842ebfe246e2204afd827d126d80bbc66db1c856f4e2e465fbb518c3b298"),
+    ("depolarizing", 33): (False,
+                           "2981ec032b895004bc9a2d4134f188e805931f1e078d82498523590d9e5576ea"),
+}
+
+
+def pinned_curves(kind: str, r_count: int) -> rbsim.RBCurves:
+    """The Monte Carlo curves that ``CURVE_SHA256`` pins."""
+    sc = scenario(n_lr=0 if kind == "n_lr 0" else 2, n_cl_grid=MC_GRID)
+    return rbsim.monte_carlo_rb(sc, RngStream(seed=5), n_randomizations=r_count,
+                                depolarizing_error=0.01 if kind == "depolarizing" else None)
+
+
 FRESH_PROLOGUE = """
 import resource, time
 from couplersim import presets, rbsim
@@ -548,3 +561,75 @@ class TestFitRB:
         fit = rbsim.fit_rb(n, p_g, p_f)
         assert fit.degenerate
         assert fit.lambda2 == pytest.approx(0.951, rel=1e-6)  # from the P_f-only refit
+
+    @pytest.mark.parametrize("r_count", [2, 33])
+    @pytest.mark.parametrize("kind", ["n_lr 0", "n_lr 2", "depolarizing"])
+    def test_fit_keeps_its_bits(self, r_count, kind):
+        # the joint fit and the degenerate refits, bit for bit
+        curves = pinned_curves(kind, r_count)
+        fit = rbsim.fit_rb(curves.n_cl, curves.p_g_mean, curves.p_f_mean)
+        params = np.array([fit.a0, fit.b0, fit.lambda0, fit.a2, fit.b2, fit.lambda2])
+        assert fit.converged
+        assert (fit.degenerate, hashlib.sha256(params.tobytes()).hexdigest()) \
+            == FIT_SHA256[kind, r_count]
+
+    @pytest.mark.parametrize("kind", ["n_lr 0", "n_lr 2"])  # degenerate, joint
+    def test_permuted_lengths_give_the_same_bits(self, kind):
+        curves = pinned_curves(kind, 33)
+        n, p_g, p_f = curves.n_cl, curves.p_g_mean, curves.p_f_mean
+        joint, g_only = rbsim.fit_rb(n, p_g, p_f), rbsim.fit_rb(n, p_g)
+        rng = np.random.default_rng(11)
+        for perm in [np.arange(len(n))[::-1]] + [rng.permutation(len(n)) for _ in range(5)]:
+            assert rbsim.fit_rb(n[perm], p_g[perm], p_f[perm]) == joint
+            assert rbsim.fit_rb(n[perm], p_g[perm]) == g_only
+
+    def test_single_exponential_vs_grid_search_oracle(self):
+        # binomial shot noise on a standard-RB curve: no point of a dense
+        # (A0, B0, lambda0) grid has a smaller sum of squared residuals, and
+        # the best one lies within a grid step of the fitted decay
+        rng = np.random.default_rng(42)
+        n = np.unique(np.geomspace(1, 400, 16).astype(int)).astype(float)
+        shots = 10_000
+        y = rng.binomial(shots, 0.5 + 0.5 * 0.992 ** n) / shots
+        fit = rbsim.fit_rb(n, y)
+        assert fit.converged
+        a, b, lam = np.meshgrid(np.linspace(0.4, 0.6, 41), np.linspace(0.4, 0.6, 41),
+                                np.linspace(0.985, 0.998, 53), indexing="ij")
+        cost = np.sum((a[..., None] + b[..., None] * lam[..., None] ** n - y) ** 2, axis=-1)
+        best = np.unravel_index(np.argmin(cost), cost.shape)
+        assert np.sum((fit.a0 + fit.b0 * fit.lambda0 ** n - y) ** 2) <= cost[best]
+        assert abs(lam[best] - fit.lambda0) <= lam[0, 0, 1] - lam[0, 0, 0]
+
+    def test_exhausted_budget_is_flagged(self, monkeypatch):
+        import scipy.optimize
+
+        monkeypatch.setattr(scipy.optimize, "least_squares",
+                            functools.partial(scipy.optimize.least_squares, max_nfev=2))
+        curves = pinned_curves("n_lr 2", 33)
+        for fit in (rbsim.fit_rb(curves.n_cl, curves.p_g_mean, curves.p_f_mean),
+                    rbsim.fit_rb(curves.n_cl, curves.p_g_mean)):
+            assert not fit.converged
+            assert np.isfinite([fit.a0, fit.b0, fit.lambda0, fit.a2, fit.b2, fit.lambda2]).all()
+
+    @pytest.mark.parametrize("curve, index, value", [
+        ("n", 2, np.nan), ("p_g", 0, np.nan), ("p_g", 5, np.inf), ("p_f", 3, -np.inf),
+    ])
+    def test_non_finite_curves_are_refused(self, curve, index, value):
+        n = np.arange(1.0, 7.0)
+        curves = dict(zip(("p_g", "p_f"), joint_curves(n, 0.5, 0.49, 0.99, 0.01, -0.01, 0.9)),
+                      n=n)
+        curves[curve][index] = value
+        with pytest.raises(ValueError, match="finite"):
+            rbsim.fit_rb(curves["n"], curves["p_g"], curves["p_f"])
+
+    def test_short_or_ragged_curves_are_refused(self):
+        n = np.arange(1.0, 5.0)
+        with pytest.raises(ValueError, match="5 sequence lengths"):
+            rbsim.fit_rb(n, *joint_curves(n, 0.5, 0.49, 0.99, 0.01, -0.01, 0.9))
+        with pytest.raises(ValueError, match="5 sequence lengths"):
+            rbsim.fit_rb(n, 0.5 + 0.5 * 0.99 ** n)
+        n = np.arange(1.0, 7.0)
+        p_g, p_f = joint_curves(n, 0.5, 0.49, 0.99, 0.01, -0.01, 0.9)
+        for curves in ((p_g[:-1],), (p_g, p_f[:-1]), (np.append(p_g, 0.5), p_f)):
+            with pytest.raises(ValueError):
+                rbsim.fit_rb(n, *curves)
