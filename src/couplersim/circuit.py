@@ -7,23 +7,22 @@ phase argument entering the junction interference directly (period pi in
 E_J); flux in units of Phi_0 maps as ``phi_ext = pi * Phi / Phi_0``.
 
 This module is the one place that knows the coupling convention and the
-bosonic matrix elements.  :func:`build_hamiltonian` returns the full
-(non-RWA) Hamiltonian in rad/s; :func:`manifold_hamiltonian` returns a
-block of the same matrix in Hz between chosen occupation tuples.  Every
-reduced model of the package (the driven transition manifolds, the CZ
-excitation manifolds, the static ZZ) is such a block: restricted to states
-of equal total excitation it is number conserving, so counter-rotating
-terms drop out by construction.
+bosonic matrix elements.  :func:`manifold_hamiltonian` returns a block of
+the full (non-RWA) circuit Hamiltonian in Hz between chosen occupation
+tuples.  Every reduced model of the package (the driven transition
+manifolds, the CZ excitation manifolds) is such a block: restricted to
+states of equal total excitation it is number conserving, so
+counter-rotating terms drop out by construction.  The full matrix at a
+chosen truncation is the test oracle ``build_hamiltonian`` of
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-
-from .numerics import TWO_PI
 
 ELEMENTS = ("Q1", "Q2", "C", "R")
 
@@ -90,7 +89,7 @@ def coupler_spec_from_band(omega_min: float, omega_max: float, alpha_c: float) -
 
 @dataclass(frozen=True)
 class CircuitSpec:
-    """Element frequencies, anharmonicities, static couplings and truncations.
+    """Element frequencies, anharmonicities and static couplings.
 
     ``omega`` has one entry per element (Hz); ``alpha`` covers the
     transmon-like elements Q1, Q2, C (negative, Hz); the resonator is
@@ -102,14 +101,11 @@ class CircuitSpec:
     alpha: dict
     g: dict
     coupler: CouplerSpec
-    truncation: dict = field(default_factory=lambda: {"Q1": 3, "Q2": 3, "C": 2, "R": 2})
 
     def __post_init__(self):
         for el in ELEMENTS:
             if el not in self.omega:
                 raise ValueError(f"missing frequency for element {el}")
-            if self.truncation.get(el, 0) < 2:
-                raise ValueError(f"truncation for {el} must be >= 2")
         for el in ("Q1", "Q2", "C"):
             if el not in self.alpha:
                 raise ValueError(f"missing anharmonicity for {el}")
@@ -128,15 +124,6 @@ class CircuitSpec:
                 raise ValueError(f"conflicting values for coupling {key}")
             canon[key] = float(val)
         object.__setattr__(self, "g", canon)
-
-    def coupling(self, i: str, j: str) -> float:
-        """Symmetric static coupling g_ij (Hz); zero when unspecified."""
-        return self.g.get(tuple(sorted((i, j))), 0.0)
-
-    def at_flux(self, phi_ext: float) -> "CircuitSpec":
-        """Copy with the coupler frequency evaluated at the given flux."""
-        return replace(self, omega={**self.omega,
-                                    "C": float(coupler_frequency(phi_ext, self.coupler))})
 
 
 @dataclass(frozen=True)
@@ -177,10 +164,17 @@ def _lift(op: np.ndarray, index: int, dims: list[int]) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-def _hamiltonian_hz(spec: CircuitSpec) -> np.ndarray:
-    """:func:`build_hamiltonian` in Hz (the exact number operator on the
-    diagonal, so ``2 omega + alpha`` is exact)."""
-    dims = [spec.truncation[el] for el in ELEMENTS]
+def _hamiltonian_hz(spec: CircuitSpec, dims) -> np.ndarray:
+    """Circuit Hamiltonian (Hz) with ``dims`` levels per element, in the
+    order of :data:`ELEMENTS`.
+
+    Kinetic terms ``omega_i n_i``, Kerr terms ``(alpha_i/2) n_i (n_i - 1)``
+    (the exact number operator on the diagonal, so ``2 omega + alpha`` is
+    exact) and pairwise couplings ``g_ij (a_i^dag - a_i)(a_j^dag - a_j)``
+    with the full (non-RWA) coupling operator.  Tensor order is
+    Q1 x Q2 x C x R; the single-excitation off-diagonal element of a
+    coupled pair is ``-g_ij``.
+    """
     ladders = []
     for el, d in zip(ELEMENTS, dims):
         n = np.arange(d, dtype=float)
@@ -193,32 +187,16 @@ def _hamiltonian_hz(spec: CircuitSpec) -> np.ndarray:
     return h
 
 
-def build_hamiltonian(spec: CircuitSpec) -> np.ndarray:
-    """Truncated system Hamiltonian in angular units (rad/s).
-
-    Kinetic terms ``omega_i n_i``, Kerr terms ``(alpha_i/2) n_i (n_i - 1)``
-    and pairwise couplings ``g_ij (a_i^dag - a_i)(a_j^dag - a_j)`` with the
-    full (non-RWA) coupling operator.  Tensor order is Q1 x Q2 x C x R; the
-    single-excitation off-diagonal element of a coupled pair is ``-g_ij``.
-    The matrix is assembled in Hz and scaled by 2 pi once.
-
-    Test oracle: the full-circuit check of :func:`manifold_hamiltonian`,
-    whose blocks every driven scenario uses, and of the static ZZ.
-    """
-    return TWO_PI * _hamiltonian_hz(spec)
-
-
 def manifold_hamiltonian(spec: CircuitSpec, states) -> np.ndarray:
     """Block of the circuit Hamiltonian (Hz) between the given basis states.
 
     ``states`` is a sequence of occupation tuples ``(n_Q1, n_Q2, n_C, n_R)``;
-    entry ``[i, j]`` is ``<states[i]| H / 2 pi |states[j]>`` of
-    :func:`build_hamiltonian`, built at the smallest truncation holding the
-    states (``spec.truncation`` is ignored).  Choosing states of equal total
-    excitation gives a number-conserving (rotating-wave) manifold.
+    entry ``[i, j]`` is ``<states[i]| H / h |states[j]>`` of the circuit
+    Hamiltonian, built at the smallest truncation holding the states.
+    Choosing states of equal total excitation gives a number-conserving
+    (rotating-wave) manifold.
     """
     occupations = tuple(zip(*states))  # one tuple per element
     dims = [max(2, 1 + max(n)) for n in occupations]
-    small = replace(spec, truncation=dict(zip(ELEMENTS, dims)))
     idx = np.ravel_multi_index(occupations, dims)
-    return _hamiltonian_hz(small)[np.ix_(idx, idx)]
+    return _hamiltonian_hz(spec, dims)[np.ix_(idx, idx)]

@@ -597,7 +597,8 @@ SCENARIOS = {
             whole=(lambda p: abs(sum(p) - 1.0) <= protocols.POPULATION_SUM_TOL, "must sum to 1")),
         "rates": _rates("gamma1")}),
     "cz-chevron": (_run_cz_chevron, "Fig. 8(a,b)", {
-        "omega_d_span": _Param((-15e6, 15e6), length=(2, 2)), "n_omega": _Param(13, "[1, inf)"),
+        "omega_d_span": _Param((-15e6, 15e6), length=(2, 2)),
+        "n_omega": _Param(13, **_rows("drive frequency")),
         "max_duration": _Param(1.2e-6, "(0, inf)"), "n_sub": _Param(1024, "[1, inf)")}),
     "floquet-report": (_run_floquet_report, "Fig. 4(c) couplings", {
         "kind": _Param("reset", choices=tuple(_FIXTURE_DRIVES)),

@@ -1,8 +1,11 @@
 """Time-domain models: pulse envelopes, the closed-form damped two-level
 swap, three-level leakage-recovery dynamics, and the one Lindblad model of
 the qutrit x resonator system behind them, :func:`qutrit_resonator_model`:
-with a swap drive it is the ODE oracle of the reset and leakage-recovery
-closed forms, and without one it gives the idle windows of ``leakage-rb``.
+without a swap drive it gives the idle windows of ``leakage-rb``, and with
+one it is the model the tests integrate as the ODE oracle of the reset and
+leakage-recovery closed forms.  That integrator, ``propagate``, and the
+pointwise envelope ``envelope_value`` live with the tests
+(``tests/oracles.py``): no scenario runs them.
 
 One closed form, :func:`damped_swap`, gives the donor and acceptor
 populations of the damped swap, for reset (``reset-dynamics``) and leakage
@@ -58,28 +61,6 @@ class EnvelopeSpec:
     @property
     def fall_start(self) -> float:
         return self.total_length - EDGE_SIGMAS * self.sigma_fall
-
-
-def _edge(u: np.ndarray, sigma: float) -> np.ndarray:
-    """Offset-subtracted Gaussian edge; u is distance from the plateau."""
-    cut = math.exp(-(EDGE_SIGMAS ** 2) / 2.0)
-    return (np.exp(-(u / sigma) ** 2 / 2.0) - cut) / (1.0 - cut)
-
-
-def envelope_value(t, env: EnvelopeSpec):
-    """Envelope amplitude at time t (0 outside the pulse window)."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = (t >= 0) & (t <= env.total_length)
-    plateau = inside & (t >= env.rise_end) & (t <= env.fall_start)
-    out[plateau] = 1.0
-    if env.sigma_rise > 0:
-        rising = inside & (t < env.rise_end)
-        out[rising] = _edge(env.rise_end - t[rising], env.sigma_rise)
-    if env.sigma_fall > 0:
-        falling = inside & (t > env.fall_start)
-        out[falling] = _edge(t[falling] - env.fall_start, env.sigma_fall)
-    return out if out.ndim else float(out)
 
 
 def _edge_integral(x: float, sigma: float) -> float:
@@ -251,8 +232,8 @@ LEVELS = ("g0", "g1", "e0", "e1", "f0", "f1")
 def qutrit_resonator_model(rates: DecayRates, swap: tuple | None = None):
     """Hamiltonian (rad/s) and collapse list of Q1 as a qutrit coupled to
     the lossy readout resonator, on the basis :data:`LEVELS`, for
-    :func:`couplersim.numerics.liouvillian` and
-    :func:`couplersim.numerics.propagate`.
+    :func:`couplersim.numerics.liouvillian` and the ODE oracle ``propagate``
+    of ``tests/oracles.py``.
 
     The collapse operators, in this order: qubit decay e -> g at Gamma_1,
     f -> e at Gamma_fe, dephasing ``sqrt(2) n_q`` at Gamma_phi and photon

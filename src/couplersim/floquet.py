@@ -8,9 +8,11 @@ Every time-domain model is one modulated-coupler Hamiltonian: a block of
 the circuit Hamiltonian with the coupler frequency following the flux
 pulse, ``H(t) = 2 pi (S + omega_C(phi(t)) n_C)`` in the lab frame
 (:func:`coupler_block`, :func:`modulated_hamiltonian`).  The CZ
-calibration propagates it on the CZ excitation manifolds; the exact
-oracle used to validate the closed forms (stroboscopic one-period
-propagator, quasi-energies) propagates it on a transition manifold.
+calibration propagates it on the CZ excitation manifolds.  The exact
+oracle of the closed forms propagates it on a transition manifold
+(stroboscopic one-period propagator, quasi-energies); it runs in no
+scenario and lives with the tests, in ``tests/oracles.py``, as does the
+exact coupler elimination of an :class:`EffectiveFrame`.
 
 The flux pulse is ``phi_ext(t) = phi_dc + a_d * sin(2*pi*f_d*t)``; the
 modulated coupler frequency is expanded as
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuit import ELEMENTS, CircuitSpec, CouplerSpec, coupler_frequency, manifold_hamiltonian
-from .numerics import TWO_PI, midpoint_spectrum, periodic_propagator, taylor_coefficients
+from .numerics import TWO_PI, midpoint_spectrum, taylor_coefficients
 
 
 #: samples per drive period of the exact Fourier coefficients
@@ -363,50 +365,6 @@ class EffectiveFrame:
     g_tilde_ac: float
     g_tilde_bc: float
 
-    def matrix(self, delta_b: float = 0.0) -> np.ndarray:
-        """Effective 3x3 drive-frame Hamiltonian (Hz).
-
-        ``delta_b`` is the bare B-state detuning ``(omega_B - omega_A) -
-        k*omega_D`` left after the rotating transformation; zero exactly on
-        the bare resonance.
-        """
-        return np.array([
-            [self.omega_tilde_a, self.g_tilde_ab, self.g_tilde_ac],
-            [self.g_tilde_ab, delta_b + self.omega_tilde_b, self.g_tilde_bc],
-            [self.g_tilde_ac, self.g_tilde_bc, self.delta_tilde_c],
-        ])
-
-    def _qubit_gap(self, delta_b: float) -> float:
-        evals = np.linalg.eigvalsh(self.matrix(delta_b))
-        low = np.sort(evals[np.argsort(np.abs(evals - self.omega_tilde_a))[:2]])
-        return float(low[1] - low[0])
-
-    def dressed_resonance_offset(self) -> float:
-        """B-state detuning ``delta_b`` at which the dressed A and B branches
-        anticross (the dressed-resonance condition), searched within ten
-        times the largest frame entry plus 20 MHz."""
-        from scipy.optimize import minimize_scalar
-
-        scale = max(abs(self.omega_tilde_a), abs(self.omega_tilde_b),
-                    abs(self.g_tilde_ab), 1e5)
-        window = 10.0 * scale + 20e6
-        res = minimize_scalar(self._qubit_gap, bounds=(-window, window),
-                              method="bounded", options={"xatol": 1e-2})
-        return float(res.x)
-
-    def swap_coupling(self) -> float:
-        """Exact effective A-B coupling of this frame (Hz): half the minimum
-        eigenvalue splitting of the 3x3 drive-frame matrix over the B-state
-        detuning (exact coupler elimination).
-
-        The perturbative coupler elimination with the conventional
-        second-order weight is ``g~_AB - g~_AC g~_CB / Delta~_C``, which this
-        quantity reproduces to O((g/Delta)^2); the correction returned by
-        :func:`schrieffer_wolff_correction` counts the virtual path with
-        twice that weight, as printed in its source.
-        """
-        return 0.5 * self._qubit_gap(self.dressed_resonance_offset())
-
 
 def k2_closed_forms(man: TransitionManifold, drive: DriveSpec,
                     spectrum: DriveSpectrum) -> EffectiveFrame:
@@ -513,7 +471,7 @@ def chi_shift(g_tilde_qr: float, delta_drive: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact time-domain oracle (stroboscopic propagation of the manifold)
+# stroboscopic propagation of a modulated block
 # ---------------------------------------------------------------------------
 
 def modulation_spectrum(block: tuple, coupler: CouplerSpec, drive: DriveSpec, n_sub: int):
@@ -528,65 +486,3 @@ def modulation_spectrum(block: tuple, coupler: CouplerSpec, drive: DriveSpec, n_
     """
     h_of_t = modulated_hamiltonian(block, coupler, drive)
     return midpoint_spectrum(h_of_t, 1.0 / drive.omega_d, n_sub if drive.a_d else 1)
-
-
-def _branch_gap(u: np.ndarray, wd: float) -> float:
-    """Quasi-energy splitting (Hz) of the two Floquet branches of the
-    one-period propagator ``u`` with most weight on states A and B."""
-    ev, vec = np.linalg.eig(u)
-    eps = -np.angle(ev) * wd / TWO_PI  # Hz, defined mod omega_d
-
-    weights = np.abs(vec[0, :]) ** 2 + np.abs(vec[1, :]) ** 2
-    idx = np.argsort(weights)[-2:]
-    de = eps[idx[0]] - eps[idx[1]]
-    de = (de + wd / 2.0) % wd - wd / 2.0
-    return abs(de)
-
-
-def quasi_energy_gap(
-    manifold: TransitionManifold,
-    coupler: CouplerSpec,
-    drive: DriveSpec,
-    n_sub: int = 4096,
-) -> float:
-    """Quasi-energy splitting (Hz) of the A- and B-like Floquet branches.
-
-    The eigenphases of the lab-frame one-period propagator of
-    :func:`modulated_hamiltonian` give the quasi-energies (frame-independent
-    modulo ``omega_d``); the avoided-crossing gap equals twice the exact
-    effective coupling.  Test oracle of the ``floquet-report`` couplings.
-    """
-    spectrum = modulation_spectrum(manifold.block, coupler, drive, n_sub)
-    return _branch_gap(periodic_propagator(spectrum, 1.0 / drive.omega_d), drive.omega_d)
-
-
-def find_parametric_resonance(
-    manifold: TransitionManifold,
-    coupler: CouplerSpec,
-    drive: DriveSpec,
-    span: float = 30e6,
-    n_coarse: int = 25,
-    n_sub: int = 2048,
-) -> tuple[float, float]:
-    """Locate the dressed resonance: the drive frequency minimising the
-    quasi-energy gap.  Returns ``(omega_d_star, gap_hz)``.
-
-    The drive amplitude is fixed, so one :func:`modulation_spectrum` serves
-    the coarse grid and the bounded search.  Test oracle of the
-    ``cz-chevron`` oscillation frequencies and of the k = 2 coupling scaling."""
-    from scipy.optimize import minimize_scalar
-
-    w0 = manifold.bare_drive_frequency
-    spectrum = modulation_spectrum(manifold.block, coupler, drive, n_sub)
-
-    def gap(wd: float) -> float:
-        return _branch_gap(periodic_propagator(spectrum, 1.0 / wd), wd)
-
-    grid = w0 + np.linspace(-span, span, n_coarse)
-    gaps = [gap(w) for w in grid]
-    i = int(np.argmin(gaps))
-    lo = grid[max(0, i - 1)]
-    hi = grid[min(n_coarse - 1, i + 1)]
-    res = minimize_scalar(gap, bounds=(lo, hi), method="bounded",
-                          options={"xatol": span * 1e-5})
-    return float(res.x), float(res.fun)

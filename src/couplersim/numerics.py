@@ -5,16 +5,17 @@ Conventions used across the package:
 * User-facing frequencies, couplings and decay rates are cyclic (Hz, the
   ``omega/2pi`` numbers).  Dynamical formulas convert to angular units
   (``2*pi*f``) internally.
-* Hamiltonian matrices handed to :func:`propagate` carry angular entries
-  (energy/hbar in rad/s); collapse rates are cyclic Hz and are multiplied
-  by ``2*pi`` inside the dissipator.
+* Hamiltonian matrices handed to :func:`liouvillian` and the periodic
+  propagator carry angular entries (energy/hbar in rad/s); collapse rates
+  are cyclic Hz and are multiplied by ``2*pi`` inside the dissipator.
 * Superoperators act on ``vec(rho)`` in row-major order; :func:`liouvillian`
-  builds the Lindblad generator in that convention for every caller: the
-  ``leakage-rb`` windows exponentiate it, and :func:`propagate` integrates
-  its dissipator with DOP853, the package's one master-equation integrator.
+  builds the Lindblad generator in that convention, and the ``leakage-rb``
+  windows exponentiate it.  The package integrates no master equation in
+  time: the Lindblad ODE oracle of the closed forms, ``propagate``, lives
+  with the tests (``tests/oracles.py``) and takes its dissipator from here.
 
-The periodic-propagator engine, shared by the Floquet oracle and the CZ
-calibration, has two steps.  :func:`midpoint_spectrum` samples a vectorised
+The periodic-propagator engine, shared by the CZ calibration and the
+Floquet oracle of the tests, has two steps.  :func:`midpoint_spectrum` samples a vectorised
 ``h_of_t`` at the step midpoints of one period, diagonalises the samples in
 one batched ``eigh`` and forms the overlaps ``O_k = V_(k+1)^dag V_k`` of
 neighbouring eigenbases in one batched product; :func:`periodic_propagator`
@@ -91,36 +92,15 @@ def taylor_coefficients(
 
 
 # ---------------------------------------------------------------------------
-# open-system propagation
+# Lindblad generator
 # ---------------------------------------------------------------------------
-
-def _check_density_matrix(rho: np.ndarray) -> None:
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("initial state must be a square matrix")
-    if np.linalg.norm(rho - rho.conj().T) > 1e-9 * max(1.0, np.linalg.norm(rho)):
-        raise ValueError("initial state must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > 1e-12:
-        raise ValueError("initial state must have unit trace")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -1e-9:
-        raise ValueError(f"initial state not positive semidefinite (min eig {evals.min():.2e})")
-
-
-def _max_frequency_hz(h_samples: Sequence[np.ndarray], collapse: Sequence[tuple]) -> float:
-    f = 0.0
-    for h in h_samples:
-        ev = np.linalg.eigvalsh(h)
-        f = max(f, float(ev.max() - ev.min()) / TWO_PI)
-    for _, rate_hz in collapse:
-        f = max(f, abs(rate_hz))
-    return f
-
 
 def liouvillian(hamiltonian: np.ndarray, collapse_rates: Sequence[tuple]) -> np.ndarray:
     """Lindblad generator as a ``(d^2, d^2)`` matrix in the row-major vec
     convention, ``vec(rho)[i*d + j] = rho[i, j]``, so that ``U rho U^dag``
     is ``kron(U, U.conj())``.  ``hamiltonian`` in rad/s; ``collapse_rates``
-    as in :func:`propagate`."""
+    is a sequence of ``(operator, rate_hz)``, jump operators with cyclic
+    rates, and the dissipator uses ``C = sqrt(2*pi*rate) * operator``."""
     h = np.asarray(hamiltonian, dtype=complex)
     ident = np.eye(h.shape[0])
     liou = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
@@ -130,110 +110,6 @@ def liouvillian(hamiltonian: np.ndarray, collapse_rates: Sequence[tuple]) -> np.
             cc = c.conj().T @ c
             liou += np.kron(c, c.conj()) - 0.5 * (np.kron(cc, ident) + np.kron(ident, cc.T))
     return liou
-
-
-def propagate(
-    hamiltonian: np.ndarray | Callable[[float], np.ndarray],
-    collapse_rates: Sequence[tuple[np.ndarray, float]],
-    initial_state: np.ndarray,
-    duration: float,
-    t_eval: np.ndarray | None = None,
-) -> np.ndarray:
-    """Propagate a density matrix under the Lindblad master equation.
-
-    DOP853 integrates the master equation with its step bounded by
-    ``min(1/(20 f_max), duration)``, where ``f_max`` is the fastest
-    frequency (Hz) among the spectral widths of H at the start, middle and
-    end of the window and the collapse rates.  With
-    :func:`couplersim.dynamics.qutrit_resonator_model` it is the ODE oracle
-    of the ``reset-dynamics`` and ``lr-dynamics`` closed forms.
-
-    Parameters
-    ----------
-    hamiltonian : ndarray or callable
-        Hermitian matrix in angular units (rad/s), or a function of time
-        returning one.
-    collapse_rates : sequence of (operator, rate_hz)
-        Jump operators with cyclic rates; the dissipator uses
-        ``C = sqrt(2*pi*rate) * operator``.
-    initial_state : ndarray
-        Density matrix (Hermitian, unit trace, positive semidefinite).
-    duration : float
-        Evolution time in seconds.
-    t_eval : ndarray, optional
-        If given, return the trajectory ``rho(t)`` at these times
-        (shape ``(len(t_eval), d, d)``) instead of the final state.
-
-    Returns
-    -------
-    ndarray
-        ``rho(duration)``, or the trajectory when ``t_eval`` is given.
-    """
-    from scipy.integrate import solve_ivp
-
-    rho0 = np.asarray(initial_state, dtype=complex)
-    _check_density_matrix(rho0)
-    d = rho0.shape[0]
-
-    static = not callable(hamiltonian)
-    h_fn = (lambda t, _h=np.asarray(hamiltonian, dtype=complex): _h) if static else hamiltonian
-    h_probe = [h_fn(0.0)]
-    if not static:
-        h_probe += [h_fn(duration / 2), h_fn(duration)]
-    for h in h_probe:
-        if h.shape != (d, d):
-            raise ValueError("Hamiltonian dimension does not match state")
-        if np.linalg.norm(h - h.conj().T) > 1e-6 * max(1.0, np.linalg.norm(h)):
-            raise ValueError("Hamiltonian must be Hermitian")
-
-    dissipator = liouvillian(np.zeros((d, d)), collapse_rates)
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        rho = y.reshape(d, d)
-        h = h_fn(t)
-        return (-1j * (h @ rho - rho @ h)).reshape(-1) + dissipator @ y
-
-    f_max = _max_frequency_hz(h_probe, collapse_rates)
-    max_step = min(1.0 / (20.0 * f_max), duration) if f_max > 0 else duration
-    sol = solve_ivp(
-        rhs, (0.0, duration), rho0.reshape(-1), method="DOP853",
-        t_eval=t_eval, rtol=1e-10, atol=1e-12, max_step=max_step,
-    )
-    if not sol.success:
-        raise RuntimeError(f"propagation failed: {sol.message}")
-    out = sol.y.T.reshape(-1, d, d)
-    traces = np.einsum("tii->t", out).real
-    if np.max(np.abs(traces - traces[0])) > 1e-9:
-        raise RuntimeError("trace drifted by more than 1e-9 during propagation")
-    return out if t_eval is not None else out[-1]
-
-
-def schrodinger_propagate(
-    hamiltonian: np.ndarray | Callable[[float], np.ndarray],
-    psi0: np.ndarray,
-    t_eval: np.ndarray,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    max_step: float | None = None,
-) -> np.ndarray:
-    """State-vector evolution (no dissipation); H in rad/s.  Test oracle of
-    :func:`periodic_propagator` (``cz-chevron``) and of the closed-form
-    drive-frame dynamics (``floquet-report``)."""
-    from scipy.integrate import solve_ivp
-
-    psi0 = np.asarray(psi0, dtype=complex)
-    static = not callable(hamiltonian)
-    h_fn = (lambda t, _h=np.asarray(hamiltonian, dtype=complex): _h) if static else hamiltonian
-
-    def rhs(t, y):
-        return -1j * (h_fn(t) @ y)
-
-    kwargs = {} if max_step is None else {"max_step": max_step}
-    sol = solve_ivp(rhs, (float(t_eval[0]), float(t_eval[-1])), psi0,
-                    method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol, **kwargs)
-    if not sol.success:
-        raise RuntimeError(f"propagation failed: {sol.message}")
-    return sol.y.T
 
 
 # ---------------------------------------------------------------------------

@@ -13,18 +13,10 @@ the package's own closed forms to reproduce the quoted effective couplings.
 from __future__ import annotations
 
 import math
-import warnings
 
 from .circuit import CircuitSpec, CouplerSpec, DecayRates, coupler_spec_from_band
 from .dynamics import EnvelopeSpec
-from .floquet import (
-    DriveSpec,
-    ValidityWarning,
-    effective_coupling,
-    fourier_decompose,
-    k2_closed_forms,
-    transition_manifold,
-)
+from .floquet import DriveSpec, transition_manifold
 
 #: static flux offset of the qubit-resonator operations (rad); places the
 #: idle coupler near 5.2 GHz, clear of the first-harmonic coupler resonances
@@ -38,16 +30,14 @@ PHI_DC_CZ = 0.3 * math.pi
 
 #: fixture-fitted drive amplitudes (rad).  The k = 2 amplitudes reproduce
 #: the quoted effective couplings through the k = 2 closed forms (exact
-#: coupler elimination, ``EffectiveFrame.swap_coupling``); the CZ amplitude
-#: is calibrated against the exact three-state dynamics so one full
-#: oscillation takes 339 ns on the dressed resonance
+#: coupler elimination; ``calibrate_drive_amplitude`` of ``tests/oracles.py``
+#: finds them again); the CZ amplitude is calibrated against the exact
+#: three-state dynamics so one full oscillation takes 339 ns on the dressed
+#: resonance
 A_D_RESET = 0.7928930524676335     # swap coupling 2.07 MHz on |e0> <-> |g1>
 A_D_LR = 0.49080991682237063       # swap coupling 0.91 MHz on |f0> <-> |e1>
 A_D_READOUT = 0.7640194132070083   # swap coupling 2.12 MHz on |f0> <-> |e1>
 A_D_CZ = 0.07937531612644286       # pi-phase crossing at 339 ns on |ee> <-> |fg>
-
-#: upper end of the amplitude search of :func:`calibrate_drive_amplitude`
-A_MAX = 1.1
 
 #: flat-top Gaussian reset pulse (150 ns, 10 ns rise/fall sigma)
 RESET_PULSE = EnvelopeSpec(total_length=150e-9, sigma_rise=10e-9, sigma_fall=10e-9)
@@ -59,7 +49,8 @@ def table_coupler() -> CouplerSpec:
 
 def table_circuit() -> CircuitSpec:
     """Reference circuit; the coupler frequency entry is its zero-flux value
-    (use ``CircuitSpec.at_flux`` for an operating point)."""
+    (the drives set the operating point through their static flux
+    ``phi_dc``)."""
     return CircuitSpec(
         omega={"Q1": 3.83e9, "Q2": 3.11e9, "C": 5.45e9, "R": 5.85e9},
         alpha={"Q1": -205e6, "Q2": -216e6, "C": -161e6},
@@ -98,30 +89,3 @@ def readout_drive() -> DriveSpec:
 
 def cz_drive() -> DriveSpec:
     return _drive("cz", A_D_CZ, phi_dc=PHI_DC_CZ)
-
-
-def calibrate_drive_amplitude(circuit: CircuitSpec, kind: str, target_coupling: float) -> float:
-    """Fixture calibration: the drive amplitude at the static flux offset
-    ``PHI_DC`` whose closed-form effective coupling magnitude equals
-    ``target_coupling``, searched up to ``A_MAX``.
-
-    Uses the k = 2 closed forms with the Schrieffer-Wolff correction for the
-    second-harmonic operations and the leading-order formula for k = 1,
-    so it raises ``ValueError`` where those do (a Bessel argument beyond
-    20, reachable only with a low drive frequency or a wide coupler band).
-    Test oracle of the ``A_D_*`` amplitudes of the ``floquet-report`` drives.
-    """
-    from scipy.optimize import brentq
-
-    man = transition_manifold(circuit, kind)
-
-    def coupling(a: float) -> float:
-        drive = DriveSpec(phi_dc=PHI_DC, a_d=a, omega_d=man.bare_drive_frequency, k=man.k)
-        spec = fourier_decompose(drive, circuit.coupler)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityWarning)
-            if man.k == 2:
-                return abs(k2_closed_forms(man, drive, spec).swap_coupling())
-            return abs(effective_coupling(man.g_ac, man.g_bc, man.k, drive.omega_d, spec))
-
-    return brentq(lambda a: coupling(a) - target_coupling, 1e-4, A_MAX, xtol=1e-13)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import CircuitSpec, manifold_hamiltonian
+from .circuit import CircuitSpec
 from .floquet import DriveSpec, coupler_block, modulation_spectrum
 from .numerics import TWO_PI, RngStream, periodic_propagator, stroboscopic_diagonal
 
@@ -60,15 +60,6 @@ def population_to_temperature(p_e: float, omega_q: float) -> float:
     if not 0.0 < p_e < 0.5:
         raise ValueError("p_e must lie in (0, 0.5) for a positive temperature")
     return PLANCK_H * omega_q / (BOLTZMANN_K * math.log((1.0 - p_e) / p_e))
-
-
-def temperature_to_population(temperature: float, omega_q: float) -> float:
-    """Inverse of :func:`population_to_temperature` (exact roundtrip): test
-    oracle of the ``reset-metrics`` temperatures."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    x = math.exp(-PLANCK_H * omega_q / (BOLTZMANN_K * temperature))
-    return x / (1.0 + x)
 
 
 def bose_occupation(omega: float, temperature: float) -> float:
@@ -452,27 +443,6 @@ class CZPhaseScan:
 #: truncating them unbalances the conditional-phase combination.
 _CZ_DOUBLE = ((1, 1, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 2, 0))
 _CZ_SINGLE = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
-
-
-def static_zz_shift(circuit: CircuitSpec, phi_dc: float) -> float:
-    """Idle ZZ interaction (Hz) at a coupler flux point:
-
-        zeta = E_ee - E_eg - E_ge + E_gg
-
-    from dense diagonalisation of the excitation manifolds of the circuit at
-    that flux (E_gg = 0: the zero-excitation block is |gg> alone).  Flux
-    points with small |zeta| are natural two-qubit-gate operating points.
-    Tested against :func:`~couplersim.circuit.build_hamiltonian`; it is the
-    idle interaction of the manifolds ``cz-chevron`` propagates.
-    """
-    at_flux = circuit.at_flux(phi_dc)
-    w = circuit.omega
-    ev2 = np.linalg.eigvalsh(manifold_hamiltonian(at_flux, _CZ_DOUBLE))
-    ev1 = np.linalg.eigvalsh(manifold_hamiltonian(at_flux, _CZ_SINGLE))
-    e_ee = ev2[np.argmin(np.abs(ev2 - (w["Q1"] + w["Q2"])))]
-    e_eg = ev1[np.argmin(np.abs(ev1 - w["Q1"]))]
-    e_ge = ev1[np.argmin(np.abs(ev1 - w["Q2"]))]
-    return float(e_ee - e_eg - e_ge)
 
 
 def _drive_grid(h2: np.ndarray, omega_d_span: tuple, n_omega: int) -> np.ndarray:

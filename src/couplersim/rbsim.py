@@ -12,16 +12,16 @@ unitaries, unitary leakage and recovery, and per-window Lindblad channels
 of :func:`dynamics.qutrit_resonator_model` (row-major vec convention).
 ``n_lr = 0`` is the run without recovery and zero rates the noiseless run.
 
-The rate equation and its closed forms (:func:`steady_state_leakage`,
-:func:`a2_closed_forms`, :func:`periodic_lr_trace`) are the incoherent
-limit of the Monte Carlo model: they add populations where the Monte Carlo
-engine adds amplitudes, so they miss the interference within one cycle
-between the coherent e<->f leak rotation and the coherent f0<->e1 recovery
-swap.  At the table rates with ``l_cl`` 0.02 and ``n_lr`` 1 the rate
-equation settles at P_f = 4.24e-4, while the exact late-time P_f of the
-Clifford-twirled cycle is 1.115e-4 (the Monte Carlo mean of ``leakage-rb``
-at its defaults, seed 3, reads 1.10-1.17e-4 from 336 Cliffords on);
-dephasing after either coherent step brings the exact value to 4.10e-4.
+The rate equation and its closed forms (:func:`a2_closed_forms`,
+:func:`periodic_lr_trace`) are the incoherent limit of the Monte Carlo
+model: they add populations where the Monte Carlo engine adds amplitudes,
+so they miss the interference within one cycle between the coherent e<->f
+leak rotation and the coherent f0<->e1 recovery swap.  At the table rates
+with ``l_cl`` 0.02 and ``n_lr`` 1 the rate equation settles at
+P_f = 4.24e-4, while the exact late-time P_f of the Clifford-twirled cycle
+is 1.115e-4 (the Monte Carlo mean of ``leakage-rb`` at its defaults, seed
+3, reads 1.10-1.17e-4 from 336 Cliffords on); dephasing after either
+coherent step brings the exact value to 4.10e-4.
 
 The Monte Carlo step keeps one fixed order of floating-point operations:
 that of the batched three-operand ``einsum`` conjugations it was written
@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass
 from functools import partial
 
@@ -71,9 +70,6 @@ DEFAULT_N_CL_GRID = tuple(sorted({round(x) for x in np.geomspace(1, 1000, 20).to
 #: relative gap between the two fitted decays below which :func:`fit_rb`
 #: calls them degenerate
 DEGENERACY_THRESHOLD = 0.01
-#: stopping rule of the steady-state power iteration
-_POWER_TOL = 1e-14
-_POWER_MAX_ITER = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -159,25 +155,6 @@ def cycle_matrix(scenario: RBScenario, with_lr: bool) -> np.ndarray:
     if with_lr:
         return m["r"] @ m["fe"] @ m["lr"] @ m["leak"]
     return m["fe"] @ m["leak"]
-
-
-def steady_state_leakage(scenario: RBScenario, with_lr: bool) -> float:
-    """Equilibrium P_f by power iteration of the cycle matrix (the oracle
-    for the closed forms): at most ``_POWER_MAX_ITER`` steps, stopping when
-    no entry moves by ``_POWER_TOL``.
-
-    A rate-equation value, the incoherent limit of the Monte Carlo model
-    (see the module docstring); test oracle of the ``leakage-rb``
-    ``a2_closed_forms``."""
-    m = cycle_matrix(scenario, with_lr)
-    vec = np.array([1.0, 0.0, 0.0])
-    for _ in range(_POWER_MAX_ITER):
-        new = m @ vec
-        if np.max(np.abs(new - vec)) < _POWER_TOL:
-            return float(new[1])
-        vec = new
-    warnings.warn("power iteration did not converge to tolerance", UserWarning, stacklevel=2)
-    return float(vec[1])
 
 
 @dataclass(frozen=True)
@@ -808,8 +785,8 @@ def _decay_fit(n, y, lam):
                           [y[-1], y[0] - y[-1], lam], _LOWER, _UPPER)
 
 
-def fit_rb(n_cl: np.ndarray, p_g: np.ndarray, p_f: np.ndarray | None = None) -> RBFit:
-    """Fit leakage-RB curves; joint in (B2, lambda2) when P_f is given.
+def fit_rb(n_cl: np.ndarray, p_g: np.ndarray, p_f: np.ndarray) -> RBFit:
+    """Fit the leakage-RB curves P_g and P_f jointly in (B2, lambda2).
 
     The lengths are sorted once on entry, so the fit does not depend on the
     order of the grid: the initial guess reads the first, middle and last
@@ -828,20 +805,12 @@ def fit_rb(n_cl: np.ndarray, p_g: np.ndarray, p_f: np.ndarray | None = None) -> 
     (``TestFitRB::test_fit_keeps_its_bits``).
     """
     # one row per curve; ragged curves raise here
-    curves = np.array([n_cl, p_g] if p_f is None else [n_cl, p_g, p_f], dtype=float)
+    curves = np.array([n_cl, p_g, p_f], dtype=float)
     if curves.shape[1] < 5:
         raise ValueError("need at least 5 sequence lengths")
     if not np.isfinite(curves).all():
         raise ValueError("lengths and curves must be finite")
-    curves = curves[:, np.argsort(curves[0])]
-    n, p_g = curves[:2]
-
-    if p_f is None:
-        (a0, b0, lam0), converged = _decay_fit(n, p_g, 0.99)
-        return RBFit(a0=a0, b0=b0, lambda0=lam0, a2=0.0, b2=0.0, lambda2=1.0,
-                     converged=converged)
-
-    p_f = curves[2]
+    n, p_g, p_f = curves[:, np.argsort(curves[0])]
     data = np.column_stack([p_g, p_f]).ravel()
 
     def residuals(p):

@@ -317,6 +317,7 @@ class TestSchema:
         ("periodic-lr", {"n_max": 1e30}, "params.n_max"),
         ("floquet-report", {"n_amplitudes": 1e30}, "params.n_amplitudes"),
         ("readout-shots", {"n_shots": 1e30}, "params.n_shots"),
+        ("cz-chevron", {"n_omega": 1e30}, "params.n_omega"),
         # each Monte Carlo state holds its buffers and Clifford draws
         ("leakage-rb", {"n_randomizations": 1e30}, "params.n_randomizations"),
     ])

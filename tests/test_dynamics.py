@@ -11,16 +11,16 @@ from couplersim.dynamics import (
     PopulationVector,
     damped_swap,
     envelope_area,
-    envelope_value,
     lr_swap_time,
     lr_three_level_populations,
     pulsed_swap_population,
     qutrit_resonator_model,
     swap_completion_time,
 )
-from couplersim.numerics import TWO_PI, liouvillian, propagate
+from couplersim.numerics import TWO_PI, liouvillian
 from couplersim.presets import RESET_PULSE, table_decay_rates
 from couplersim.rbsim import RBScenario
+from oracles import envelope_value, propagate
 
 # adaptive-quadrature value of gamma(150 ns) for the 150 ns / 10 ns-edge
 # reset pulse, frozen before the build

@@ -17,12 +17,12 @@ from couplersim.numerics import (
     RngStream,
     midpoint_spectrum,
     periodic_propagator,
-    propagate,
     stroboscopic_diagonal,
     stroboscopic_powers,
     taylor_coefficients,
 )
 from couplersim.protocols import _CZ_DOUBLE, _CZ_SINGLE, cz_conditional_phase
+from oracles import propagate
 
 # J1(1.0) from the integral representation (1/pi) int_0^pi cos(t - sin t) dt,
 # evaluated with adaptive quadrature before the build

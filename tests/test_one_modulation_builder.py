@@ -1,17 +1,18 @@
 """Stdlib-only lint: the modulated-coupler Hamiltonian H(t) has one builder.
 
-Exactly one nested ``def`` in the package calls ``coupler_frequency``
-directly: the ``h_of_t`` closure of ``floquet.modulated_hamiltonian``.
+Exactly one nested ``def`` in the package and the test oracles calls
+``coupler_frequency`` directly: the ``h_of_t`` closure of
+``floquet.modulated_hamiltonian``.
 Every time-domain model of the driven coupler (the CZ scan, the Floquet
-oracle) takes its H(t) from that builder instead of sampling
-``omega_C(phi(t))`` in a closure of its own.
+oracle of ``tests/oracles.py``) takes its H(t) from that builder instead of
+sampling ``omega_C(phi(t))`` in a closure of its own.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "couplersim"
-MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = sorted(PACKAGE.glob("*.py")) + [Path(__file__).resolve().parent / "oracles.py"]
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _SCOPES = (*_FUNCTIONS, ast.Lambda, ast.ClassDef)

@@ -18,10 +18,10 @@ from couplersim.protocols import (
     generate_shots,
     population_to_temperature,
     reset_metrics,
-    static_zz_shift,
-    temperature_to_population,
     thermal_budget,
 )
+from oracles import (at_flux, build_hamiltonian, find_parametric_resonance,
+                     quasi_energy_gap, static_zz_shift, temperature_to_population)
 
 RATES = presets.table_decay_rates()
 CENTERS = np.array([[0.0, 0.0], [3.29, 0.0], [1.645, 2.96]])
@@ -456,8 +456,7 @@ class TestCZCalibration:
         # sqrt(gap_min^2 + delta^2) within 2% of the propagation oracle
         from dataclasses import replace
 
-        from couplersim.floquet import (find_parametric_resonance,
-                                        quasi_energy_gap, transition_manifold)
+        from couplersim.floquet import transition_manifold
 
         circuit = presets.table_circuit()
         man = transition_manifold(circuit, "cz")
@@ -614,14 +613,10 @@ class TestStaticZZ:
         # PHI_DC and -1.634 vs -1.783 MHz (9.1 %) at PHI_DC_CZ.  The gap
         # grows with truncation (15.6 % and 12.8 % at {4, 4, 4, 3}), so the
         # tolerance is the measured gap, not a converged error bound.
-        from dataclasses import replace
-
-        from couplersim.circuit import build_hamiltonian
-
         trunc = {"Q1": 3, "Q2": 3, "C": 3, "R": 2}
-        circuit = replace(presets.table_circuit().at_flux(phi_dc), truncation=trunc)
+        circuit = at_flux(presets.table_circuit(), phi_dc)
         dims = [trunc[el] for el in ("Q1", "Q2", "C", "R")]
-        evals, vecs = np.linalg.eigh(build_hamiltonian(circuit))
+        evals, vecs = np.linalg.eigh(build_hamiltonian(circuit, trunc))
 
         def dressed(occupation):
             weights = np.abs(vecs[np.ravel_multi_index(occupation, dims)]) ** 2

@@ -1,8 +1,10 @@
-"""Stdlib-only lint: every module-level import in the package is used, and
-so is every private module-level name (``_helper``, ``_TABLE``; dunders
-are exempt).  Every public top-level function and class is referenced by
-another definition of the package, or is a test oracle listed in
-``TEST_ONLY`` with the scenario quantity it checks.
+"""Stdlib-only lint: every module-level import in the package and in the
+test oracles (``tests/oracles.py``) is used, and so is every private
+module-level name (``_helper``, ``_TABLE``; dunders are exempt).  Every
+public top-level function and class of the package, and every public
+method and property of its top-level classes, is read by another
+definition of the package: a name only tests call is a test oracle and
+belongs in ``tests/oracles.py``.
 
 ``__init__.py`` is skipped (its imports are re-exports), and so is
 ``from __future__ import annotations``.
@@ -15,6 +17,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "couplersim"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
 def unused_imports(source: str) -> list:
@@ -52,57 +55,32 @@ def unused_private_names(source: str) -> list:
 
 
 def unreferenced_public_names(sources) -> dict:
-    """Public top-level functions and classes that no module of ``sources``
-    reads outside their own definition (a recursive call does not count),
-    as ``{name: line}``."""
+    """Public top-level functions and classes, and public methods and
+    properties of top-level classes (as ``Class.name``), that no module of
+    ``sources`` reads outside their own definition (a recursive call does
+    not count), as ``{name: line}``."""
     defined, read = {}, set()
     for source in sources:
         for node in ast.parse(source).body:
-            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                     if isinstance(n, (ast.Name, ast.Attribute))}
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names.discard(node.name)
-                if not node.name.startswith("_"):
-                    defined[node.name] = node.lineno
-            read |= names
-    return {name: line for name, line in defined.items() if name not in read}
-
-
-def surface_violations(sources, allowed: dict) -> list:
-    """Unreferenced public names missing from ``allowed``, and ``allowed``
-    entries that are referenced or no longer defined."""
-    dead = unreferenced_public_names(sources)
-    return sorted([(name, "unreferenced, not allow-listed") for name in dead
-                   if name not in allowed]
-                  + [(name, "stale allow-list entry") for name in allowed if name not in dead])
-
-
-#: public names only tests call: each is the oracle of a scenario quantity
-TEST_ONLY = {
-    "build_hamiltonian": "full non-RWA circuit H: oracle of static_zz_shift and of the "
-                         "manifold blocks every driven scenario uses",
-    "envelope_value": "pulse envelope A(t): quadrature oracle of envelope_area and the "
-                      "drive of the pulsed reset Lindblad test (reset-dynamics)",
-    "quasi_energy_gap": "exact Floquet gap: oracle of the floquet-report couplings",
-    "find_parametric_resonance": "exact dressed resonance: oracle of the cz-chevron "
-                                 "Rabi frequencies and the k = 2 coupling scaling",
-    "propagate": "Lindblad ODE oracle of the reset-dynamics and lr-dynamics closed forms",
-    "schrodinger_propagate": "ODE oracle of the periodic propagator (cz-chevron) and of "
-                             "the closed-form frame dynamics (floquet-report)",
-    "calibrate_drive_amplitude": "reproduces the fixture drive amplitudes of "
-                                 "floquet-report and the presets",
-    "temperature_to_population": "roundtrip oracle of the reset-metrics temperatures",
-    "static_zz_shift": "idle ZZ of the cz-chevron excitation manifolds, checked against "
-                       "build_hamiltonian",
-    "steady_state_leakage": "power-iteration oracle of leakage-rb's a2_closed_forms",
-}
+            units, owner = [node], ""
+            if isinstance(node, ast.ClassDef):
+                units, owner = [*node.decorator_list, *node.bases, *node.body], node.name
+                defined[node.name] = node.lineno
+            for unit in units:
+                name = getattr(unit, "name", None)
+                read |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(unit)
+                         if isinstance(n, (ast.Name, ast.Attribute))} - {owner, name}
+                if isinstance(unit, (ast.FunctionDef, ast.ClassDef)):
+                    defined[f"{owner}.{name}" if owner else name] = unit.lineno
+    return {name: line for name, line in defined.items()
+            if not (own := name.rpartition(".")[2]).startswith("_") and own not in read}
 
 
 def test_package_modules_found():
     assert len(MODULES) >= 8
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + [ORACLES], ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -117,7 +95,7 @@ def test_checker_flags_unused_and_accepts_used():
     assert unused_imports(source) == [(2, "system"), (3, "dataclass")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + [ORACLES], ids=lambda p: p.name)
 def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text()) == []
 
@@ -138,26 +116,38 @@ def test_checker_flags_unused_private_names():
 
 
 def test_no_unreferenced_public_names():
-    assert surface_violations([p.read_text() for p in MODULES], TEST_ONLY) == []
+    assert unreferenced_public_names([p.read_text() for p in MODULES]) == {}
 
 
-def test_checker_flags_dead_public_names_and_stale_entries():
+def test_checker_flags_dead_public_names():
     source = (
         "def used():\n"
         "    return 1\n"
         "def recursive(n):\n"
         "    return recursive(n - 1) if n else used()\n"
         "class Oracle:\n"
-        "    pass\n"
+        "    def read(self):\n"
+        "        return self.read() + self.size + Oracle().size\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 2\n"
         "def _private():\n"
         "    pass\n"
     )
     caller = "import m\nm.recursive(2)\n"
-    assert unreferenced_public_names([source, caller]) == {"Oracle": 5}
-    assert unreferenced_public_names([source]) == {"recursive": 3, "Oracle": 5}
-    allowed = {"Oracle": "oracle", "used": "now referenced", "gone": "deleted"}
-    assert surface_violations([source, caller], allowed) == [
-        ("gone", "stale allow-list entry"), ("used", "stale allow-list entry")]
-    assert surface_violations([source], {}) == [
-        ("Oracle", "unreferenced, not allow-listed"),
-        ("recursive", "unreferenced, not allow-listed")]
+    assert unreferenced_public_names([source, caller]) == {"Oracle": 5, "Oracle.read": 6}
+    assert unreferenced_public_names([source]) == {
+        "recursive": 3, "Oracle": 5, "Oracle.read": 6}
+
+
+def test_checker_flags_a_mutated_module():
+    source = (PACKAGE / "circuit.py").read_text()
+    anchor = '        object.__setattr__(self, "g", canon)\n'
+    assert source.count(anchor) == 1
+    mutated = source.replace(anchor, anchor + (
+        "\n    def coupling(self, i, j):\n"
+        "        return self.g.get(tuple(sorted((i, j))), 0.0)\n"))
+    line = mutated.splitlines().index("    def coupling(self, i, j):") + 1
+    others = [p.read_text() for p in MODULES if p.name != "circuit.py"]
+    assert unreferenced_public_names([source] + others) == {}
+    assert unreferenced_public_names([mutated] + others) == {"CircuitSpec.coupling": line}
