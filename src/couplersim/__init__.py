@@ -20,7 +20,23 @@ scenarios only ``leakage-rb`` loads scipy (``scipy.linalg`` and
 ``scipy.optimize``); the other eight load none.  The test oracles, the
 ODE integrators and root finders that check the scenario models, are not
 part of the package: they live in ``tests/oracles.py``.
+
+Thread rule: before numpy is imported, this module sets
+``OPENBLAS_NUM_THREADS`` to 1 unless the caller set it.  Every BLAS call of
+the package works on operands of at most 36x36 or on stacks of 6x6, too
+small to gain from threads, yet numpy's and scipy's bundled OpenBLAS each
+start a worker thread when they load, which busy-waits on another core
+while the import runs and after each threaded call.  OpenBLAS reads the variable only when it
+loads, so the limit holds for every process that imports couplersim before
+numpy, which includes every ``couplersim run``; a host program that loaded
+numpy first keeps its threaded BLAS.  To run the BLAS threaded, set
+``OPENBLAS_NUM_THREADS`` before the import; the value set wins.
 """
+
+import os
+
+# before any numpy import: OpenBLAS starts its workers when it loads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

@@ -18,7 +18,9 @@ A runner (``_run_*``) is pure: it opens no file and returns an ordered
 pair for a CSV table (a scalar fills its column) or a mapping for JSON.
 ``run_config`` alone encodes (``_encode``), writes atomically and hashes
 each file and lists them in the manifest in the runner's order, so a runner
-that raises writes nothing.
+that raises writes nothing.  The manifest also records the environment of
+the run (``_environment``): Python, numpy and, where loaded, scipy versions
+and the BLAS thread variables.
 
 Exit codes: 0 success, 2 schema violation, 3 numerical failure, 4 I/O
 failure.
@@ -269,11 +271,23 @@ def _checked(cfg: dict) -> tuple[RunContext, list]:
     ctx = RunContext(name, _convert(_SEED, cfg.get("seed", 0), "seed"), output, params, rates)
     notes = []
     if name == "cz-chevron":
-        lowest = protocols.cz_drive_frequencies(presets.table_circuit(), params["omega_d_span"],
-                                                params["n_omega"]).min()
+        drives = protocols.cz_drive_frequencies(presets.table_circuit(), params["omega_d_span"],
+                                                params["n_omega"])
+        lowest, highest = drives.min(), drives.max()
         _require(lowest > 0, "params.omega_d_span", f"reaches drive frequency {lowest:.6g} Hz <= 0")
         _require(params["max_duration"] >= 1.0 / lowest, "params.max_duration",
                  f"shorter than one period ({1.0 / lowest:.6g} s) of the lowest drive frequency")
+        periods, rule = params["max_duration"] * highest, _rows("period")
+        _require(_within(rule["interval"], periods), "params.max_duration",
+                 f"asks for {periods:.6g} stroboscopic periods at the highest drive frequency "
+                 f"({highest:.6g} Hz), which must lie in {rule['interval']} ({rule['note']})")
+    if name == "leakage-rb":
+        cycles = params["n_randomizations"] * max(params["n_cl_grid"])
+        _require(cycles <= _RB_STATE_CYCLES, "params.n_cl_grid",
+                 f"n_randomizations x max(n_cl_grid) = {cycles:.6g} state-cycles, more than "
+                 f"{_RB_STATE_CYCLES}: {8e-6 * cycles:.6g} MB of int64 Clifford draws "
+                 f"before the first cycle and about {4.3e-6 * cycles:.6g} s at 4.3 us per "
+                 f"state-cycle")
     if name == "floquet-report":
         _, _, man, spectrum, in_window = _floquet_drive(params)
         if not in_window:
@@ -547,6 +561,18 @@ def _rows(per: str, least: int = 1) -> dict:
     return {"interval": f"[{least}, 1e6]", "note": f"one output row per {per}"}
 
 
+#: most randomization-cycles (n_randomizations x max(n_cl_grid)) of a
+#: leakage-rb run, the n_randomizations bound at the default grid: each
+#: draws one int64 Clifford before the first cycle
+_RB_STATE_CYCLES = 10_000_000
+
+#: bytes per step of cz-chevron's four midpoint spectra: eigenvalues,
+#: eigenvectors and neighbour overlaps of the driven double (6 levels) and
+#: single (3 levels) excitation manifolds; the undriven two take one sample
+_CZ_STEP_BYTES = 8 * (6 + 2 * 2 * 36) + 8 * (3 + 2 * 2 * 9)
+_CZ_MAX_SUB = 100_000
+
+
 #: RB physics of leakage-rb and periodic-lr
 _RB_PARAMS = {
     "l_cl": _Param(0.02, "[0, 1]"), "f_lr": _Param(_RB_FIELDS["f_lr"], "[0, 1]"),
@@ -577,7 +603,8 @@ SCENARIOS = {
         # each Monte Carlo state holds about 8.6 kB of buffers plus its int64
         # Clifford draws, 16.6 kB at the default grid: the bound keeps a run
         # near 170 MB there (about 45 s at 4.3 us per state-cycle, the
-        # rb-paper rate on one core)
+        # rb-paper rate on one core); _checked bounds the draws of longer
+        # grids by _RB_STATE_CYCLES
         "n_randomizations": _Param(
             50, "[2, 1e4]", note="8.6 kB of state buffers plus max(n_cl_grid) int64 draws each")}),
     "periodic-lr": (_run_periodic_lr, "Fig. 7 (rate eq.)", {
@@ -599,7 +626,10 @@ SCENARIOS = {
     "cz-chevron": (_run_cz_chevron, "Fig. 8(a,b)", {
         "omega_d_span": _Param((-15e6, 15e6), length=(2, 2)),
         "n_omega": _Param(13, **_rows("drive frequency")),
-        "max_duration": _Param(1.2e-6, "(0, inf)"), "n_sub": _Param(1024, "[1, inf)")}),
+        "max_duration": _Param(1.2e-6, "(0, inf)"),
+        "n_sub": _Param(1024, f"[1, {_CZ_MAX_SUB}]", note=(
+            f"four midpoint spectra of {_CZ_STEP_BYTES} B per step, "
+            f"{_CZ_STEP_BYTES * _CZ_MAX_SUB / 1e6:.0f} MB at the bound"))}),
     "floquet-report": (_run_floquet_report, "Fig. 4(c) couplings", {
         "kind": _Param("reset", choices=tuple(_FIXTURE_DRIVES)),
         "drive": {"a_d": _Param(None, "[0, inf)", kind=float)},  # None: the fixture's
@@ -610,6 +640,20 @@ SCENARIOS = {
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
+
+#: thread variables of the BLAS libraries numpy and scipy may load
+_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """The Python and numpy versions, scipy's only when this process has
+    loaded it (it is never imported here), and the thread variables as the
+    run saw them, ``None`` when unset."""
+    versions = {"python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__}
+    if "scipy" in sys.modules:
+        versions["scipy"] = sys.modules["scipy"].__version__
+    return {**versions, **{key: os.environ.get(key) for key in _THREAD_VARIABLES}}
+
 
 def run_config(config_path: str, seed=None, out=None) -> dict:
     cfg = load_config(config_path)
@@ -629,6 +673,7 @@ def run_config(config_path: str, seed=None, out=None) -> dict:
         "seed": ctx.seed,
         "wall_time_s": time.perf_counter() - started,
         "files": files,
+        "environment": _environment(),
     }
     _atomic_write(os.path.join(ctx.out_dir, "manifest.json"), _encode(manifest))
     return manifest

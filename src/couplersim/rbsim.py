@@ -440,7 +440,10 @@ def _qutrit_view(parts: np.ndarray) -> np.ndarray:
 #: states per GEMM in :func:`_channel`, at least 2: 32 rows stay well under
 #: the ~50 rows (measured on a 2-vCPU host) from which the bundled OpenBLAS
 #: threads a ``(M, 36) @ (36, 36)`` GEMM, whose worker would otherwise spin
-#: through the block conjugations between calls
+#: through the block conjugations between calls.  A CLI process runs OpenBLAS
+#: on one thread (see :mod:`couplersim`), but a host program that imported
+#: numpy first, such as a test runner or a warm benchmark interpreter, keeps
+#: its workers, and its forked children would spin without the blocks
 _CHANNEL_BLOCK = 32
 
 
@@ -450,12 +453,12 @@ def _channel(sup: np.ndarray, rho: np.ndarray) -> np.ndarray:
     One ``(B, 36) @ (36, 36)`` GEMM per block of B = ``_CHANNEL_BLOCK``
     states; the last block takes what is left, and a single state left over
     joins the block before it, because numpy sends a one-row product to
-    gemv, whose round-off differs from gemm's.  One GEMM over all R states
-    crosses OpenBLAS's threading threshold (between 50 and 56 rows) and
-    hands half of the rows to a worker thread, which then busy-waits through
-    the block conjugations between calls and pins a second core for the
-    whole run.  The blocked product is bitwise equal to that
-    single GEMM (``TestMonteCarlo::test_channel_blocks_keep_the_bits``).
+    gemv, whose round-off differs from gemm's.  Where OpenBLAS runs
+    threaded, one GEMM over all R states crosses its threading threshold
+    (between 50 and 56 rows) and hands half of the rows to a worker
+    thread, which then busy-waits through the block conjugations between
+    calls and pins a second core for the whole run.  The blocked product is
+    bitwise equal to that single GEMM (``TestMonteCarlo::test_channel_blocks_keep_the_bits``).
     """
     flat = rho.reshape(len(rho), -1)
     out = np.empty_like(flat)
@@ -669,11 +672,13 @@ def monte_carlo_rb(
     non-zero or sends short data, that chunk runs again in-process, so a
     real error is raised here with its own type.  Every child is reaped
     before this returns or raises, and killed first when this process
-    fails.  Python 3.12 and later warn (``DeprecationWarning``) on
-    ``os.fork`` in a process that has other threads, such as the BLAS
-    workers; the children call BLAS only on blocks below its threading
-    threshold.  In a traced run, the spans of the children's calls are not
-    recorded.
+    fails.  A CLI process forks with no BLAS worker thread, since
+    importing :mod:`couplersim` before numpy runs OpenBLAS on one thread.
+    A host program that loaded numpy first still has the workers: there
+    Python 3.12 and later warn (``DeprecationWarning``) on ``os.fork`` in a
+    process that has other threads, and the children call BLAS only on
+    blocks below its threading threshold.  In a traced run, the spans of the
+    children's calls are not recorded.
 
     The gates are applied by :func:`_block_conjugation`, bitwise equal to the
     three-operand ``einsum`` it replaced, so the curves keep their bits

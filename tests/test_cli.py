@@ -6,12 +6,15 @@ import itertools
 import json
 import math
 import os
+import platform
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
-from couplersim import cli, protocols, rbsim
+from couplersim import cli, presets, protocols, rbsim
+from couplersim.floquet import coupler_block, modulation_spectrum
 
 RB_PARAMS = {"n_randomizations": 3, "n_cl_grid": [1, 2, 4, 8, 16, 32, 64]}
 CZ_PARAMS = {"n_omega": 3, "n_sub": 64}
@@ -208,6 +211,17 @@ class TestOutputs:
         for path, digest in listed.items():
             assert hashlib.sha256((tmp_path / "a" / path).read_bytes()).hexdigest() == digest
 
+    def test_manifest_records_the_environment(self, tmp_path):
+        manifest = cli.run_config(write_config(tmp_path, "reset-metrics"),
+                                  out=str(tmp_path / "a"))
+        environment = manifest["environment"]
+        assert environment["python"] == platform.python_version()
+        assert environment["numpy"] == np.__version__
+        for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            assert environment[key] == os.environ.get(key)
+        on_disk = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert on_disk["environment"] == environment
+
     def test_wall_time_ignores_wall_clock_jumps(self, tmp_path, monkeypatch):
         clock = itertools.count(1e9, -3600.0)  # a wall clock set back every call
         monkeypatch.setattr(cli.time, "time", lambda: next(clock))
@@ -320,6 +334,11 @@ class TestSchema:
         ("cz-chevron", {"n_omega": 1e30}, "params.n_omega"),
         # each Monte Carlo state holds its buffers and Clifford draws
         ("leakage-rb", {"n_randomizations": 1e30}, "params.n_randomizations"),
+        ("leakage-rb", {"n_cl_grid": [1, 2, 3, 4, 10_000_000]}, "params.n_cl_grid"),
+        ("leakage-rb", {"n_cl_grid": [1, 2, 3, 4, 1e30]}, "params.n_cl_grid"),
+        # the midpoint spectra and the stroboscopic periods of the scan
+        ("cz-chevron", {"n_sub": 1e30}, "params.n_sub"),
+        ("cz-chevron", {"max_duration": 1e30}, "params.max_duration"),
     ])
     def test_bad_values_are_schema_errors(self, tmp_path, capsys, scenario, params, key_path):
         config = write_config(tmp_path, scenario, params)
@@ -360,6 +379,25 @@ class TestSchema:
             tmp_path, "scenario: lr-dynamics\nparams:\n  duration: 2.0e-6\n  n_points: 5\n")
         assert run(as_float, tmp_path / "b") == 0
         assert data_files(tmp_path / "a") == data_files(tmp_path / "b")
+
+    @pytest.mark.parametrize("scenario, params", [
+        ("cz-chevron", {}),
+        ("leakage-rb", {}),
+        # the paper-scale configs, each ten times along a bounded axis
+        ("cz-chevron", {"n_omega": 15, "max_duration": 15e-6, "n_sub": 20480}),
+        ("leakage-rb", {"n_randomizations": 2000}),
+    ])
+    def test_bounds_leave_room_above_paper_scale(self, tmp_path, capsys, scenario, params):
+        assert cli.main(["validate", write_config(tmp_path, scenario, params)]) == 0
+
+    def test_n_sub_bound_states_the_spectra_memory(self):
+        # the four midpoint spectra cz_conditional_phase builds
+        circuit, drive, n_sub = presets.table_circuit(), presets.cz_drive(), 1000
+        spectra = [modulation_spectrum(coupler_block(circuit, states), circuit.coupler, d, n_sub)
+                   for d in (drive, replace(drive, a_d=0.0))
+                   for states in (protocols._CZ_DOUBLE, protocols._CZ_SINGLE)]
+        held = sum(a.nbytes for spectrum in spectra for a in spectrum)
+        assert abs(held - n_sub * cli._CZ_STEP_BYTES) < cli._CZ_STEP_BYTES
 
     def test_list_shows_every_declared_key_with_its_default(self, capsys):
         assert cli.main(["list"]) == 0

@@ -1,11 +1,13 @@
 """Importing the CLI loads numpy and PyYAML but no scipy module and no
 ``numpy.ma``; of the scenarios only ``leakage-rb`` loads scipy
-(``scipy.linalg`` and ``scipy.optimize``).
+(``scipy.linalg`` and ``scipy.optimize``).  The import also limits OpenBLAS
+to one thread unless ``OPENBLAS_NUM_THREADS`` was set.
 
 Every ``couplersim run`` is its own process and pays for what the package
 imports, so scipy is imported inside the functions that call it.  Each
 check runs in a fresh interpreter and lists the entries of ``sys.modules``
-under the given packages after the import, or after a scenario run.
+under the given packages after the import, or after a scenario run, or
+counts the threads of that interpreter.
 """
 
 import json
@@ -30,13 +32,29 @@ print(json.dumps(sorted(m for m in sys.modules
 """
 
 
-def loaded_modules(body: str = "", packages=("scipy",)) -> list:
+THREADS = """
+import json, os
+from couplersim import cli
+{body}
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir("/proc/self/task"))]))
+"""
+
+
+def probe(code: str, **env) -> list:
+    """The last line of ``code``'s output, as JSON, run in a fresh
+    interpreter; ``env`` entries replace those of this process's
+    environment, ``None`` removes one."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", PROBE.format(body=body, packages=packages)],
-                          env={**os.environ, "PYTHONPATH": path},
+    environ = {**os.environ, "PYTHONPATH": path, **env}
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={k: v for k, v in environ.items() if v is not None},
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_modules(body: str = "", packages=("scipy",)) -> list:
+    return probe(PROBE.format(body=body, packages=packages))
 
 
 def scipy_modules_after_run(tmp_path, scenario: str, params=None) -> list:
@@ -76,3 +94,38 @@ def test_probe_sees_a_scenario_that_uses_scipy(tmp_path):
     # curves with scipy.optimize.least_squares
     loaded = scipy_modules_after_run(tmp_path, "leakage-rb", {"n_randomizations": 2})
     assert {"scipy.linalg", "scipy.optimize"} <= set(loaded)
+
+
+@pytest.mark.parametrize("scenario, params, loads_scipy", [
+    ("leakage-rb", {"n_randomizations": 2}, True),
+    ("reset-metrics", None, False),
+])
+def test_manifest_lists_scipy_only_when_loaded(tmp_path, scenario, params, loads_scipy):
+    scipy_modules_after_run(tmp_path, scenario, params)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert ("scipy" in manifest["environment"]) is loads_scipy
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                reason="counts threads in /proc/self/task")
+
+#: what leakage-rb loads and calls: numpy's and scipy's bundled OpenBLAS
+#: each start a worker thread when they load
+SCIPY_BLAS = """
+import numpy as np, scipy.linalg, scipy.optimize
+scipy.linalg.expm(np.eye(36))
+"""
+
+
+@needs_proc
+def test_import_runs_blas_on_one_thread():
+    variable, threads = probe(THREADS.format(body=SCIPY_BLAS), OPENBLAS_NUM_THREADS=None)
+    assert threads == 1
+    assert variable == "1"
+
+
+@needs_proc
+def test_thread_count_set_before_the_import_wins():
+    variable, threads = probe(THREADS.format(body=""), OPENBLAS_NUM_THREADS="2")
+    assert variable == "2"
+    assert threads > 1
