@@ -641,18 +641,16 @@ SCENARIOS = {
 # commands
 # ---------------------------------------------------------------------------
 
-#: thread variables of the BLAS libraries numpy and scipy may load
-_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def _environment() -> dict:
     """The Python and numpy versions, scipy's only when this process has
-    loaded it (it is never imported here), and the thread variables as the
-    run saw them, ``None`` when unset."""
-    versions = {"python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__}
+    loaded it (it is never imported here), and the thread variables of the
+    BLAS libraries as the run saw them, ``None`` when unset."""
+    env = {"python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__}
     if "scipy" in sys.modules:
-        versions["scipy"] = sys.modules["scipy"].__version__
-    return {**versions, **{key: os.environ.get(key) for key in _THREAD_VARIABLES}}
+        env["scipy"] = sys.modules["scipy"].__version__
+    for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[key] = os.environ.get(key)
+    return env
 
 
 def run_config(config_path: str, seed=None, out=None) -> dict:
