@@ -30,10 +30,19 @@ while the import runs and after each threaded call.  OpenBLAS reads the variable
 loads, so the limit holds for every process that imports couplersim before
 numpy, which includes every ``couplersim run``; a host program that loaded
 numpy first keeps its threaded BLAS.  To run the BLAS threaded, set
-``OPENBLAS_NUM_THREADS`` before the import; the value set wins.
+``OPENBLAS_NUM_THREADS`` before the import; the value set wins.  What the
+rule found is kept in :data:`OPENBLAS_CALLER` and :data:`OPENBLAS_ONE_THREAD`,
+which each run's manifest records.
 """
 
 import os
+import sys
+
+#: ``OPENBLAS_NUM_THREADS`` as the caller set it, ``None`` when unset
+OPENBLAS_CALLER = os.environ.get("OPENBLAS_NUM_THREADS")
+#: whether the thread rule took effect: the caller left the variable unset
+#: and numpy had not loaded its OpenBLAS yet
+OPENBLAS_ONE_THREAD = OPENBLAS_CALLER is None and "numpy" not in sys.modules
 
 # before any numpy import: OpenBLAS starts its workers when it loads
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

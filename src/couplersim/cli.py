@@ -19,8 +19,9 @@ pair for a CSV table (a scalar fills its column) or a mapping for JSON.
 ``run_config`` alone encodes (``_encode``), writes atomically and hashes
 each file and lists them in the manifest in the runner's order, so a runner
 that raises writes nothing.  The manifest also records the environment of
-the run (``_environment``): Python, numpy and, where loaded, scipy versions
-and the BLAS thread variables.
+the run (``_environment``): Python, numpy and, where loaded, scipy versions,
+the BLAS thread variables as the caller set them and whether the package's
+one-thread limit took effect.
 
 Exit codes: 0 success, 2 schema violation, 3 numerical failure, 4 I/O
 failure.
@@ -44,7 +45,8 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 import yaml
 
-from . import __version__, dynamics, presets, protocols, rbsim
+from . import (OPENBLAS_CALLER, OPENBLAS_ONE_THREAD, __version__, dynamics, presets, protocols,
+               rbsim)
 from .circuit import DecayRates
 from .floquet import (
     ValidityWarning,
@@ -281,6 +283,14 @@ def _checked(cfg: dict) -> tuple[RunContext, list]:
         _require(_within(rule["interval"], periods), "params.max_duration",
                  f"asks for {periods:.6g} stroboscopic periods at the highest drive frequency "
                  f"({highest:.6g} Hz), which must lie in {rule['interval']} ({rule['note']})")
+        cells = params["n_omega"] * periods
+        _require(cells <= _CZ_CELLS, "params.n_omega",
+                 f"n_omega x periods = {cells:.6g} cells of cz_chevron.csv, more than "
+                 f"{_CZ_CELLS}: about {20e-6 * cells:.6g} MB at 20 B per cell")
+        steps = params["n_omega"] * params["n_sub"]
+        _require(steps <= _CZ_STEPS, "params.n_omega",
+                 f"n_omega x n_sub = {steps:.6g} one-period propagator steps, more than "
+                 f"{_CZ_STEPS}: about {0.7e-6 * steps:.6g} s at 0.7 us per step")
     if name == "leakage-rb":
         cycles = params["n_randomizations"] * max(params["n_cl_grid"])
         _require(cycles <= _RB_STATE_CYCLES, "params.n_cl_grid",
@@ -571,6 +581,12 @@ _RB_STATE_CYCLES = 10_000_000
 #: single (3 levels) excitation manifolds; the undriven two take one sample
 _CZ_STEP_BYTES = 8 * (6 + 2 * 2 * 36) + 8 * (3 + 2 * 2 * 9)
 _CZ_MAX_SUB = 100_000
+#: most cells (n_omega x stroboscopic periods at the highest drive frequency)
+#: of cz_chevron.csv, about 20 B each on disk
+_CZ_CELLS = 5_000_000
+#: most one-period propagator steps (n_omega x n_sub) of a cz-chevron scan,
+#: about 0.7 us each on one core
+_CZ_STEPS = 50_000_000
 
 
 #: RB physics of leakage-rb and periodic-lr
@@ -643,13 +659,18 @@ SCENARIOS = {
 
 def _environment() -> dict:
     """The Python and numpy versions, scipy's only when this process has
-    loaded it (it is never imported here), and the thread variables of the
-    BLAS libraries as the run saw them, ``None`` when unset."""
+    loaded it (it is never imported here), the thread variables of the BLAS
+    libraries as the caller set them (``None`` when unset; the package sets
+    ``OPENBLAS_NUM_THREADS`` itself, so its value is the one read at import)
+    and ``openblas_one_thread``, whether that import limited OpenBLAS to one
+    thread (false when the caller set the variable or loaded numpy first)."""
     env = {"python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__}
     if "scipy" in sys.modules:
         env["scipy"] = sys.modules["scipy"].__version__
-    for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for key in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[key] = os.environ.get(key)
+    env["OPENBLAS_NUM_THREADS"] = OPENBLAS_CALLER
+    env["openblas_one_thread"] = OPENBLAS_ONE_THREAD
     return env
 
 

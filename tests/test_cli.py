@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
+import couplersim
 from couplersim import cli, presets, protocols, rbsim
 from couplersim.floquet import coupler_block, modulation_spectrum
 
@@ -217,8 +218,11 @@ class TestOutputs:
         environment = manifest["environment"]
         assert environment["python"] == platform.python_version()
         assert environment["numpy"] == np.__version__
-        for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        for key in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             assert environment[key] == os.environ.get(key)
+        # as the caller set it, before the package's own default
+        assert environment["OPENBLAS_NUM_THREADS"] == couplersim.OPENBLAS_CALLER
+        assert environment["openblas_one_thread"] is couplersim.OPENBLAS_ONE_THREAD
         on_disk = json.loads((tmp_path / "a" / "manifest.json").read_text())
         assert on_disk["environment"] == environment
 
@@ -339,6 +343,10 @@ class TestSchema:
         # the midpoint spectra and the stroboscopic periods of the scan
         ("cz-chevron", {"n_sub": 1e30}, "params.n_sub"),
         ("cz-chevron", {"max_duration": 1e30}, "params.max_duration"),
+        # each key within its bound, their products not: the cells of
+        # cz_chevron.csv and the propagator steps of the scan
+        ("cz-chevron", {"n_omega": 1_000_000, "max_duration": 1.8e-3}, "params.n_omega"),
+        ("cz-chevron", {"n_omega": 1000, "n_sub": 100_000}, "params.n_omega"),
     ])
     def test_bad_values_are_schema_errors(self, tmp_path, capsys, scenario, params, key_path):
         config = write_config(tmp_path, scenario, params)
@@ -385,6 +393,8 @@ class TestSchema:
         ("leakage-rb", {}),
         # the paper-scale configs, each ten times along a bounded axis
         ("cz-chevron", {"n_omega": 15, "max_duration": 15e-6, "n_sub": 20480}),
+        # and cz-paper ten times along all three at once
+        ("cz-chevron", {"n_omega": 150, "max_duration": 15e-6, "n_sub": 20480}),
         ("leakage-rb", {"n_randomizations": 2000}),
     ])
     def test_bounds_leave_room_above_paper_scale(self, tmp_path, capsys, scenario, params):

@@ -124,8 +124,47 @@ def test_import_runs_blas_on_one_thread():
     assert variable == "1"
 
 
+#: OpenBLAS starts no more threads than the CPUs this process may run on
+USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+needs_two_cpus = pytest.mark.skipif(USABLE_CPUS < 2, reason="OpenBLAS threads need two CPUs")
+
+
 @needs_proc
+@needs_two_cpus
 def test_thread_count_set_before_the_import_wins():
     variable, threads = probe(THREADS.format(body=""), OPENBLAS_NUM_THREADS="2")
     assert variable == "2"
     assert threads > 1
+
+
+#: a run's manifest environment and the threads of its process
+MANIFEST_THREADS = """
+import json, os
+{first}
+from couplersim import cli
+assert cli.main(["run", {config!r}]) == 0
+with open({manifest!r}) as fh:
+    environment = json.load(fh)["environment"]
+print(json.dumps([environment["OPENBLAS_NUM_THREADS"], environment["openblas_one_thread"],
+                  len(os.listdir("/proc/self/task"))]))
+"""
+
+
+@needs_proc
+@pytest.mark.parametrize("first, variable, one_thread", [
+    ("", None, True),
+    # a host that loaded numpy first keeps its threaded BLAS
+    ("import numpy", None, False),
+    # the caller's value wins and is the one recorded
+    ("", "2", False),
+])
+def test_manifest_records_what_the_thread_rule_did(tmp_path, first, variable, one_thread):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({"scenario": "reset-metrics", "output": str(tmp_path / "out")}))
+    code = MANIFEST_THREADS.format(first=first, config=str(path),
+                                   manifest=str(tmp_path / "out" / "manifest.json"))
+    recorded, recorded_one_thread, threads = probe(code, OPENBLAS_NUM_THREADS=variable)
+    assert recorded == variable
+    assert recorded_one_thread is one_thread
+    if one_thread or USABLE_CPUS >= 2:
+        assert (threads == 1) is one_thread

@@ -415,8 +415,11 @@ def pinned_curves(kind: str, r_count: int) -> rbsim.RBCurves:
                                 depolarizing_error=0.01 if kind == "depolarizing" else None)
 
 
+#: numpy loads before couplersim, as in a host program (pytest, a notebook):
+#: its OpenBLAS keeps the worker threads that the channel blocks guard against
 FRESH_PROLOGUE = """
 import resource, time
+import numpy
 from couplersim import presets, rbsim
 from couplersim.numerics import RngStream
 
@@ -427,10 +430,12 @@ def scenario(**kwargs):
 
 def run_fresh(body: str) -> str:
     """Run ``body`` in a fresh interpreter with this ``couplersim`` first on
-    the path; returns the last line it prints."""
+    the path and ``OPENBLAS_NUM_THREADS`` unset, which importing couplersim
+    here has set; returns the last line it prints."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     proc = subprocess.run([sys.executable, "-c", FRESH_PROLOGUE + textwrap.dedent(body)],
-                          env={**os.environ, "PYTHONPATH": path},
+                          env={**env, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
