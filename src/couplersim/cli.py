@@ -23,6 +23,11 @@ the run (``_environment``): Python, numpy and, where loaded, scipy versions,
 the BLAS thread variables as the caller set them and whether the package's
 one-thread limit took effect.
 
+floquet-report runs the fixture drive of its ``kind``
+(``presets.fixture_drive``) and asks :func:`couplersim.floquet.in_coupling_window`
+whether it lies in the leading-order window: ``validate`` notes it and the
+report records ``validity_ok``.
+
 Exit codes: 0 success, 2 schema violation, 3 numerical failure, 4 I/O
 failure.
 """
@@ -54,6 +59,7 @@ from .floquet import (
     derivative_series,
     effective_coupling,
     fourier_decompose,
+    in_coupling_window,
     k2_closed_forms,
     schrieffer_wolff_correction,
     transition_manifold,
@@ -301,10 +307,8 @@ def _checked(cfg: dict) -> tuple[RunContext, list]:
     if name == "floquet-report":
         _, _, man, spectrum, in_window = _floquet_drive(params)
         if not in_window:
-            notes.append(
-                f"params.drive.a_d: |D_{man.k}| = {abs(spectrum.coefficient(man.k)):.3e} Hz "
-                f"exceeds k*omega_D/2; the leading-order coupling formula is out of "
-                f"its validity window (warning)")
+            notes.append(f"params.drive.a_d: |D_{man.k}| = {abs(spectrum.coefficient(man.k)):.3e} "
+                         "Hz; the leading-order coupling is out of its validity window (warning)")
     return ctx, notes
 
 
@@ -423,7 +427,7 @@ def _run_periodic_lr(ctx: RunContext) -> dict:
     columns = [np.arange(n_max + 1)]
     summary = {}
     for n_lr in ctx.params["n_lr_list"]:
-        _, trace = rbsim.periodic_lr_trace(replace(base, n_lr=n_lr, n_cl_grid=(n_max,)))
+        _, trace = rbsim.periodic_lr_trace(replace(base, n_lr=n_lr), n_max)
         columns.append(trace)
         header.append(f"p_f_every_{n_lr}")
         summary[f"max_p_f_every_{n_lr}"] = float(trace.max())
@@ -479,7 +483,7 @@ def _run_readout_shots(ctx: RunContext) -> dict:
 
 def _run_cz_chevron(ctx: RunContext) -> dict:
     # the schema keys are the keyword arguments of cz_conditional_phase
-    scan = protocols.cz_conditional_phase(presets.table_circuit(), presets.cz_drive(),
+    scan = protocols.cz_conditional_phase(presets.table_circuit(), presets.fixture_drive("cz"),
                                           **ctx.params)
     return {
         "cz_chevron.csv": (["t_s"] + [f"p_ee_fd{w:.17g}" for w in scan.omega_d],
@@ -494,21 +498,17 @@ def _run_cz_chevron(ctx: RunContext) -> dict:
     }
 
 
-_FIXTURE_DRIVES = {"reset": presets.reset_drive, "lr": presets.lr_drive,
-                   "readout": presets.readout_drive, "cz": presets.cz_drive}
-
-
 def _floquet_drive(params: dict) -> tuple:
     """Circuit, drive, manifold and spectrum of a floquet-report config (the
     fixture drive of ``kind``, at amplitude ``drive.a_d`` when one is given)
-    and whether |D_k| <= k*omega_D/2, the leading-order coupling window."""
+    and whether it lies in the leading-order coupling window."""
     circuit = presets.table_circuit()
-    drive = _FIXTURE_DRIVES[params["kind"]]()
+    drive = presets.fixture_drive(params["kind"])
     if params["drive"]["a_d"] is not None:
         drive = replace(drive, a_d=params["drive"]["a_d"])
     man = transition_manifold(circuit, params["kind"])
     spectrum = fourier_decompose(drive, circuit.coupler)
-    in_window = bool(abs(spectrum.coefficient(man.k)) <= man.k * drive.omega_d / 2)
+    in_window = in_coupling_window(spectrum, man.k, drive.omega_d)
     return circuit, drive, man, spectrum, in_window
 
 
@@ -576,10 +576,6 @@ def _rows(per: str, least: int = 1) -> dict:
 #: draws one int64 Clifford before the first cycle
 _RB_STATE_CYCLES = 10_000_000
 
-#: bytes per step of cz-chevron's four midpoint spectra: eigenvalues,
-#: eigenvectors and neighbour overlaps of the driven double (6 levels) and
-#: single (3 levels) excitation manifolds; the undriven two take one sample
-_CZ_STEP_BYTES = 8 * (6 + 2 * 2 * 36) + 8 * (3 + 2 * 2 * 9)
 _CZ_MAX_SUB = 100_000
 #: most cells (n_omega x stroboscopic periods at the highest drive frequency)
 #: of cz_chevron.csv, about 20 B each on disk
@@ -644,10 +640,10 @@ SCENARIOS = {
         "n_omega": _Param(13, **_rows("drive frequency")),
         "max_duration": _Param(1.2e-6, "(0, inf)"),
         "n_sub": _Param(1024, f"[1, {_CZ_MAX_SUB}]", note=(
-            f"four midpoint spectra of {_CZ_STEP_BYTES} B per step, "
-            f"{_CZ_STEP_BYTES * _CZ_MAX_SUB / 1e6:.0f} MB at the bound"))}),
+            f"four midpoint spectra of {protocols.CZ_STEP_BYTES} B per step, "
+            f"{protocols.CZ_STEP_BYTES * _CZ_MAX_SUB / 1e6:.0f} MB at the bound"))}),
     "floquet-report": (_run_floquet_report, "Fig. 4(c) couplings", {
-        "kind": _Param("reset", choices=tuple(_FIXTURE_DRIVES)),
+        "kind": _Param("reset", choices=tuple(presets.FIXTURE_DRIVES)),
         "drive": {"a_d": _Param(None, "[0, inf)", kind=float)},  # None: the fixture's
         "n_amplitudes": _Param(41, **_rows("amplitude"))}),
 }

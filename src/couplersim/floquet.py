@@ -31,6 +31,10 @@ a quadrature oracle for |x| <= 20, and refuses larger arguments.  Since
 (3.13-5.45 GHz) keeps every floquet-report drive at |x| <= 2.9: the CZ
 drive (k = 1, omega_d = 515 MHz) comes closest, at 2.48 for a_d near 0.8.
 
+The leading-order coupling holds for |D_k| <= k omega_D / 2;
+:func:`in_coupling_window` decides that window for :func:`effective_coupling`
+and the floquet-report scenario.
+
 All frequencies are cyclic (Hz).
 """
 
@@ -209,8 +213,7 @@ def effective_coupling(
 
     Signed through the signs of the inputs; the overall (-i)^k phase of the
     drive-frame derivation is absorbed into the basis convention.  Emits a
-    :class:`ValidityWarning` when ``|D_k| > k * omega_D / 2``, outside the
-    stated small-modulation window.
+    :class:`ValidityWarning` outside :func:`in_coupling_window`.
 
     Raises
     ------
@@ -221,7 +224,7 @@ def effective_coupling(
     if k < 1:
         raise ValueError("harmonic order k must be positive")
     d_k = spectrum.coefficient(k)
-    if abs(d_k) > k * omega_d / 2.0:
+    if not in_coupling_window(spectrum, k, omega_d):
         warnings.warn(
             f"|D_{k}| = {abs(d_k):.3e} Hz exceeds k*omega_D/2 = {k * omega_d / 2:.3e} Hz; "
             "the leading-order coupling formula is outside its validity window",
@@ -229,6 +232,12 @@ def effective_coupling(
             stacklevel=2,
         )
     return float(g_ic * g_jc / (k * omega_d) * _bessel_j(d_k / (k * omega_d))[1])
+
+
+def in_coupling_window(spectrum: DriveSpectrum, k: int, omega_d: float) -> bool:
+    """Whether ``|D_k| <= k * omega_D / 2``, the small-modulation window of
+    the leading-order coupling :func:`effective_coupling`."""
+    return bool(abs(spectrum.coefficient(k)) <= k * omega_d / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +302,6 @@ class TransitionManifold:
     """
 
     kind: str
-    label_a: str
-    label_b: str
     k: int
     block: tuple = field(repr=False)
 
@@ -319,13 +326,13 @@ class TransitionManifold:
         return self.transition / self.k
 
 
-#: kind -> (label A, label B, harmonic k, occupations of A, B and the
-#: coupler-excited state); the qubit-resonator operations drive Q1
+#: kind -> (harmonic k, occupations of A, B and the coupler-excited state);
+#: the qubit-resonator operations drive Q1
 _TRANSITIONS = {
-    "reset": ("e0(Q1)", "g1", 2, {"Q1": 1}, {"R": 1}, {"C": 1}),
-    "lr": ("f0(Q1)", "e1(Q1)", 2, {"Q1": 2}, {"Q1": 1, "R": 1}, {"Q1": 1, "C": 1}),
-    "readout": ("f0(Q1)", "e1(Q1)", 2, {"Q1": 2}, {"Q1": 1, "R": 1}, {"Q1": 1, "C": 1}),
-    "cz": ("ee", "fg", 1, {"Q1": 1, "Q2": 1}, {"Q1": 2}, {"Q1": 1, "C": 1}),
+    "reset": (2, {"Q1": 1}, {"R": 1}, {"C": 1}),
+    "lr": (2, {"Q1": 2}, {"Q1": 1, "R": 1}, {"Q1": 1, "C": 1}),
+    "readout": (2, {"Q1": 2}, {"Q1": 1, "R": 1}, {"Q1": 1, "C": 1}),
+    "cz": (1, {"Q1": 1, "Q2": 1}, {"Q1": 2}, {"Q1": 1, "C": 1}),
 }
 
 
@@ -339,10 +346,9 @@ def transition_manifold(circuit: CircuitSpec, kind: str) -> TransitionManifold:
     """
     if kind not in _TRANSITIONS:
         raise ValueError(f"unknown transition kind {kind!r}")
-    label_a, label_b, k, *occupations = _TRANSITIONS[kind]
+    k, *occupations = _TRANSITIONS[kind]
     states = [tuple(occ.get(el, 0) for el in ELEMENTS) for occ in occupations]
-    return TransitionManifold(kind=kind, label_a=label_a, label_b=label_b, k=k,
-                              block=coupler_block(circuit, states))
+    return TransitionManifold(kind=kind, k=k, block=coupler_block(circuit, states))
 
 
 # ---------------------------------------------------------------------------

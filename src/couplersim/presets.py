@@ -6,8 +6,13 @@ flux-modulated coupler).  The coupler junction parameters (e_sigma, d, e_c)
 are NOT independently measured quantities: they are reverse-fitted to the
 quoted tuning band 3.13-5.45 GHz and anharmonicity -161 MHz, and should be
 treated as a fixture, not ground truth.  The same applies to the static
-flux offset and the drive amplitudes below, which are calibrated against
+flux offsets and the drive amplitudes below, which are calibrated against
 the package's own closed forms to reproduce the quoted effective couplings.
+
+The fixture drives of the four operations (the kinds of
+``floquet.transition_manifold``) are one table, ``FIXTURE_DRIVES``;
+:func:`fixture_drive` puts an entry at its manifold's bare frequency and
+harmonic.  Sweep with ``replace(fixture_drive(kind), a_d=a)``.
 """
 
 from __future__ import annotations
@@ -28,16 +33,17 @@ PHI_DC = 0.12 * math.pi
 #: and the conditional-phase calibration lands at the quoted gate duration
 PHI_DC_CZ = 0.3 * math.pi
 
-#: fixture-fitted drive amplitudes (rad).  The k = 2 amplitudes reproduce
-#: the quoted effective couplings through the k = 2 closed forms (exact
-#: coupler elimination; ``calibrate_drive_amplitude`` of ``tests/oracles.py``
-#: finds them again); the CZ amplitude is calibrated against the exact
-#: three-state dynamics so one full oscillation takes 339 ns on the dressed
-#: resonance
-A_D_RESET = 0.7928930524676335     # swap coupling 2.07 MHz on |e0> <-> |g1>
-A_D_LR = 0.49080991682237063       # swap coupling 0.91 MHz on |f0> <-> |e1>
-A_D_READOUT = 0.7640194132070083   # swap coupling 2.12 MHz on |f0> <-> |e1>
-A_D_CZ = 0.07937531612644286       # pi-phase crossing at 339 ns on |ee> <-> |fg>
+#: kind -> (static flux offset, amplitude) (rad) of the fixture drives.  The
+#: k = 2 amplitudes reproduce the quoted couplings through the k = 2 closed
+#: forms (exact coupler elimination; ``tests/oracles.py`` calibrates them
+#: again); the CZ amplitude makes one full oscillation take 339 ns on the
+#: dressed resonance of the exact three-state dynamics
+FIXTURE_DRIVES = {
+    "reset": (PHI_DC, 0.7928930524676335),      # swap coupling 2.07 MHz on |e0> <-> |g1>
+    "lr": (PHI_DC, 0.49080991682237063),        # swap coupling 0.91 MHz on |f0> <-> |e1>
+    "readout": (PHI_DC, 0.7640194132070083),    # swap coupling 2.12 MHz on |f0> <-> |e1>
+    "cz": (PHI_DC_CZ, 0.07937531612644286),     # pi-phase crossing at 339 ns on |ee> <-> |fg>
+}
 
 #: flat-top Gaussian reset pulse (150 ns, 10 ns rise/fall sigma)
 RESET_PULSE = EnvelopeSpec(total_length=150e-9, sigma_rise=10e-9, sigma_fall=10e-9)
@@ -70,22 +76,9 @@ def table_decay_rates() -> DecayRates:
     return DecayRates(gamma1=6.8e3, gamma_phi=4.4e3, gamma_fe=6.3e3, kappa_r=770e3)
 
 
-def _drive(kind: str, a_d: float, phi_dc: float = PHI_DC) -> DriveSpec:
+def fixture_drive(kind: str) -> DriveSpec:
+    """The fixture drive of ``kind`` (a key of ``FIXTURE_DRIVES``) at the bare
+    frequency and harmonic of its transition manifold on :func:`table_circuit`."""
+    phi_dc, a_d = FIXTURE_DRIVES[kind]
     man = transition_manifold(table_circuit(), kind)
     return DriveSpec(phi_dc=phi_dc, a_d=a_d, omega_d=man.bare_drive_frequency, k=man.k)
-
-
-def reset_drive() -> DriveSpec:
-    return _drive("reset", A_D_RESET)
-
-
-def lr_drive() -> DriveSpec:
-    return _drive("lr", A_D_LR)
-
-
-def readout_drive() -> DriveSpec:
-    return _drive("readout", A_D_READOUT)
-
-
-def cz_drive() -> DriveSpec:
-    return _drive("cz", A_D_CZ, phi_dc=PHI_DC_CZ)

@@ -443,6 +443,11 @@ class CZPhaseScan:
 #: truncating them unbalances the conditional-phase combination.
 _CZ_DOUBLE = ((1, 1, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 2, 0))
 _CZ_SINGLE = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+#: bytes per step of a scan's midpoint spectra: float64 eigenvalues,
+#: complex eigenvectors and overlaps of the two driven manifolds (the
+#: undriven two take one sample)
+CZ_STEP_BYTES = sum(8 * len(states) + 2 * 16 * len(states) ** 2
+                    for states in (_CZ_DOUBLE, _CZ_SINGLE))
 
 
 def _drive_grid(h2: np.ndarray, omega_d_span: tuple, n_omega: int) -> np.ndarray:

@@ -226,15 +226,14 @@ def error_models(scenario: RBScenario) -> ErrorModels:
     )
 
 
-def periodic_lr_trace(scenario: RBScenario) -> tuple[np.ndarray, np.ndarray]:
-    """P_f(n_Cl) when recovery runs only every ``scenario.n_lr`` Cliffords.
+def periodic_lr_trace(scenario: RBScenario, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """P_f(n_Cl), n_Cl = 0 ... ``n_max``, with recovery every ``scenario.n_lr`` Cliffords.
 
     Stepwise rate equation (the incoherent limit, see the module
     docstring); produces the shark-fin trace whose maxima stay below
     ``n_lr * l_cl / 2``.  ``n_lr = 0`` gives the no-recovery
     transient.
     """
-    n_max = int(max(scenario.n_cl_grid))
     cycle = [cycle_matrix(scenario, False), cycle_matrix(scenario, True)]
     vec = np.array([1.0, 0.0, 0.0])
     p_f = np.empty(n_max + 1)

@@ -32,7 +32,7 @@ from couplersim.floquet import (DriveSpec, EffectiveFrame, TransitionManifold, V
                                 effective_coupling, fourier_decompose, k2_closed_forms,
                                 modulation_spectrum, transition_manifold)
 from couplersim.numerics import TWO_PI, liouvillian, periodic_propagator
-from couplersim.presets import PHI_DC
+from couplersim.presets import fixture_drive, table_circuit
 from couplersim.protocols import _CZ_DOUBLE, _CZ_SINGLE, BOLTZMANN_K, PLANCK_H
 from couplersim.rbsim import RBScenario, cycle_matrix
 
@@ -314,20 +314,22 @@ def swap_coupling(frame: EffectiveFrame) -> float:
     return 0.5 * _qubit_gap(frame, dressed_resonance_offset(frame))
 
 
-def calibrate_drive_amplitude(circuit: CircuitSpec, kind: str, target_coupling: float) -> float:
-    """Fixture calibration: the drive amplitude at the static flux offset
-    ``PHI_DC`` whose closed-form effective coupling magnitude equals
-    ``target_coupling``, searched up to ``A_MAX``.
+def calibrate_drive_amplitude(kind: str, target_coupling: float) -> float:
+    """Fixture calibration: the amplitude of the fixture drive of ``kind``
+    (``presets.fixture_drive``: its static flux offset, frequency and
+    harmonic) whose closed-form effective coupling magnitude on the
+    reference circuit equals ``target_coupling``, searched up to ``A_MAX``.
 
     Uses the k = 2 closed forms with the exact coupler elimination for the
     second-harmonic operations and the leading-order formula for k = 1,
     so it raises ``ValueError`` where those do (a Bessel argument beyond
     20, reachable only with a low drive frequency or a wide coupler band).
     """
+    circuit, fixture = table_circuit(), fixture_drive(kind)
     man = transition_manifold(circuit, kind)
 
     def coupling(a: float) -> float:
-        drive = DriveSpec(phi_dc=PHI_DC, a_d=a, omega_d=man.bare_drive_frequency, k=man.k)
+        drive = replace(fixture, a_d=a)
         spec = fourier_decompose(drive, circuit.coupler)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)

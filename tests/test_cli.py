@@ -7,15 +7,18 @@ import json
 import math
 import os
 import platform
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
+from scipy.optimize import brentq
 
 import couplersim
 from couplersim import cli, presets, protocols, rbsim
-from couplersim.floquet import coupler_block, modulation_spectrum
+from couplersim.floquet import (ValidityWarning, coupler_block, effective_coupling,
+                                fourier_decompose, modulation_spectrum, transition_manifold)
 
 RB_PARAMS = {"n_randomizations": 3, "n_cl_grid": [1, 2, 4, 8, 16, 32, 64]}
 CZ_PARAMS = {"n_omega": 3, "n_sub": 64}
@@ -402,12 +405,12 @@ class TestSchema:
 
     def test_n_sub_bound_states_the_spectra_memory(self):
         # the four midpoint spectra cz_conditional_phase builds
-        circuit, drive, n_sub = presets.table_circuit(), presets.cz_drive(), 1000
+        circuit, drive, n_sub = presets.table_circuit(), presets.fixture_drive("cz"), 1000
         spectra = [modulation_spectrum(coupler_block(circuit, states), circuit.coupler, d, n_sub)
                    for d in (drive, replace(drive, a_d=0.0))
                    for states in (protocols._CZ_DOUBLE, protocols._CZ_SINGLE)]
         held = sum(a.nbytes for spectrum in spectra for a in spectrum)
-        assert abs(held - n_sub * cli._CZ_STEP_BYTES) < cli._CZ_STEP_BYTES
+        assert abs(held - n_sub * protocols.CZ_STEP_BYTES) < protocols.CZ_STEP_BYTES
 
     def test_list_shows_every_declared_key_with_its_default(self, capsys):
         assert cli.main(["list"]) == 0
@@ -438,6 +441,61 @@ class TestSchema:
         assert run(config, tmp_path / "a") == 0
         report = json.loads((tmp_path / "a" / "floquet_report.json").read_text())
         assert report["validity_ok"] is True
+
+
+class TestValidityWindowEdge:
+    """``validate``'s note, the report's ``validity_ok`` and the
+    ``ValidityWarning`` of ``effective_coupling`` agree on either side of the
+    leading-order window's edge |D_k| = k omega_D / 2."""
+
+    @staticmethod
+    def d_k(kind, a_d):
+        drive = replace(presets.fixture_drive(kind), a_d=a_d)
+        return abs(fourier_decompose(drive, presets.table_coupler()).coefficient(drive.k))
+
+    @staticmethod
+    def verdicts(tmp_path, capsys, kind, a_d):
+        """(validate notes, the report is not validity_ok, effective_coupling
+        warns) for the fixture drive of ``kind`` at amplitude ``a_d``."""
+        tmp_path.mkdir()
+        config = write_config(tmp_path, "floquet-report",
+                              {"kind": kind, "drive": {"a_d": a_d}, "n_amplitudes": 2})
+        assert cli.main(["validate", config]) == 0
+        noted = "warning: params.drive.a_d" in capsys.readouterr().out
+        assert run(config, tmp_path / "a") == 0
+        capsys.readouterr()
+        report = json.loads((tmp_path / "a" / "floquet_report.json").read_text())
+        assert report["a_d_rad"] == a_d
+        drive = replace(presets.fixture_drive(kind), a_d=a_d)
+        man = transition_manifold(presets.table_circuit(), kind)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            effective_coupling(man.g_ac, man.g_bc, man.k, drive.omega_d,
+                               fourier_decompose(drive, presets.table_coupler()))
+        warned = any(issubclass(w.category, ValidityWarning) for w in caught)
+        return noted, not report["validity_ok"], warned
+
+    def test_first_harmonic_edge_of_the_cz_drive(self, tmp_path, capsys):
+        # |D_1| of the CZ drive crosses omega_D / 2 between a_d 0.1 and 0.2
+        half = presets.fixture_drive("cz").omega_d / 2
+        edge = brentq(lambda a: self.d_k("cz", a) - half, 0.1, 0.2, xtol=1e-15)
+        assert self.verdicts(tmp_path / "in", capsys, "cz", edge * (1 - 1e-10)) == (
+            False, False, False)
+        assert self.verdicts(tmp_path / "out", capsys, "cz", edge * (1 + 1e-10)) == (
+            True, True, True)
+
+    def test_second_harmonic_edge_of_the_reset_drive_is_out_of_reach(self, tmp_path, capsys):
+        # On the reference circuit |D_2| of the reset drive (k = 2) peaks at
+        # 0.765 of the edge k omega_D / 2 = omega_D, near a_d 1.43: no
+        # amplitude of floquet-report leaves the window.  The three verdicts
+        # agree at the peak; the k = 2 edge itself is pinned on synthetic
+        # spectra in test_floquet.
+        omega_d = presets.fixture_drive("reset").omega_d
+        amps = np.linspace(0.0, math.pi, 315)
+        ratios = [self.d_k("reset", float(a)) / omega_d for a in amps]
+        peak = float(amps[int(np.argmax(ratios))])
+        assert max(ratios) == pytest.approx(0.765, abs=0.002)
+        assert self.verdicts(tmp_path / "peak", capsys, "reset", peak) == (False, False, False)
 
 
 class TestSeed:

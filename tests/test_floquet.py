@@ -18,6 +18,7 @@ from couplersim.floquet import (
     derivative_series,
     effective_coupling,
     fourier_decompose,
+    in_coupling_window,
     k2_closed_forms,
     modulated_hamiltonian,
     schrieffer_wolff_correction,
@@ -53,7 +54,8 @@ def closed_forms(circuit, drive, man):
 
 def reset_frame(circuit):
     """The k = 2 closed forms of the reset manifold at the fixture drive."""
-    return closed_forms(circuit, presets.reset_drive(), transition_manifold(circuit, "reset"))
+    return closed_forms(circuit, presets.fixture_drive("reset"),
+                        transition_manifold(circuit, "reset"))
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +171,19 @@ class TestEffectiveCoupling:
         with pytest.warns(ValidityWarning):
             effective_coupling(115e6, 75e6, 2, 1.01e9, spec)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_window_edge_is_inside(self, k):
+        # |D_k| = k omega_D / 2 lies in the window and warns nothing; the
+        # next float above it lies outside and warns
+        wd = 1.01e9
+        for d_k, inside in ((k * wd / 2, True), (np.nextafter(k * wd / 2, np.inf), False)):
+            spec = DriveSpectrum(omega_bar_c=5e9, d_m=(-d_k, -d_k))
+            assert in_coupling_window(spec, k, wd) is inside
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                effective_coupling(115e6, 75e6, k, wd, spec)
+            assert [w.category for w in caught] == ([] if inside else [ValidityWarning])
+
     def test_refuses_bessel_argument_beyond_tested_range(self):
         # D_2 / (2 omega_D) = 21, past the |x| <= 20 range of the J table
         spec = DriveSpectrum(omega_bar_c=5e9, d_m=(0.0, 2 * 1.01e9 * 21.0))
@@ -184,7 +199,7 @@ class TestEffectiveCoupling:
         wd = man.bare_drive_frequency
         best = 0.0
         for a_d in np.linspace(0.05, 1.05, 21):
-            spec = fourier_decompose(DriveSpec(phi_dc=0.12 * math.pi, a_d=a_d, omega_d=wd),
+            spec = fourier_decompose(dataclasses.replace(presets.fixture_drive("reset"), a_d=a_d),
                                      coupler)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ValidityWarning)
@@ -223,12 +238,12 @@ class TestTransitionManifolds:
             transition_manifold(circuit, "swap")
 
     @pytest.mark.parametrize("kind, expected", [
-        ("reset", ("e0(Q1)", "g1", 3.83e9, 5.85e9, -115e6, 75e6, -9e6, -3.83e9, 2)),
-        ("lr", ("f0(Q1)", "e1(Q1)", 2 * 3.83e9 - 205e6, 3.83e9 + 5.85e9,
+        ("reset", (3.83e9, 5.85e9, -115e6, 75e6, -9e6, -3.83e9, 2)),
+        ("lr", (2 * 3.83e9 - 205e6, 3.83e9 + 5.85e9,
                 -ROOT2 * 115e6, 75e6, -ROOT2 * 9e6, -(3.83e9 - 205e6), 2)),
-        ("readout", ("f0(Q1)", "e1(Q1)", 2 * 3.83e9 - 205e6, 3.83e9 + 5.85e9,
+        ("readout", (2 * 3.83e9 - 205e6, 3.83e9 + 5.85e9,
                      -ROOT2 * 115e6, 75e6, -ROOT2 * 9e6, -(3.83e9 - 205e6), 2)),
-        ("cz", ("ee", "fg", 3.83e9 + 3.11e9, 2 * 3.83e9 - 205e6,
+        ("cz", (3.83e9 + 3.11e9, 2 * 3.83e9 - 205e6,
                 -110e6, -ROOT2 * 115e6, -ROOT2 * 15e6, -3.11e9, 1)),
     ])
     def test_golden_fields(self, circuit, kind, expected):
@@ -236,8 +251,7 @@ class TestTransitionManifolds:
         # single-excitation element is -g_ij, each doubly occupied transmon
         # level brings a factor sqrt(2)
         man = transition_manifold(circuit, kind)
-        names = ("label_a", "label_b", "omega_a", "omega_b", "g_ac", "g_bc", "g_ab",
-                 "delta_c_offset", "k")
+        names = ("omega_a", "omega_b", "g_ac", "g_bc", "g_ab", "delta_c_offset", "k")
         assert man.kind == kind
         for name, value in zip(names, expected):
             got = getattr(man, name)
@@ -255,8 +269,7 @@ class TestK2ClosedForms:
         # at a_d = 0 only J_{0,0} = 1 survives: the frame keeps the bare A-C
         # coupling and every drive-activated coupling vanishes
         man = with_block_entry(transition_manifold(circuit, "reset"), 0, 1, 0.0)
-        drive = DriveSpec(phi_dc=presets.PHI_DC, a_d=0.0,
-                          omega_d=man.bare_drive_frequency, k=2)
+        drive = dataclasses.replace(presets.fixture_drive(man.kind), a_d=0.0)
         frame = closed_forms(circuit, drive, man)
         assert frame.g_tilde_ac == pytest.approx(man.g_ac, rel=1e-12)
         assert frame.g_tilde_ab == 0.0
@@ -280,8 +293,7 @@ class TestK2ClosedForms:
     def test_j00_definition(self, circuit, coupler):
         # with g_ab = 0 the frame exposes J_{0,0} through g~_AC / g_AC
         man = with_block_entry(transition_manifold(circuit, "reset"), 0, 1, 0.0)
-        drive = DriveSpec(phi_dc=0.12 * math.pi, a_d=0.3,
-                          omega_d=man.bare_drive_frequency, k=2)
+        drive = dataclasses.replace(presets.fixture_drive(man.kind), a_d=0.3)
         spec = fourier_decompose(drive, coupler)
         frame = k2_closed_forms(man, drive, spec)
         wd = drive.omega_d
@@ -294,8 +306,7 @@ class TestK2ClosedForms:
         # gap is the A-B splitting (mod omega_D) of the zeroed static block
         man = transition_manifold(circuit, "reset")
         zeroed = with_block_entry(man, 0, 1, 0.0)
-        drive = DriveSpec(phi_dc=presets.PHI_DC, a_d=0.0,
-                          omega_d=man.bare_drive_frequency, k=2)
+        drive = dataclasses.replace(presets.fixture_drive(man.kind), a_d=0.0)
         wd = drive.omega_d
         assert zeroed.g_ab == 0.0 and man.g_ab != 0.0
         assert closed_forms(circuit, drive, zeroed).omega_tilde_a == 0.0
@@ -416,8 +427,7 @@ class TestExactOracle:
         # propagation at the fixture drives (measured 8.9e-7 reset, 3.2e-8
         # lr, 1.9e-7 cz in the lab frame; a drive-frame H(t), whose
         # off-diagonals rotate at k omega_d, missed it at 3.4e-6-4.5e-6)
-        drive = {"reset": presets.reset_drive, "lr": presets.lr_drive,
-                 "cz": presets.cz_drive}[kind]()
+        drive = presets.fixture_drive(kind)
         man = transition_manifold(circuit, kind)
         coarse = quasi_energy_gap(man, circuit.coupler, drive, n_sub=1024)
         fine = quasi_energy_gap(man, circuit.coupler, drive, n_sub=16384)
@@ -428,8 +438,7 @@ class TestExactOracle:
         amps = [0.08, 0.16]
         gaps = []
         for a_d in amps:
-            drive = DriveSpec(phi_dc=presets.PHI_DC, a_d=a_d,
-                              omega_d=man.bare_drive_frequency, k=2)
+            drive = dataclasses.replace(presets.fixture_drive(man.kind), a_d=a_d)
             _, gap = find_parametric_resonance(man, circuit.coupler, drive,
                                                span=20e6, n_coarse=21, n_sub=1024)
             gaps.append(gap)
@@ -445,8 +454,7 @@ class TestExactOracle:
         # amplitude-independent.  This pins the measured band as a
         # regression guard.
         man = transition_manifold(circuit, "reset")
-        drive = DriveSpec(phi_dc=presets.PHI_DC, a_d=0.4,
-                          omega_d=man.bare_drive_frequency, k=2)
+        drive = dataclasses.replace(presets.fixture_drive(man.kind), a_d=0.4)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
             frame = closed_forms(circuit, drive, man)
@@ -458,8 +466,7 @@ class TestExactOracle:
     def test_propagator_matches_ode_integration(self, circuit):
         # one-period propagator (piecewise-exact product) against DOP853
         man = transition_manifold(circuit, "reset")
-        drive = DriveSpec(phi_dc=presets.PHI_DC, a_d=0.3,
-                          omega_d=man.bare_drive_frequency, k=2)
+        drive = dataclasses.replace(presets.fixture_drive(man.kind), a_d=0.3)
         h_fn = modulated_hamiltonian(man.block, circuit.coupler, drive)
         period = 1.0 / drive.omega_d
         u = periodic_propagator(midpoint_spectrum(h_fn, period, 4096), period)
@@ -479,13 +486,12 @@ class TestModulatedHamiltonian:
         if kind.startswith("cz-"):
             states = _CZ_DOUBLE if kind == "cz-double" else _CZ_SINGLE
             block = coupler_block(circuit, states)
-            drive = presets.cz_drive()
+            drive = presets.fixture_drive("cz")
             drive = dataclasses.replace(drive, omega_d=1.01 * drive.omega_d)
         else:
             man = transition_manifold(circuit, kind)
             block = man.block
-            drive = DriveSpec(phi_dc=presets.PHI_DC, a_d=0.3,
-                              omega_d=man.bare_drive_frequency, k=man.k)
+            drive = dataclasses.replace(presets.fixture_drive(man.kind), a_d=0.3)
         dim = len(block[0])
         h_fn = modulated_hamiltonian(block, circuit.coupler, drive)
         t = np.linspace(0.0, 3.0 / drive.omega_d, 37)

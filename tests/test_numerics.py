@@ -230,7 +230,7 @@ class TestPeriodicPropagator:
         coupler = presets.table_circuit().coupler
         for wd in CZ_DRIVES:
             h_of_t = modulated_hamiltonian(cz_blocks[kind], coupler,
-                                           replace(presets.cz_drive(), omega_d=wd))
+                                           replace(presets.fixture_drive("cz"), omega_d=wd))
             u = periodic_propagator(midpoint_spectrum(h_of_t, 1.0 / wd, n_sub), 1.0 / wd)
             ref = sequential_midpoint_propagator(h_of_t, 1.0 / wd, n_sub)
             assert np.max(np.abs(u - ref)) < 1e-12
@@ -243,7 +243,7 @@ class TestPeriodicPropagator:
         coupler = presets.table_circuit().coupler
         for wd in CZ_DRIVES:
             h_of_t = modulated_hamiltonian(cz_blocks[kind], coupler,
-                                           replace(presets.cz_drive(), omega_d=wd))
+                                           replace(presets.fixture_drive("cz"), omega_d=wd))
             spectrum = midpoint_spectrum(h_of_t, 1.0 / wd, n_sub)
             assert spectrum[2].shape == (n_sub - 1, *spectrum[1].shape[1:])
             u = periodic_propagator(spectrum, 1.0 / wd)
@@ -257,7 +257,7 @@ class TestPeriodicPropagator:
     def test_spectrum_reused_across_drive_frequencies(self, cz_blocks, kind):
         # the midpoint samples of modulated_hamiltonian depend on omega_d
         # only through round-off, so one spectrum serves every period
-        coupler, drive = presets.table_circuit().coupler, presets.cz_drive()
+        coupler, drive = presets.table_circuit().coupler, presets.fixture_drive("cz")
         spectrum = modulation_spectrum(cz_blocks[kind], coupler, drive, 2048)
         for wd in CZ_DRIVES:
             resampled = modulation_spectrum(cz_blocks[kind], coupler,
@@ -268,7 +268,7 @@ class TestPeriodicPropagator:
     @pytest.mark.parametrize("kind", ["cz-double", "cz-single"])
     def test_undriven_spectrum_is_one_sample(self, cz_blocks, kind):
         coupler = presets.table_circuit().coupler
-        drive = replace(presets.cz_drive(), a_d=0.0)
+        drive = replace(presets.fixture_drive("cz"), a_d=0.0)
         spectrum = modulation_spectrum(cz_blocks[kind], coupler, drive, 2048)
         assert len(spectrum[0]) == 1
         h = modulated_hamiltonian(cz_blocks[kind], coupler, drive)(0.0)
@@ -321,7 +321,7 @@ class TestCZScanOracle:
 
     @pytest.fixture(scope="class")
     def scan(self):
-        return cz_conditional_phase(presets.table_circuit(), presets.cz_drive(),
+        return cz_conditional_phase(presets.table_circuit(), presets.fixture_drive("cz"),
                                     omega_d_span=(0.0, 6e6), n_omega=3,
                                     max_duration=self.MAX_DURATION, n_sub=self.N_SUB)
 
@@ -331,8 +331,8 @@ class TestCZScanOracle:
         for i, wd in enumerate(scan.omega_d):
             period = 1.0 / wd
             n_per = int(self.MAX_DURATION / period)
-            drives = (replace(presets.cz_drive(), omega_d=wd),
-                      replace(presets.cz_drive(), omega_d=wd, a_d=0.0))
+            drives = (replace(presets.fixture_drive("cz"), omega_d=wd),
+                      replace(presets.fixture_drive("cz"), omega_d=wd, a_d=0.0))
             m2, m1, m2_0, m1_0 = (
                 np.array([np.diag(np.linalg.matrix_power(u, k)) for k in range(n_per)])
                 for u in (sequential_midpoint_propagator(

@@ -440,7 +440,7 @@ class TestAssignmentFidelity:
 
 @pytest.fixture(scope="module")
 def cz_scan():
-    return cz_conditional_phase(presets.table_circuit(), presets.cz_drive(),
+    return cz_conditional_phase(presets.table_circuit(), presets.fixture_drive("cz"),
                                 omega_d_span=(-2e6, 12e6), n_omega=15,
                                 max_duration=1.5e-6, n_sub=1024)
 
@@ -460,7 +460,7 @@ class TestCZCalibration:
 
         circuit = presets.table_circuit()
         man = transition_manifold(circuit, "cz")
-        drive = presets.cz_drive()
+        drive = presets.fixture_drive("cz")
         w_res, gap_min = find_parametric_resonance(man, circuit.coupler, drive,
                                                    span=25e6, n_coarse=31, n_sub=1024)
         for delta in (-8e6, -4e6, -2e6, 2e6, 4e6, 8e6):
@@ -483,7 +483,7 @@ class TestCZCalibration:
 
     def test_window_too_short_for_oscillation_raises(self):
         with pytest.raises(RuntimeError, match="oscillation"):
-            cz_conditional_phase(presets.table_circuit(), presets.cz_drive(),
+            cz_conditional_phase(presets.table_circuit(), presets.fixture_drive("cz"),
                                  omega_d_span=(-1e6, 1e6), n_omega=3,
                                  max_duration=80e-9, n_sub=512)
 
@@ -514,7 +514,7 @@ class TestCZModels:
         from couplersim.circuit import coupler_frequency
 
         circuit = presets.table_circuit()
-        drive = presets.cz_drive()
+        drive = presets.fixture_drive("cz")
         wd = drive.omega_d
         t = np.array([0.1, 0.35]) / wd
         wc = coupler_frequency(drive.phi_dc + drive.a_d * np.sin(TWO_PI * wd * t),
@@ -537,7 +537,7 @@ class TestCZModels:
         from couplersim.circuit import coupler_frequency
 
         circuit = presets.table_circuit()
-        drive = presets.cz_drive()
+        drive = presets.fixture_drive("cz")
         wd = drive.omega_d
         (w1, w2), (a1, a2, ac) = (3.83e9, 3.11e9), (-205e6, -216e6, -161e6)
         g12, g1c, g2c = 15e6, 115e6, 110e6
@@ -565,7 +565,7 @@ class TestCZModels:
     def test_blocks_built_once_per_scan(self, monkeypatch, n_omega):
         from couplersim import floquet
 
-        circuit, drive = presets.table_circuit(), presets.cz_drive()
+        circuit, drive = presets.table_circuit(), presets.fixture_drive("cz")
         calls = []
         build = floquet.manifold_hamiltonian
         monkeypatch.setattr(floquet, "manifold_hamiltonian",
@@ -584,7 +584,7 @@ class TestCZModels:
         # undriven reference, whatever n_omega
         from couplersim import floquet
 
-        circuit, drive = presets.table_circuit(), presets.cz_drive()
+        circuit, drive = presets.table_circuit(), presets.fixture_drive("cz")
         eighs, samplings = [], []
         eigh, sample = np.linalg.eigh, floquet.coupler_frequency
         monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(len(a)) or eigh(a))

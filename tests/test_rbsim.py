@@ -57,19 +57,19 @@ class TestRateEquation:
 
     @pytest.mark.parametrize("n_lr", [20, 10, 5, 1])
     def test_periodic_trace_stays_below_shark_fin_bound(self, n_lr):
-        sc = scenario(n_lr=n_lr, n_cl_grid=(200,))
-        n, p_f = rbsim.periodic_lr_trace(sc)
+        sc = scenario(n_lr=n_lr)
+        n, p_f = rbsim.periodic_lr_trace(sc, 200)
         assert n[-1] == 200 and p_f[0] == 0.0
         assert p_f.max() <= n_lr * sc.l_cl / 2.0
 
     def test_periodic_trace_steps_the_cycle_matrices(self):
-        sc = scenario(n_lr=3, n_cl_grid=(12,))
+        sc = scenario(n_lr=3)
         vec = np.array([1.0, 0.0, 0.0])
         expected = [0.0]
         for n in range(1, 13):
             vec = rbsim.cycle_matrix(sc, n % 3 == 0) @ vec
             expected.append(vec[1])
-        assert rbsim.periodic_lr_trace(sc)[1].tolist() == expected
+        assert rbsim.periodic_lr_trace(sc, 12)[1].tolist() == expected
 
     @pytest.mark.parametrize("l_cl", [0.0, 0.01, 0.03, 0.1])
     def test_recovery_pays_off_above_breakeven(self, l_cl):
