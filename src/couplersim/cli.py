@@ -9,6 +9,10 @@ Each ``SCENARIOS`` entry declares its parameter schema once, key ->
 ``_Param`` (default, interval, choices).  ``validate`` and ``run`` parse a
 config with it (``_parse_params``: defaults, conversion, unknown keys and
 ranges), ``list`` prints it, and the runners index ``ctx.params[key]``.
+A schema is built (``_schema``) when its scenario is first checked, and the
+runners import :mod:`~couplersim.rbsim` and :mod:`~couplersim.protocols`
+where they call them, so a process imports only the modules its scenario
+runs (see the import rule of :mod:`couplersim`).
 Each scenario declares only the decay rates its outputs read, as flat keys
 such as ``rates.gamma1``; ``ctx.rates`` holds the table values of the rest,
 which nothing reads.
@@ -29,13 +33,16 @@ whether it lies in the leading-order window: ``validate`` notes it and the
 report records ``validity_ok``.
 
 Exit codes: 0 success, 2 schema violation, 3 numerical failure, 4 I/O
-failure.
+failure.  :func:`main` returns the code.  :func:`entry`, the entry point of
+``python -m couplersim.cli`` and of the ``couplersim`` script, exits the
+process with it, after freezing the garbage collector.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -46,12 +53,13 @@ import tempfile
 import time
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cache
+from itertools import chain
 
 import numpy as np
 import yaml
 
-from . import (OPENBLAS_CALLER, OPENBLAS_ONE_THREAD, __version__, dynamics, presets, protocols,
-               rbsim)
+from . import OPENBLAS_CALLER, OPENBLAS_ONE_THREAD, __version__, dynamics, presets
 from .circuit import DecayRates
 from .floquet import (
     ValidityWarning,
@@ -87,19 +95,25 @@ def _cells(values: np.ndarray) -> list:
 
 def _encode_csv(header: list, columns: list) -> bytes:
     """A CSV table from its columns; a scalar fills its whole column.  The
-    rows are formatted in chunks so the cell lists stay small."""
+    rows share one ``%`` template: ``%.17g`` for a float64 column, ``%s``
+    for the :func:`_cells` of any other, the cell itself for a scalar.  They
+    are formatted in chunks, so the cell lists stay small, with one ``%``
+    per chunk."""
     columns = [np.asarray(c) for c in columns]
     n = next((len(c) for c in columns if c.ndim), 1)
     for name, c in zip(header, columns):
         if c.ndim and len(c) != n:
             raise ValueError(f"CSV column {name!r} has {len(c)} rows, expected {n}")
+    row = ",".join(("%.17g" if c.dtype == np.float64 else "%s") if c.ndim
+                   else _cells(c.reshape(1))[0].replace("%", "%%") for c in columns) + "\n"
+    arrays = [c for c in columns if c.ndim]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(header)
     for start in range(0, n, _CSV_CHUNK_ROWS):
-        m = min(n - start, _CSV_CHUNK_ROWS)
-        cells = [_cells(c[start:start + m]) if c.ndim else _cells(c.reshape(1)) * m
-                 for c in columns]
-        buf.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        chunk = [c[start:start + _CSV_CHUNK_ROWS] for c in arrays]
+        cells = [c.tolist() if c.dtype == np.float64 else _cells(c) for c in chunk]
+        rows = min(n - start, _CSV_CHUNK_ROWS)
+        buf.write((row * rows) % tuple(chain.from_iterable(zip(*cells))))
     return buf.getvalue().encode()
 
 
@@ -274,13 +288,15 @@ def _checked(cfg: dict) -> tuple[RunContext, list]:
              f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
     output = cfg.get("output", "out")
     _require(isinstance(output, str), "output", "must be a string")
-    params = _parse_params(SCENARIOS[name][2], cfg.get("params"))
+    params = _parse_params(_schema(name), cfg.get("params"))
     rates = replace(presets.table_decay_rates(), **params["rates"]) if "rates" in params else None
     ctx = RunContext(name, _convert(_SEED, cfg.get("seed", 0), "seed"), output, params, rates)
     notes = []
     if name == "cz-chevron":
-        drives = protocols.cz_drive_frequencies(presets.table_circuit(), params["omega_d_span"],
-                                                params["n_omega"])
+        from .protocols import cz_drive_frequencies
+
+        drives = cz_drive_frequencies(presets.table_circuit(), params["omega_d_span"],
+                                      params["n_omega"])
         lowest, highest = drives.min(), drives.max()
         _require(lowest > 0, "params.omega_d_span", f"reaches drive frequency {lowest:.6g} Hz <= 0")
         _require(params["max_duration"] >= 1.0 / lowest, "params.max_duration",
@@ -349,6 +365,8 @@ def _run_reset_dynamics(ctx: RunContext) -> dict:
 
 
 def _run_reset_metrics(ctx: RunContext) -> dict:
+    from . import protocols
+
     p = ctx.params
     metrics = protocols.reset_metrics(p["p_id"], p["p_pi"], p["p_id_r"], p["p_pi_r"])
     budget = protocols.thermal_budget(p["p_id"], ctx.rates.gamma1, p["omega_q"],
@@ -379,18 +397,25 @@ def _run_lr_dynamics(ctx: RunContext) -> dict:
     }
 
 
-#: ``RBScenario`` fields and their defaults (``MISSING`` for ``l_cl``)
-_RB_FIELDS = {f.name: f.default for f in fields(rbsim.RBScenario)}
+def _rb_fields() -> dict:
+    """``RBScenario`` fields and their defaults (``MISSING`` for ``l_cl``)."""
+    from .rbsim import RBScenario
+
+    return {f.name: f.default for f in fields(RBScenario)}
 
 
-def _rb_scenario(ctx: RunContext) -> rbsim.RBScenario:
-    """The scenario of the declared ``RBScenario`` parameters; undeclared
-    fields keep their dataclass defaults."""
-    declared = {k: v for k, v in ctx.params.items() if k in _RB_FIELDS and k != "rates"}
-    return rbsim.RBScenario(rates=ctx.rates, **declared)
+def _rb_scenario(ctx: RunContext):
+    """The ``RBScenario`` of the declared parameters; undeclared fields
+    keep their dataclass defaults."""
+    from .rbsim import RBScenario
+
+    declared = _rb_fields().keys() - {"rates"}
+    return RBScenario(rates=ctx.rates, **{k: v for k, v in ctx.params.items() if k in declared})
 
 
 def _run_leakage_rb(ctx: RunContext) -> dict:
+    from . import rbsim
+
     p = ctx.params
     scenario = _rb_scenario(ctx)
     curves = rbsim.monte_carlo_rb(scenario, ctx.stream(), n_randomizations=p["n_randomizations"])
@@ -421,13 +446,15 @@ def _run_periodic_lr(ctx: RunContext) -> dict:
     """Rate-equation P_f traces (:func:`rbsim.periodic_lr_trace`), recovery
     every N Cliffords.  ``max_p_f_every_N`` is therefore the incoherent
     limit (see the :mod:`couplersim.rbsim` docstring)."""
+    from .rbsim import periodic_lr_trace
+
     n_max = ctx.params["n_max"]
     base = _rb_scenario(ctx)
     header = ["n_cl"]
     columns = [np.arange(n_max + 1)]
     summary = {}
     for n_lr in ctx.params["n_lr_list"]:
-        _, trace = rbsim.periodic_lr_trace(replace(base, n_lr=n_lr), n_max)
+        trace = periodic_lr_trace(replace(base, n_lr=n_lr), n_max)
         columns.append(trace)
         header.append(f"p_f_every_{n_lr}")
         summary[f"max_p_f_every_{n_lr}"] = float(trace.max())
@@ -445,6 +472,8 @@ def _run_chi_map(ctx: RunContext) -> dict:
 
 
 def _run_readout_shots(ctx: RunContext) -> dict:
+    from . import protocols
+
     p = ctx.params
     n_shots, sep, tau_meas, sigma = p["n_shots"], p["separation_sigma"], p["tau_meas"], 1.0
     centers = np.array([[0.0, 0.0], [sep, 0.0], [sep / 2.0, 0.9 * sep]]) * sigma
@@ -482,9 +511,11 @@ def _run_readout_shots(ctx: RunContext) -> dict:
 
 
 def _run_cz_chevron(ctx: RunContext) -> dict:
+    from .protocols import cz_conditional_phase
+
     # the schema keys are the keyword arguments of cz_conditional_phase
-    scan = protocols.cz_conditional_phase(presets.table_circuit(), presets.fixture_drive("cz"),
-                                          **ctx.params)
+    scan = cz_conditional_phase(presets.table_circuit(), presets.fixture_drive("cz"),
+                                **ctx.params)
     return {
         "cz_chevron.csv": (["t_s"] + [f"p_ee_fd{w:.17g}" for w in scan.omega_d],
                            [scan.times, *scan.p_ee]),
@@ -585,68 +616,95 @@ _CZ_CELLS = 5_000_000
 _CZ_STEPS = 50_000_000
 
 
-#: RB physics of leakage-rb and periodic-lr
-_RB_PARAMS = {
-    "l_cl": _Param(0.02, "[0, 1]"), "f_lr": _Param(_RB_FIELDS["f_lr"], "[0, 1]"),
-    **{key: _Param(_RB_FIELDS[key], "[0, inf)") for key in ("tau_cl", "tau_leak", "tau_lr")},
-}
+def _rb_schema(*rates: str, **extra: _Param) -> dict:
+    """Schema of leakage-rb or periodic-lr: the RB physics, with the
+    ``RBScenario`` defaults, the named decay rates, then ``extra``."""
+    rb = _rb_fields()
+    return {"l_cl": _Param(0.02, "[0, 1]"), "f_lr": _Param(rb["f_lr"], "[0, 1]"),
+            **{key: _Param(rb[key], "[0, inf)") for key in ("tau_cl", "tau_leak", "tau_lr")},
+            "rates": _rates(*rates), **extra}
 
-#: scenario -> (runner, paper figure, parameter schema)
-SCENARIOS = {
-    "reset-dynamics": (_run_reset_dynamics, "Fig. 2(a)", {
-        "g_tilde": _Param((0.0, 0.5e6, 2.07e6), whole=_DISTINCT),
-        "duration": _Param(0.6e-6, "(0, inf)"), "n_points": _Param(301, **_rows("point")),
-        "rates": _rates("gamma1", "kappa_r")}),
-    "reset-metrics": (_run_reset_metrics, "Fig. 2(b)", {
-        "p_id": _Param(0.0062, "(0, 0.5)"), "p_pi": _Param(0.88, "(0, 1]"),
-        "p_id_r": _Param(0.00074, "(0, 0.5)"), "p_pi_r": _Param(0.0033, "[0, 1]"),
-        "omega_q": _Param(3.83e9, "(0, inf)"), "omega_r": _Param(5.85e9, "(0, inf)"),
-        "tau_r": _Param(150e-9, "[0, inf)"), "tau_m": _Param(2.3e-6, "[0, inf)"),
-        "rates": _rates("gamma1")}),
-    "lr-dynamics": (_run_lr_dynamics, "Fig. 6(a)", {
-        "g_tilde": _Param(0.91e6), "duration": _Param(1.2e-6, "(0, inf)"),
-        "n_points": _Param(301, **_rows("point")),
-        "rates": _rates("gamma1", "gamma_fe", "kappa_r")}),
-    "leakage-rb": (_run_leakage_rb, "Fig. 3", {
-        **_RB_PARAMS, "rates": _rates("gamma1", "gamma_phi", "gamma_fe", "kappa_r"),
-        "n_lr": _Param(_RB_FIELDS["n_lr"], "[0, inf)"),
-        "n_cl_grid": _Param(_RB_FIELDS["n_cl_grid"], "[0, inf)", length=(5, math.inf),
-                            whole=_DISTINCT),
+
+def _leakage_rb_schema() -> dict:
+    rb = _rb_fields()
+    return _rb_schema(
+        "gamma1", "gamma_phi", "gamma_fe", "kappa_r",
+        n_lr=_Param(rb["n_lr"], "[0, inf)"),
+        n_cl_grid=_Param(rb["n_cl_grid"], "[0, inf)", length=(5, math.inf), whole=_DISTINCT),
         # each Monte Carlo state holds about 8.6 kB of buffers plus its int64
         # Clifford draws, 16.6 kB at the default grid: the bound keeps a run
         # near 170 MB there (about 45 s at 4.3 us per state-cycle, the
         # rb-paper rate on one core); _checked bounds the draws of longer
         # grids by _RB_STATE_CYCLES
-        "n_randomizations": _Param(
-            50, "[2, 1e4]", note="8.6 kB of state buffers plus max(n_cl_grid) int64 draws each")}),
-    "periodic-lr": (_run_periodic_lr, "Fig. 7 (rate eq.)", {
-        **_RB_PARAMS, "rates": _rates("gamma_fe", "kappa_r"),
-        "n_lr_list": _Param((20, 10, 5, 1), "[0, inf)", whole=_DISTINCT),
-        "n_max": _Param(200, **_rows("Clifford"))}),
-    "chi-map": (_run_chi_map, "Fig. 4(c)", {
-        "g_tilde": _Param((0.06e6, 0.15e6, 0.41e6, 0.90e6, 1.50e6, 2.12e6, 2.50e6),
-                          whole=_DISTINCT),
-        "delta_span": _Param(16e6, "(0, inf)"), "n_points": _Param(161, **_rows("point"))}),
-    "readout-shots": (_run_readout_shots, "Fig. 4(d,e)", {
-        "n_shots": _Param(20000, **_rows("shot", protocols.MIN_CALIBRATION_SHOTS)),
+        n_randomizations=_Param(
+            50, "[2, 1e4]", note="8.6 kB of state buffers plus max(n_cl_grid) int64 draws each"))
+
+
+def _readout_shots_schema() -> dict:
+    from .protocols import MIN_CALIBRATION_SHOTS, POPULATION_SUM_TOL
+
+    return {
+        "n_shots": _Param(20000, **_rows("shot", MIN_CALIBRATION_SHOTS)),
         "separation_sigma": _Param(3.29, "(0, inf)"), "tau_meas": _Param(10e-6, "[0, inf)"),
         "include_decay": _Param(True),
         "experiment_populations": _Param(
             (0.5, 0.3, 0.2), "[0, 1]", length=(3, 3),
-            whole=(lambda p: abs(sum(p) - 1.0) <= protocols.POPULATION_SUM_TOL, "must sum to 1")),
-        "rates": _rates("gamma1")}),
-    "cz-chevron": (_run_cz_chevron, "Fig. 8(a,b)", {
+            whole=(lambda p: abs(sum(p) - 1.0) <= POPULATION_SUM_TOL, "must sum to 1")),
+        "rates": _rates("gamma1")}
+
+
+def _cz_chevron_schema() -> dict:
+    from .protocols import CZ_STEP_BYTES
+
+    return {
         "omega_d_span": _Param((-15e6, 15e6), length=(2, 2)),
         "n_omega": _Param(13, **_rows("drive frequency")),
         "max_duration": _Param(1.2e-6, "(0, inf)"),
         "n_sub": _Param(1024, f"[1, {_CZ_MAX_SUB}]", note=(
-            f"four midpoint spectra of {protocols.CZ_STEP_BYTES} B per step, "
-            f"{protocols.CZ_STEP_BYTES * _CZ_MAX_SUB / 1e6:.0f} MB at the bound"))}),
-    "floquet-report": (_run_floquet_report, "Fig. 4(c) couplings", {
+            f"four midpoint spectra of {CZ_STEP_BYTES} B per step, "
+            f"{CZ_STEP_BYTES * _CZ_MAX_SUB / 1e6:.0f} MB at the bound"))}
+
+
+#: scenario -> (runner, paper figure, builder of its parameter schema).  The
+#: schemas that read defaults or bounds of ``rbsim`` or ``protocols`` import
+#: that module when built, so only their scenarios load it.
+SCENARIOS = {
+    "reset-dynamics": (_run_reset_dynamics, "Fig. 2(a)", lambda: {
+        "g_tilde": _Param((0.0, 0.5e6, 2.07e6), whole=_DISTINCT),
+        "duration": _Param(0.6e-6, "(0, inf)"), "n_points": _Param(301, **_rows("point")),
+        "rates": _rates("gamma1", "kappa_r")}),
+    "reset-metrics": (_run_reset_metrics, "Fig. 2(b)", lambda: {
+        "p_id": _Param(0.0062, "(0, 0.5)"), "p_pi": _Param(0.88, "(0, 1]"),
+        "p_id_r": _Param(0.00074, "(0, 0.5)"), "p_pi_r": _Param(0.0033, "[0, 1]"),
+        "omega_q": _Param(3.83e9, "(0, inf)"), "omega_r": _Param(5.85e9, "(0, inf)"),
+        "tau_r": _Param(150e-9, "[0, inf)"), "tau_m": _Param(2.3e-6, "[0, inf)"),
+        "rates": _rates("gamma1")}),
+    "lr-dynamics": (_run_lr_dynamics, "Fig. 6(a)", lambda: {
+        "g_tilde": _Param(0.91e6), "duration": _Param(1.2e-6, "(0, inf)"),
+        "n_points": _Param(301, **_rows("point")),
+        "rates": _rates("gamma1", "gamma_fe", "kappa_r")}),
+    "leakage-rb": (_run_leakage_rb, "Fig. 3", _leakage_rb_schema),
+    "periodic-lr": (_run_periodic_lr, "Fig. 7 (rate eq.)", lambda: _rb_schema(
+        "gamma_fe", "kappa_r",
+        n_lr_list=_Param((20, 10, 5, 1), "[0, inf)", whole=_DISTINCT),
+        n_max=_Param(200, **_rows("Clifford")))),
+    "chi-map": (_run_chi_map, "Fig. 4(c)", lambda: {
+        "g_tilde": _Param((0.06e6, 0.15e6, 0.41e6, 0.90e6, 1.50e6, 2.12e6, 2.50e6),
+                          whole=_DISTINCT),
+        "delta_span": _Param(16e6, "(0, inf)"), "n_points": _Param(161, **_rows("point"))}),
+    "readout-shots": (_run_readout_shots, "Fig. 4(d,e)", _readout_shots_schema),
+    "cz-chevron": (_run_cz_chevron, "Fig. 8(a,b)", _cz_chevron_schema),
+    "floquet-report": (_run_floquet_report, "Fig. 4(c) couplings", lambda: {
         "kind": _Param("reset", choices=tuple(presets.FIXTURE_DRIVES)),
         "drive": {"a_d": _Param(None, "[0, inf)", kind=float)},  # None: the fixture's
         "n_amplitudes": _Param(41, **_rows("amplitude"))}),
 }
+
+
+@cache
+def _schema(name: str) -> dict:
+    """The parameter schema of scenario ``name``, built once per process."""
+    return SCENARIOS[name][2]()
 
 
 # ---------------------------------------------------------------------------
@@ -698,9 +756,9 @@ def list_scenarios() -> str:
     width = max(len(n) for n in SCENARIOS)
     lines = [f"{'scenario':<{width}}  {'figure':<19}  parameters (key=default)"]
     for name in sorted(SCENARIOS):
-        _, figure, schema = SCENARIOS[name]
+        figure = SCENARIOS[name][1]
         params = "  ".join(f"{key}={list(d) if isinstance(d, tuple) else d}"
-                           for key, d in _flat(schema))
+                           for key, d in _flat(_schema(name)))
         lines.append(f"{name:<{width}}  {figure:<19}  {params}")
     return "\n".join(lines)
 
@@ -748,5 +806,17 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry() -> None:
+    """Run :func:`main` on the command line and exit the process with its
+    code: the entry point of ``python -m couplersim.cli`` and of the
+    ``couplersim`` script.  The garbage collector is frozen first, so the
+    interpreter's final collection no longer traverses the objects the run
+    left alive (numpy's, PyYAML's and, after leakage-rb, scipy's module
+    state); atexit handlers and the flushing of buffered streams still run."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -226,7 +226,7 @@ def error_models(scenario: RBScenario) -> ErrorModels:
     )
 
 
-def periodic_lr_trace(scenario: RBScenario, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+def periodic_lr_trace(scenario: RBScenario, n_max: int) -> np.ndarray:
     """P_f(n_Cl), n_Cl = 0 ... ``n_max``, with recovery every ``scenario.n_lr`` Cliffords.
 
     Stepwise rate equation (the incoherent limit, see the module
@@ -241,7 +241,7 @@ def periodic_lr_trace(scenario: RBScenario, n_max: int) -> tuple[np.ndarray, np.
     for n in range(1, n_max + 1):
         vec = cycle[scenario.n_lr > 0 and n % scenario.n_lr == 0] @ vec
         p_f[n] = vec[1]
-    return np.arange(n_max + 1), p_f
+    return p_f
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +614,7 @@ def _in_children(run, chunks: list[range], n_cols: int) -> list[np.ndarray]:
                 results[i] = np.frombuffer(data).reshape(2, len(chunks[i]), n_cols)
     finally:
         for pid, pipe in children.values():
-            import signal  # only on this path: every CLI process imports rbsim
+            import signal  # only when the parent leaves on an exception
 
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -61,14 +61,16 @@ def reference_csv(header, rows) -> bytes:
 
 EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
                2.2250738585072014e-308 / 3, 1e300, -1e-300, 0.1, 1 / 3, 2.07e6, 1.0]
-EDGE_STRINGS = ["g", "a,b", 'say "hi"', "two\nlines", "", " pad", "tab\tx", "cr\rx"]
+EDGE_STRINGS = ["g", "a,b", 'say "hi"', "two\nlines", "", " pad", "tab\tx", "cr\rx",
+                "100%", "%s%%d", '%(x)s,"%"']
 
 
 class TestEncoder:
     @pytest.mark.parametrize("n", [0, 1, 13, 2 * cli._CSV_CHUNK_ROWS + 5])
     def test_matches_the_per_row_writer_bitwise(self, n):
         floats = np.resize(np.array(EDGE_FLOATS), n)
-        header = ["f64", "py_float", "int64", "py_int", "bool", "str", "label", "scalar"]
+        header = ["f64", "py_float", "int64", "py_int", "bool", "str", "label", "scalar",
+                  "percent", "scalar_int"]
         columns = [
             floats,
             floats[::-1].tolist(),
@@ -78,9 +80,15 @@ class TestEncoder:
             [EDGE_STRINGS[k % len(EDGE_STRINGS)] for k in range(n)],
             "experiment",   # a scalar fills its column
             0.1,
+            '5%,"%s"',      # a scalar the template must escape and quote
+            7,
         ]
         rows = zip(*(c if np.ndim(c) else [c] * n for c in columns))
         assert cli._encode((header, columns)) == reference_csv(header, rows)
+
+    def test_scalars_alone_make_one_row(self):
+        header, row = ["label", "x", "n"], ("50%", 0.1, 3)
+        assert cli._encode((header, list(row))) == reference_csv(header, [row])
 
     @pytest.mark.parametrize("lengths", [(3, 2), (3, 4), (3, 3, 1)])
     def test_column_of_another_length_raises(self, lengths):
@@ -92,7 +100,7 @@ class TestEncoder:
         def fail(*args, **kwargs):
             raise RuntimeError("fit failed")
 
-        monkeypatch.setattr(cli.rbsim, "fit_rb", fail)
+        monkeypatch.setattr(rbsim, "fit_rb", fail)
         config = write_config(tmp_path, "leakage-rb", RB_PARAMS)
         assert run(config, tmp_path / "a") == 3
         assert "fit failed" in capsys.readouterr().err
@@ -415,9 +423,9 @@ class TestSchema:
     def test_list_shows_every_declared_key_with_its_default(self, capsys):
         assert cli.main(["list"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        for name, (_, _, schema) in cli.SCENARIOS.items():
+        for name in cli.SCENARIOS:
             line = next(row for row in lines if row.split()[0] == name)
-            keys = list(cli._flat(schema))
+            keys = list(cli._flat(cli._schema(name)))
             assert keys
             for key, default in keys:
                 shown = list(default) if isinstance(default, tuple) else default
@@ -549,7 +557,7 @@ def boundary_values(key_path: str, spec) -> list:
 
 BOUNDARY_SWEEP = [(scenario, key_path, value)
                   for scenario in SWEPT_SCENARIOS
-                  for key_path, spec in declared_scalars(cli.SCENARIOS[scenario][2])
+                  for key_path, spec in declared_scalars(cli._schema(scenario))
                   for value in boundary_values(key_path, spec)]
 
 #: the rate keys the swept scenarios once declared, per element and with
@@ -562,7 +570,7 @@ RETIRED_SWEEP = [(scenario, key_path, value)
                  for scenario in SWEPT_SCENARIOS
                  for key, default in RETIRED_RATES.items()
                  if (key_path := f"rates.{key}") not in
-                 dict(declared_scalars(cli.SCENARIOS[scenario][2]))
+                 dict(declared_scalars(cli._schema(scenario)))
                  for value in (0.0, 1e-30, 1e30, default * 1e3, default * 1e-3)]
 
 
@@ -595,7 +603,7 @@ class TestBoundarySweep:
         assert len(BOUNDARY_SWEEP) == 77
         swept = {(s, k) for s, k, _ in BOUNDARY_SWEEP}
         assert swept == {(s, k) for s in SWEPT_SCENARIOS
-                         for k, _ in declared_scalars(cli.SCENARIOS[s][2])}
+                         for k, _ in declared_scalars(cli._schema(s))}
         # the nested per-element form of every rate, and each flat rate
         # no output of the scenario reads
         assert len(RETIRED_SWEEP) == 105
@@ -620,12 +628,12 @@ class TestBoundarySweep:
 #: scenario takes the keys it declares
 WALK_BASE = {"n_randomizations": 2, "n_cl_grid": [1, 2, 3, 4, 5], "n_shots": 1000,
              "n_points": 11, "n_max": 20, "n_amplitudes": 3, "n_omega": 3, "n_sub": 64}
-WALK = [(scenario, key_path) for scenario, (_, _, schema) in sorted(cli.SCENARIOS.items())
-        for key_path, _ in cli._flat(schema)]
+WALK = [(scenario, key_path) for scenario in sorted(cli.SCENARIOS)
+        for key_path, _ in cli._flat(cli._schema(scenario))]
 
 
 def walk_base(scenario: str) -> dict:
-    return {k: v for k, v in WALK_BASE.items() if k in cli.SCENARIOS[scenario][2]}
+    return {k: v for k, v in WALK_BASE.items() if k in cli._schema(scenario)}
 
 
 def moved(spec, value):
@@ -681,7 +689,7 @@ class TestEveryDeclaredParameterIsRead:
     @pytest.mark.parametrize("scenario, key_path", WALK, ids=[f"{s}:{k}" for s, k in WALK])
     def test_moving_it_changes_a_data_file(self, tmp_path, base_hashes, scenario, key_path):
         spec = functools.reduce(dict.__getitem__, key_path.split("."),
-                                cli.SCENARIOS[scenario][2])
+                                cli._schema(scenario))
         params = walk_base(scenario)
         value = moved(spec, params.get(key_path, spec.default))
         assert data_hashes(tmp_path, scenario, {**params, **nested(key_path, value)}) \

@@ -1,31 +1,37 @@
-"""Importing the CLI loads numpy and PyYAML but no scipy module and no
-``numpy.ma``; of the scenarios only ``leakage-rb`` loads scipy
-(``scipy.linalg`` and ``scipy.optimize``).  The import also limits OpenBLAS
-to one thread unless ``OPENBLAS_NUM_THREADS`` was set.
+"""Importing the CLI loads numpy and PyYAML but no scipy module, no
+``numpy.ma`` and neither ``couplersim.rbsim`` nor ``couplersim.protocols``;
+a scenario run loads those two only where it runs them, and of the
+scenarios only ``leakage-rb`` loads scipy (``scipy.linalg`` and
+``scipy.optimize``).  The import also limits OpenBLAS to one thread unless
+``OPENBLAS_NUM_THREADS`` was set or numpy was loaded first.  The process
+entry point exits with the code of ``main`` and leaves the garbage
+collector frozen.
 
-Every ``couplersim run`` is its own process and pays for what the package
-imports, so scipy is imported inside the functions that call it.  Each
-check runs in a fresh interpreter and lists the entries of ``sys.modules``
-under the given packages after the import, or after a scenario run, or
-counts the threads of that interpreter.
+Every ``couplersim run`` is its own process and pays for what it imports,
+so modules are imported where they are called.  Each check runs in a fresh
+interpreter and lists the entries of ``sys.modules`` under the given
+packages after the import, or after a scenario run, or counts the threads
+of that interpreter.
 """
 
 import json
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 import yaml
 
 import couplersim
+from couplersim import cli
 
 SRC = str(Path(couplersim.__file__).resolve().parents[1])
 
 PROBE = """
 import json, sys
-from couplersim import cli
+{first}
 {body}
 print(json.dumps(sorted(m for m in sys.modules
                         if any(m == p or m.startswith(p + ".") for p in {packages!r}))))
@@ -53,17 +59,23 @@ def probe(code: str, **env) -> list:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def loaded_modules(body: str = "", packages=("scipy",)) -> list:
-    return probe(PROBE.format(body=body, packages=packages))
+def loaded_modules(body: str = "", packages=("scipy",),
+                   first: str = "from couplersim import cli") -> list:
+    return probe(PROBE.format(first=first, body=body, packages=packages))
 
 
-def scipy_modules_after_run(tmp_path, scenario: str, params=None) -> list:
+def write_run_config(tmp_path, scenario: str, params=None) -> str:
     cfg = {"scenario": scenario, "seed": 3, "output": str(tmp_path / "out")}
     if params is not None:
         cfg["params"] = params
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(cfg))
-    return loaded_modules(f"assert cli.main(['run', {str(path)!r}]) == 0")
+    return str(path)
+
+
+def modules_after_run(tmp_path, scenario: str, params=None, packages=("scipy",)) -> list:
+    config = write_run_config(tmp_path, scenario, params)
+    return loaded_modules(f"assert cli.main(['run', {config!r}]) == 0", packages)
 
 
 def test_import_cli_loads_no_scipy():
@@ -72,6 +84,49 @@ def test_import_cli_loads_no_scipy():
 
 def test_import_cli_loads_no_numpy_ma():
     assert loaded_modules(packages=("numpy.ma",)) == []
+
+
+def test_import_couplersim_loads_no_submodule():
+    assert loaded_modules(first="import couplersim", packages=("couplersim",)) == ["couplersim"]
+
+
+#: what ``import couplersim.cli`` loads of the package: not rbsim, not protocols
+CLI_MODULES = ["couplersim", "couplersim.circuit", "couplersim.cli", "couplersim.dynamics",
+               "couplersim.floquet", "couplersim.numerics", "couplersim.presets"]
+
+
+def test_import_cli_loads_neither_rbsim_nor_protocols():
+    assert loaded_modules(packages=("couplersim",)) == CLI_MODULES
+
+
+#: a small run of every scenario, and the modules beyond ``CLI_MODULES`` it loads
+SCENARIO_RUNS = {
+    "reset-dynamics": (None, []),
+    "reset-metrics": (None, ["couplersim.protocols"]),
+    "lr-dynamics": (None, []),
+    "leakage-rb": ({"n_randomizations": 2}, ["couplersim.rbsim"]),
+    "periodic-lr": (None, ["couplersim.rbsim"]),
+    "chi-map": (None, []),
+    "readout-shots": ({"n_shots": 1000}, ["couplersim.protocols"]),
+    "cz-chevron": ({"n_omega": 3, "n_sub": 64}, ["couplersim.protocols"]),
+    "floquet-report": (None, []),
+}
+
+
+def test_scenario_runs_cover_every_scenario():
+    assert set(SCENARIO_RUNS) == set(cli.SCENARIOS)
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_RUNS))
+def test_a_run_loads_only_the_modules_its_scenario_runs(tmp_path, scenario):
+    params, extra = SCENARIO_RUNS[scenario]
+    loaded = modules_after_run(tmp_path, scenario, params, packages=("couplersim",))
+    assert loaded == sorted(CLI_MODULES + extra)
+
+
+def test_list_loads_every_schema_module():
+    loaded = loaded_modules("assert cli.main(['list']) == 0", packages=("couplersim",))
+    assert loaded == sorted(CLI_MODULES + ["couplersim.protocols", "couplersim.rbsim"])
 
 
 @pytest.mark.parametrize("scenario, params", [
@@ -86,13 +141,13 @@ def test_import_cli_loads_no_numpy_ma():
       for kind in ("reset", "lr", "readout", "cz")),
 ])
 def test_scenarios_without_scipy_calls_load_none(tmp_path, scenario, params):
-    assert scipy_modules_after_run(tmp_path, scenario, params) == []
+    assert modules_after_run(tmp_path, scenario, params) == []
 
 
 def test_probe_sees_a_scenario_that_uses_scipy(tmp_path):
     # leakage-rb builds its windows with scipy.linalg.expm and fits the RB
     # curves with scipy.optimize.least_squares
-    loaded = scipy_modules_after_run(tmp_path, "leakage-rb", {"n_randomizations": 2})
+    loaded = modules_after_run(tmp_path, "leakage-rb", {"n_randomizations": 2})
     assert {"scipy.linalg", "scipy.optimize"} <= set(loaded)
 
 
@@ -101,7 +156,7 @@ def test_probe_sees_a_scenario_that_uses_scipy(tmp_path):
     ("reset-metrics", None, False),
 ])
 def test_manifest_lists_scipy_only_when_loaded(tmp_path, scenario, params, loads_scipy):
-    scipy_modules_after_run(tmp_path, scenario, params)
+    modules_after_run(tmp_path, scenario, params)
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert ("scipy" in manifest["environment"]) is loads_scipy
 
@@ -168,3 +223,70 @@ def test_manifest_records_what_the_thread_rule_did(tmp_path, first, variable, on
     assert recorded_one_thread is one_thread
     if one_thread or USABLE_CPUS >= 2:
         assert (threads == 1) is one_thread
+
+
+#: the environment a host's child process gets, after the host's imports
+CHILD_VARIABLE = """
+import subprocess, sys
+{first}
+import couplersim
+print(subprocess.run([sys.executable, "-c",
+                      "import json, os; print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))"],
+                     capture_output=True, text=True, check=True).stdout.strip())
+"""
+
+
+@pytest.mark.parametrize("first, variable", [
+    ("", "1"),
+    # numpy loaded first: the rule cannot act, so it leaves the variable unset
+    ("import numpy", None),
+])
+def test_child_of_a_host_sees_the_variable_only_where_the_rule_acted(first, variable):
+    assert probe(CHILD_VARIABLE.format(first=first), OPENBLAS_NUM_THREADS=None) == variable
+
+
+#: ``cli.entry`` as the command line runs it, with ``{patch}`` applied first
+ENTRY = """
+import gc, json, sys
+from couplersim import cli
+{patch}
+sys.argv = ["couplersim", *{argv!r}]
+try:
+    cli.entry()
+except SystemExit as exc:
+    print(json.dumps([exc.code, gc.get_freeze_count()]))
+"""
+
+
+@pytest.mark.parametrize("code, patch", [
+    (0, ""),
+    (2, ""),                                   # n_points 0: a schema violation
+    (3, "cli.chi_shift = lambda g, d: 1 / 0"),
+    (4, ""),                                   # the output directory under a file
+])
+def test_entry_exits_with_the_code_of_main_and_freezes_the_collector(tmp_path, code, patch):
+    config = write_run_config(tmp_path, "chi-map", {"n_points": 0 if code == 2 else 5})
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    argv = ["run", config, *(["--out", str(blocked / "out")] if code == 4 else [])]
+    exit_code, frozen = probe(ENTRY.format(patch=patch, argv=argv))
+    assert exit_code == code
+    assert frozen > 0
+
+
+MAIN = """
+import gc, json
+from couplersim import cli
+assert cli.main(["run", {config!r}]) == 0
+print(json.dumps(gc.get_freeze_count()))
+"""
+
+
+def test_main_in_process_keeps_the_collector(tmp_path):
+    config = write_run_config(tmp_path, "chi-map", {"n_points": 5})
+    assert probe(MAIN.format(config=config)) == 0
+
+
+def test_the_script_and_python_m_share_the_entry_point():
+    pyproject = tomllib.loads((Path(SRC).parent / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"]["couplersim"] == "couplersim.cli:entry"

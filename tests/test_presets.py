@@ -18,7 +18,7 @@ def test_the_four_operations_share_their_kinds():
     # kind choices name the same operations
     kinds = set(presets.FIXTURE_DRIVES)
     assert kinds == set(floquet._TRANSITIONS) == {"reset", "lr", "readout", "cz"}
-    assert kinds == set(cli.SCENARIOS["floquet-report"][2]["kind"].choices)
+    assert kinds == set(cli._schema("floquet-report")["kind"].choices)
 
 
 @pytest.mark.parametrize("kind", sorted(presets.FIXTURE_DRIVES))

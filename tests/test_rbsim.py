@@ -58,8 +58,8 @@ class TestRateEquation:
     @pytest.mark.parametrize("n_lr", [20, 10, 5, 1])
     def test_periodic_trace_stays_below_shark_fin_bound(self, n_lr):
         sc = scenario(n_lr=n_lr)
-        n, p_f = rbsim.periodic_lr_trace(sc, 200)
-        assert n[-1] == 200 and p_f[0] == 0.0
+        p_f = rbsim.periodic_lr_trace(sc, 200)
+        assert len(p_f) == 201 and p_f[0] == 0.0
         assert p_f.max() <= n_lr * sc.l_cl / 2.0
 
     def test_periodic_trace_steps_the_cycle_matrices(self):
@@ -69,7 +69,7 @@ class TestRateEquation:
         for n in range(1, 13):
             vec = rbsim.cycle_matrix(sc, n % 3 == 0) @ vec
             expected.append(vec[1])
-        assert rbsim.periodic_lr_trace(sc, 12)[1].tolist() == expected
+        assert rbsim.periodic_lr_trace(sc, 12).tolist() == expected
 
     @pytest.mark.parametrize("l_cl", [0.0, 0.01, 0.03, 0.1])
     def test_recovery_pays_off_above_breakeven(self, l_cl):

@@ -1,13 +1,12 @@
 """Stdlib-only lint: every module-level import in the package and in the
-test oracles (``tests/oracles.py``) is used, and so is every private
-module-level name (``_helper``, ``_TABLE``; dunders are exempt).  Every
-public top-level function and class of the package, and every public
-method and property of its top-level classes, is read by another
-definition of the package: a name only tests call is a test oracle and
-belongs in ``tests/oracles.py``.
+test oracles (``tests/oracles.py``) is used, every import inside a function
+is read in that function, and so is every private module-level name
+(``_helper``, ``_TABLE``; dunders are exempt).  Every public top-level
+function and class of the package, and every public method and property of
+its top-level classes, is read by another definition of the package: a name
+only tests call is a test oracle and belongs in ``tests/oracles.py``.
 
-``__init__.py`` is skipped (its imports are re-exports), and so is
-``from __future__ import annotations``.
+``from __future__ import annotations`` is skipped.
 """
 
 import ast
@@ -16,22 +15,50 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "couplersim"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
-def unused_imports(source: str) -> list:
-    tree = ast.parse(source)
+def imported_names(statements) -> dict:
+    """``{bound name: line}`` of the import statements among ``statements``."""
     bound = {}
-    for node in tree.body:
+    for node in statements:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 bound[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def own_nodes(function):
+    """The nodes of ``function``'s body, not those of the functions,
+    lambdas and classes defined in it."""
+    stack = [function]
+    while stack:
+        for child in ast.iter_child_nodes(stack.pop()):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                      ast.ClassDef)):
+                stack.append(child)
+                yield child
+
+
+def unused_imports(source: str) -> list:
+    """``(line, name)`` of every module-level import that nothing in the
+    module reads and of every import inside a function that the function,
+    nested definitions included, does not read."""
+    tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted((line, name) for name, line in bound.items() if name not in used)
+    unused = [(line, name) for name, line in imported_names(tree.body).items()
+              if name not in used]
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            read = {node.id for node in ast.walk(function)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unused += [(line, name) for name, line in
+                       imported_names(own_nodes(function)).items() if name not in read]
+    return sorted(unused)
 
 
 def unused_private_names(source: str) -> list:
@@ -93,6 +120,33 @@ def test_checker_flags_unused_and_accepts_used():
         "x: field = os.sep\n"
     )
     assert unused_imports(source) == [(2, "system"), (3, "dataclass")]
+
+
+def test_checker_flags_function_imports_the_function_does_not_read():
+    source = (
+        "import os\n"
+        "def uses_module_import():\n"
+        "    return os.sep\n"
+        "def partly():\n"
+        "    from os import path, sep\n"
+        "    return path\n"
+        "def read_by_a_closure():\n"
+        "    import json\n"
+        "    return lambda: json.dumps(1)\n"
+        "def outer():\n"
+        "    if True:\n"
+        "        import math\n"
+        "    def inner():\n"
+        "        import sys\n"
+        "        return math.pi\n"
+        "    return inner\n"
+        "def elsewhere():\n"
+        "    import shutil\n"
+        "    return 1\n"
+        "def reader():\n"
+        "    return shutil\n"
+    )
+    assert unused_imports(source) == [(5, "sep"), (14, "sys"), (18, "shutil")]
 
 
 @pytest.mark.parametrize("path", MODULES + [ORACLES], ids=lambda p: p.name)
