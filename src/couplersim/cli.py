@@ -5,17 +5,23 @@ tables plus JSON summaries and a run manifest.  Identical (config, seed)
 pairs reproduce byte-identical data files: floats are serialised with 17
 significant digits and all randomness flows from the config seed.
 
-Each ``SCENARIOS`` entry declares its parameter schema once, key ->
-``_Param`` (default, interval, choices).  ``validate`` and ``run`` parse a
-config with it (``_parse_params``: defaults, conversion, unknown keys and
-ranges), ``list`` prints it, and the runners index ``ctx.params[key]``.
-A schema is built (``_schema``) when its scenario is first checked, and the
-runners import :mod:`~couplersim.rbsim` and :mod:`~couplersim.protocols`
-where they call them, so a process imports only the modules its scenario
-runs (see the import rule of :mod:`couplersim`).
-Each scenario declares only the decay rates its outputs read, as flat keys
-such as ``rates.gamma1``; ``ctx.rates`` holds the table values of the rest,
-which nothing reads.
+Each ``SCENARIOS`` entry declares its scenario once: runner, paper figure,
+parameter schema (key -> ``_Param``: default, interval, choices) and check.
+``validate`` and ``run`` parse a config with the schema (``_parse_params``:
+defaults, conversion, unknown keys and ranges), then call the check.  It
+states what the config costs in output cells, working bytes and estimated
+seconds against the one ``_BUDGETS`` table (``_budget``), before anything
+of that size is built: a cost beyond its budget is a schema error naming
+the key that drives it.  It returns the scenario's notes, such as
+floquet-report's when the fixture drive (``presets.fixture_drive``) leaves
+the leading-order window (:func:`couplersim.floquet.in_coupling_window`);
+the report records that as ``validity_ok``.  ``list`` prints the schemas
+and the runners index ``ctx.params[key]``.  A schema is built when its
+scenario is first checked (``_schema``) and the runners import ``rbsim``
+and ``protocols`` where they call them, so a process loads only what its
+scenario runs (the import rule of :mod:`couplersim`).  A scenario declares
+only the decay rates its outputs read, as flat keys such as
+``rates.gamma1``; ``ctx.rates`` holds the table values of the rest.
 
 A runner (``_run_*``) is pure: it opens no file and returns an ordered
 ``{file name: content}`` mapping, the content either a ``(header, columns)``
@@ -26,11 +32,6 @@ that raises writes nothing.  The manifest also records the environment of
 the run (``_environment``): Python, numpy and, where loaded, scipy versions,
 the BLAS thread variables as the caller set them and whether the package's
 one-thread limit took effect.
-
-floquet-report runs the fixture drive of its ``kind``
-(``presets.fixture_drive``) and asks :func:`couplersim.floquet.in_coupling_window`
-whether it lies in the leading-order window: ``validate`` notes it and the
-report records ``validity_ok``.
 
 Exit codes: 0 success, 2 schema violation, 3 numerical failure, 4 I/O
 failure.  :func:`main` returns the code.  :func:`entry`, the entry point of
@@ -134,10 +135,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         return float(obj) if math.isfinite(obj) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
     return obj
 
 
@@ -182,7 +181,6 @@ class _Param:
     choices: tuple = ()             # admissible str values
     kind: type = None
     whole: tuple = (lambda items: True, "")
-    note: str = ""                  # what the interval protects, for its error
 
 
 #: a ``whole`` check: no entry repeats (entries name output columns or rows)
@@ -215,8 +213,7 @@ def _convert(spec: _Param, value, path: str, kind: type = None):
     except (TypeError, ValueError, OverflowError):
         ok = False
     _require(ok, path, f"must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    _require(_within(spec.interval, x), path,
-             f"must lie in {spec.interval}{spec.note and f' ({spec.note})'}, got {value!r}")
+    _require(_within(spec.interval, x), path, f"must lie in {spec.interval}, got {value!r}")
     return x
 
 
@@ -275,9 +272,10 @@ def load_config(path: str) -> dict:
 _SEED = _Param(0, "[0, inf)")
 
 
-def _checked(cfg: dict) -> tuple[RunContext, list]:
+def _checked(cfg: dict, seed=None, out=None) -> tuple[RunContext, list]:
     """The run context of a config (every value checked, every default
-    filled in) and its validity warnings."""
+    filled in, the ``--seed`` and ``--out`` overrides applied) and the notes
+    of its scenario's check."""
     top_level = ("scenario", "seed", "output", "params")
     for key in cfg:
         _require(key in top_level, str(key),
@@ -290,57 +288,9 @@ def _checked(cfg: dict) -> tuple[RunContext, list]:
     _require(isinstance(output, str), "output", "must be a string")
     params = _parse_params(_schema(name), cfg.get("params"))
     rates = replace(presets.table_decay_rates(), **params["rates"]) if "rates" in params else None
-    ctx = RunContext(name, _convert(_SEED, cfg.get("seed", 0), "seed"), output, params, rates)
-    notes = []
-    if name == "cz-chevron":
-        from .protocols import cz_drive_frequencies
-
-        drives = cz_drive_frequencies(presets.table_circuit(), params["omega_d_span"],
-                                      params["n_omega"])
-        lowest, highest = drives.min(), drives.max()
-        _require(lowest > 0, "params.omega_d_span", f"reaches drive frequency {lowest:.6g} Hz <= 0")
-        _require(params["max_duration"] >= 1.0 / lowest, "params.max_duration",
-                 f"shorter than one period ({1.0 / lowest:.6g} s) of the lowest drive frequency")
-        periods, rule = params["max_duration"] * highest, _rows("period")
-        _require(_within(rule["interval"], periods), "params.max_duration",
-                 f"asks for {periods:.6g} stroboscopic periods at the highest drive frequency "
-                 f"({highest:.6g} Hz), which must lie in {rule['interval']} ({rule['note']})")
-        cells = params["n_omega"] * periods
-        _require(cells <= _CZ_CELLS, "params.n_omega",
-                 f"n_omega x periods = {cells:.6g} cells of cz_chevron.csv, more than "
-                 f"{_CZ_CELLS}: about {20e-6 * cells:.6g} MB at 20 B per cell")
-        steps = params["n_omega"] * params["n_sub"]
-        _require(steps <= _CZ_STEPS, "params.n_omega",
-                 f"n_omega x n_sub = {steps:.6g} one-period propagator steps, more than "
-                 f"{_CZ_STEPS}: about {0.7e-6 * steps:.6g} s at 0.7 us per step")
-    if name == "leakage-rb":
-        cycles = params["n_randomizations"] * max(params["n_cl_grid"])
-        _require(cycles <= _RB_STATE_CYCLES, "params.n_cl_grid",
-                 f"n_randomizations x max(n_cl_grid) = {cycles:.6g} state-cycles, more than "
-                 f"{_RB_STATE_CYCLES}: {8e-6 * cycles:.6g} MB of int64 Clifford draws "
-                 f"before the first cycle and about {4.3e-6 * cycles:.6g} s at 4.3 us per "
-                 f"state-cycle")
-    if name == "floquet-report":
-        _, _, man, spectrum, in_window = _floquet_drive(params)
-        if not in_window:
-            notes.append(f"params.drive.a_d: |D_{man.k}| = {abs(spectrum.coefficient(man.k)):.3e} "
-                         "Hz; the leading-order coupling is out of its validity window (warning)")
-    return ctx, notes
-
-
-def validate_config(cfg: dict) -> list:
-    """Schema and physical-range checks; returns warning diagnostics."""
-    return _checked(cfg)[1]
-
-
-def build_context(cfg: dict, seed_override=None, out_override=None) -> RunContext:
-    ctx, notes = _checked(cfg)
-    for note in notes:
-        print(f"warning: {note}", file=sys.stderr)
-    if seed_override is not None:
-        ctx.seed = _convert(_SEED, seed_override, "--seed")
-    ctx.out_dir = out_override or ctx.out_dir
-    return ctx
+    config_seed = _convert(_SEED, cfg.get("seed", 0), "seed")
+    seed = config_seed if seed is None else _convert(_SEED, seed, "--seed")
+    return RunContext(name, seed, out or output, params, rates), SCENARIOS[name][3](params) or []
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +437,10 @@ def _run_readout_shots(ctx: RunContext) -> dict:
             pops[label], centers, sigma, n_shots, ctx.stream(i), label=label,
             decay=decay if label == "e" else None,
         )
-    clf = protocols.calibrate_classifier(cal["g"], cal["e"], cal["f"])
+    try:
+        clf = protocols.calibrate_classifier(cal["g"], cal["e"], cal["f"])
+    except ValueError as exc:  # shots the check's bound could not tell apart
+        raise ConfigError(f"{_readout_contrast(p)[0]}: {exc}") from exc
     fid = protocols.assignment_fidelity(cal["g"], cal["e"], clf,
                                         gamma_1=gamma_1, tau_meas=tau_meas)
     mixed = protocols.generate_shots(
@@ -596,24 +549,28 @@ def _rates(*keys: str) -> dict:
     return {key: _Param(getattr(table, key), "[0, inf)") for key in keys}
 
 
-def _rows(per: str, least: int = 1) -> dict:
-    """Bound of a count that sets the rows of an output table: at most a
-    million, and the error says so."""
-    return {"interval": f"[{least}, 1e6]", "note": f"one output row per {per}"}
+#: the most one config may cost.  The checks convert counts at per-unit costs
+#: measured on this package: tracemalloc peaks and best-of-3 perf_counter
+#: times over a range of sizes, one core of a 2-vCPU x86-64 host.
+_BUDGETS = {
+    # CSV cells: 20 B each on disk (200 MB here), 40 B at the encoder's peak
+    # beside the columns (8 B a cell in an array, 32 B in a list); 26 s at the
+    # costliest, 2.6 us of periodic-lr (0.2 us of cz-chevron), so no time
+    "cells": 1e7,
+    # the arrays a run holds at once, a quarter of 4 GB: 10.5 kB a Monte Carlo
+    # state, 16 B a Clifford draw, 1512 B a CZ step, 570 B a CZ period
+    "bytes": 1e9,
+    # a config that validates ends within a minute: 3.7 us a state-cycle,
+    # 1.2 us a CZ propagator step, 10 us a CZ spectra step, 0.45 ms an amplitude
+    "seconds": 60.0,
+}
 
 
-#: most randomization-cycles (n_randomizations x max(n_cl_grid)) of a
-#: leakage-rb run, the n_randomizations bound at the default grid: each
-#: draws one int64 Clifford before the first cycle
-_RB_STATE_CYCLES = 10_000_000
-
-_CZ_MAX_SUB = 100_000
-#: most cells (n_omega x stroboscopic periods at the highest drive frequency)
-#: of cz_chevron.csv, about 20 B each on disk
-_CZ_CELLS = 5_000_000
-#: most one-period propagator steps (n_omega x n_sub) of a cz-chevron scan,
-#: about 0.7 us each on one core
-_CZ_STEPS = 50_000_000
+def _budget(key: str, resource: str, amount: float, what: str) -> None:
+    """Refuse a config whose ``what`` costs more ``resource`` than its budget."""
+    limit = _BUDGETS[resource]
+    _require(amount <= limit, key,
+             f"{what} = {amount:.3g} {resource}, more than the budget of {limit:.3g}")
 
 
 def _rb_schema(*rates: str, **extra: _Param) -> dict:
@@ -625,26 +582,21 @@ def _rb_schema(*rates: str, **extra: _Param) -> dict:
             "rates": _rates(*rates), **extra}
 
 
-def _leakage_rb_schema() -> dict:
-    rb = _rb_fields()
-    return _rb_schema(
-        "gamma1", "gamma_phi", "gamma_fe", "kappa_r",
-        n_lr=_Param(rb["n_lr"], "[0, inf)"),
-        n_cl_grid=_Param(rb["n_cl_grid"], "[0, inf)", length=(5, math.inf), whole=_DISTINCT),
-        # each Monte Carlo state holds about 8.6 kB of buffers plus its int64
-        # Clifford draws, 16.6 kB at the default grid: the bound keeps a run
-        # near 170 MB there (about 45 s at 4.3 us per state-cycle, the
-        # rb-paper rate on one core); _checked bounds the draws of longer
-        # grids by _RB_STATE_CYCLES
-        n_randomizations=_Param(
-            50, "[2, 1e4]", note="8.6 kB of state buffers plus max(n_cl_grid) int64 draws each"))
+def _leakage_rb_check(params: dict) -> None:
+    cycles = params["n_randomizations"] * max(params["n_cl_grid"])
+    _budget("params.n_randomizations", "bytes", 10.5e3 * params["n_randomizations"],
+            "n_randomizations x 10.5 kB of Monte Carlo state buffers")
+    _budget("params.n_cl_grid", "bytes", 16 * cycles,
+            "n_randomizations x max(n_cl_grid) int64 Clifford draws, 16 B each while stacked")
+    _budget("params.n_randomizations", "seconds", 3.7e-6 * cycles,
+            "n_randomizations x max(n_cl_grid) state-cycles at 3.7 us")
 
 
 def _readout_shots_schema() -> dict:
     from .protocols import MIN_CALIBRATION_SHOTS, POPULATION_SUM_TOL
 
     return {
-        "n_shots": _Param(20000, **_rows("shot", MIN_CALIBRATION_SHOTS)),
+        "n_shots": _Param(20000, f"[{MIN_CALIBRATION_SHOTS}, inf)"),
         "separation_sigma": _Param(3.29, "(0, inf)"), "tau_meas": _Param(10e-6, "[0, inf)"),
         "include_decay": _Param(True),
         "experiment_populations": _Param(
@@ -653,51 +605,108 @@ def _readout_shots_schema() -> dict:
         "rates": _rates("gamma1")}
 
 
-def _cz_chevron_schema() -> dict:
-    from .protocols import CZ_STEP_BYTES
-
-    return {
-        "omega_d_span": _Param((-15e6, 15e6), length=(2, 2)),
-        "n_omega": _Param(13, **_rows("drive frequency")),
-        "max_duration": _Param(1.2e-6, "(0, inf)"),
-        "n_sub": _Param(1024, f"[1, {_CZ_MAX_SUB}]", note=(
-            f"four midpoint spectra of {CZ_STEP_BYTES} B per step, "
-            f"{CZ_STEP_BYTES * _CZ_MAX_SUB / 1e6:.0f} MB at the bound"))}
+def _readout_contrast(params: dict) -> tuple[str, float]:
+    """A bound on the confusion matrix C's least singular value, and the key of
+    its smaller factor: |C^T (1, -1, 0)| / sqrt 2 <= the g-e shot total variation,
+    erf(separation / 2 sqrt 2) times, with decay on, exp(-pi Gamma_1 tau_meas)."""
+    overlap = math.erf(params["separation_sigma"] / (2 * math.sqrt(2)))
+    kept = (math.exp(-math.pi * params["rates"]["gamma1"] * params["tau_meas"])
+            if params["include_decay"] else 1.0)
+    return ("params.separation_sigma" if overlap <= kept else "params.tau_meas"), overlap * kept
 
 
-#: scenario -> (runner, paper figure, builder of its parameter schema).  The
-#: schemas that read defaults or bounds of ``rbsim`` or ``protocols`` import
-#: that module when built, so only their scenarios load it.
+def _readout_shots_check(params: dict) -> None:
+    from .protocols import CLASSIFIER_BINS
+
+    _budget("params.n_shots", "cells", 12 * params["n_shots"], "n_shots x 12 shot-table cells")
+    # decayed e shots widen the e histogram's bins to separation / bins
+    decays = params["include_decay"] and params["rates"]["gamma1"] * params["tau_meas"] > 0
+    _require(not decays or params["separation_sigma"] <= CLASSIFIER_BINS,
+             "params.separation_sigma", f"above {CLASSIFIER_BINS} with decay on: the e "
+             "calibration shots span more blob widths than their histogram has bins")
+    key, bound = _readout_contrast(params)  # against calibrate_classifier's floor
+    _require(bound >= 0.05, key, f"the g and e calibration shots differ by at most "
+             f"{bound:.3g} in total variation, below the classifier's 0.05")
+
+
+def _cz_chevron_check(params: dict) -> None:
+    from .protocols import CZ_STEP_BYTES, cz_drive_frequencies
+
+    n_omega, n_sub = params["n_omega"], params["n_sub"]
+    _budget("params.n_sub", "bytes", CZ_STEP_BYTES * n_sub,
+            f"n_sub x {CZ_STEP_BYTES} B of midpoint spectra")
+    _budget("params.n_omega", "seconds", n_sub * (1.2e-6 * n_omega + 10e-6),
+            "n_sub x (n_omega x 1.2 us per propagator step + 10 us of spectra)")
+    # linspace's ends, the same at any n_omega
+    ends = cz_drive_frequencies(presets.table_circuit(), params["omega_d_span"], min(n_omega, 2))
+    lowest, highest = ends.min(), ends.max()
+    _require(lowest > 0, "params.omega_d_span", f"reaches drive frequency {lowest:.6g} Hz <= 0")
+    _require(params["max_duration"] >= 1.0 / lowest, "params.max_duration",
+             f"shorter than one period ({1.0 / lowest:.6g} s) of the lowest drive frequency")
+    periods = params["max_duration"] * highest
+    _budget("params.max_duration", "bytes", 570 * periods,
+            "stroboscopic periods x 570 B of one drive frequency's diagonals and spectrum")
+    _budget("params.n_omega", "cells", n_omega * periods,
+            "n_omega x stroboscopic periods cells of cz_chevron.csv")
+
+
+def _floquet_report_check(params: dict) -> list:
+    _budget("params.n_amplitudes", "seconds", 0.45e-3 * params["n_amplitudes"],
+            "n_amplitudes x 0.45 ms per amplitude")
+    _, _, man, spectrum, in_window = _floquet_drive(params)
+    return [] if in_window else [
+        f"params.drive.a_d: |D_{man.k}| = {abs(spectrum.coefficient(man.k)):.3e} Hz; the "
+        "leading-order coupling is out of its validity window (warning)"]
+
+
+#: scenario -> (runner, paper figure, schema builder, check of the parsed
+#: parameters, which returns the notes or None).  The schemas that read
+#: ``rbsim`` or ``protocols`` import it when built, so only their scenarios do.
 SCENARIOS = {
     "reset-dynamics": (_run_reset_dynamics, "Fig. 2(a)", lambda: {
         "g_tilde": _Param((0.0, 0.5e6, 2.07e6), whole=_DISTINCT),
-        "duration": _Param(0.6e-6, "(0, inf)"), "n_points": _Param(301, **_rows("point")),
-        "rates": _rates("gamma1", "kappa_r")}),
+        "duration": _Param(0.6e-6, "(0, inf)"), "n_points": _Param(301, "[1, inf)"),
+        "rates": _rates("gamma1", "kappa_r")}, lambda p: _budget(
+        "params.n_points", "cells", p["n_points"] * (len(p["g_tilde"]) + 2),
+        "n_points x (len(g_tilde) + 2) cells of reset_dynamics.csv")),
     "reset-metrics": (_run_reset_metrics, "Fig. 2(b)", lambda: {
         "p_id": _Param(0.0062, "(0, 0.5)"), "p_pi": _Param(0.88, "(0, 1]"),
         "p_id_r": _Param(0.00074, "(0, 0.5)"), "p_pi_r": _Param(0.0033, "[0, 1]"),
         "omega_q": _Param(3.83e9, "(0, inf)"), "omega_r": _Param(5.85e9, "(0, inf)"),
         "tau_r": _Param(150e-9, "[0, inf)"), "tau_m": _Param(2.3e-6, "[0, inf)"),
-        "rates": _rates("gamma1")}),
+        "rates": _rates("gamma1")}, lambda p: None),  # its work does not grow
     "lr-dynamics": (_run_lr_dynamics, "Fig. 6(a)", lambda: {
         "g_tilde": _Param(0.91e6), "duration": _Param(1.2e-6, "(0, inf)"),
-        "n_points": _Param(301, **_rows("point")),
-        "rates": _rates("gamma1", "gamma_fe", "kappa_r")}),
-    "leakage-rb": (_run_leakage_rb, "Fig. 3", _leakage_rb_schema),
+        "n_points": _Param(301, "[1, inf)"),
+        "rates": _rates("gamma1", "gamma_fe", "kappa_r")}, lambda p: _budget(
+        "params.n_points", "cells", 5 * p["n_points"], "n_points x 5 cells of lr_dynamics.csv")),
+    "leakage-rb": (_run_leakage_rb, "Fig. 3", lambda: _rb_schema(
+        "gamma1", "gamma_phi", "gamma_fe", "kappa_r", n_lr=_Param(_rb_fields()["n_lr"], "[0, inf)"),
+        n_cl_grid=_Param(_rb_fields()["n_cl_grid"], "[0, inf)", length=(5, math.inf),
+                         whole=_DISTINCT), n_randomizations=_Param(50, "[2, inf)")),
+        _leakage_rb_check),
     "periodic-lr": (_run_periodic_lr, "Fig. 7 (rate eq.)", lambda: _rb_schema(
         "gamma_fe", "kappa_r",
         n_lr_list=_Param((20, 10, 5, 1), "[0, inf)", whole=_DISTINCT),
-        n_max=_Param(200, **_rows("Clifford")))),
+        n_max=_Param(200, "[1, inf)")), lambda p: _budget(
+        "params.n_max", "cells", (p["n_max"] + 1) * (len(p["n_lr_list"]) + 1),
+        "(n_max + 1) x (len(n_lr_list) + 1) cells of periodic_lr.csv")),
     "chi-map": (_run_chi_map, "Fig. 4(c)", lambda: {
         "g_tilde": _Param((0.06e6, 0.15e6, 0.41e6, 0.90e6, 1.50e6, 2.12e6, 2.50e6),
                           whole=_DISTINCT),
-        "delta_span": _Param(16e6, "(0, inf)"), "n_points": _Param(161, **_rows("point"))}),
-    "readout-shots": (_run_readout_shots, "Fig. 4(d,e)", _readout_shots_schema),
-    "cz-chevron": (_run_cz_chevron, "Fig. 8(a,b)", _cz_chevron_schema),
+        "delta_span": _Param(16e6, "(0, inf)"), "n_points": _Param(161, "[1, inf)")},
+        lambda p: _budget("params.n_points", "cells", p["n_points"] * (len(p["g_tilde"]) + 1),
+                          "n_points x (len(g_tilde) + 1) cells of chi_map.csv")),
+    "readout-shots": (_run_readout_shots, "Fig. 4(d,e)", _readout_shots_schema,
+                      _readout_shots_check),
+    "cz-chevron": (_run_cz_chevron, "Fig. 8(a,b)", lambda: {
+        "omega_d_span": _Param((-15e6, 15e6), length=(2, 2)),
+        "n_omega": _Param(13, "[1, inf)"), "max_duration": _Param(1.2e-6, "(0, inf)"),
+        "n_sub": _Param(1024, "[1, inf)")}, _cz_chevron_check),
     "floquet-report": (_run_floquet_report, "Fig. 4(c) couplings", lambda: {
         "kind": _Param("reset", choices=tuple(presets.FIXTURE_DRIVES)),
         "drive": {"a_d": _Param(None, "[0, inf)", kind=float)},  # None: the fixture's
-        "n_amplitudes": _Param(41, **_rows("amplitude"))}),
+        "n_amplitudes": _Param(41, "[1, inf)")}, _floquet_report_check),
 }
 
 
@@ -712,10 +721,9 @@ def _schema(name: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def _environment() -> dict:
-    """The Python and numpy versions, scipy's only when this process has
-    loaded it (it is never imported here), the thread variables of the BLAS
-    libraries as the caller set them (``None`` when unset; the package sets
-    ``OPENBLAS_NUM_THREADS`` itself, so its value is the one read at import)
+    """The Python and numpy versions, scipy's only where loaded (never here),
+    the BLAS thread variables as the caller set them (``None`` when unset;
+    ``OPENBLAS_NUM_THREADS`` as read at import, before the package's own)
     and ``openblas_one_thread``, whether that import limited OpenBLAS to one
     thread (false when the caller set the variable or loaded numpy first)."""
     env = {"python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__}
@@ -730,7 +738,9 @@ def _environment() -> dict:
 
 def run_config(config_path: str, seed=None, out=None) -> dict:
     cfg = load_config(config_path)
-    ctx = build_context(cfg, seed_override=seed, out_override=out)
+    ctx, notes = _checked(cfg, seed, out)
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
     os.makedirs(ctx.out_dir, exist_ok=True)
     started = time.perf_counter()
     files = []
@@ -756,39 +766,31 @@ def list_scenarios() -> str:
     width = max(len(n) for n in SCENARIOS)
     lines = [f"{'scenario':<{width}}  {'figure':<19}  parameters (key=default)"]
     for name in sorted(SCENARIOS):
-        figure = SCENARIOS[name][1]
         params = "  ".join(f"{key}={list(d) if isinstance(d, tuple) else d}"
                            for key, d in _flat(_schema(name)))
-        lines.append(f"{name:<{width}}  {figure:<19}  {params}")
+        lines.append(f"{name:<{width}}  {SCENARIOS[name][1]:<19}  {params}")
     return "\n".join(lines)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="couplersim",
-        description="Scenario runner for the parametric-coupler simulator",
-    )
+        prog="couplersim", description="Scenario runner for the parametric-coupler simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-
     p_run = sub.add_parser("run", help="execute a scenario configuration")
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--out", default=None, help="override the output directory")
-
-    p_val = sub.add_parser("validate", help="check a configuration without running it")
-    p_val.add_argument("config")
-
+    sub.add_parser("validate", help="check a configuration without running it").add_argument(
+        "config")
     sub.add_parser("list", help="list available scenarios")
-
     args = parser.parse_args(argv)
 
     if args.command == "list":
         print(list_scenarios())
         return 0
-
     try:
         if args.command == "validate":
-            for note in validate_config(load_config(args.config)):
+            for note in _checked(load_config(args.config))[1]:
                 print(f"warning: {note}")
             print("ok")
             return 0
@@ -807,12 +809,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    """Run :func:`main` on the command line and exit the process with its
-    code: the entry point of ``python -m couplersim.cli`` and of the
-    ``couplersim`` script.  The garbage collector is frozen first, so the
-    interpreter's final collection no longer traverses the objects the run
-    left alive (numpy's, PyYAML's and, after leakage-rb, scipy's module
-    state); atexit handlers and the flushing of buffered streams still run."""
+    """Exit with the code of :func:`main`, the entry point of ``python -m
+    couplersim.cli`` and of the ``couplersim`` script, after freezing the
+    garbage collector: the final collection then skips what the run left
+    alive (numpy's, PyYAML's, scipy's state); atexit handlers still run."""
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -22,6 +22,8 @@ from couplersim.floquet import (ValidityWarning, coupler_block, effective_coupli
 
 RB_PARAMS = {"n_randomizations": 3, "n_cl_grid": [1, 2, 4, 8, 16, 32, 64]}
 CZ_PARAMS = {"n_omega": 3, "n_sub": 64}
+#: 5000 distinct couplings: 5000 columns of a table
+WIDE = [1e3 * (k + 1) for k in range(5000)]
 
 
 def write_config(tmp_path, scenario, params=None):
@@ -161,6 +163,35 @@ class TestExitCodes:
         for name, data in data_files(tmp_path / "a").items():
             if name.endswith(".csv"):
                 assert not non_finite_cells(name, data), name
+
+    @pytest.mark.parametrize("key, value", [
+        ("separation_sigma", 3.29e-3),
+        ("tau_meas", 1.0e-2),
+        ("separation_sigma", 3290.0),
+    ])
+    def test_indistinguishable_readout_is_a_schema_error(self, tmp_path, capsys, key, value):
+        # A schema error, caught by the check, not a numerical failure: the
+        # config alone bounds how well any classifier can tell the g and e
+        # calibration shots apart (their total variation distance bounds
+        # the confusion matrix's smallest singular value), and below the
+        # classifier's floor no seed calibrates.  With decay on, a
+        # separation above one blob width per histogram bin leaves the e
+        # blob unresolved, which the fit cannot survive either.
+        config = write_config(tmp_path, "readout-shots", {"n_shots": 1000, key: value})
+        assert_schema_error(tmp_path, capsys, config, f"params.{key}")
+
+    def test_readout_only_the_shots_show_unusable_is_a_schema_error(self, tmp_path, capsys):
+        # The bound admits separation 0.2 (0.064 at the default decay, above
+        # the 0.05 floor), but at 1000 shots the fitted classifier falls
+        # below it, which only the drawn shots show.  run reports it as a
+        # schema error naming the key of the bound's smaller factor: the
+        # config, not the numerics, is at fault, and no file is written.
+        config = write_config(tmp_path, "readout-shots",
+                              {"n_shots": 1000, "separation_sigma": 0.2})
+        assert cli.main(["validate", config]) == 0
+        assert run(config, tmp_path / "a") == 2
+        assert "params.separation_sigma" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "a") == []
 
     def test_output_path_is_a_file(self, tmp_path):
         config = write_config(tmp_path, "reset-metrics")
@@ -358,6 +389,19 @@ class TestSchema:
         # cz_chevron.csv and the propagator steps of the scan
         ("cz-chevron", {"n_omega": 1_000_000, "max_duration": 1.8e-3}, "params.n_omega"),
         ("cz-chevron", {"n_omega": 1000, "n_sub": 100_000}, "params.n_omega"),
+        # tables of about 5e9 cells: many columns at a row count each
+        # within the budget alone
+        ("reset-dynamics", {"g_tilde": WIDE, "n_points": 1e6}, "params.n_points"),
+        ("chi-map", {"g_tilde": WIDE, "n_points": 1e6}, "params.n_points"),
+        ("periodic-lr", {"n_lr_list": list(range(5000)), "n_max": 1e6}, "params.n_max"),
+        # the work of the amplitude sweep: 1e6 amplitudes are about 450 s
+        ("floquet-report", {"n_amplitudes": 1e6}, "params.n_amplitudes"),
+        # Monte Carlo draws of a long grid, and the time of many states
+        ("leakage-rb", {"n_cl_grid": [1, 2, 3, 4, 1_000_000], "n_randomizations": 200},
+         "params.n_cl_grid"),
+        ("leakage-rb", {"n_randomizations": 20_000}, "params.n_randomizations"),
+        # the stroboscopic diagonals of one drive frequency
+        ("cz-chevron", {"n_omega": 1, "max_duration": 5e-3}, "params.max_duration"),
     ])
     def test_bad_values_are_schema_errors(self, tmp_path, capsys, scenario, params, key_path):
         config = write_config(tmp_path, scenario, params)
@@ -407,6 +451,13 @@ class TestSchema:
         # and cz-paper ten times along all three at once
         ("cz-chevron", {"n_omega": 150, "max_duration": 15e-6, "n_sub": 20480}),
         ("leakage-rb", {"n_randomizations": 2000}),
+        # the workload configs of the benchmark (perfbench/workloads.py), which
+        # a budget must not refuse: cz-paper, rb-paper and figure-sweep
+        ("cz-chevron", {"n_omega": 15, "max_duration": 1.5e-6, "n_sub": 2048}),
+        ("leakage-rb", {"n_randomizations": 200}),
+        *((scenario, {}) for scenario in ("reset-dynamics", "reset-metrics", "lr-dynamics",
+                                          "periodic-lr", "chi-map", "floquet-report",
+                                          "readout-shots")),
     ])
     def test_bounds_leave_room_above_paper_scale(self, tmp_path, capsys, scenario, params):
         assert cli.main(["validate", write_config(tmp_path, scenario, params)]) == 0
@@ -524,11 +575,18 @@ class TestSeed:
         assert json.loads(capsys.readouterr().out)["seed"] == 9
 
 
-#: scenarios whose declared scalars the boundary sweep tries one at a time
-SWEPT_SCENARIOS = ("reset-dynamics", "lr-dynamics", "reset-metrics")
-#: the sweep's largest ``n_points``, the default x 1e3; the schema's bound
-#: on output rows lies above it, so the sweep never runs a table that large
-SWEEP_MAX_POINTS = 301_000
+#: the base config of each scenario's boundary sweep: the defaults, sized
+#: down where a scenario's default run is slow or large.  A key the base
+#: sets is swept about its base value, any other about its default
+SWEEP_BASE = {
+    "reset-dynamics": {}, "reset-metrics": {}, "lr-dynamics": {},
+    "leakage-rb": {"n_randomizations": 2, "n_cl_grid": [1, 2, 4, 8, 16, 32, 64]},
+    "periodic-lr": {"n_max": 12},
+    "chi-map": {"n_points": 5},
+    "readout-shots": {"n_shots": 1000},
+    "cz-chevron": {"n_omega": 1, "n_sub": 16, "max_duration": 0.6e-6},
+    "floquet-report": {"n_amplitudes": 1},
+}
 #: JSON keys whose value may be infinite by definition, written as null:
 #: the swap time of an overdamped swap, which never completes
 INFINITE_BY_DEFINITION = {"swap_time_s"}
@@ -543,31 +601,31 @@ def declared_scalars(schema: dict, prefix: str = ""):
             yield prefix + key, spec
 
 
-def boundary_values(key_path: str, spec) -> list:
-    """The finite interval ends, 0, -1, 1e-30, 1e30 and the default x 1e3
-    and x 1e-3, where the interval admits them."""
+def boundary_values(spec, base) -> list:
+    """The finite interval ends, 0, -1, 1e-30, 1e30 and the base value x 1e3
+    and x 1e-3 (a number's), where the interval admits them."""
     lo, hi = (float(v) for v in spec.interval[1:-1].split(","))
-    cap = SWEEP_MAX_POINTS if key_path.endswith("n_points") else math.inf
+    scaled = [base * 1e3, base * 1e-3] if isinstance(base, (int, float)) else []
     values = []
-    for v in (lo, hi, 0.0, -1.0, 1e-30, 1e30, spec.default * 1e3, spec.default * 1e-3):
-        if math.isfinite(v) and cli._within(spec.interval, v) and v <= cap and v not in values:
+    for v in (lo, hi, 0.0, -1.0, 1e-30, 1e30, *scaled):
+        if math.isfinite(v) and cli._within(spec.interval, v) and v not in values:
             values.append(v)
     return values
 
 
 BOUNDARY_SWEEP = [(scenario, key_path, value)
-                  for scenario in SWEPT_SCENARIOS
+                  for scenario, base in SWEEP_BASE.items()
                   for key_path, spec in declared_scalars(cli._schema(scenario))
-                  for value in boundary_values(key_path, spec)]
+                  for value in boundary_values(spec, base.get(key_path, spec.default))]
 
-#: the rate keys the swept scenarios once declared, per element and with
-#: the table values of that form; those a scenario no longer declares (no
-#: output read them) are swept at the values they were, as schema errors
+#: the rate keys the scenarios once declared, per element and with the table
+#: values of that form; those a scenario no longer declares (no output read
+#: them) are swept at the values they were, as schema errors
 RETIRED_RATES = {"gamma1.Q1": 6.8e3, "gamma1.Q2": 4.7e3, "gamma1.C": 20e3,
                  "gamma_phi.Q1": 4.4e3, "gamma_phi.Q2": 11.3e3, "gamma_phi.C": 143e3,
                  "gamma_fe": 6.3e3, "kappa_r": 770e3}
 RETIRED_SWEEP = [(scenario, key_path, value)
-                 for scenario in SWEPT_SCENARIOS
+                 for scenario in SWEEP_BASE if "rates" in cli._schema(scenario)
                  for key, default in RETIRED_RATES.items()
                  if (key_path := f"rates.{key}") not in
                  dict(declared_scalars(cli._schema(scenario)))
@@ -582,37 +640,50 @@ def nested(key_path: str, value) -> dict:
 
 def non_finite_cells(name: str, data: bytes) -> list:
     """Cells of a data file that hold NaN or +-inf (a JSON null is how the
-    encoder writes one)."""
+    encoder writes one); text cells such as shot labels are skipped."""
     if name.endswith(".csv"):
-        rows = list(csv.reader(io.StringIO(data.decode())))
-        cells = np.array(rows[1:], dtype=float)
-        return [(rows[0][j], cells[i, j]) for i, j in zip(*np.nonzero(~np.isfinite(cells)))]
-    return [(key, value) for key, value in json.loads(data).items()
-            if key not in INFINITE_BY_DEFINITION
-            and not (isinstance(value, (int, float)) and math.isfinite(value))]
+        header, *rows = csv.reader(io.StringIO(data.decode()))
+        return [(header[j], cell) for row in rows for j, cell in enumerate(row)
+                if cell.lstrip("-").lower() in ("nan", "inf")]
+    found = []
+
+    def walk(key, value):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(k, v)
+        elif isinstance(value, list):
+            for v in value:
+                walk(key, v)
+        elif value is None and key not in INFINITE_BY_DEFINITION:
+            found.append(key)
+    walk(name, json.loads(data))
+    return found
 
 
 class TestBoundarySweep:
-    """Each declared scalar of the closed-form scenarios at the ends of its
-    interval and beyond the physical scale: a config that ``validate``
-    admits runs (exit 0) with finite data, and any other is a schema error
-    (exit 2), never a numerical failure (exit 3). A rate key the scenario
-    no longer declares is a schema error that names the rate."""
+    """Each declared scalar of every scenario, alone on its sweep base, at
+    the ends of its interval and beyond the physical scale: a config that
+    ``validate`` admits runs (exit 0) with finite data, and any other is a
+    schema error (exit 2), never a numerical failure (exit 3).  A count the
+    schema leaves unbounded above is swept at 1e30, which its scenario's
+    check refuses.  A rate key the scenario no longer declares is a schema
+    error that names the rate."""
 
     def test_sweep_covers_every_declared_scalar(self):
-        assert len(BOUNDARY_SWEEP) == 77
+        assert len(BOUNDARY_SWEEP) == 216
         swept = {(s, k) for s, k, _ in BOUNDARY_SWEEP}
-        assert swept == {(s, k) for s in SWEPT_SCENARIOS
+        assert swept == {(s, k) for s in cli.SCENARIOS
                          for k, _ in declared_scalars(cli._schema(s))}
         # the nested per-element form of every rate, and each flat rate
         # no output of the scenario reads
-        assert len(RETIRED_SWEEP) == 105
+        assert len(RETIRED_SWEEP) == 205
         assert not swept & {(s, k) for s, k, _ in RETIRED_SWEEP}
 
     @pytest.mark.parametrize("scenario, key_path, value", BOUNDARY_SWEEP + RETIRED_SWEEP,
                              ids=[f"{s}:{k}={v:g}" for s, k, v in BOUNDARY_SWEEP + RETIRED_SWEEP])
     def test_runs_or_is_a_schema_error(self, tmp_path, capsys, scenario, key_path, value):
-        config = write_config(tmp_path, scenario, nested(key_path, value))
+        config = write_config(tmp_path, scenario,
+                              {**SWEEP_BASE[scenario], **nested(key_path, value)})
         if (scenario, key_path, value) in RETIRED_SWEEP:
             # the error names the rate, not the element under it
             assert_schema_error(tmp_path, capsys, config, ".".join(key_path.split(".")[:2]))
