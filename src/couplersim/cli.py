@@ -376,19 +376,8 @@ def _run_leakage_rb(ctx: RunContext) -> dict:
                    [curves.n_cl, curves.p_g_mean, curves.p_g_std,
                     curves.p_f_mean, curves.p_f_std])
     return {"leakage_rb.csv": curve_table, "leakage_rb_fit.json": {
-        "a0": fit.a0, "b0": fit.b0, "lambda0": fit.lambda0,
-        "a2": fit.a2, "b2": fit.b2, "lambda2": fit.lambda2,
-        "epsilon": fit.epsilon, "l2": fit.l2,
-        "degenerate": fit.degenerate, "converged": fit.converged,
-        "a2_closed_forms": {
-            "a2_leak": forms.a2_leak,
-            "a2_lr_full": forms.a2_lr_full,
-            "a2_lr_simplified": forms.a2_lr_simplified,
-        },
-        "error_models": {
-            "eps_ref": models.eps_ref, "eps_leak": models.eps_leak,
-            "eps_lr": models.eps_lr, "breakeven_l": models.breakeven_l,
-        },
+        **asdict(fit), "epsilon": fit.epsilon, "l2": fit.l2,
+        "a2_closed_forms": asdict(forms), "error_models": asdict(models),
     }}
 
 
@@ -417,7 +406,7 @@ def _run_chi_map(ctx: RunContext) -> dict:
     span = p["delta_span"]
     delta = np.linspace(-span, span, p["n_points"])
     header = ["delta_drive_hz"] + [f"two_chi_g{g:.17g}" for g in p["g_tilde"]]
-    columns = [delta] + [[chi_shift(g, d) for d in delta] for g in p["g_tilde"]]
+    columns = [delta] + [chi_shift(g, delta) for g in p["g_tilde"]]
     return {"chi_map.csv": (header, columns)}
 
 
@@ -452,14 +441,8 @@ def _run_readout_shots(ctx: RunContext) -> dict:
                                   [shots.iq[:, 0], shots.iq[:, 1], shots.label])
            for label, shots in {**cal, "experiment": mixed}.items()},
         "classifier.json": {"bins": protocols.CLASSIFIER_BINS, **asdict(clf)},
-        "readout_metrics.json": {
-            "f_meas": fid.f_meas,
-            "f_overlap": fid.f_overlap,
-            "f_decay": fid.f_decay,
-            "f_budget": fid.f_budget,
-            "estimated_populations": est.populations,
-            "clamp_correction": est.clamp_correction,
-        },
+        "readout_metrics.json": {**asdict(fid), "estimated_populations": est.populations,
+                                 "clamp_correction": est.clamp_correction},
     }
 
 
@@ -558,7 +541,7 @@ _BUDGETS = {
     # costliest, 2.6 us of periodic-lr (0.2 us of cz-chevron), so no time
     "cells": 1e7,
     # the arrays a run holds at once, a quarter of 4 GB: 10.5 kB a Monte Carlo
-    # state, 16 B a Clifford draw, 1512 B a CZ step, 570 B a CZ period
+    # state, 1 B a Clifford draw, 1512 B a CZ step, 570 B a CZ period
     "bytes": 1e9,
     # a config that validates ends within a minute: 3.7 us a state-cycle,
     # 1.2 us a CZ propagator step, 10 us a CZ spectra step, 0.45 ms an amplitude
@@ -583,13 +566,14 @@ def _rb_schema(*rates: str, **extra: _Param) -> dict:
 
 
 def _leakage_rb_check(params: dict) -> None:
-    cycles = params["n_randomizations"] * max(params["n_cl_grid"])
-    _budget("params.n_randomizations", "bytes", 10.5e3 * params["n_randomizations"],
+    n_r, n_max = params["n_randomizations"], max(params["n_cl_grid"])
+    _budget("params.n_randomizations", "bytes", 10.5e3 * n_r,
             "n_randomizations x 10.5 kB of Monte Carlo state buffers")
-    _budget("params.n_cl_grid", "bytes", 16 * cycles,
-            "n_randomizations x max(n_cl_grid) int64 Clifford draws, 16 B each while stacked")
-    _budget("params.n_randomizations", "seconds", 3.7e-6 * cycles,
-            "n_randomizations x max(n_cl_grid) state-cycles at 3.7 us")
+    _budget("params.n_cl_grid", "bytes", n_r * n_max,
+            "n_randomizations x max(n_cl_grid) Clifford draws, 1 B each")
+    # the time grows with both factors; name the larger
+    _budget("params.n_cl_grid" if n_max > n_r else "params.n_randomizations", "seconds",
+            3.7e-6 * n_r * n_max, "n_randomizations x max(n_cl_grid) state-cycles at 3.7 us")
 
 
 def _readout_shots_schema() -> dict:

@@ -19,6 +19,10 @@ modulated coupler frequency is expanded as
 
     omega_C(t) = omega_bar_C + sum_m D_m cos[m (2*pi*f_d*t - pi/2)].
 
+One FFT gives omega_bar_C and the D_m of the exact omega_C
+(:func:`fourier_decompose`) or of its order-8 Taylor polynomial about
+phi_dc, the truncated flux-derivative series (:func:`derivative_series`).
+
 The couplings need the Bessel functions J_n(x) at x = D_m / (m omega_d).
 They come from the Jacobi-Anger identity
 
@@ -89,8 +93,8 @@ class DriveSpectrum:
     """Mean coupler frequency ``omega_bar_c`` and Fourier harmonics ``d_m``
     (D_1 ... D_HARMONICS) of omega_C(t), from :func:`fourier_decompose` (FFT of
     one exactly sampled drive period, exact up to sampling) or from
-    :func:`derivative_series` (analytic flux-derivative series).  The two
-    agree within 1% for a_d <= 0.1 rad.
+    :func:`derivative_series` (the same FFT of its truncated Taylor
+    polynomial in the flux).  The two agree within 1% for a_d <= 0.1 rad.
     """
 
     omega_bar_c: float
@@ -126,6 +130,18 @@ def _check_expansion(drive: DriveSpec, coupler: CouplerSpec) -> None:
             )
 
 
+def _spectrum(omega_c_of_cos) -> DriveSpectrum:
+    """Mean and harmonics D_1 ... D_HARMONICS of ``omega_c_of_cos(cos y)``
+    over one period of y: FFT of ``FOURIER_SAMPLES`` samples."""
+    # omega_C(phi_dc + a sin(wt)) is even in y = w t - pi/2
+    y = TWO_PI * np.arange(FOURIER_SAMPLES) / FOURIER_SAMPLES
+    coef = np.fft.rfft(omega_c_of_cos(np.sin(y + math.pi / 2))) / FOURIER_SAMPLES
+    return DriveSpectrum(
+        omega_bar_c=float(coef[0].real),
+        d_m=tuple(float(2.0 * coef[m].real) for m in range(1, HARMONICS + 1)),
+    )
+
+
 def fourier_decompose(drive: DriveSpec, coupler: CouplerSpec) -> DriveSpectrum:
     """Fourier decomposition of the modulated coupler frequency: FFT of one
     period sampled at ``FOURIER_SAMPLES`` points (numerically exact).
@@ -137,50 +153,22 @@ def fourier_decompose(drive: DriveSpec, coupler: CouplerSpec) -> DriveSpectrum:
         (d = 0) SQUID, where omega_C(phi) is not analytic.
     """
     _check_expansion(drive, coupler)
-    # omega_C(phi_dc + a sin(wt)) is even in y = w t - pi/2
-    y = TWO_PI * np.arange(FOURIER_SAMPLES) / FOURIER_SAMPLES
-    f = coupler_frequency(drive.phi_dc + drive.a_d * np.sin(y + math.pi / 2), coupler)
-    coef = np.fft.rfft(f) / FOURIER_SAMPLES
-    return DriveSpectrum(
-        omega_bar_c=float(coef[0].real),
-        d_m=tuple(float(2.0 * coef[m].real) for m in range(1, HARMONICS + 1)),
-    )
+    return _spectrum(lambda c: coupler_frequency(drive.phi_dc + drive.a_d * c, coupler))
 
 
 def derivative_series(drive: DriveSpec, coupler: CouplerSpec) -> DriveSpectrum:
-    """The spectrum D_1 ... D_HARMONICS of :func:`fourier_decompose` from
-    the analytic flux-derivative series of omega_C about ``phi_dc``,
-    truncated at derivative order ``2 * HARMONICS``.  Raises as
-    :func:`fourier_decompose` at a symmetric-SQUID kink.
+    """:func:`fourier_decompose` of the order ``2 * HARMONICS`` Taylor
+    polynomial of omega_C about ``phi_dc`` (the truncated flux-derivative
+    series).  It shares the FFT's absolute rounding floor, about 1e-8 Hz,
+    which the smallest harmonics reach as ``a_d -> 0`` (D_4 at a_d = 1e-4).
+    Raises as :func:`fourier_decompose` at a symmetric-SQUID kink.
     """
     _check_expansion(drive, coupler)
-    dist = _singularity_distance(drive.phi_dc, coupler.d)
-    radius = 0.8 * min(dist, 1.2)
-    deriv = taylor_coefficients(
+    radius = 0.8 * min(_singularity_distance(drive.phi_dc, coupler.d), 1.2)
+    taylor = taylor_coefficients(
         lambda z: coupler_frequency(z, coupler), drive.phi_dc, 2 * HARMONICS, radius
     )
-    a = drive.a_d
-    omega_bar_series = sum(
-        deriv[2 * n] * a ** (2 * n) / (4 ** n * math.factorial(n) ** 2)
-        for n in range(HARMONICS + 1)
-    )
-    series = []
-    for m in range(1, HARMONICS + 1):
-        total = 0.0
-        if m % 2 == 0:
-            for n in range(m // 2, HARMONICS + 1):
-                total += (
-                    deriv[2 * n] * 2.0 * a ** (2 * n)
-                    / (4 ** n * math.factorial((2 * n - m) // 2) * math.factorial((2 * n + m) // 2))
-                )
-        else:
-            for n in range((m - 1) // 2, HARMONICS):
-                total += (
-                    deriv[2 * n + 1] * a ** (2 * n + 1)
-                    / (4 ** n * math.factorial((2 * n + 1 - m) // 2) * math.factorial((2 * n + 1 + m) // 2))
-                )
-        series.append(float(total))
-    return DriveSpectrum(omega_bar_c=float(omega_bar_series), d_m=tuple(series))
+    return _spectrum(lambda c: np.polyval(taylor[::-1], drive.a_d * c))
 
 
 def _bessel_j(x) -> np.ndarray:
@@ -462,7 +450,7 @@ def schrieffer_wolff_correction(frame: EffectiveFrame) -> float:
 # parametric chi shift
 # ---------------------------------------------------------------------------
 
-def chi_shift(g_tilde_qr: float, delta_drive: float) -> float:
+def chi_shift(g_tilde_qr, delta_drive):
     """Qubit-state dependent resonator shift (Hz) of the driven avoided
     crossing:
 
@@ -470,10 +458,9 @@ def chi_shift(g_tilde_qr: float, delta_drive: float) -> float:
 
     ``delta_drive`` must already be in the drive frame, which sees k times
     the lab detuning at the k-th harmonic.  The returned value is <= 0 on
-    this branch and reaches -|g~_QR| at Delta = 0.
+    this branch and reaches -|g~_QR| at Delta = 0; arrays broadcast.
     """
-    ad = abs(delta_drive)
-    return (ad - math.sqrt(4.0 * g_tilde_qr ** 2 + delta_drive ** 2)) / 2.0
+    return (np.abs(delta_drive) - np.sqrt(4.0 * g_tilde_qr ** 2 + delta_drive ** 2)) / 2.0
 
 
 # ---------------------------------------------------------------------------

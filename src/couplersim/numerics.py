@@ -72,7 +72,7 @@ def taylor_coefficients(
     order: int,
     radius: float,
 ) -> np.ndarray:
-    """Derivatives ``d^k f / dx^k`` at ``center`` for k = 0..order.
+    """Taylor coefficients ``f^(k)(center) / k!`` for k = 0..order.
 
     Cauchy-integral evaluation on a circle of given radius in the complex
     plane (trapezoidal rule, exponentially accurate for analytic ``func``).
@@ -86,9 +86,7 @@ def taylor_coefficients(
     z = center + radius * np.exp(1j * theta)
     vals = np.asarray(func(z), dtype=complex)
     coeffs = np.fft.fft(vals) / n
-    k = np.arange(order + 1)
-    taylor = coeffs[: order + 1] / radius ** k
-    return np.real(taylor) * np.array([math.factorial(j) for j in k], dtype=float)
+    return np.real(coeffs[: order + 1] / radius ** np.arange(order + 1))
 
 
 # ---------------------------------------------------------------------------

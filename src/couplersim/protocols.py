@@ -321,10 +321,18 @@ def calibrate_classifier(shots_g: ShotSet, shots_e: ShotSet,
             raise ValueError(f"calibration set '{label}' needs >= {MIN_CALIBRATION_SHOTS} shots")
 
     hists = [_histogram2d(s) for s in sets]
-    center_g, sigma = _fit_blob(hists[0], sets[0], None)
-    sigma = float(sigma)
-    centers = np.array([center_g] + [_fit_blob(h, s, sigma)[0]
-                                     for h, s in zip(hists[1:], sets[1:])])
+    centers, sigma = [], None
+    for label, hist, iq in zip(STATE_LABELS, hists, sets):
+        try:
+            center, sigma = _fit_blob(hist, iq, sigma)
+        except np.linalg.LinAlgError as exc:
+            # a set far wider than its blob (decayed e shots): the Gaussian
+            # underflows at the neighbouring bin centres, a zero Jacobian column
+            raise ValueError(f"calibration set '{label}': its histogram bins are too "
+                             "coarse for its blob, the blob fit is singular") from exc
+        centers.append(center)
+        sigma = float(sigma)
+    centers = np.array(centers)
     heights = np.stack([_component_heights(h, centers, sigma) for h in hists])
     confusion = np.stack([
         np.bincount(_nearest(s, centers), minlength=3) / s.shape[0] for s in sets

@@ -510,7 +510,9 @@ def _randomizations(scenario: RBScenario, stream: RngStream, rows: range, window
     n_grid = np.asarray(scenario.n_cl_grid, dtype=int)
     n_max = int(n_grid.max())
     r_count = len(rows)
-    gate_idx = np.stack([stream.child(r).integers(0, 24, size=n_max) for r in rows])
+    gate_idx = np.empty((r_count, n_max), dtype=np.uint8)  # one byte a draw, indices 0..23
+    for row, r in zip(gate_idx, rows):
+        row[:] = stream.child(r).integers(0, 24, size=n_max)
 
     # the state, split and with the state axis last, is the input of every
     # block conjugation; each writes the input of the next channel

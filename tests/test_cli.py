@@ -400,6 +400,9 @@ class TestSchema:
         ("leakage-rb", {"n_cl_grid": [1, 2, 3, 4, 1_000_000], "n_randomizations": 200},
          "params.n_cl_grid"),
         ("leakage-rb", {"n_randomizations": 20_000}, "params.n_randomizations"),
+        # the time of a long grid at few states names the grid
+        ("leakage-rb", {"n_cl_grid": [1, 2, 3, 4, 10_000_000], "n_randomizations": 2},
+         "params.n_cl_grid"),
         # the stroboscopic diagonals of one drive frequency
         ("cz-chevron", {"n_omega": 1, "max_duration": 5e-3}, "params.max_duration"),
     ])

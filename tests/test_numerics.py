@@ -86,22 +86,14 @@ class TestBessel:
 
 class TestTaylorCoefficients:
     def test_exponential(self):
-        deriv = taylor_coefficients(np.exp, 0.0, 8, 0.5)
-        assert np.max(np.abs(deriv - 1.0)) < 1e-9
+        coef = taylor_coefficients(np.exp, 0.0, 8, 0.5)
+        assert np.max(np.abs(coef - 1.0 / factorial(np.arange(9)))) < 1e-9
 
     def test_sine_off_center(self):
-        deriv = taylor_coefficients(np.sin, 0.3, 7, 0.4)
+        coef = taylor_coefficients(np.sin, 0.3, 7, 0.4)
         s, c = math.sin(0.3), math.cos(0.3)
-        exact = [s, c, -s, -c, s, c, -s, -c]
-        assert np.max(np.abs(deriv - exact)) < 1e-9
-
-    def test_math_factorial_matches_scipy_bitwise(self):
-        # taylor_coefficients scales by float(k!) from math.factorial, which
-        # equals scipy's factorial(k, exact=False) bitwise up to k = 24 (they
-        # first differ at k = 25; fourier_decompose uses order 8)
-        k = np.arange(25)
-        assert np.array_equal(np.array([float(math.factorial(j)) for j in k]),
-                              factorial(k, exact=False))
+        exact = np.array([s, c, -s, -c, s, c, -s, -c]) / factorial(np.arange(8))
+        assert np.max(np.abs(coef - exact)) < 1e-9
 
 
 def random_hermitian(rng, dim, scale=1e7):

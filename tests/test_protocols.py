@@ -304,6 +304,17 @@ class TestReadoutClassifier:
         with pytest.raises(ValueError, match="1000"):
             calibrate_classifier(g, e, f)
 
+    def test_set_far_wider_than_its_blob_is_named(self):
+        # decayed e shots spread over 2000 sigma: the 60 histogram bins,
+        # about 37 sigma each, cannot resolve the e blob
+        sep = 2000.0
+        centers = np.array([[0.0, 0.0], [sep, 0.0], [sep / 2.0, 0.9 * sep]])
+        g, e, f = [generate_shots(np.eye(3)[i], centers, 1.0, 1000, RngStream(3, i), label=label,
+                                  decay=(RATES.gamma1, 10e-6) if label == "e" else None)
+                   for i, label in enumerate("gef")]
+        with pytest.raises(ValueError, match="calibration set 'e': .* too coarse"):
+            calibrate_classifier(g, e, f)
+
     def test_indistinguishable_states_rejected(self):
         centers = np.array([[0.0, 0.0], [0.0, 0.0], [8.0, 0.0]])
         g, e, f = _calibration_sets(centers, n=2000)
