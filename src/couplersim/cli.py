@@ -5,6 +5,15 @@ tables plus JSON summaries and a run manifest.  Identical (config, seed)
 pairs reproduce byte-identical data files: floats are serialised with 17
 significant digits and all randomness flows from the config seed.
 
+The CSV encoder (``_encode_csv``) writes what the csv module would write
+for ``%.17g`` cells, byte for byte, without a Python call per float64 cell
+in ``%.17g``'s fixed notation (decimal exponent E in [-4, 16]): numpy
+rounds ``x * 10^(16 - E)`` to the 17-digit integer exactly (Dekker's
+two-product against an exact power of ten), spells it in 4-digit ASCII
+groups and lays out each row in a fixed-width byte row with a keep mask.
+Zero, nan, infinities, exponent notation, other columns and scalars are
+formatted one cell at a time.
+
 Each ``SCENARIOS`` entry declares its scenario once: runner, paper figure,
 parameter schema (key -> ``_Param``: default, interval, choices) and check.
 ``validate`` and ``run`` parse a config with the schema (``_parse_params``:
@@ -28,10 +37,13 @@ A runner (``_run_*``) is pure: it opens no file and returns an ordered
 pair for a CSV table (a scalar fills its column) or a mapping for JSON.
 ``run_config`` alone encodes (``_encode``), writes atomically and hashes
 each file and lists them in the manifest in the runner's order, so a runner
-that raises writes nothing.  The manifest also records the environment of
-the run (``_environment``): Python, numpy and, where loaded, scipy versions,
-the BLAS thread variables as the caller set them and whether the package's
-one-thread limit took effect.
+that raises writes nothing.  The manifest also records the seconds of each
+stage (``stages``: ``run`` the runner, ``encode`` the encoding, ``write``
+the writing and hashing of the data files), the check's ``notes`` (also
+printed to stderr) and the environment of the run (``_environment``):
+Python, numpy and, where loaded, scipy versions, the BLAS thread variables
+as the caller set them and whether the package's one-thread limit took
+effect.  Only ``wall_time_s`` and ``stages`` differ between reruns.
 
 Exit codes: 0 success, 2 schema violation, 3 numerical failure, 4 I/O
 failure.  :func:`main` returns the code.  :func:`entry`, the entry point of
@@ -55,7 +67,6 @@ import time
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cache
-from itertools import chain
 
 import numpy as np
 import yaml
@@ -80,8 +91,12 @@ class ConfigError(Exception):
     """Schema or range violation in a scenario configuration."""
 
 
-#: rows the CSV encoder formats per pass; bounds its transient cell lists
-_CSV_CHUNK_ROWS = 256
+#: rows the CSV encoder lays out per pass; bounds its transient byte arrays
+_CSV_CHUNK_ROWS = 4096
+
+#: a float64 cell's slot: sign, the ``0.000`` prefix of E < 0, then the 17
+#: digits, each but the last followed by a candidate decimal point
+_FLOAT_SLOT = b"-0.000" + b"0." * 16 + b"0"
 
 
 def _cells(values: np.ndarray) -> list:
@@ -94,28 +109,155 @@ def _cells(values: np.ndarray) -> list:
             for c in map(str, values.tolist())]
 
 
+@cache
+def _digit_tables() -> tuple:
+    """What the float64 fast path reads, built on its first use: the ASCII
+    of each 4-digit group as one uint32; 10^0..10^22 (exact doubles) and
+    their Veltkamp halves; and the kept bytes of a ``_FLOAT_SLOT`` by
+    (sign, decimal exponent E + 4, significant digit count - 1)."""
+    d = np.arange(10_000, dtype=np.uint16)
+    chars = np.empty((10_000, 4), np.uint8)
+    for i, unit in enumerate((1000, 100, 10, 1)):
+        chars[:, i] = d // unit % 10 + ord("0")
+    groups = chars.view(np.uint32).ravel()
+    pow10 = np.array([float(10 ** k) for k in range(23)])
+    keep = np.zeros((2, 21, 17, len(_FLOAT_SLOT)), bool)
+    keep[1, ..., 0] = True                              # "-"
+    for e in range(-4, 17):
+        for nd in range(1, 18):
+            row = keep[:, e + 4, nd - 1]
+            if e < 0:
+                row[:, 1:2 - e] = True                  # "0." and -E - 1 zeros
+                row[:, 6:6 + 2 * nd:2] = True
+            else:                                       # the integer part stays whole
+                row[:, 6:6 + 2 * max(nd, e + 1):2] = True
+                if nd > e + 1:
+                    row[:, 7 + 2 * e] = True            # "."
+    return groups, pow10, _split(pow10), keep.reshape(-1, len(_FLOAT_SLOT))
+
+
+def _split(a: np.ndarray) -> tuple:
+    """Veltkamp's split: ``a = hi + lo``, each half with at most 26 bits."""
+    c = 134217729.0 * a                                 # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _rounded(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``x * 10^(16 - e)`` rounded half to even, as int64.  Dekker's
+    two-product gives the product exactly as ``p + err``; where ``p >=
+    2^53`` it is an even integer, so rounding ``err`` rounds the sum."""
+    _, pow10, (ph, pl), _ = _digit_tables()
+    k = 16 - e
+    b, bh, bl = pow10[k], ph[k], pl[k]
+    xh, xl = _split(x)
+    p = x * b
+    err = ((xh * bh - p) + xh * bl + xl * bh) + xl * bl
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _put_cells(chars: np.ndarray, keep: np.ndarray, cells: list, rows=slice(None)) -> None:
+    """Write encoded ``cells`` into the slots of ``rows``, one per cell."""
+    lens = np.fromiter(map(len, cells), np.intp, len(cells))
+    width = int(lens.max(initial=1))
+    chars[rows, :width] = np.array(cells, f"S{width}").view(np.uint8).reshape(-1, width)
+    keep[rows] = np.arange(keep.shape[1]) < lens[:, None]
+
+
+def _put_floats(chars: np.ndarray, keep: np.ndarray, values: np.ndarray) -> None:
+    """Write float64 ``values`` into their slots (``_FLOAT_SLOT``) as
+    ``%.17g`` writes them.  Cells in fixed notation (decimal exponent E in
+    [-4, 16]) get their digits from array arithmetic: E from ``log10``,
+    fixed by one where the 17-digit integer ``_rounded`` leaves [10^16,
+    10^17); that integer's 4-digit groups in ASCII; a keep mask by (sign,
+    E, digit count).  Every other cell is formatted alone."""
+    groups, _, _, masks = _digit_tables()
+    a = np.abs(values)
+    fast = (a >= 1e-5) & (a < 1e17)                     # nan, inf and zero fail both
+    at = np.flatnonzero(fast)
+    x = a[at]
+    e = np.clip(np.floor(np.log10(x)), -5, 16).astype(np.intp)
+    n = _rounded(x, e)
+    e += (n >= 10 ** 17).astype(np.intp) - (n < 10 ** 16)
+    ok = (e >= -4) & (e <= 16)
+    redo = np.flatnonzero(ok & ((n < 10 ** 16) | (n >= 10 ** 17)))
+    n[redo] = _rounded(x[redo], e[redo])
+    ok &= (n >= 10 ** 16) & (n < 10 ** 17)
+    fast[at[~ok]] = False
+    at, e, n = at[ok], e[ok], n[ok]
+
+    high, low = np.divmod(n, 10 ** 8)                  # 9 and 8 digits
+    high, low = high.astype(np.uint32), low.astype(np.uint32)
+    quads = np.empty((len(n), 5), np.uint32)
+    quads[:, 0], rest = np.divmod(high, 10 ** 8)
+    quads[:, 1], quads[:, 2] = np.divmod(rest, 10 ** 4)
+    quads[:, 3], quads[:, 4] = np.divmod(low, 10 ** 4)
+    digits = groups[quads].view(np.uint8).reshape(len(n), 20)[:, 3:]
+    count = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    kept = masks[(values[at] < 0) * 357 + (e + 4) * 17 + count - 1]
+    if len(at) == len(values):                          # slices write faster
+        chars[:, 6::2], keep[:] = digits, kept
+        return
+    chars[at, 6::2], keep[at] = digits, kept
+    slow = np.flatnonzero(~fast)
+    _put_cells(chars, keep, [b"%.17g" % v for v in values[slow].tolist()], slow)
+
+
+def _csv_rows(columns: list, rows: int) -> bytes:
+    """``rows`` CSV lines of the columns (arrays of ``rows`` cells or
+    scalars).  Each line is laid out in one fixed-width uint8 row: every
+    cell in a slot wide enough for it, each slot followed by ``,`` or
+    ``\\n``; a keep mask of the same shape picks the bytes of the text."""
+    slots = []                                          # (template, cells to put)
+    for c in columns:
+        if not c.ndim:
+            slots.append((_cells(c.reshape(1))[0].encode(), None))
+        elif c.dtype == np.float64:
+            slots.append((_FLOAT_SLOT, c))
+        else:
+            cells = [s.encode() for s in _cells(c)]
+            slots.append((bytes(max(1, *map(len, cells))), cells))
+    line = b",".join(template for template, _ in slots) + b"\n"
+    chars = np.empty((rows, len(line)), np.uint8)
+    chars[:] = np.frombuffer(line, np.uint8)
+    keep = np.ones_like(chars, bool)
+    start = 0
+    for template, cells in slots:
+        part = np.s_[:, start:start + len(template)]
+        if isinstance(cells, np.ndarray):
+            _put_floats(chars[part], keep[part], cells)
+        elif cells is not None:
+            _put_cells(chars[part], keep[part], cells)
+        start += len(template) + 1
+    return np.compress(keep.ravel(), chars.ravel()).tobytes()
+
+
 def _encode_csv(header: list, columns: list) -> bytes:
-    """A CSV table from its columns; a scalar fills its whole column.  The
-    rows share one ``%`` template: ``%.17g`` for a float64 column, ``%s``
-    for the :func:`_cells` of any other, the cell itself for a scalar.  They
-    are formatted in chunks, so the cell lists stay small, with one ``%``
-    per chunk."""
+    """A CSV table from its columns; a scalar fills its whole column.
+
+    Byte for byte what the csv module writes for the cells of
+    :func:`_cells` (a float64 as ``%.17g``), built ``_CSV_CHUNK_ROWS`` rows
+    at a time by :func:`_csv_rows`.  A float64 cell in ``%.17g``'s fixed
+    notation, decimal exponent E in [-4, 16], costs no Python call
+    (:func:`_put_floats`).  Its 17 digits are ``x * 10^(16 - E)`` rounded
+    half to even, the rounding CPython's ``%.17g`` makes (Gay's correctly
+    rounded conversion): 10^(16 - E) <= 10^22 is an exact double, Dekker's
+    two-product splits the product exactly into ``p + err`` (Veltkamp's
+    split, no fused multiply-add), and ``p >= 10^16 > 2^53`` is an even
+    integer, so ``int(p) + rint(err)`` is the rounded product, ties
+    included.  Zero, nan, infinities, exponent notation, the cells of any
+    other column and scalars are formatted one cell at a time."""
     columns = [np.asarray(c) for c in columns]
     n = next((len(c) for c in columns if c.ndim), 1)
     for name, c in zip(header, columns):
         if c.ndim and len(c) != n:
             raise ValueError(f"CSV column {name!r} has {len(c)} rows, expected {n}")
-    row = ",".join(("%.17g" if c.dtype == np.float64 else "%s") if c.ndim
-                   else _cells(c.reshape(1))[0].replace("%", "%%") for c in columns) + "\n"
-    arrays = [c for c in columns if c.ndim]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(header)
-    for start in range(0, n, _CSV_CHUNK_ROWS):
-        chunk = [c[start:start + _CSV_CHUNK_ROWS] for c in arrays]
-        cells = [c.tolist() if c.dtype == np.float64 else _cells(c) for c in chunk]
-        rows = min(n - start, _CSV_CHUNK_ROWS)
-        buf.write((row * rows) % tuple(chain.from_iterable(zip(*cells))))
-    return buf.getvalue().encode()
+    return b"".join([buf.getvalue().encode()] + [
+        _csv_rows([c[start:start + _CSV_CHUNK_ROWS] if c.ndim else c for c in columns],
+                  min(n - start, _CSV_CHUNK_ROWS))
+        for start in range(0, n, _CSV_CHUNK_ROWS)])
 
 
 def _encode(content) -> bytes:
@@ -541,7 +683,7 @@ _BUDGETS = {
     # costliest, 2.6 us of periodic-lr (0.2 us of cz-chevron), so no time
     "cells": 1e7,
     # the arrays a run holds at once, a quarter of 4 GB: 10.5 kB a Monte Carlo
-    # state, 1 B a Clifford draw, 1512 B a CZ step, 570 B a CZ period
+    # state, 1512 B a CZ step, 570 B a CZ period
     "bytes": 1e9,
     # a config that validates ends within a minute: 3.7 us a state-cycle,
     # 1.2 us a CZ propagator step, 10 us a CZ spectra step, 0.45 ms an amplitude
@@ -569,9 +711,9 @@ def _leakage_rb_check(params: dict) -> None:
     n_r, n_max = params["n_randomizations"], max(params["n_cl_grid"])
     _budget("params.n_randomizations", "bytes", 10.5e3 * n_r,
             "n_randomizations x 10.5 kB of Monte Carlo state buffers")
-    _budget("params.n_cl_grid", "bytes", n_r * n_max,
-            "n_randomizations x max(n_cl_grid) Clifford draws, 1 B each")
-    # the time grows with both factors; name the larger
+    # the time grows with both factors; name the larger.  Its 1.6e7 cap on
+    # n_randomizations x max(n_cl_grid) also bounds the Clifford draws (1 B
+    # each, <= 16 MB) and the int64 row drawn before each is stored (<= 65 MB)
     _budget("params.n_cl_grid" if n_max > n_r else "params.n_randomizations", "seconds",
             3.7e-6 * n_r * n_max, "n_randomizations x max(n_cl_grid) state-cycles at 3.7 us")
 
@@ -727,11 +869,17 @@ def run_config(config_path: str, seed=None, out=None) -> dict:
         print(f"warning: {note}", file=sys.stderr)
     os.makedirs(ctx.out_dir, exist_ok=True)
     started = time.perf_counter()
+    contents = SCENARIOS[ctx.name][0](ctx)
+    stages = {"run": time.perf_counter() - started, "encode": 0.0, "write": 0.0}
     files = []
-    for name, content in SCENARIOS[ctx.name][0](ctx).items():
+    for name, content in contents.items():
+        t0 = time.perf_counter()
         data = _encode(content)
+        t1 = time.perf_counter()
         _atomic_write(os.path.join(ctx.out_dir, name), data)
         files.append({"path": name, "sha256": hashlib.sha256(data).hexdigest()})
+        stages["encode"] += t1 - t0
+        stages["write"] += time.perf_counter() - t1
     canonical = json.dumps(_jsonable(cfg), sort_keys=True).encode()
     manifest = {
         "scenario": ctx.name,
@@ -739,6 +887,8 @@ def run_config(config_path: str, seed=None, out=None) -> dict:
         "tool_version": __version__,
         "seed": ctx.seed,
         "wall_time_s": time.perf_counter() - started,
+        "stages": stages,
+        "notes": notes,
         "files": files,
         "environment": _environment(),
     }

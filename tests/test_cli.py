@@ -13,6 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import couplersim
@@ -64,11 +66,11 @@ def reference_csv(header, rows) -> bytes:
 EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
                2.2250738585072014e-308 / 3, 1e300, -1e-300, 0.1, 1 / 3, 2.07e6, 1.0]
 EDGE_STRINGS = ["g", "a,b", 'say "hi"', "two\nlines", "", " pad", "tab\tx", "cr\rx",
-                "100%", "%s%%d", '%(x)s,"%"']
+                "100%", "%s%%d", '%(x)s,"%"', "µs, ±1"]
 
 
 class TestEncoder:
-    @pytest.mark.parametrize("n", [0, 1, 13, 2 * cli._CSV_CHUNK_ROWS + 5])
+    @pytest.mark.parametrize("n", [0, 1, 13, cli._CSV_CHUNK_ROWS, 2 * cli._CSV_CHUNK_ROWS + 5])
     def test_matches_the_per_row_writer_bitwise(self, n):
         floats = np.resize(np.array(EDGE_FLOATS), n)
         header = ["f64", "py_float", "int64", "py_int", "bool", "str", "label", "scalar",
@@ -87,6 +89,44 @@ class TestEncoder:
         ]
         rows = zip(*(c if np.ndim(c) else [c] * n for c in columns))
         assert cli._encode((header, columns)) == reference_csv(header, rows)
+
+    @given(values=st.lists(st.floats(), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_double_encodes_as_the_per_row_writer(self, values):
+        # st.floats() draws nan, +-inf, +-0, subnormals and every exponent
+        header = ["x", "minus_x"]
+        columns = [np.array(values, float), [-v for v in values]]
+        assert cli._encode((header, columns)) == reference_csv(header, zip(*columns))
+
+    def test_decade_edges_ties_and_carries(self):
+        # both sides of every power of ten the fixed notation reaches and
+        # beyond; the carry of 17 nines; 131073 / 2**17 = 1.00000762939453125,
+        # an exact tie at the 17th digit that half-even rounds down to ...312;
+        # the integers about 2**53 and at the top of the range
+        edges = [9.9999999999999999e-5, 131073 / 2 ** 17, 2.0 ** 53 - 1, 2.0 ** 53 + 1,
+                 2.0 ** 53 + 2, 1e16, 99999999999999999.0]
+        for k in range(-7, 19):
+            power = float(f"1e{k}")
+            edges += [np.nextafter(power, 0.0), power, np.nextafter(power, np.inf)]
+        values = np.array(edges + [-v for v in edges])
+        assert format(131073 / 2 ** 17, ".17g") == "1.0000076293945312"
+        assert cli._encode((["x"], [values])) == reference_csv(["x"], [(v,) for v in values])
+
+    def test_fixed_and_formatted_cells_alternate(self):
+        # every other cell leaves the array path: zero, nan, inf, exponent
+        # notation, a subnormal, next to plain decimals of both signs
+        others = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 2e-9, 1e17, 5e-324]
+        values = np.array([x for k, other in enumerate(others * 700)
+                           for x in (other, (-1) ** k * (k + 0.123))])
+        rows = [(v, 1.0, v) for v in values.tolist()]
+        encoded = cli._encode((["a", "one", "b"], [values, np.ones(len(values)), values]))
+        assert encoded == reference_csv(["a", "one", "b"], rows)
+
+    def test_no_runtime_warning_on_cells_off_the_array_path(self):
+        values = np.array([float("nan"), float("inf"), -float("inf"), 0.0, 5e-324, 1e308, 1.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cli._encode((["x"], [values]))
 
     def test_scalars_alone_make_one_row(self):
         header, row = ["label", "x", "n"], ("50%", 0.1, 3)
@@ -206,7 +246,41 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+#: sha256 of readout-shots' shot tables at the CLI defaults, seed 3, as the
+#: per-row ``%.17g`` encoder wrote them.  The shots come from PCG64 draws and
+#: IEEE arithmetic only (no BLAS), so the digests hold on any host.
+READOUT_SHOT_DIGESTS = {
+    "shots_g.csv": "cceb0e484616eb53036915dbbd43ea34bc614a61f2b75e3b63419108d8ab68de",
+    "shots_e.csv": "c7a02e1171d990e3cccd416d744089ba7ac0c11a63e9c9f0f998a006ad74d8bd",
+    "shots_f.csv": "d44e30c7181365bf8adc1cde6bf7ed579fb6613ece5b1bd1b034dda106514c5c",
+    "shots_experiment.csv":
+        "392fcbf2208010f0b128f658d6325b5fe06ecf409f5f1d76d87ee000db4e4817",
+}
+
+
 class TestOutputs:
+    def test_readout_shot_tables_keep_their_bytes(self, tmp_path):
+        assert run(write_config(tmp_path, "readout-shots"), tmp_path / "a") == 0
+        written = data_files(tmp_path / "a")
+        assert {name: hashlib.sha256(written[name]).hexdigest()
+                for name in READOUT_SHOT_DIGESTS} == READOUT_SHOT_DIGESTS
+
+    def test_reruns_differ_only_in_their_timings(self, tmp_path, capsys):
+        # the cz drive out of its coupling window: the check has a note
+        config = write_config(tmp_path, "floquet-report",
+                              {"kind": "cz", "drive": {"a_d": 0.3}, "n_amplitudes": 3})
+        first, second = (cli.run_config(config, out=str(tmp_path / "a")) for _ in range(2))
+        assert set(first["stages"]) == {"run", "encode", "write"}
+        assert all(v >= 0.0 for v in first["stages"].values())
+        assert sum(first["stages"].values()) <= first["wall_time_s"]
+        assert first["notes"] and "params.drive.a_d" in first["notes"][0]
+        assert f"warning: {first['notes'][0]}" in capsys.readouterr().err
+        timings = ("wall_time_s", "stages")
+        assert ({k: v for k, v in first.items() if k not in timings}
+                == {k: v for k, v in second.items() if k not in timings})
+        on_disk = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert on_disk == json.loads(json.dumps(second))
+
     @pytest.mark.parametrize("scenario, params", [
         ("leakage-rb", RB_PARAMS),
         ("cz-chevron", CZ_PARAMS),
