@@ -5,14 +5,9 @@ tables plus JSON summaries and a run manifest.  Identical (config, seed)
 pairs reproduce byte-identical data files: floats are serialised with 17
 significant digits and all randomness flows from the config seed.
 
-The CSV encoder (``_encode_csv``) writes what the csv module would write
-for ``%.17g`` cells, byte for byte, without a Python call per float64 cell
-in ``%.17g``'s fixed notation (decimal exponent E in [-4, 16]): numpy
-rounds ``x * 10^(16 - E)`` to the 17-digit integer exactly (Dekker's
-two-product against an exact power of ten), spells it in 4-digit ASCII
-groups and lays out each row in a fixed-width byte row with a keep mask.
-Zero, nan, infinities, exponent notation, other columns and scalars are
-formatted one cell at a time.
+The CSV encoder (``_encode_csv``, which states why it is exact) writes
+what the csv module would write for ``%.17g`` cells, byte for byte, with
+no Python call per float64 cell in ``%.17g``'s fixed notation.
 
 Each ``SCENARIOS`` entry declares its scenario once: runner, paper figure,
 parameter schema (key -> ``_Param``: default, interval, choices) and check.
@@ -24,7 +19,8 @@ of that size is built: a cost beyond its budget is a schema error naming
 the key that drives it.  It returns the scenario's notes, such as
 floquet-report's when the fixture drive (``presets.fixture_drive``) leaves
 the leading-order window (:func:`couplersim.floquet.in_coupling_window`);
-the report records that as ``validity_ok``.  ``list`` prints the schemas
+the report records that as ``validity_ok``.  Its drive and each swept
+amplitude get their couplings from one function.  ``list`` prints the schemas
 and the runners index ``ctx.params[key]``.  A schema is built when its
 scenario is first checked (``_schema``) and the runners import ``rbsim``
 and ``protocols`` where they call them, so a process loads only what its
@@ -46,8 +42,10 @@ as the caller set them and whether the package's one-thread limit took
 effect.  Only ``wall_time_s`` and ``stages`` differ between reruns.
 
 Exit codes: 0 success, 2 schema violation, 3 numerical failure, 4 I/O
-failure.  :func:`main` returns the code.  :func:`entry`, the entry point of
-``python -m couplersim.cli`` and of the ``couplersim`` script, exits the
+failure; a run that shows its config at fault (readout shots no classifier
+tells apart, a CZ window short of one full oscillation) is a schema
+violation.  :func:`main` returns the code.  :func:`entry`, the entry point
+of ``python -m couplersim.cli`` and of the ``couplersim`` script, exits the
 process with it, after freezing the garbage collector.
 """
 
@@ -166,11 +164,11 @@ def _put_cells(chars: np.ndarray, keep: np.ndarray, cells: list, rows=slice(None
 
 def _put_floats(chars: np.ndarray, keep: np.ndarray, values: np.ndarray) -> None:
     """Write float64 ``values`` into their slots (``_FLOAT_SLOT``) as
-    ``%.17g`` writes them.  Cells in fixed notation (decimal exponent E in
-    [-4, 16]) get their digits from array arithmetic: E from ``log10``,
-    fixed by one where the 17-digit integer ``_rounded`` leaves [10^16,
-    10^17); that integer's 4-digit groups in ASCII; a keep mask by (sign,
-    E, digit count).  Every other cell is formatted alone."""
+    ``%.17g`` writes them (why this is exact: :func:`_encode_csv`).  Cells
+    in fixed notation (exponent E in [-4, 16]) get their digits from array
+    arithmetic: E from ``log10``, fixed by one where the 17-digit integer
+    ``_rounded`` leaves [10^16, 10^17); its 4-digit groups in ASCII; a keep
+    mask by (sign, E, digit count).  Every other cell is formatted alone."""
     groups, _, _, masks = _digit_tables()
     a = np.abs(values)
     fast = (a >= 1e-5) & (a < 1e17)                     # nan, inf and zero fail both
@@ -314,14 +312,13 @@ def _within(interval: str, x) -> bool:
 @dataclass(frozen=True)
 class _Param:
     """A scenario parameter, typed by its default: a tuple default reads a
-    list of its element type, a ``None`` default reads ``kind``.  ``whole``
+    list of its element type, a ``None`` default reads a number.  ``whole``
     is a ``(predicate, requirement)`` check on a converted list as a whole."""
 
     default: object
     interval: str = "(-inf, inf)"
     length: tuple = (1, math.inf)   # entry count of a list
     choices: tuple = ()             # admissible str values
-    kind: type = None
     whole: tuple = (lambda items: True, "")
 
 
@@ -332,7 +329,7 @@ _DISTINCT = (lambda items: len(set(items)) == len(items), "entries must be disti
 def _convert(spec: _Param, value, path: str, kind: type = None):
     """``value`` checked against ``spec`` and converted as ``float``, ``int``
     and ``bool`` convert it (PyYAML reads ``2e-6`` as a string)."""
-    kind = kind or spec.kind or type(spec.default)
+    kind = kind or (float if spec.default is None else type(spec.default))
     if kind is tuple:
         lo, hi = spec.length
         _require(isinstance(value, (list, tuple)) and lo <= len(value) <= hi, path,
@@ -561,13 +558,9 @@ def _run_readout_shots(ctx: RunContext) -> dict:
     gamma_1 = ctx.rates.gamma1
     decay = (gamma_1, tau_meas) if p["include_decay"] else None
 
-    cal = {}
-    pops = {"g": (1, 0, 0), "e": (0, 1, 0), "f": (0, 0, 1)}
-    for i, label in enumerate(protocols.STATE_LABELS):
-        cal[label] = protocols.generate_shots(
-            pops[label], centers, sigma, n_shots, ctx.stream(i), label=label,
-            decay=decay if label == "e" else None,
-        )
+    cal = {label: protocols.generate_shots(np.eye(3)[i], centers, sigma, n_shots, ctx.stream(i),
+                                           label=label, decay=decay if label == "e" else None)
+           for i, label in enumerate(protocols.STATE_LABELS)}
     try:
         clf = protocols.calibrate_classifier(cal["g"], cal["e"], cal["f"])
     except ValueError as exc:  # shots the check's bound could not tell apart
@@ -589,11 +582,15 @@ def _run_readout_shots(ctx: RunContext) -> dict:
 
 
 def _run_cz_chevron(ctx: RunContext) -> dict:
+    """``t_s`` is k / w of the grid's first drive frequency w; column
+    ``p_ee_fd<w>`` holds row k at k / w (see ``protocols.CZPhaseScan``)."""
     from .protocols import cz_conditional_phase
 
-    # the schema keys are the keyword arguments of cz_conditional_phase
-    scan = cz_conditional_phase(presets.table_circuit(), presets.fixture_drive("cz"),
-                                **ctx.params)
+    try:  # the schema keys are the keyword arguments of cz_conditional_phase
+        scan = cz_conditional_phase(presets.table_circuit(), presets.fixture_drive("cz"),
+                                    **ctx.params)
+    except RuntimeError as exc:  # the window the check cannot bound: it needs the Rabi rate
+        raise ConfigError(f"params.max_duration: {exc}") from exc
     return {
         "cz_chevron.csv": (["t_s"] + [f"p_ee_fd{w:.17g}" for w in scan.omega_d],
                            [scan.times, *scan.p_ee]),
@@ -623,6 +620,15 @@ def _floquet_drive(params: dict) -> tuple:
 
 def _run_floquet_report(ctx: RunContext) -> dict:
     circuit, drive, man, spectrum, in_window = _floquet_drive(ctx.params)
+
+    def couplings(d, spec) -> tuple:
+        """Leading-order coupling, k = 2 frame and Schrieffer-Wolff coupling of ``d``."""
+        g = effective_coupling(man.g_ac, man.g_bc, man.k, d.omega_d, spec)
+        if man.k != 2:
+            return g, None, g
+        frame = k2_closed_forms(man, d, spec)
+        return g, frame, schrieffer_wolff_correction(frame)
+
     report = {
         "kind": ctx.params["kind"],
         "phi_dc_rad": drive.phi_dc,
@@ -633,34 +639,16 @@ def _run_floquet_report(ctx: RunContext) -> dict:
         "series_d_m_hz": list(derivative_series(drive, circuit.coupler).d_m),
         "validity_ok": in_window,
     }
+    rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
-        if man.k == 2:
-            frame = k2_closed_forms(man, drive, spectrum)
-            report.update({
-                "omega_tilde_a_hz": frame.omega_tilde_a,
-                "omega_tilde_b_hz": frame.omega_tilde_b,
-                "delta_tilde_c_hz": frame.delta_tilde_c,
-                "g_tilde_ab_hz": frame.g_tilde_ab,
-                "g_tilde_ac_hz": frame.g_tilde_ac,
-                "g_tilde_bc_hz": frame.g_tilde_bc,
-                "g_tilde_prime_ab_hz": schrieffer_wolff_correction(frame),
-            })
-        else:
-            report["g_tilde_ab_hz"] = effective_coupling(
-                man.g_ac, man.g_bc, man.k, drive.omega_d, spectrum)
-
-        a_grid = np.linspace(0.0, max(drive.a_d, 1e-3), ctx.params["n_amplitudes"])
-        rows = []
-        for a in a_grid:
-            d2 = replace(drive, a_d=float(a))
-            spec_a = fourier_decompose(d2, circuit.coupler)
-            g_eq = effective_coupling(man.g_ac, man.g_bc, man.k, drive.omega_d, spec_a)
-            if man.k == 2:
-                fr = k2_closed_forms(man, d2, spec_a)
-                rows.append((a, g_eq, fr.g_tilde_ab, schrieffer_wolff_correction(fr)))
-            else:
-                rows.append((a, g_eq, g_eq, g_eq))
+        g, frame, g_prime = couplings(drive, spectrum)
+        report.update({f"{key}_hz": v for key, v in asdict(frame).items()}
+                      | {"g_tilde_prime_ab_hz": g_prime} if frame else {"g_tilde_ab_hz": g})
+        for a in np.linspace(0.0, max(drive.a_d, 1e-3), ctx.params["n_amplitudes"]):
+            d = replace(drive, a_d=float(a))
+            g, frame, g_prime = couplings(d, fourier_decompose(d, circuit.coupler))
+            rows.append((a, g, frame.g_tilde_ab if frame else g, g_prime))
 
     return {"floquet_report.json": report,
             "coupling_vs_amplitude.csv": (
@@ -742,7 +730,7 @@ def _readout_contrast(params: dict) -> tuple[str, float]:
 
 
 def _readout_shots_check(params: dict) -> None:
-    from .protocols import CLASSIFIER_BINS
+    from .protocols import CLASSIFIER_BINS, CLASSIFIER_FLOOR
 
     _budget("params.n_shots", "cells", 12 * params["n_shots"], "n_shots x 12 shot-table cells")
     # decayed e shots widen the e histogram's bins to separation / bins
@@ -750,9 +738,9 @@ def _readout_shots_check(params: dict) -> None:
     _require(not decays or params["separation_sigma"] <= CLASSIFIER_BINS,
              "params.separation_sigma", f"above {CLASSIFIER_BINS} with decay on: the e "
              "calibration shots span more blob widths than their histogram has bins")
-    key, bound = _readout_contrast(params)  # against calibrate_classifier's floor
-    _require(bound >= 0.05, key, f"the g and e calibration shots differ by at most "
-             f"{bound:.3g} in total variation, below the classifier's 0.05")
+    key, bound = _readout_contrast(params)
+    _require(bound >= CLASSIFIER_FLOOR, key, f"the g and e calibration shots differ by at "
+             f"most {bound:.3g} in total variation, below the classifier's {CLASSIFIER_FLOOR}")
 
 
 def _cz_chevron_check(params: dict) -> None:
@@ -831,7 +819,7 @@ SCENARIOS = {
         "n_sub": _Param(1024, "[1, inf)")}, _cz_chevron_check),
     "floquet-report": (_run_floquet_report, "Fig. 4(c) couplings", lambda: {
         "kind": _Param("reset", choices=tuple(presets.FIXTURE_DRIVES)),
-        "drive": {"a_d": _Param(None, "[0, inf)", kind=float)},  # None: the fixture's
+        "drive": {"a_d": _Param(None, "[0, inf)")},  # None: the fixture's
         "n_amplitudes": _Param(41, "[1, inf)")}, _floquet_report_check),
 }
 

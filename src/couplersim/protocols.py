@@ -1,6 +1,7 @@
 """Scenario models for the four coupler operations and their metrics:
 reset, leakage-recovery support, parametric readout with Gaussian-mixture
-classification and CZ calibration.
+classification (the cli's readout-shots check reads its ``CLASSIFIER_*``
+constants too) and CZ calibration.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ MIN_CALIBRATION_SHOTS = 1000
 POPULATION_SUM_TOL = 1e-9
 #: histogram bins per IQ axis of the readout-classifier fits
 CLASSIFIER_BINS = 60
+#: least singular value of the confusion matrix the readout classifier accepts
+CLASSIFIER_FLOOR = 0.05
 #: largest argument of exp that stays finite, log(sys.float_info.max)
 _EXP_MAX = math.log(sys.float_info.max)
 
@@ -339,7 +342,7 @@ def calibrate_classifier(shots_g: ShotSet, shots_e: ShotSet,
     ])
     # the inverse amplifies statistical noise by 1/sigma_min; reject
     # calibrations whose states are effectively indistinguishable
-    if np.linalg.svd(confusion, compute_uv=False).min() < 0.05:
+    if np.linalg.svd(confusion, compute_uv=False).min() < CLASSIFIER_FLOOR:
         raise ValueError("confusion matrix is singular: states are indistinguishable")
     return ReadoutClassifier(centers=centers, sigma=sigma, heights=heights, confusion=confusion)
 
@@ -430,6 +433,10 @@ class CZPhaseScan:
     (NaN where no full oscillation fits in the scan window); ``phase`` the
     virtual-Z-corrected conditional phase after that duration.  The
     operating point is the scanned frequency whose phase is closest to pi.
+
+    ``p_ee[i, k]`` is |ee> after k periods, at k / omega_d[i], each row cut
+    to the shortest; ``times`` is k / omega_d[0] (the lowest frequency of an
+    ascending span), so a higher frequency's row sits earlier than labelled.
     """
 
     omega_d: np.ndarray
@@ -513,8 +520,6 @@ def cz_conditional_phase(
     durations = np.full(n_omega, np.nan)
     rabis = np.full(n_omega, np.nan)
     phases = np.full(n_omega, np.nan)
-    valid = np.zeros(n_omega, dtype=bool)
-    times_ref = None
 
     # driven and undriven (double, single) manifolds: one spectrum each per scan
     spectra = [modulation_spectrum(block, circuit.coupler, d, n_sub)
@@ -532,8 +537,6 @@ def cz_conditional_phase(
         z_ref = m2_0[:, 0] * np.conj(m1_0[:, 0]) * np.conj(m1_0[:, 1])
         pop = np.abs(z_ee) ** 2
         rows.append(pop)
-        if times_ref is None:
-            times_ref = np.arange(n_per) * period
 
         # full-oscillation duration from the dominant slow spectral line
         # (stroboscopic sampling still aliases weak coupler beats, so a
@@ -562,8 +565,8 @@ def cz_conditional_phase(
         zc = (z_ee[n_full] * np.conj(z_eg[n_full]) * np.conj(z_ge[n_full])
               * np.conj(z_ref[n_full]))
         phases[i] = math.atan2(zc.imag, zc.real) % TWO_PI
-        valid[i] = True
 
+    valid = ~np.isnan(durations)  # set, with the phase, where a full oscillation fits
     if not np.any(valid):
         raise RuntimeError("no full population oscillation found in the scanned window")
 
@@ -587,8 +590,7 @@ def cz_conditional_phase(
             phi_star = math.pi
             break
     if w_star is None:
-        dist = np.where(valid, np.abs(phases - math.pi), np.inf)
-        i_star = int(np.argmin(dist))
+        i_star = int(np.nanargmin(np.abs(phases - math.pi)))  # NaN where not valid
         w_star = omega_grid[i_star]
         tau_star = durations[i_star]
         phi_star = phases[i_star]
@@ -599,7 +601,7 @@ def cz_conditional_phase(
         rabi=rabis,
         phase=phases,
         valid=valid,
-        times=times_ref[:n_cols],
+        times=np.arange(n_cols) * (1.0 / omega_grid[0]),
         p_ee=p_ee,
         omega_d_star=float(w_star),
         tau_cz=float(tau_star),

@@ -178,12 +178,18 @@ class TestExitCodes:
         assert run(config, tmp_path / "a") == 2
         assert f"params.{key}" in capsys.readouterr().err
 
-    def test_window_too_short_is_a_numerical_failure(self, tmp_path, capsys):
+    def test_window_too_short_is_a_schema_error(self, tmp_path, capsys):
+        # validate passes it: the check bounds the window by one drive period,
+        # but whether a full oscillation fits depends on the Rabi rate, which
+        # only the run finds.  The config is at fault, so run reports a schema
+        # error naming the window's key, and no file is written.
         config = write_config(tmp_path, "cz-chevron", {
             **CZ_PARAMS, "omega_d_span": [-1e6, 1e6], "max_duration": 80e-9})
         assert cli.main(["validate", config]) == 0
-        assert run(config, tmp_path / "a") == 3
-        assert "oscillation" in capsys.readouterr().err
+        assert run(config, tmp_path / "a") == 2
+        err = capsys.readouterr().err
+        assert "params.max_duration" in err and "oscillation" in err
+        assert os.listdir(tmp_path / "a") == []
 
     def test_readout_without_t1_decay_runs(self, tmp_path):
         # Gamma_1 = 0 is admitted by the schema ([0, inf)) and means no decay
@@ -258,12 +264,54 @@ READOUT_SHOT_DIGESTS = {
 }
 
 
+#: sha256 of every data file of the scenarios whose bytes held under the
+#: SkylakeX, Haswell and Prescott OpenBLAS kernels (``OPENBLAS_CORETYPE`` set
+#: for the run's process), at the CLI defaults, seed 3: floquet-report at each
+#: of its four kinds.  A change that moves any of them changes the physics or
+#: the encoding, which a byte-identical refactor must not.
+KERNEL_STABLE_DIGESTS = {
+    ("reset-dynamics", None): {
+        "reset_dynamics.csv": "962ffd1d217e125c7e68946e86da4770c4c2ae9a33523e6f2e062993bf86bd65"},
+    ("reset-metrics", None): {
+        "reset_metrics.json": "e499f47a91c4ba531d6810b21f3510436445d6d94276c067b742a2ee27c7bdce"},
+    ("lr-dynamics", None): {
+        "lr_dynamics.csv": "f4f05d50cdcb4123e2d6928bfacf60c3c7608ea3b359e3aedf538e907b9c3630",
+        "lr_summary.json": "f0cb886bf0495a923816e9b52ee6b5b7b0fad40cb481ffb44bc9fd454db49380"},
+    ("chi-map", None): {
+        "chi_map.csv": "25a32cdd4a6294920f36f3d4a38c3a51dbdd79d1c6d7a3bb1d0d6df9045e947b"},
+    ("floquet-report", None): {
+        "coupling_vs_amplitude.csv":
+            "0e7b793798252271ac0e4cec896f3a51956da86a23415982c676d0c1639d4db2",
+        "floquet_report.json": "0c6182789373dbfac3ac1bf59bd0345f8e46ff529ab181b1f2f37354a7512804"},
+    ("floquet-report", "lr"): {
+        "coupling_vs_amplitude.csv":
+            "a9d29c87fca0500c825f2b5e59e3fdeb055f8d2404f9a70ef11357b23279139f",
+        "floquet_report.json": "f2dc5d66a2b3e6245dd133ce457fd629780474de1c875346fd8d88a9f6e62159"},
+    ("floquet-report", "readout"): {
+        "coupling_vs_amplitude.csv":
+            "c5edf1a19b635f737aa42d6387d4d3e336908c39186f5cd2b463efdd7ba66d3c",
+        "floquet_report.json": "9f38f8bee05a6331038142544aa0ce3100acadd0476b8853518420d9378d7b22"},
+    ("floquet-report", "cz"): {
+        "coupling_vs_amplitude.csv":
+            "0d450614d18a9e1229bfbb0b56430564f6455cde0c6845e7ad78cb038dee71de",
+        "floquet_report.json": "8ad6ed87871d223cd107e1d2c201dd2684970318c0afb59de38c988c926f7bd5"},
+}
+
+
 class TestOutputs:
     def test_readout_shot_tables_keep_their_bytes(self, tmp_path):
         assert run(write_config(tmp_path, "readout-shots"), tmp_path / "a") == 0
         written = data_files(tmp_path / "a")
         assert {name: hashlib.sha256(written[name]).hexdigest()
                 for name in READOUT_SHOT_DIGESTS} == READOUT_SHOT_DIGESTS
+
+    @pytest.mark.parametrize("scenario, kind", list(KERNEL_STABLE_DIGESTS))
+    def test_kernel_stable_outputs_keep_their_bytes(self, tmp_path, scenario, kind):
+        config = write_config(tmp_path, scenario, kind and {"kind": kind})
+        assert run(config, tmp_path / "a") == 0
+        assert {name: hashlib.sha256(data).hexdigest()
+                for name, data in data_files(tmp_path / "a").items()
+                } == KERNEL_STABLE_DIGESTS[scenario, kind]
 
     def test_reruns_differ_only_in_their_timings(self, tmp_path, capsys):
         # the cz drive out of its coupling window: the check has a note

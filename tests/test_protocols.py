@@ -498,6 +498,29 @@ class TestCZCalibration:
                                  omega_d_span=(-1e6, 1e6), n_omega=3,
                                  max_duration=80e-9, n_sub=512)
 
+    @pytest.mark.parametrize("span", [(0.0, 10e6), (10e6, 0.0)])
+    def test_chevron_time_axis_is_the_first_drive_frequency(self, span):
+        # the stated convention: row i of p_ee is the one-frequency scan at
+        # omega_d[i] (samples k / omega_d[i]), cut to the shortest row, while
+        # ``times`` is k / omega_d[0] for every row
+        circuit, drive = presets.table_circuit(), presets.fixture_drive("cz")
+        kw = dict(max_duration=0.61e-6, n_sub=64)
+        scan = cz_conditional_phase(circuit, drive, omega_d_span=span, n_omega=3, **kw)
+        n_cols = min(int(0.61e-6 * w) for w in scan.omega_d)
+        assert scan.p_ee.shape == (3, n_cols)
+        assert scan.times == pytest.approx(np.arange(n_cols) / scan.omega_d[0], rel=1e-15)
+        for i, offset in enumerate(np.linspace(*span, 3)):
+            alone = cz_conditional_phase(circuit, drive, omega_d_span=(offset, offset),
+                                         n_omega=1, **kw)
+            assert alone.omega_d[0] == scan.omega_d[i]
+            assert alone.times[:n_cols] == pytest.approx(np.arange(n_cols) / alone.omega_d[0],
+                                                         rel=1e-15)
+            np.testing.assert_allclose(scan.p_ee[i], alone.p_ee[0, :n_cols],
+                                       rtol=1e-12, atol=1e-12)
+        # so the last row's label is off from its time by the frequencies' ratio
+        assert scan.times[-1] * scan.omega_d[0] / scan.omega_d[-1] != pytest.approx(
+            scan.times[-1], rel=1e-3)
+
     def test_resonant_two_level_phase_identity(self):
         # pure two-level limit: after one full generalized-Rabi oscillation
         # on resonance the driven state returns with phase pi
