@@ -38,8 +38,10 @@ stage (``stages``: ``run`` the runner, ``encode`` the encoding, ``write``
 the writing and hashing of the data files), the check's ``notes`` (also
 printed to stderr) and the environment of the run (``_environment``):
 Python, numpy and, where loaded, scipy versions, the BLAS thread variables
-as the caller set them and whether the package's one-thread limit took
-effect.  Only ``wall_time_s`` and ``stages`` differ between reruns.
+as the caller set them, whether the package's one-thread limit took effect
+and the OpenBLAS kernel that ran (``blas_core``), since outputs that pass
+through ``eigh`` or a fit can differ in their last digits between kernels.
+Only ``wall_time_s`` and ``stages`` differ between reruns.
 
 Exit codes: 0 success, 2 schema violation, 3 numerical failure, 4 I/O
 failure; a run that shows its config at fault (readout shots no classifier
@@ -671,10 +673,12 @@ _BUDGETS = {
     # costliest, 2.6 us of periodic-lr (0.2 us of cz-chevron), so no time
     "cells": 1e7,
     # the arrays a run holds at once, a quarter of 4 GB: 10.5 kB a Monte Carlo
-    # state, 1512 B a CZ step, 570 B a CZ period
+    # state, 432 B a kept CZ sample at even n_sub and 1512 B at odd
+    # (protocols.cz_spectra_size), 570 B a CZ period
     "bytes": 1e9,
     # a config that validates ends within a minute: 3.7 us a state-cycle,
-    # 1.2 us a CZ propagator step, 10 us a CZ spectra step, 0.45 ms an amplitude
+    # 1.2 us a kept CZ sample's propagator step, 10 us its spectra step,
+    # 0.45 ms an amplitude
     "seconds": 60.0,
 }
 
@@ -744,13 +748,13 @@ def _readout_shots_check(params: dict) -> None:
 
 
 def _cz_chevron_check(params: dict) -> None:
-    from .protocols import CZ_STEP_BYTES, cz_drive_frequencies
+    from .protocols import cz_drive_frequencies, cz_spectra_size
 
-    n_omega, n_sub = params["n_omega"], params["n_sub"]
-    _budget("params.n_sub", "bytes", CZ_STEP_BYTES * n_sub,
-            f"n_sub x {CZ_STEP_BYTES} B of midpoint spectra")
-    _budget("params.n_omega", "seconds", n_sub * (1.2e-6 * n_omega + 10e-6),
-            "n_sub x (n_omega x 1.2 us per propagator step + 10 us of spectra)")
+    n_omega = params["n_omega"]
+    samples, held = cz_spectra_size(params["n_sub"])
+    _budget("params.n_sub", "bytes", held, f"the midpoint spectra of {samples:.3g} samples")
+    _budget("params.n_omega", "seconds", samples * (1.2e-6 * n_omega + 10e-6),
+            "samples x (n_omega x 1.2 us per propagator step + 10 us of spectra)")
     # linspace's ends, the same at any n_omega
     ends = cz_drive_frequencies(presets.table_circuit(), params["omega_d_span"], min(n_omega, 2))
     lowest, highest = ends.min(), ends.max()
@@ -820,7 +824,7 @@ SCENARIOS = {
     "floquet-report": (_run_floquet_report, "Fig. 4(c) couplings", lambda: {
         "kind": _Param("reset", choices=tuple(presets.FIXTURE_DRIVES)),
         "drive": {"a_d": _Param(None, "[0, inf)")},  # None: the fixture's
-        "n_amplitudes": _Param(41, "[1, inf)")}, _floquet_report_check),
+        "n_amplitudes": _Param(41, "[2, inf)")}, _floquet_report_check),
 }
 
 
@@ -834,12 +838,34 @@ def _schema(name: str) -> dict:
 # commands
 # ---------------------------------------------------------------------------
 
+@cache
+def _blas_core():
+    """The kernel numpy's bundled OpenBLAS runs (``SkylakeX``, ``Haswell``,
+    ...), as ``scipy_openblas_get_corename64_`` names it, read once per
+    process through ``ctypes``; ``None`` where numpy bundles no such
+    library or it cannot be read.  The library picks its kernel when
+    loaded, from the CPU or ``OPENBLAS_CORETYPE``."""
+    import ctypes  # numpy has loaded it already
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        names = sorted(n for n in os.listdir(libs) if n.startswith("libscipy_openblas64_"))
+        corename = ctypes.CDLL(os.path.realpath(os.path.join(libs, names[0])))[
+            "scipy_openblas_get_corename64_"]
+    except (OSError, IndexError, AttributeError):
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    name = corename()
+    return name.decode() if name else None
+
+
 def _environment() -> dict:
     """The Python and numpy versions, scipy's only where loaded (never here),
     the BLAS thread variables as the caller set them (``None`` when unset;
-    ``OPENBLAS_NUM_THREADS`` as read at import, before the package's own)
-    and ``openblas_one_thread``, whether that import limited OpenBLAS to one
-    thread (false when the caller set the variable or loaded numpy first)."""
+    ``OPENBLAS_NUM_THREADS`` as read at import, before the package's own),
+    ``openblas_one_thread``, whether that import limited OpenBLAS to one
+    thread (false when the caller set the variable or loaded numpy first),
+    and ``blas_core``, the running OpenBLAS kernel (:func:`_blas_core`)."""
     env = {"python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__}
     if "scipy" in sys.modules:
         env["scipy"] = sys.modules["scipy"].__version__
@@ -847,6 +873,7 @@ def _environment() -> dict:
         env[key] = os.environ.get(key)
     env["OPENBLAS_NUM_THREADS"] = OPENBLAS_CALLER
     env["openblas_one_thread"] = OPENBLAS_ONE_THREAD
+    env["blas_core"] = _blas_core()
     return env
 
 

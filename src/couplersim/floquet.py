@@ -51,7 +51,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuit import ELEMENTS, CircuitSpec, CouplerSpec, coupler_frequency, manifold_hamiltonian
-from .numerics import TWO_PI, midpoint_spectrum, taylor_coefficients
+from .numerics import TWO_PI, midpoint_spectrum, mirrored_spectrum, taylor_coefficients
 
 
 #: samples per drive period of the exact Fourier coefficients
@@ -468,14 +468,28 @@ def chi_shift(g_tilde_qr, delta_drive):
 # ---------------------------------------------------------------------------
 
 def modulation_spectrum(block: tuple, coupler: CouplerSpec, drive: DriveSpec, n_sub: int):
-    """Midpoint spectrum (:func:`~couplersim.numerics.midpoint_spectrum`) of
-    :func:`modulated_hamiltonian` over one drive period.
+    """Midpoint spectrum (:class:`~couplersim.numerics.MidpointSpectrum`) of
+    :func:`modulated_hamiltonian` over one drive period, at ``n_sub`` steps.
 
     The midpoint samples ``phi_dc + a_d sin(2 pi (k + 1/2) / n_sub)`` do not
     depend on ``drive.omega_d``, so one spectrum gives the one-period
     propagator ``periodic_propagator(spectrum, 1 / omega_d)`` at every drive
-    frequency of this amplitude.  An undriven H (``a_d = 0``) is constant
-    and takes one sample, whatever ``n_sub``.
+    frequency of this amplitude.  Three paths, chosen by ``a_d`` and the
+    parity of ``n_sub``:
+
+    * an undriven H (``a_d = 0``) is constant and takes one sample,
+      whatever ``n_sub``;
+    * at even ``n_sub`` the samples mirror within each half period, as
+      ``sin(pi - x) = sin(x)``, and H is real symmetric, since the block's
+      couplings are real (complex-typed, zero imaginary parts): the
+      :func:`~couplersim.numerics.mirrored_spectrum` diagonalises only the
+      ``2 ceil(n_sub / 4)`` distinct samples;
+    * at odd ``n_sub`` no midpoint falls on the mirror of another, and all
+      ``n_sub`` are diagonalised (:func:`~couplersim.numerics.midpoint_spectrum`).
     """
     h_of_t = modulated_hamiltonian(block, coupler, drive)
-    return midpoint_spectrum(h_of_t, 1.0 / drive.omega_d, n_sub if drive.a_d else 1)
+    if not drive.a_d:
+        return midpoint_spectrum(h_of_t, 1.0 / drive.omega_d, 1)
+    if n_sub % 2:
+        return midpoint_spectrum(h_of_t, 1.0 / drive.omega_d, n_sub)
+    return mirrored_spectrum(h_of_t, 1.0 / drive.omega_d, n_sub)

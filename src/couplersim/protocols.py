@@ -458,11 +458,27 @@ class CZPhaseScan:
 #: truncating them unbalances the conditional-phase combination.
 _CZ_DOUBLE = ((1, 1, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 2, 0))
 _CZ_SINGLE = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
-#: bytes per step of a scan's midpoint spectra: float64 eigenvalues,
-#: complex eigenvectors and overlaps of the two driven manifolds (the
-#: undriven two take one sample)
-CZ_STEP_BYTES = sum(8 * len(states) + 2 * 16 * len(states) ** 2
-                    for states in (_CZ_DOUBLE, _CZ_SINGLE))
+
+
+def cz_spectra_size(n_sub: int) -> tuple[int, int]:
+    """The midpoint samples each driven manifold of a scan keeps at
+    ``n_sub`` steps, and the bytes of the scan's four spectra
+    (:func:`~couplersim.floquet.modulation_spectrum`, float64 and
+    complex128 arrays of dimension ``d`` = 6 and 3).
+
+    At even ``n_sub`` a driven spectrum keeps the ``2 ceil(n_sub / 4)``
+    mirror-distinct samples, real: the eigenvalues, the overlaps and the
+    two run bases add up to ``8 (d + d^2)`` B a sample.  At odd ``n_sub``
+    it keeps all ``n_sub``, complex: the eigenvalues, the eigenvectors and
+    ``n_sub - 1`` overlaps.  Each undriven spectrum is one complex sample.
+    """
+    samples = n_sub if n_sub % 2 else 2 * ((n_sub + 2) // 4)
+    held = 0
+    for d in (len(_CZ_DOUBLE), len(_CZ_SINGLE)):
+        held += 8 * d + 16 * d * d  # the undriven sample
+        held += (samples * (8 * d + 32 * d * d) - 16 * d * d if n_sub % 2
+                 else samples * 8 * (d + d * d))
+    return samples, held
 
 
 def _drive_grid(h2: np.ndarray, omega_d_span: tuple, n_omega: int) -> np.ndarray:
@@ -504,11 +520,15 @@ def cz_conditional_phase(
     The midpoint samples of H(t) do not depend on the drive frequency, so
     each manifold is diagonalised once per scan
     (:func:`~couplersim.floquet.modulation_spectrum`), together with the
-    overlaps of neighbouring eigenbases.  Per drive frequency only the step
-    phases change: they scale the columns of the stored overlaps, whose
-    product is the one-period propagator.  The undriven reference has a
-    constant H and a one-sample spectrum: its one-period propagator is the
-    closed form ``V exp(-i E T) V^dag``.  The scan reads only diagonal
+    overlaps of neighbouring eigenbases.  At even ``n_sub`` the samples
+    mirror within each half period and the blocks are real, so only the
+    ``2 ceil(n_sub / 4)`` distinct samples are diagonalised, and each half
+    period is its quarter run ``Q`` and its mirror ``Q^T``; odd ``n_sub``
+    diagonalises all ``n_sub`` samples of the period.  Per drive frequency
+    only the step phases change: they scale the columns of the stored
+    overlaps, whose product is the one-period propagator.  The undriven
+    reference has a constant H and a one-sample spectrum: its one-period
+    propagator is the closed form ``V exp(-i E T) V^dag``.  The scan reads only diagonal
     elements of the stroboscopic powers ``U^n``, so it takes them from
     :func:`~couplersim.numerics.stroboscopic_diagonal` and never forms the
     full stacks.

@@ -7,8 +7,11 @@ import json
 import math
 import os
 import platform
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ RB_PARAMS = {"n_randomizations": 3, "n_cl_grid": [1, 2, 4, 8, 16, 32, 64]}
 CZ_PARAMS = {"n_omega": 3, "n_sub": 64}
 #: 5000 distinct couplings: 5000 columns of a table
 WIDE = [1e3 * (k + 1) for k in range(5000)]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write_config(tmp_path, scenario, params=None):
@@ -387,8 +391,24 @@ class TestOutputs:
         # as the caller set it, before the package's own default
         assert environment["OPENBLAS_NUM_THREADS"] == couplersim.OPENBLAS_CALLER
         assert environment["openblas_one_thread"] is couplersim.OPENBLAS_ONE_THREAD
+        assert environment["blas_core"] == cli._blas_core()
+        assert environment["blas_core"] is None or isinstance(environment["blas_core"], str)
+        cli._environment()
+        assert cli._blas_core.cache_info().misses == 1  # read once per process
         on_disk = json.loads((tmp_path / "a" / "manifest.json").read_text())
         assert on_disk["environment"] == environment
+
+    def test_blas_core_names_the_kernel_the_library_runs(self):
+        # OPENBLAS_CORETYPE, set for the child only, selects another kernel
+        # of a DYNAMIC_ARCH OpenBLAS; the record reads it from the library
+        if cli._blas_core() is None or platform.machine() not in ("x86_64", "AMD64"):
+            pytest.skip("no x86-64 OpenBLAS bundled with numpy whose kernel can be read")
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run(
+            [sys.executable, "-c", "from couplersim import cli; print(cli._blas_core())"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert child.stdout.strip() == "Haswell"
 
     def test_wall_time_ignores_wall_clock_jumps(self, tmp_path, monkeypatch):
         clock = itertools.count(1e9, -3600.0)  # a wall clock set back every call
@@ -498,6 +518,8 @@ class TestSchema:
         ("chi-map", {"n_points": 1e30}, "params.n_points"),
         ("periodic-lr", {"n_max": 1e30}, "params.n_max"),
         ("floquet-report", {"n_amplitudes": 1e30}, "params.n_amplitudes"),
+        # one amplitude would be a sweep of one point, at a_d = 0
+        ("floquet-report", {"n_amplitudes": 1}, "params.n_amplitudes"),
         ("readout-shots", {"n_shots": 1e30}, "params.n_shots"),
         ("cz-chevron", {"n_omega": 1e30}, "params.n_omega"),
         # each Monte Carlo state holds its buffers and Clifford draws
@@ -587,14 +609,19 @@ class TestSchema:
     def test_bounds_leave_room_above_paper_scale(self, tmp_path, capsys, scenario, params):
         assert cli.main(["validate", write_config(tmp_path, scenario, params)]) == 0
 
-    def test_n_sub_bound_states_the_spectra_memory(self):
-        # the four midpoint spectra cz_conditional_phase builds
-        circuit, drive, n_sub = presets.table_circuit(), presets.fixture_drive("cz"), 1000
+    @pytest.mark.parametrize("n_sub", [1002, 1001])
+    def test_n_sub_bound_states_the_spectra_memory(self, n_sub):
+        # the four midpoint spectra cz_conditional_phase builds: mirrored at
+        # even n_sub (here with a self-mirrored middle step), full at odd
+        circuit, drive = presets.table_circuit(), presets.fixture_drive("cz")
         spectra = [modulation_spectrum(coupler_block(circuit, states), circuit.coupler, d, n_sub)
                    for d in (drive, replace(drive, a_d=0.0))
                    for states in (protocols._CZ_DOUBLE, protocols._CZ_SINGLE)]
-        held = sum(a.nbytes for spectrum in spectra for a in spectrum)
-        assert abs(held - n_sub * protocols.CZ_STEP_BYTES) < protocols.CZ_STEP_BYTES
+        held = sum(spectrum.evals.nbytes + spectrum.evecs.nbytes + spectrum.overlaps.nbytes
+                   for spectrum in spectra)
+        samples, priced = protocols.cz_spectra_size(n_sub)
+        assert held == priced
+        assert samples == spectra[0].evals.size // 6
 
     def test_list_shows_every_declared_key_with_its_default(self, capsys):
         assert cli.main(["list"]) == 0
@@ -710,7 +737,7 @@ SWEEP_BASE = {
     "chi-map": {"n_points": 5},
     "readout-shots": {"n_shots": 1000},
     "cz-chevron": {"n_omega": 1, "n_sub": 16, "max_duration": 0.6e-6},
-    "floquet-report": {"n_amplitudes": 1},
+    "floquet-report": {"n_amplitudes": 2},
 }
 #: JSON keys whose value may be infinite by definition, written as null:
 #: the swap time of an overdamped swap, which never completes

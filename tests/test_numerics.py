@@ -16,6 +16,7 @@ from couplersim.floquet import (_BESSEL_MAX_ARG, _bessel_j, coupler_block,
 from couplersim.numerics import (
     RngStream,
     midpoint_spectrum,
+    mirrored_spectrum,
     periodic_propagator,
     stroboscopic_diagonal,
     stroboscopic_powers,
@@ -244,6 +245,46 @@ class TestPeriodicPropagator:
             if n_sub == 1:
                 h = h_of_t(np.array([0.5 / wd]))[0]
                 assert np.max(np.abs(u - expm(-1j * h / wd))) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["cz-double", "cz-single"])
+    @pytest.mark.parametrize("n_sub", [2, 4, 6, 2046, 2048, 37])
+    def test_modulation_engine_matches_sequential_product(self, cz_blocks, kind, n_sub):
+        # even n_sub: two mirrored quarter runs rebuilt as Q^T Q, with a
+        # self-mirrored middle step at n_sub / 2 odd (2, 6, 2046); odd
+        # n_sub: the full period
+        coupler = presets.table_circuit().coupler
+        for wd in CZ_DRIVES:
+            drive = replace(presets.fixture_drive("cz"), omega_d=wd)
+            u = periodic_propagator(modulation_spectrum(cz_blocks[kind], coupler, drive, n_sub),
+                                    1.0 / wd)
+            ref = sequential_midpoint_propagator(
+                modulated_hamiltonian(cz_blocks[kind], coupler, drive), 1.0 / wd, n_sub)
+            assert np.max(np.abs(u - ref)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["cz-double", "cz-single"])
+    @pytest.mark.parametrize("n_sub", [2, 4, 6, 64, 2046, 2048, 37])
+    def test_modulation_spectrum_diagonalises_the_distinct_samples(
+            self, monkeypatch, cz_blocks, kind, n_sub):
+        coupler, drive = presets.table_circuit().coupler, presets.fixture_drive("cz")
+        eighs = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: eighs.append((math.prod(a.shape[:-2]), a.dtype)) or eigh(a))
+        modulation_spectrum(cz_blocks[kind], coupler, drive, n_sub)
+        modulation_spectrum(cz_blocks[kind], coupler, replace(drive, a_d=0.0), n_sub)
+        driven = (2 * math.ceil(n_sub / 4), np.float64) if n_sub % 2 == 0 else (n_sub, np.complex128)
+        assert eighs == [driven, (1, np.complex128)]
+
+    def test_mirrored_spectrum_refuses_what_it_cannot_mirror(self):
+        def h_of_t(t):
+            return np.ones((len(t), 2, 2)) * (1.0 + 1e-3j)
+
+        with pytest.raises(ValueError, match="even"):
+            mirrored_spectrum(lambda t: np.zeros((len(t), 2, 2)), 1.0, 37)
+        with pytest.raises(ValueError, match="even"):
+            mirrored_spectrum(lambda t: np.zeros((len(t), 2, 2)), 1.0, 0)
+        with pytest.raises(ValueError, match="real"):
+            mirrored_spectrum(h_of_t, 1.0, 4)
 
     @pytest.mark.parametrize("kind", ["cz-double", "cz-single"])
     def test_spectrum_reused_across_drive_frequencies(self, cz_blocks, kind):

@@ -614,21 +614,23 @@ class TestCZModels:
     def test_one_spectrum_per_scan(self, monkeypatch, n_omega):
         # the midpoint samples do not depend on the drive frequency: one
         # batched eigh (one coupler_frequency sampling) per manifold for the
-        # driven scan and one single-sample one per manifold for the
-        # undriven reference, whatever n_omega
+        # driven scan, of its 2 ceil(n_sub / 4) mirror-distinct samples, and
+        # one single-sample one per manifold for the undriven reference,
+        # whatever n_omega
         from couplersim import floquet
 
         circuit, drive = presets.table_circuit(), presets.fixture_drive("cz")
         eighs, samplings = [], []
         eigh, sample = np.linalg.eigh, floquet.coupler_frequency
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(len(a)) or eigh(a))
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: eighs.append(math.prod(a.shape[:-2])) or eigh(a))
         monkeypatch.setattr(floquet, "coupler_frequency",
                             lambda *args: samplings.append(args) or sample(*args))
         with pytest.raises(RuntimeError, match="oscillation"):
             cz_conditional_phase(circuit, drive,
                                  omega_d_span=(-1e6, 1e6), n_omega=n_omega,
                                  max_duration=80e-9, n_sub=64)
-        assert sorted(eighs) == [1, 1, 64, 64]
+        assert sorted(eighs) == [1, 1, 32, 32]
         assert len(samplings) == 4
 
 
