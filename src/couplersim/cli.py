@@ -1,9 +1,14 @@
 """Scenario runner.
 
 Loads a YAML configuration, executes one named scenario and writes CSV data
-tables plus JSON summaries and a run manifest.  Identical (config, seed)
-pairs reproduce byte-identical data files: floats are serialised with 17
-significant digits and all randomness flows from the config seed.
+tables plus JSON summaries and a run manifest.  Identical (config, seed,
+BLAS kernel) triples reproduce byte-identical data files: floats are
+serialised with 17 significant digits and all randomness flows from the
+config seed.  Across OpenBLAS kernels (``OPENBLAS_CORETYPE``),
+reset-dynamics, reset-metrics, lr-dynamics, chi-map, floquet-report and
+readout-shots' four shot tables keep their bytes; ``eigh`` and the fits
+move the last digits of the cz-chevron files, ``leakage_rb*``,
+``periodic_lr*``, ``classifier.json`` and ``readout_metrics.json``.
 
 The CSV encoder (``_encode_csv``, which states why it is exact) writes
 what the csv module would write for ``%.17g`` cells, byte for byte, with
@@ -39,8 +44,7 @@ the writing and hashing of the data files), the check's ``notes`` (also
 printed to stderr) and the environment of the run (``_environment``):
 Python, numpy and, where loaded, scipy versions, the BLAS thread variables
 as the caller set them, whether the package's one-thread limit took effect
-and the OpenBLAS kernel that ran (``blas_core``), since outputs that pass
-through ``eigh`` or a fit can differ in their last digits between kernels.
+and the OpenBLAS kernel that ran (``blas_core``).
 Only ``wall_time_s`` and ``stages`` differ between reruns.
 
 Exit codes: 0 success, 2 schema violation, 3 numerical failure, 4 I/O
@@ -673,7 +677,7 @@ _BUDGETS = {
     # costliest, 2.6 us of periodic-lr (0.2 us of cz-chevron), so no time
     "cells": 1e7,
     # the arrays a run holds at once, a quarter of 4 GB: 10.5 kB a Monte Carlo
-    # state, 432 B a kept CZ sample at even n_sub and 1512 B at odd
+    # state, 432 B a kept CZ sample at even n_sub and 792 B at odd
     # (protocols.cz_spectra_size), 570 B a CZ period
     "bytes": 1e9,
     # a config that validates ends within a minute: 3.7 us a state-cycle,
@@ -759,6 +763,10 @@ def _cz_chevron_check(params: dict) -> None:
     ends = cz_drive_frequencies(presets.table_circuit(), params["omega_d_span"], min(n_omega, 2))
     lowest, highest = ends.min(), ends.max()
     _require(lowest > 0, "params.omega_d_span", f"reaches drive frequency {lowest:.6g} Hz <= 0")
+    # a step above 2 ulps survives the offset's rounding: distinct columns
+    step, ulps = np.ptp(params["omega_d_span"]) / max(n_omega - 1, 1), 2 * np.spacing(highest)
+    _require(n_omega == 1 or step > ulps, "params.omega_d_span", f"grid step {step:.3g} Hz "
+             f"is not above 2 ulps ({ulps:.3g} Hz) of {highest:.6g} Hz: repeated drive frequencies")
     _require(params["max_duration"] >= 1.0 / lowest, "params.max_duration",
              f"shorter than one period ({1.0 / lowest:.6g} s) of the lowest drive frequency")
     periods = params["max_duration"] * highest

@@ -474,11 +474,9 @@ def modulation_spectrum(block: tuple, coupler: CouplerSpec, drive: DriveSpec, n_
     The midpoint samples ``phi_dc + a_d sin(2 pi (k + 1/2) / n_sub)`` do not
     depend on ``drive.omega_d``, so one spectrum gives the one-period
     propagator ``periodic_propagator(spectrum, 1 / omega_d)`` at every drive
-    frequency of this amplitude.  Three paths, chosen by ``a_d`` and the
-    parity of ``n_sub``:
+    frequency of this amplitude.  Two paths, chosen by the parity of
+    ``n_sub``:
 
-    * an undriven H (``a_d = 0``) is constant and takes one sample,
-      whatever ``n_sub``;
     * at even ``n_sub`` the samples mirror within each half period, as
       ``sin(pi - x) = sin(x)``, and H is real symmetric, since the block's
       couplings are real (complex-typed, zero imaginary parts): the
@@ -487,9 +485,5 @@ def modulation_spectrum(block: tuple, coupler: CouplerSpec, drive: DriveSpec, n_
     * at odd ``n_sub`` no midpoint falls on the mirror of another, and all
       ``n_sub`` are diagonalised (:func:`~couplersim.numerics.midpoint_spectrum`).
     """
-    h_of_t = modulated_hamiltonian(block, coupler, drive)
-    if not drive.a_d:
-        return midpoint_spectrum(h_of_t, 1.0 / drive.omega_d, 1)
-    if n_sub % 2:
-        return midpoint_spectrum(h_of_t, 1.0 / drive.omega_d, n_sub)
-    return mirrored_spectrum(h_of_t, 1.0 / drive.omega_d, n_sub)
+    spectrum = midpoint_spectrum if n_sub % 2 else mirrored_spectrum
+    return spectrum(modulated_hamiltonian(block, coupler, drive), 1.0 / drive.omega_d, n_sub)

@@ -25,26 +25,23 @@ product).  Per period only the step phases ``D_k = exp(-i E_k dt)``
 change: they scale the columns of the overlaps, and the scaled stack is
 multiplied pairwise in log depth.
 
-There are two spectrum functions.  :func:`midpoint_spectrum` samples all
-``n_sub`` midpoints of any H(t).  :func:`mirrored_spectrum` needs an H(t)
-that is real symmetric and mirrors within each half period, and an even
-``n_sub``: its midpoint samples repeat in two mirror runs, ``k <-> n/2 - 1
-- k`` and ``n/2 + k <-> n - 1 - k``, so it samples and diagonalises only
-the first ``ceil(n_sub / 4)`` of each half period.  The propagator builds
-each half period from its quarter run ``Q`` as ``Q^T Q`` (the steps are
-complex symmetric, so ``Q^T`` is the reversed run) and multiplies the two
-halves: half the eigendecompositions, overlaps and products of the full
-period.
+There are two spectrum functions, and each keeps two eigenbases.
+:func:`midpoint_spectrum` samples all ``n_sub`` midpoints of any H(t) and
+keeps the bases of the period's ends.  :func:`mirrored_spectrum` needs an
+H(t) that is real symmetric and mirrors within each half period, and an
+even ``n_sub``: its midpoint samples repeat in two mirror runs, ``k <-> n/2
+- 1 - k`` and ``n/2 + k <-> n - 1 - k``, so it diagonalises only the first
+``ceil(n_sub / 4)`` of each half period and keeps each run's first basis.
+The propagator builds each half period from its quarter run ``Q`` as
+``Q^T Q`` (the steps are complex symmetric, so ``Q^T`` is the reversed
+run): half the eigendecompositions, overlaps and products of the period.
 
-Both callers hand the engine the lab-frame H(t) of
-:func:`couplersim.floquet.modulated_hamiltonian`, through
-:func:`couplersim.floquet.modulation_spectrum`, which takes the mirrored
-path at even ``n_sub`` and the full period at odd.  Its midpoint samples do
-not depend on the drive frequency, so they diagonalise once per drive
-amplitude and reuse the spectrum across a scan of drive frequencies.
-:func:`stroboscopic_powers` stacks the powers of the result;
-:func:`stroboscopic_diagonal` gives only their diagonals, in a baby-step
-giant-step split that never forms the full stack.
+Both callers reach the engine through
+:func:`couplersim.floquet.modulation_spectrum`, whose samples do not
+depend on the drive frequency: one spectrum per drive amplitude serves a
+scan.  :func:`stroboscopic_powers` stacks the powers of the result;
+:func:`stroboscopic_diagonal` gives only their diagonals, by baby-step
+giant-step, without the full stack.
 """
 
 from __future__ import annotations
@@ -135,14 +132,14 @@ class MidpointSpectrum(NamedTuple):
     input of :func:`periodic_propagator`, in one of two forms.
 
     From :func:`midpoint_spectrum`, a full period: the eigenvalues ``evals``
-    of shape ``(n_sub, d)``, the eigenvectors ``evecs`` of shape
-    ``(n_sub, d, d)`` and the overlaps ``O_k = V_(k+1)^dag V_k`` of
-    neighbouring steps, shape ``(n_sub - 1, d, d)``.
+    of shape ``(n_sub, d)``, the overlaps ``O_k = V_(k+1)^dag V_k`` of
+    neighbouring steps, shape ``(n_sub - 1, d, d)``, and in ``evecs`` the
+    eigenvectors of the first and the last step, shape ``(2, d, d)``.
 
     From :func:`mirrored_spectrum`, two mirrored runs, one per half period,
     of ``r = ceil(n_sub / 4)`` samples each: ``evals`` of shape
     ``(2, r, d)``, real overlaps of shape ``(2, r - 1, d, d)``, and in
-    ``evecs`` only the real eigenvectors of each run's first sample, shape
+    ``evecs`` the real eigenvectors of each run's first sample, shape
     ``(2, d, d)``.  ``n_sub`` is the number of steps per period in both.
     """
 
@@ -167,12 +164,13 @@ def midpoint_spectrum(h_of_t: Callable[[np.ndarray], np.ndarray], period: float,
     batched ``eigh``.  If H depends on time only through the phase
     ``t / period`` of a periodic drive, the samples, and so the spectrum,
     do not depend on the period: one spectrum serves every drive frequency
-    of a scan.  A constant H needs one sample (and has no overlaps).
+    of a scan.  Of the eigenvectors it keeps the two bases that
+    :func:`periodic_propagator` reads, the first and the last.
     """
     if n_sub < 1:
         raise ValueError(f"n_sub must be a positive integer, got {n_sub}")
     evals, evecs = np.linalg.eigh(h_of_t((np.arange(n_sub) + 0.5) * (period / n_sub)))
-    return MidpointSpectrum(evals, evecs, _overlaps(evecs), n_sub)
+    return MidpointSpectrum(evals, evecs[[0, -1]], _overlaps(evecs), n_sub)
 
 
 def mirrored_spectrum(h_of_t: Callable[[np.ndarray], np.ndarray], period: float,
@@ -213,8 +211,7 @@ def periodic_propagator(spectrum: MidpointSpectrum, period: float) -> np.ndarray
     where each ``O_k D_k`` is a column scaling of a stored overlap.  These
     are multiplied in time order (later steps to the left) by pairwise
     products in ``log2`` of the run's length batched rounds.  A full-period
-    spectrum is one run, ``U``; with one sample of a constant H this is the
-    closed form ``V exp(-i E T) V^dag``.
+    spectrum is one run, ``U``.
 
     A mirrored spectrum (:func:`mirrored_spectrum`) holds the first quarter
     run ``Q`` of each half period.  Its steps are complex symmetric

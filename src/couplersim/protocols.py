@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import CircuitSpec
-from .floquet import DriveSpec, coupler_block, modulation_spectrum
+from .floquet import DriveSpec, coupler_block, modulated_hamiltonian, modulation_spectrum
 from .numerics import TWO_PI, RngStream, periodic_propagator, stroboscopic_diagonal
 
 STATE_LABELS = ("g", "e", "f")
@@ -461,23 +461,19 @@ _CZ_SINGLE = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
 
 
 def cz_spectra_size(n_sub: int) -> tuple[int, int]:
-    """The midpoint samples each driven manifold of a scan keeps at
-    ``n_sub`` steps, and the bytes of the scan's four spectra
-    (:func:`~couplersim.floquet.modulation_spectrum`, float64 and
-    complex128 arrays of dimension ``d`` = 6 and 3).
-
-    At even ``n_sub`` a driven spectrum keeps the ``2 ceil(n_sub / 4)``
-    mirror-distinct samples, real: the eigenvalues, the overlaps and the
-    two run bases add up to ``8 (d + d^2)`` B a sample.  At odd ``n_sub``
-    it keeps all ``n_sub``, complex: the eigenvalues, the eigenvectors and
-    ``n_sub - 1`` overlaps.  Each undriven spectrum is one complex sample.
+    """The midpoint samples each manifold of a scan keeps at ``n_sub``
+    steps, and the bytes of the scan's two spectra
+    (:func:`~couplersim.floquet.modulation_spectrum`; dimension ``d`` = 6
+    and 3): float64 eigenvalues, two bases and one overlap fewer than
+    samples per run.  At even ``n_sub`` the ``2 ceil(n_sub / 4)``
+    mirror-distinct samples form two real runs, ``8 (d + d^2)`` B a sample;
+    at odd ``n_sub`` all ``n_sub`` form one complex run, ``8 d + 16 d^2`` B
+    a sample and one more basis.
     """
-    samples = n_sub if n_sub % 2 else 2 * ((n_sub + 2) // 4)
-    held = 0
-    for d in (len(_CZ_DOUBLE), len(_CZ_SINGLE)):
-        held += 8 * d + 16 * d * d  # the undriven sample
-        held += (samples * (8 * d + 32 * d * d) - 16 * d * d if n_sub % 2
-                 else samples * 8 * (d + d * d))
+    odd = n_sub % 2
+    samples = n_sub if odd else 2 * ((n_sub + 2) // 4)
+    held = sum(8 * d * samples + (16 * d * d * (samples + 1) if odd else 8 * d * d * samples)
+               for d in (len(_CZ_DOUBLE), len(_CZ_SINGLE)))
     return samples, held
 
 
@@ -490,6 +486,14 @@ def _drive_grid(h2: np.ndarray, omega_d_span: tuple, n_omega: int) -> np.ndarray
 def cz_drive_frequencies(circuit: CircuitSpec, omega_d_span: tuple, n_omega: int) -> np.ndarray:
     """Drive frequencies (Hz) that :func:`cz_conditional_phase` scans."""
     return _drive_grid(coupler_block(circuit, _CZ_DOUBLE)[0], omega_d_span, n_omega)
+
+
+def _idle_diagonal(h0: np.ndarray):
+    """``t -> diag(exp(-i H_0 t))`` of a constant Hamiltonian ``h0`` (rad/s),
+    in closed form from its eigenpairs: ``sum_l |V_jl|^2 exp(-i E_l t)``."""
+    energies, basis = np.linalg.eigh(h0)
+    weights = np.abs(basis) ** 2
+    return lambda t: weights @ np.exp(-1j * energies * t)
 
 
 def cz_conditional_phase(
@@ -517,21 +521,16 @@ def cz_conditional_phase(
     reported operating point is the scanned frequency whose conditional
     phase is closest to pi.
 
-    The midpoint samples of H(t) do not depend on the drive frequency, so
-    each manifold is diagonalised once per scan
-    (:func:`~couplersim.floquet.modulation_spectrum`), together with the
-    overlaps of neighbouring eigenbases.  At even ``n_sub`` the samples
-    mirror within each half period and the blocks are real, so only the
-    ``2 ceil(n_sub / 4)`` distinct samples are diagonalised, and each half
-    period is its quarter run ``Q`` and its mirror ``Q^T``; odd ``n_sub``
-    diagonalises all ``n_sub`` samples of the period.  Per drive frequency
-    only the step phases change: they scale the columns of the stored
-    overlaps, whose product is the one-period propagator.  The undriven
-    reference has a constant H and a one-sample spectrum: its one-period
-    propagator is the closed form ``V exp(-i E T) V^dag``.  The scan reads only diagonal
-    elements of the stroboscopic powers ``U^n``, so it takes them from
-    :func:`~couplersim.numerics.stroboscopic_diagonal` and never forms the
-    full stacks.
+    The scan propagates only what it reads.  Each driven manifold is
+    diagonalised once per scan, as the midpoint samples of H(t) do not
+    depend on the drive frequency (:func:`~couplersim.floquet.modulation_spectrum`);
+    per drive frequency only the step phases of its one-period propagator
+    change.  |ee> at every period comes from
+    :func:`~couplersim.numerics.stroboscopic_diagonal`; the single-excitation
+    phases from ``matrix_power`` at ``n_full`` periods, built only where a
+    full oscillation fits; the undriven reference from one ``eigh`` of H_0
+    per manifold, as ``diag(exp(-i H_0 t))_j = sum_l |V_jl|^2 exp(-i E_l t)``
+    at ``t = n_full / omega_d``.
     """
     blocks = [coupler_block(circuit, states) for states in (_CZ_DOUBLE, _CZ_SINGLE)]
     omega_grid = _drive_grid(blocks[0][0], omega_d_span, n_omega)
@@ -541,20 +540,16 @@ def cz_conditional_phase(
     rabis = np.full(n_omega, np.nan)
     phases = np.full(n_omega, np.nan)
 
-    # driven and undriven (double, single) manifolds: one spectrum each per scan
-    spectra = [modulation_spectrum(block, circuit.coupler, d, n_sub)
-               for d in (drive, replace(drive, a_d=0.0)) for block in blocks]
+    # (double, single) manifolds: one driven spectrum each per scan, and the
+    # idle diagonals of H(0), the undriven block at phi_dc
+    spectra = [modulation_spectrum(block, circuit.coupler, drive, n_sub) for block in blocks]
+    idle = [_idle_diagonal(modulated_hamiltonian(block, circuit.coupler, drive)(0.0))
+            for block in blocks]
 
     for i, wd in enumerate(omega_grid):
         period = 1.0 / wd
         n_per = int(max_duration / period)
-        m2, m1, m2_0, m1_0 = (stroboscopic_diagonal(periodic_propagator(s, period), n_per)
-                              for s in spectra)
-
-        z_ee = m2[:, 0]
-        z_eg = m1[:, 0]
-        z_ge = m1[:, 1]
-        z_ref = m2_0[:, 0] * np.conj(m1_0[:, 0]) * np.conj(m1_0[:, 1])
+        z_ee = stroboscopic_diagonal(periodic_propagator(spectra[0], period), n_per)[:, 0]
         pop = np.abs(z_ee) ** 2
         rows.append(pop)
 
@@ -582,8 +577,10 @@ def cz_conditional_phase(
             continue
         durations[i] = n_full * period
         rabis[i] = rabi
-        zc = (z_ee[n_full] * np.conj(z_eg[n_full]) * np.conj(z_ge[n_full])
-              * np.conj(z_ref[n_full]))
+        u1 = np.linalg.matrix_power(periodic_propagator(spectra[1], period), n_full)
+        ref2, ref1 = (diagonal(durations[i]) for diagonal in idle)
+        z_ref = ref2[0] * np.conj(ref1[0]) * np.conj(ref1[1])
+        zc = z_ee[n_full] * np.conj(u1[0, 0]) * np.conj(u1[1, 1]) * np.conj(z_ref)
         phases[i] = math.atan2(zc.imag, zc.real) % TWO_PI
 
     valid = ~np.isnan(durations)  # set, with the phase, where a full oscillation fits

@@ -45,6 +45,17 @@ def run(config, out):
     return cli.main(["run", config, "--out", str(out)])
 
 
+def run_under_kernel(core, script, *args):
+    """Run ``script`` in a child under ``OPENBLAS_CORETYPE=core``, set for the
+    child only; skip where no kernel of numpy's OpenBLAS can be read."""
+    if cli._blas_core() is None or platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("no x86-64 OpenBLAS bundled with numpy whose kernel can be read")
+    env = {**os.environ, "OPENBLAS_CORETYPE": core,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+
+
 def data_files(out_dir):
     return {name: (out_dir / name).read_bytes()
             for name in sorted(os.listdir(out_dir)) if name != "manifest.json"}
@@ -173,6 +184,9 @@ class TestExitCodes:
         ("max_duration", 0),
         ("max_duration", -1e-6),
         ("omega_d_span", [-600e6, 15e6]),  # reaches drive frequencies <= 0
+        # repeated drive frequencies, as their steps are within 2 ulps
+        ("omega_d_span", [0, 0]),
+        ("omega_d_span", [0, 1e-8]),
         ("max_duration", 1e-9),  # shorter than one drive period
     ])
     def test_bad_cz_chevron_parameters_are_schema_errors(self, tmp_path, capsys, key, value):
@@ -181,6 +195,14 @@ class TestExitCodes:
         assert f"params.{key}" in capsys.readouterr().err
         assert run(config, tmp_path / "a") == 2
         assert f"params.{key}" in capsys.readouterr().err
+
+    def test_one_drive_frequency_may_have_a_point_span(self, tmp_path):
+        config = write_config(tmp_path, "cz-chevron",
+                              {**CZ_PARAMS, "omega_d_span": [0, 0], "n_omega": 1})
+        assert cli.main(["validate", config]) == 0
+        assert run(config, tmp_path / "a") == 0
+        header = (tmp_path / "a" / "cz_chevron.csv").read_text().splitlines()[0]
+        assert len(header.split(",")) == 2  # t_s and the one drive frequency's column
 
     def test_window_too_short_is_a_schema_error(self, tmp_path, capsys):
         # validate passes it: the check bounds the window by one drive period,
@@ -401,14 +423,26 @@ class TestOutputs:
     def test_blas_core_names_the_kernel_the_library_runs(self):
         # OPENBLAS_CORETYPE, set for the child only, selects another kernel
         # of a DYNAMIC_ARCH OpenBLAS; the record reads it from the library
-        if cli._blas_core() is None or platform.machine() not in ("x86_64", "AMD64"):
-            pytest.skip("no x86-64 OpenBLAS bundled with numpy whose kernel can be read")
-        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
-               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-        child = subprocess.run(
-            [sys.executable, "-c", "from couplersim import cli; print(cli._blas_core())"],
-            env=env, capture_output=True, text=True, timeout=60, check=True)
+        child = run_under_kernel("Haswell", "from couplersim import cli; print(cli._blas_core())")
         assert child.stdout.strip() == "Haswell"
+
+    @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+    def test_kernel_stable_outputs_keep_their_bytes_across_kernels(self, tmp_path, core):
+        # the eight configs in one child under another kernel; Prescott
+        # reads back as Katmai, so the child reports the name the library runs
+        configs = []
+        for i, (scenario, kind) in enumerate(KERNEL_STABLE_DIGESTS):
+            (tmp_path / str(i)).mkdir()
+            configs.append(write_config(tmp_path / str(i), scenario, kind and {"kind": kind}))
+        child = run_under_kernel(core, "import sys; from couplersim import cli\n"
+                                 "assert not any(cli.main(['run', c]) for c in sys.argv[1:])\n"
+                                 "print(cli._blas_core())", *configs)
+        ran = child.stdout.splitlines()[-1]
+        if ran == cli._blas_core():
+            pytest.skip(f"OPENBLAS_CORETYPE={core} runs this host's own kernel, {ran}")
+        for i, digests in enumerate(KERNEL_STABLE_DIGESTS.values()):
+            assert {name: hashlib.sha256(data).hexdigest()
+                    for name, data in data_files(tmp_path / str(i) / "out").items()} == digests
 
     def test_wall_time_ignores_wall_clock_jumps(self, tmp_path, monkeypatch):
         clock = itertools.count(1e9, -3600.0)  # a wall clock set back every call
@@ -611,17 +645,20 @@ class TestSchema:
 
     @pytest.mark.parametrize("n_sub", [1002, 1001])
     def test_n_sub_bound_states_the_spectra_memory(self, n_sub):
-        # the four midpoint spectra cz_conditional_phase builds: mirrored at
-        # even n_sub (here with a self-mirrored middle step), full at odd
+        # the two driven midpoint spectra cz_conditional_phase builds:
+        # mirrored at even n_sub (here with a self-mirrored middle step),
+        # full at odd, at 432 and 792 B a sample for the two manifolds
         circuit, drive = presets.table_circuit(), presets.fixture_drive("cz")
-        spectra = [modulation_spectrum(coupler_block(circuit, states), circuit.coupler, d, n_sub)
-                   for d in (drive, replace(drive, a_d=0.0))
+        spectra = [modulation_spectrum(coupler_block(circuit, states), circuit.coupler, drive,
+                                       n_sub)
                    for states in (protocols._CZ_DOUBLE, protocols._CZ_SINGLE)]
         held = sum(spectrum.evals.nbytes + spectrum.evecs.nbytes + spectrum.overlaps.nbytes
                    for spectrum in spectra)
         samples, priced = protocols.cz_spectra_size(n_sub)
         assert held == priced
         assert samples == spectra[0].evals.size // 6
+        more, priced_more = protocols.cz_spectra_size(n_sub + 4)
+        assert priced_more - priced == (more - samples) * (792 if n_sub % 2 else 432)
 
     def test_list_shows_every_declared_key_with_its_default(self, capsys):
         assert cli.main(["list"]) == 0

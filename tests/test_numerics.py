@@ -270,10 +270,12 @@ class TestPeriodicPropagator:
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a: eighs.append((math.prod(a.shape[:-2]), a.dtype)) or eigh(a))
-        modulation_spectrum(cz_blocks[kind], coupler, drive, n_sub)
-        modulation_spectrum(cz_blocks[kind], coupler, replace(drive, a_d=0.0), n_sub)
+        spectrum = modulation_spectrum(cz_blocks[kind], coupler, drive, n_sub)
         driven = (2 * math.ceil(n_sub / 4), np.float64) if n_sub % 2 == 0 else (n_sub, np.complex128)
-        assert eighs == [driven, (1, np.complex128)]
+        assert eighs == [driven]
+        # either path keeps two bases: the run starts, or the period's ends
+        dim = len(cz_blocks[kind][0])
+        assert spectrum.evecs.shape == (2, dim, dim)
 
     def test_mirrored_spectrum_refuses_what_it_cannot_mirror(self):
         def h_of_t(t):
@@ -299,11 +301,14 @@ class TestPeriodicPropagator:
             assert np.max(np.abs(diff)) < 1e-12
 
     @pytest.mark.parametrize("kind", ["cz-double", "cz-single"])
-    def test_undriven_spectrum_is_one_sample(self, cz_blocks, kind):
+    def test_undriven_spectrum_is_the_closed_form(self, cz_blocks, kind):
+        # a constant H on the mirrored path, at the step count of
+        # test_constant_hamiltonian_is_exact: the round-off of a midpoint
+        # product grows with n_sub (1.3e-12 at 2048 steps, 1.9e-12 for the
+        # sequential product), so 64 steps hold 1e-12
         coupler = presets.table_circuit().coupler
         drive = replace(presets.fixture_drive("cz"), a_d=0.0)
-        spectrum = modulation_spectrum(cz_blocks[kind], coupler, drive, 2048)
-        assert len(spectrum[0]) == 1
+        spectrum = modulation_spectrum(cz_blocks[kind], coupler, drive, 64)
         h = modulated_hamiltonian(cz_blocks[kind], coupler, drive)(0.0)
         for wd in CZ_DRIVES:
             u = periodic_propagator(spectrum, 1.0 / wd)
@@ -344,21 +349,22 @@ class TestPeriodicPropagator:
 
 
 class TestCZScanOracle:
-    """The fast CZ scan (one spectrum per manifold, overlap products and
-    diagonal-only powers) against the same scan rebuilt from H resampled
-    per drive frequency, step exponentials multiplied one at a time and
-    ``matrix_power``."""
+    """The fast CZ scan (one spectrum per driven manifold, overlap products,
+    diagonal-only powers and the closed-form idle reference) against the
+    same scan rebuilt from H resampled per drive frequency, step
+    exponentials multiplied one at a time and ``matrix_power``, at an even
+    ``n_sub`` (the mirrored path) and an odd one (the full period)."""
 
     MAX_DURATION = 0.8e-6
-    N_SUB = 64
 
-    @pytest.fixture(scope="class")
-    def scan(self):
-        return cz_conditional_phase(presets.table_circuit(), presets.fixture_drive("cz"),
-                                    omega_d_span=(0.0, 6e6), n_omega=3,
-                                    max_duration=self.MAX_DURATION, n_sub=self.N_SUB)
+    @pytest.fixture(scope="class", params=[64, 63])
+    def n_sub_scan(self, request):
+        return request.param, cz_conditional_phase(
+            presets.table_circuit(), presets.fixture_drive("cz"), omega_d_span=(0.0, 6e6),
+            n_omega=3, max_duration=self.MAX_DURATION, n_sub=request.param)
 
-    def test_populations_and_phases_match_sequential_scan(self, scan, cz_blocks):
+    def test_populations_and_phases_match_sequential_scan(self, n_sub_scan, cz_blocks):
+        n_sub, scan = n_sub_scan
         coupler = presets.table_circuit().coupler
         assert np.any(scan.valid)
         for i, wd in enumerate(scan.omega_d):
@@ -369,7 +375,7 @@ class TestCZScanOracle:
             m2, m1, m2_0, m1_0 = (
                 np.array([np.diag(np.linalg.matrix_power(u, k)) for k in range(n_per)])
                 for u in (sequential_midpoint_propagator(
-                    modulated_hamiltonian(cz_blocks[kind], coupler, drive), period, self.N_SUB)
+                    modulated_hamiltonian(cz_blocks[kind], coupler, drive), period, n_sub)
                     for drive in drives for kind in ("cz-double", "cz-single")))
             n_cols = scan.p_ee.shape[1]
             assert np.max(np.abs(scan.p_ee[i] - np.abs(m2[:n_cols, 0]) ** 2)) < 1e-10

@@ -615,7 +615,7 @@ class TestCZModels:
         # the midpoint samples do not depend on the drive frequency: one
         # batched eigh (one coupler_frequency sampling) per manifold for the
         # driven scan, of its 2 ceil(n_sub / 4) mirror-distinct samples, and
-        # one single-sample one per manifold for the undriven reference,
+        # one of the undriven block per manifold for the idle reference,
         # whatever n_omega
         from couplersim import floquet
 
@@ -632,6 +632,38 @@ class TestCZModels:
                                  max_duration=80e-9, n_sub=64)
         assert sorted(eighs) == [1, 1, 32, 32]
         assert len(samplings) == 4
+
+
+    def test_scan_propagates_only_what_it_reads(self, monkeypatch):
+        # the cz-paper config: one |ee> diagonal stack per drive frequency,
+        # and a single-excitation propagator where a full oscillation fits
+        calls = {"periodic_propagator": 0, "stroboscopic_diagonal": 0}
+
+        def counted(name):
+            kernel = getattr(protocols, name)
+
+            def call(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(protocols, name, counted(name))
+        scan = cz_conditional_phase(presets.table_circuit(), presets.fixture_drive("cz"))
+        assert scan.valid.all()
+        assert calls == {"periodic_propagator": 30, "stroboscopic_diagonal": 15}
+
+    def test_idle_reference_is_the_closed_form(self, cz_scan):
+        # diag(exp(-i H_0 t)) of both undriven manifolds, H(0) at phi_dc, at
+        # the full-oscillation durations of the scan's grid ends, within the
+        # scan oracle's 1e-10 (|E t| reaches 7e3 rad: 4.8e-12 measured)
+        from scipy.linalg import expm
+
+        assert cz_scan.valid[[0, -1]].all()
+        for h0 in (h(0.0) for h in cz_models(presets.table_circuit(), presets.fixture_drive("cz"))):
+            diagonal = protocols._idle_diagonal(h0)
+            for t in cz_scan.duration[[0, -1]]:
+                assert np.max(np.abs(diagonal(t) - np.diag(expm(-1j * h0 * t)))) < 1e-10
 
 
 class TestStaticZZ:
