@@ -406,6 +406,8 @@ def load_config(path: str) -> dict:
             cfg = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot decode config: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -430,7 +432,7 @@ def _checked(cfg: dict, seed=None, out=None) -> tuple[RunContext, list]:
     _require(isinstance(name, str) and name in SCENARIOS, "scenario",
              f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
     output = cfg.get("output", "out")
-    _require(isinstance(output, str), "output", "must be a string")
+    _require(isinstance(output, str) and output, "output", "must be a non-empty string")
     params = _parse_params(_schema(name), cfg.get("params"))
     rates = replace(presets.table_decay_rates(), **params["rates"]) if "rates" in params else None
     config_seed = _convert(_SEED, cfg.get("seed", 0), "seed")
@@ -677,8 +679,8 @@ _BUDGETS = {
     # costliest, 2.6 us of periodic-lr (0.2 us of cz-chevron), so no time
     "cells": 1e7,
     # the arrays a run holds at once, a quarter of 4 GB: 10.5 kB a Monte Carlo
-    # state, 432 B a kept CZ sample at even n_sub and 792 B at odd
-    # (protocols.cz_spectra_size), 570 B a CZ period
+    # state, 432 B a kept CZ sample (protocols.cz_spectra_size), 108 B a CZ
+    # period of one drive frequency
     "bytes": 1e9,
     # a config that validates ends within a minute: 3.7 us a state-cycle,
     # 1.2 us a kept CZ sample's propagator step, 10 us its spectra step,
@@ -755,6 +757,8 @@ def _cz_chevron_check(params: dict) -> None:
     from .protocols import cz_drive_frequencies, cz_spectra_size
 
     n_omega = params["n_omega"]
+    _require(params["n_sub"] % 2 == 0, "params.n_sub", f"must be even, got {params['n_sub']}: "
+             "the spectra keep only the mirror-distinct midpoints of each half period")
     samples, held = cz_spectra_size(params["n_sub"])
     _budget("params.n_sub", "bytes", held, f"the midpoint spectra of {samples:.3g} samples")
     _budget("params.n_omega", "seconds", samples * (1.2e-6 * n_omega + 10e-6),
@@ -770,8 +774,8 @@ def _cz_chevron_check(params: dict) -> None:
     _require(params["max_duration"] >= 1.0 / lowest, "params.max_duration",
              f"shorter than one period ({1.0 / lowest:.6g} s) of the lowest drive frequency")
     periods = params["max_duration"] * highest
-    _budget("params.max_duration", "bytes", 570 * periods,
-            "stroboscopic periods x 570 B of one drive frequency's diagonals and spectrum")
+    _budget("params.max_duration", "bytes", 108 * periods,
+            "stroboscopic periods x 108 B of one drive frequency's diagonals and populations")
     _budget("params.n_omega", "cells", n_omega * periods,
             "n_omega x stroboscopic periods cells of cz_chevron.csv")
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuit import ELEMENTS, CircuitSpec, CouplerSpec, coupler_frequency, manifold_hamiltonian
-from .numerics import TWO_PI, midpoint_spectrum, mirrored_spectrum, taylor_coefficients
+from .numerics import TWO_PI, mirrored_spectrum, taylor_coefficients
 
 
 #: samples per drive period of the exact Fourier coefficients
@@ -469,21 +469,18 @@ def chi_shift(g_tilde_qr, delta_drive):
 
 def modulation_spectrum(block: tuple, coupler: CouplerSpec, drive: DriveSpec, n_sub: int):
     """Midpoint spectrum (:class:`~couplersim.numerics.MidpointSpectrum`) of
-    :func:`modulated_hamiltonian` over one drive period, at ``n_sub`` steps.
+    :func:`modulated_hamiltonian` over one drive period, at an even
+    ``n_sub`` steps.
 
     The midpoint samples ``phi_dc + a_d sin(2 pi (k + 1/2) / n_sub)`` do not
     depend on ``drive.omega_d``, so one spectrum gives the one-period
     propagator ``periodic_propagator(spectrum, 1 / omega_d)`` at every drive
-    frequency of this amplitude.  Two paths, chosen by the parity of
-    ``n_sub``:
-
-    * at even ``n_sub`` the samples mirror within each half period, as
-      ``sin(pi - x) = sin(x)``, and H is real symmetric, since the block's
-      couplings are real (complex-typed, zero imaginary parts): the
-      :func:`~couplersim.numerics.mirrored_spectrum` diagonalises only the
-      ``2 ceil(n_sub / 4)`` distinct samples;
-    * at odd ``n_sub`` no midpoint falls on the mirror of another, and all
-      ``n_sub`` are diagonalised (:func:`~couplersim.numerics.midpoint_spectrum`).
+    frequency of this amplitude.  They mirror within each half period, as
+    ``sin(pi - x) = sin(x)``, and H is real symmetric, since the block's
+    couplings are real (complex-typed, zero imaginary parts): the
+    :func:`~couplersim.numerics.mirrored_spectrum` diagonalises only the
+    ``2 ceil(n_sub / 4)`` distinct samples, and refuses an odd ``n_sub``
+    (``ValueError``).
     """
-    spectrum = midpoint_spectrum if n_sub % 2 else mirrored_spectrum
-    return spectrum(modulated_hamiltonian(block, coupler, drive), 1.0 / drive.omega_d, n_sub)
+    h_of_t = modulated_hamiltonian(block, coupler, drive)
+    return mirrored_spectrum(h_of_t, 1.0 / drive.omega_d, n_sub)

@@ -15,26 +15,20 @@ Conventions used across the package:
   with the tests (``tests/oracles.py``) and takes its dissipator from here.
 
 The periodic-propagator engine, shared by the CZ calibration and the
-Floquet oracle of the tests, has two steps.  A spectrum function samples a
-vectorised ``h_of_t`` at the step midpoints of one period, diagonalises the
-samples in one batched ``eigh`` and forms the overlaps ``O_k = V_(k+1)^dag
-V_k`` of neighbouring eigenbases in one batched product, a
-:class:`MidpointSpectrum`; :func:`periodic_propagator` turns it into the
-one-period propagator for a given period (midpoint piecewise-exact
-product).  Per period only the step phases ``D_k = exp(-i E_k dt)``
-change: they scale the columns of the overlaps, and the scaled stack is
-multiplied pairwise in log depth.
-
-There are two spectrum functions, and each keeps two eigenbases.
-:func:`midpoint_spectrum` samples all ``n_sub`` midpoints of any H(t) and
-keeps the bases of the period's ends.  :func:`mirrored_spectrum` needs an
+Floquet oracle of the tests, has two steps and one layout.  It needs an
 H(t) that is real symmetric and mirrors within each half period, and an
-even ``n_sub``: its midpoint samples repeat in two mirror runs, ``k <-> n/2
-- 1 - k`` and ``n/2 + k <-> n - 1 - k``, so it diagonalises only the first
-``ceil(n_sub / 4)`` of each half period and keeps each run's first basis.
-The propagator builds each half period from its quarter run ``Q`` as
-``Q^T Q`` (the steps are complex symmetric, so ``Q^T`` is the reversed
-run): half the eigendecompositions, overlaps and products of the period.
+even ``n_sub``: the midpoint samples of one period then repeat in two
+mirror runs, ``k <-> n/2 - 1 - k`` and ``n/2 + k <-> n - 1 - k``.
+:func:`mirrored_spectrum` samples only the first ``ceil(n_sub / 4)`` of
+each half period, diagonalises them in one batched ``eigh`` and forms the
+overlaps ``O_k = V_(k+1)^T V_k`` of neighbouring eigenbases in one
+batched product, a :class:`MidpointSpectrum`; :func:`periodic_propagator`
+turns it into the one-period propagator for a given period (midpoint
+piecewise-exact product).  Per period only the step phases ``D_k = exp(-i
+E_k dt)`` change: they scale the columns of the overlaps, the scaled
+stack of each quarter run ``Q`` is multiplied pairwise in log depth, and
+each half period is ``Q^T Q`` (the steps are complex symmetric, so ``Q^T``
+is the reversed run).
 
 Both callers reach the engine through
 :func:`couplersim.floquet.modulation_spectrum`, whose samples do not
@@ -128,19 +122,14 @@ def liouvillian(hamiltonian: np.ndarray, collapse_rates: Sequence[tuple]) -> np.
 # ---------------------------------------------------------------------------
 
 class MidpointSpectrum(NamedTuple):
-    """Eigen-decomposition of H at the step midpoints of one period, the
-    input of :func:`periodic_propagator`, in one of two forms.
-
-    From :func:`midpoint_spectrum`, a full period: the eigenvalues ``evals``
-    of shape ``(n_sub, d)``, the overlaps ``O_k = V_(k+1)^dag V_k`` of
-    neighbouring steps, shape ``(n_sub - 1, d, d)``, and in ``evecs`` the
-    eigenvectors of the first and the last step, shape ``(2, d, d)``.
-
-    From :func:`mirrored_spectrum`, two mirrored runs, one per half period,
-    of ``r = ceil(n_sub / 4)`` samples each: ``evals`` of shape
-    ``(2, r, d)``, real overlaps of shape ``(2, r - 1, d, d)``, and in
-    ``evecs`` the real eigenvectors of each run's first sample, shape
-    ``(2, d, d)``.  ``n_sub`` is the number of steps per period in both.
+    """Eigen-decomposition of H at the mirror-distinct step midpoints of one
+    period (:func:`mirrored_spectrum`), the input of
+    :func:`periodic_propagator`: two runs, one per half period, of
+    ``r = ceil(n_sub / 4)`` samples each.  ``evals`` has shape
+    ``(2, r, d)``, the real overlaps ``O_k = V_(k+1)^T V_k`` of neighbouring
+    samples ``(2, r - 1, d, d)``, and ``evecs`` holds the real eigenvectors
+    of each run's first sample, ``(2, d, d)``.  ``n_sub``, even, is the
+    number of steps per period.
     """
 
     evals: np.ndarray
@@ -149,43 +138,23 @@ class MidpointSpectrum(NamedTuple):
     n_sub: int
 
 
-def _overlaps(evecs: np.ndarray) -> np.ndarray:
-    """``V_(k+1)^dag V_k`` along the sample axis, ``-3``."""
-    return np.conj(np.swapaxes(evecs[..., 1:, :, :], -1, -2)) @ evecs[..., :-1, :, :]
-
-
-def midpoint_spectrum(h_of_t: Callable[[np.ndarray], np.ndarray], period: float,
-                      n_sub: int) -> MidpointSpectrum:
-    """Full-period :class:`MidpointSpectrum` of H at the midpoints of
-    ``n_sub`` equal steps of one period.
-
-    ``h_of_t(times)`` returns the Hamiltonians (rad/s) at an array of times
-    as an ``(n, d, d)`` stack; it is sampled once and diagonalised by one
-    batched ``eigh``.  If H depends on time only through the phase
-    ``t / period`` of a periodic drive, the samples, and so the spectrum,
-    do not depend on the period: one spectrum serves every drive frequency
-    of a scan.  Of the eigenvectors it keeps the two bases that
-    :func:`periodic_propagator` reads, the first and the last.
-    """
-    if n_sub < 1:
-        raise ValueError(f"n_sub must be a positive integer, got {n_sub}")
-    evals, evecs = np.linalg.eigh(h_of_t((np.arange(n_sub) + 0.5) * (period / n_sub)))
-    return MidpointSpectrum(evals, evecs[[0, -1]], _overlaps(evecs), n_sub)
-
-
 def mirrored_spectrum(h_of_t: Callable[[np.ndarray], np.ndarray], period: float,
                       n_sub: int) -> MidpointSpectrum:
-    """Two-run :class:`MidpointSpectrum` of an H that mirrors within each
-    half period, at an even ``n_sub``.
+    """:class:`MidpointSpectrum` of an H that mirrors within each half
+    period, at an even ``n_sub``.
 
-    Preconditions, which the caller guarantees: H is real symmetric, and
-    ``H(T/2 - t) = H(t) = H(3T/2 - t)`` for the period ``T``.  Then the
-    midpoint samples repeat as ``k <-> n/2 - 1 - k`` and
-    ``n/2 + k <-> n - 1 - k``, so only the first ``r = ceil(n_sub / 4)`` of
-    each half period are sampled (one batched real ``eigh`` over the
+    ``h_of_t(times)`` returns the Hamiltonians (rad/s) at an array of times
+    as an ``(n, d, d)`` stack.  Preconditions, which the caller guarantees:
+    H is real symmetric, and ``H(T/2 - t) = H(t) = H(3T/2 - t)`` for the
+    period ``T``.  Then the midpoint samples repeat as ``k <-> n/2 - 1 - k``
+    and ``n/2 + k <-> n - 1 - k``, so only the first ``r = ceil(n_sub / 4)``
+    of each half period are sampled (one batched real ``eigh`` over the
     ``2 r``), and :func:`periodic_propagator` rebuilds the mirrored rest.
-    A sample with an imaginary part raises ``ValueError``; the mirror
-    itself is not checked.
+    If H depends on time only through the phase ``t / period`` of a
+    periodic drive, the samples, and so the spectrum, do not depend on the
+    period: one spectrum serves every drive frequency of a scan.  An odd
+    ``n_sub`` and a sample with an imaginary part raise ``ValueError``; the
+    mirror itself is not checked.
     """
     if n_sub < 2 or n_sub % 2:
         raise ValueError(f"n_sub must be a positive even integer, got {n_sub}")
@@ -195,56 +164,47 @@ def mirrored_spectrum(h_of_t: Callable[[np.ndarray], np.ndarray], period: float,
     if np.any(samples.imag):
         raise ValueError("a mirrored spectrum needs a real symmetric H(t)")
     evals, evecs = np.linalg.eigh(samples.real.reshape(2, run, *samples.shape[1:]))
-    return MidpointSpectrum(evals, evecs[:, 0].copy(), _overlaps(evecs), n_sub)
+    overlaps = np.swapaxes(evecs[:, 1:], -1, -2) @ evecs[:, :-1]
+    return MidpointSpectrum(evals, evecs[:, 0].copy(), overlaps, n_sub)
 
 
 def periodic_propagator(spectrum: MidpointSpectrum, period: float) -> np.ndarray:
     """Propagator over one period (midpoint piecewise-exact product).
 
     Step ``k`` of ``spectrum`` lasts ``dt = period / n_sub`` and is
-    exponentiated exactly, ``S_k = V_k D_k V_k^dag`` with
+    exponentiated exactly, ``S_k = V_k D_k V_k^T`` with
     ``D_k = exp(-i E_k dt)``.  Between neighbouring steps the eigenbases
-    meet in the overlaps, so a run of steps is
+    meet in the overlaps, so the quarter run ``Q`` of each half period is
 
-        S_(m-1) ... S_0 = (V_(m-1) D_(m-1)) O_(m-2) D_(m-2) ... O_0 D_0 V_0^dag,
+        S_(r-1) ... S_0 = (V_(r-1) D_(r-1)) O_(r-2) D_(r-2) ... O_0 D_0 V_0^T,
 
     where each ``O_k D_k`` is a column scaling of a stored overlap.  These
     are multiplied in time order (later steps to the left) by pairwise
-    products in ``log2`` of the run's length batched rounds.  A full-period
-    spectrum is one run, ``U``.
-
-    A mirrored spectrum (:func:`mirrored_spectrum`) holds the first quarter
-    run ``Q`` of each half period.  Its steps are complex symmetric
-    (``S_k^T = S_k``, as H is real), so the reversed run is ``Q^T`` and a
-    half period is ``P = Q^T Q``.  When ``n_sub / 2`` is odd, the middle
-    step mirrors onto itself: it is stored once, as ``Q``'s last sample,
-    and each of ``Q`` and ``Q^T`` takes it for ``dt / 2``.  Then
-    ``U = P_2 P_1``.
+    products in ``log2 r`` batched rounds, both runs at once.  The steps
+    are complex symmetric (``S_k^T = S_k``, as H is real), so the reversed
+    run is ``Q^T`` and a half period is ``P = Q^T Q``.  When ``n_sub / 2``
+    is odd, the middle step mirrors onto itself: it is stored once, as
+    ``Q``'s last sample, and each of ``Q`` and ``Q^T`` takes it for
+    ``dt / 2``.  Then ``U = P_2 P_1``.
     """
     evals, evecs, overlaps, n_sub = spectrum
-    mirrored = evals.ndim == 3
-    steps = np.full(evals.shape[-2], period / n_sub)
-    if mirrored and n_sub // 2 % 2:
+    steps = np.full(evals.shape[1], period / n_sub)
+    if n_sub // 2 % 2:
         steps[-1] /= 2
     phases = np.exp(-1j * steps[:, None] * evals)
-    mats = overlaps * phases[..., :-1, None, :]
-    while mats.shape[-3] > 1:
-        n = mats.shape[-3]
-        pairs = mats[..., 1::2, :, :] @ mats[..., :n - 1:2, :, :]
-        mats = np.concatenate([pairs, mats[..., -1:, :, :]], axis=-3) if n % 2 else pairs
-    if mirrored:
-        quarter = np.swapaxes(evecs, -1, -2)
-        if mats.shape[-3]:
-            quarter = mats[:, 0] @ quarter
-        # Q in the eigenbasis of its last sample, V_(r-1)^T Q; that basis
-        # cancels in Q^T Q
-        quarter = phases[:, -1, :, None] * quarter
-        halves = np.swapaxes(quarter, -1, -2) @ quarter
-        return halves[1] @ halves[0]
-    last = evecs[-1] * phases[-1]
-    if len(mats):
-        last = last @ mats[0]
-    return last @ np.conj(evecs[0].T)
+    mats = overlaps * phases[:, :-1, None, :]
+    while mats.shape[1] > 1:
+        n = mats.shape[1]
+        pairs = mats[:, 1::2] @ mats[:, :n - 1:2]
+        mats = np.concatenate([pairs, mats[:, -1:]], axis=1) if n % 2 else pairs
+    quarter = np.swapaxes(evecs, -1, -2)
+    if mats.shape[1]:
+        quarter = mats[:, 0] @ quarter
+    # Q in the eigenbasis of its last sample, V_(r-1)^T Q; that basis
+    # cancels in Q^T Q
+    quarter = phases[:, -1, :, None] * quarter
+    halves = np.swapaxes(quarter, -1, -2) @ quarter
+    return halves[1] @ halves[0]
 
 
 def stroboscopic_powers(u: np.ndarray, n: int) -> np.ndarray:

@@ -461,20 +461,15 @@ _CZ_SINGLE = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
 
 
 def cz_spectra_size(n_sub: int) -> tuple[int, int]:
-    """The midpoint samples each manifold of a scan keeps at ``n_sub``
-    steps, and the bytes of the scan's two spectra
-    (:func:`~couplersim.floquet.modulation_spectrum`; dimension ``d`` = 6
-    and 3): float64 eigenvalues, two bases and one overlap fewer than
-    samples per run.  At even ``n_sub`` the ``2 ceil(n_sub / 4)``
-    mirror-distinct samples form two real runs, ``8 (d + d^2)`` B a sample;
-    at odd ``n_sub`` all ``n_sub`` form one complex run, ``8 d + 16 d^2`` B
-    a sample and one more basis.
+    """The midpoint samples each manifold of a scan keeps at an even
+    ``n_sub`` steps, ``2 ceil(n_sub / 4)``, and the bytes of the scan's two
+    spectra (:func:`~couplersim.floquet.modulation_spectrum`; dimension
+    ``d`` = 6 and 3).  Each of a spectrum's two real runs of ``r`` samples
+    holds ``r`` float64 eigenvalue rows, ``r - 1`` overlaps and one basis:
+    ``8 (d + d^2)`` B a sample, 432 B for the two manifolds.
     """
-    odd = n_sub % 2
-    samples = n_sub if odd else 2 * ((n_sub + 2) // 4)
-    held = sum(8 * d * samples + (16 * d * d * (samples + 1) if odd else 8 * d * d * samples)
-               for d in (len(_CZ_DOUBLE), len(_CZ_SINGLE)))
-    return samples, held
+    samples = 2 * ((n_sub + 2) // 4)
+    return samples, samples * sum(8 * (d + d * d) for d in (len(_CZ_DOUBLE), len(_CZ_SINGLE)))
 
 
 def _drive_grid(h2: np.ndarray, omega_d_span: tuple, n_omega: int) -> np.ndarray:
@@ -530,7 +525,8 @@ def cz_conditional_phase(
     phases from ``matrix_power`` at ``n_full`` periods, built only where a
     full oscillation fits; the undriven reference from one ``eigh`` of H_0
     per manifold, as ``diag(exp(-i H_0 t))_j = sum_l |V_jl|^2 exp(-i E_l t)``
-    at ``t = n_full / omega_d``.
+    at ``t = n_full / omega_d``.  ``n_sub``, the steps per drive period,
+    must be even (the spectra's ``ValueError``).
     """
     blocks = [coupler_block(circuit, states) for states in (_CZ_DOUBLE, _CZ_SINGLE)]
     omega_grid = _drive_grid(blocks[0][0], omega_d_span, n_omega)
@@ -549,7 +545,8 @@ def cz_conditional_phase(
     for i, wd in enumerate(omega_grid):
         period = 1.0 / wd
         n_per = int(max_duration / period)
-        z_ee = stroboscopic_diagonal(periodic_propagator(spectra[0], period), n_per)[:, 0]
+        # copied: a view of column 0 would keep all six diagonals alive
+        z_ee = stroboscopic_diagonal(periodic_propagator(spectra[0], period), n_per)[:, 0].copy()
         pop = np.abs(z_ee) ** 2
         rows.append(pop)
 

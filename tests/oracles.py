@@ -7,6 +7,7 @@ runs, so they live with the tests and not in the package.
 * ``envelope_value``: pulse envelope, quadrature of the reset-dynamics pulse area.
 * ``propagate``: Lindblad ODE of the reset-dynamics and lr-dynamics closed forms.
 * ``schrodinger_propagate``: ODE of the cz-chevron propagator and floquet-report frames.
+* ``sequential_midpoint_propagator``: one-at-a-time midpoint product of the cz-chevron scan.
 * ``quasi_energy_gap``: exact Floquet gap, for the floquet-report couplings.
 * ``find_parametric_resonance``: exact dressed resonance, for the cz-chevron Rabi frequencies.
 * ``swap_coupling``: exact coupler elimination of a floquet-report k = 2 frame.
@@ -207,6 +208,19 @@ def schrodinger_propagate(
     if not sol.success:
         raise RuntimeError(f"propagation failed: {sol.message}")
     return sol.y.T
+
+
+def sequential_midpoint_propagator(h_of_t: Callable, period: float, n_sub: int) -> np.ndarray:
+    """The midpoint piecewise-exact product over one period with H resampled
+    for this period at all ``n_sub`` midpoints, each step exponential formed
+    from its own ``eigh`` and multiplied one at a time."""
+    dt = period / n_sub
+    evals, evecs = np.linalg.eigh(h_of_t((np.arange(n_sub) + 0.5) * dt))
+    steps = np.einsum("nij,nj,nkj->nik", evecs, np.exp(-1j * evals * dt), evecs.conj())
+    u = np.eye(steps.shape[1], dtype=complex)
+    for s in steps:
+        u = s @ u
+    return u
 
 
 def _branch_gap(u: np.ndarray, wd: float) -> float:

@@ -9,6 +9,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -180,6 +181,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key, value", [
         ("n_sub", 0),
+        # odd step counts: the spectra keep the mirror-distinct half only
+        ("n_sub", 1),
+        ("n_sub", 63),
+        ("n_sub", 1001),
         ("n_omega", 0),
         ("max_duration", 0),
         ("max_duration", -1e-6),
@@ -264,6 +269,21 @@ class TestExitCodes:
         assert run(config, tmp_path / "a") == 2
         assert "params.separation_sigma" in capsys.readouterr().err
         assert os.listdir(tmp_path / "a") == []
+
+    def test_undecodable_config_is_a_schema_error(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_bytes(b"scenario: reset-metrics\n# \xff\n")
+        assert cli.main(["validate", str(config)]) == 2
+        assert "cannot decode config" in capsys.readouterr().err
+        assert run(str(config), tmp_path / "a") == 2
+        assert "cannot decode config" in capsys.readouterr().err
+
+    def test_empty_output_directory_is_a_schema_error(self, tmp_path, capsys):
+        config = write_raw_config(tmp_path, "scenario: reset-metrics\noutput: ''\n")
+        assert cli.main(["validate", config]) == 2
+        assert "output" in capsys.readouterr().err
+        assert cli.main(["run", config]) == 2
+        assert "output" in capsys.readouterr().err
 
     def test_output_path_is_a_file(self, tmp_path):
         config = write_config(tmp_path, "reset-metrics")
@@ -581,8 +601,9 @@ class TestSchema:
         # the time of a long grid at few states names the grid
         ("leakage-rb", {"n_cl_grid": [1, 2, 3, 4, 10_000_000], "n_randomizations": 2},
          "params.n_cl_grid"),
-        # the stroboscopic diagonals of one drive frequency
-        ("cz-chevron", {"n_omega": 1, "max_duration": 5e-3}, "params.max_duration"),
+        # the stroboscopic diagonals of one drive frequency: 9.5e6 periods,
+        # within the cells budget alone
+        ("cz-chevron", {"n_omega": 1, "max_duration": 19e-3}, "params.max_duration"),
     ])
     def test_bad_values_are_schema_errors(self, tmp_path, capsys, scenario, params, key_path):
         config = write_config(tmp_path, scenario, params)
@@ -643,11 +664,11 @@ class TestSchema:
     def test_bounds_leave_room_above_paper_scale(self, tmp_path, capsys, scenario, params):
         assert cli.main(["validate", write_config(tmp_path, scenario, params)]) == 0
 
-    @pytest.mark.parametrize("n_sub", [1002, 1001])
+    @pytest.mark.parametrize("n_sub", [1002, 1000])
     def test_n_sub_bound_states_the_spectra_memory(self, n_sub):
-        # the two driven midpoint spectra cz_conditional_phase builds:
-        # mirrored at even n_sub (here with a self-mirrored middle step),
-        # full at odd, at 432 and 792 B a sample for the two manifolds
+        # the two driven midpoint spectra cz_conditional_phase builds, with
+        # a self-mirrored middle step at 1002 and none at 1000, at 432 B a
+        # sample for the two manifolds
         circuit, drive = presets.table_circuit(), presets.fixture_drive("cz")
         spectra = [modulation_spectrum(coupler_block(circuit, states), circuit.coupler, drive,
                                        n_sub)
@@ -658,7 +679,33 @@ class TestSchema:
         assert held == priced
         assert samples == spectra[0].evals.size // 6
         more, priced_more = protocols.cz_spectra_size(n_sub + 4)
-        assert priced_more - priced == (more - samples) * (792 if n_sub % 2 else 432)
+        assert priced_more - priced == (more - samples) * 432
+
+    @pytest.mark.parametrize("n_omega", [1, 2])
+    def test_max_duration_bound_states_the_scan_memory(self, monkeypatch, n_omega):
+        # the tracemalloc peak of the scan, from 20 to 40 us, grows by 1 to
+        # 1.5 times what the check prices for those stroboscopic periods
+        priced = []
+
+        def record(key, resource, amount, what):
+            if (key, resource) == ("params.max_duration", "bytes"):
+                priced.append(amount)
+
+        monkeypatch.setattr(cli, "_budget", record)
+        circuit, drive = presets.table_circuit(), presets.fixture_drive("cz")
+        peaks = []
+        for duration in (20e-6, 40e-6):
+            params = cli._parse_params(cli._schema("cz-chevron"),
+                                       {"n_omega": n_omega, "n_sub": 64, "max_duration": duration})
+            cli._cz_chevron_check(params)
+            protocols.cz_conditional_phase(circuit, drive, **params)  # warm caches
+            tracemalloc.start()
+            try:
+                protocols.cz_conditional_phase(circuit, drive, **params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert 1.0 <= (peaks[1] - peaks[0]) / (priced[1] - priced[0]) <= 1.5
 
     def test_list_shows_every_declared_key_with_its_default(self, capsys):
         assert cli.main(["list"]) == 0

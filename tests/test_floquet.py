@@ -21,10 +21,11 @@ from couplersim.floquet import (
     in_coupling_window,
     k2_closed_forms,
     modulated_hamiltonian,
+    modulation_spectrum,
     schrieffer_wolff_correction,
     transition_manifold,
 )
-from couplersim.numerics import TWO_PI, midpoint_spectrum, periodic_propagator
+from couplersim.numerics import TWO_PI, periodic_propagator
 from couplersim.protocols import _CZ_DOUBLE, _CZ_SINGLE
 from oracles import (dressed_resonance_offset, find_parametric_resonance, frame_matrix,
                      quasi_energy_gap, schrodinger_propagate, swap_coupling)
@@ -505,7 +506,8 @@ class TestExactOracle:
         drive = dataclasses.replace(presets.fixture_drive(man.kind), a_d=0.3)
         h_fn = modulated_hamiltonian(man.block, circuit.coupler, drive)
         period = 1.0 / drive.omega_d
-        u = periodic_propagator(midpoint_spectrum(h_fn, period, 4096), period)
+        u = periodic_propagator(modulation_spectrum(man.block, circuit.coupler, drive, 4096),
+                                period)
         for col in range(3):
             psi0 = np.zeros(3, dtype=complex)
             psi0[col] = 1.0

@@ -15,7 +15,6 @@ from couplersim.floquet import (_BESSEL_MAX_ARG, _bessel_j, coupler_block,
                                 modulated_hamiltonian, modulation_spectrum)
 from couplersim.numerics import (
     RngStream,
-    midpoint_spectrum,
     mirrored_spectrum,
     periodic_propagator,
     stroboscopic_diagonal,
@@ -23,7 +22,7 @@ from couplersim.numerics import (
     taylor_coefficients,
 )
 from couplersim.protocols import _CZ_DOUBLE, _CZ_SINGLE, cz_conditional_phase
-from oracles import propagate
+from oracles import propagate, sequential_midpoint_propagator
 
 # J1(1.0) from the integral representation (1/pi) int_0^pi cos(t - sin t) dt,
 # evaluated with adaptive quadrature before the build
@@ -166,18 +165,6 @@ class TestPropagate:
             propagate(h, [], np.array([[1.5, 0], [0, -0.5]]), 1e-7)  # not PSD
 
 
-def sequential_midpoint_propagator(h_of_t, period, n_sub):
-    """Reference: the midpoint piecewise-exact product with H resampled for
-    this period and the step exponentials multiplied one at a time."""
-    dt = period / n_sub
-    evals, evecs = np.linalg.eigh(h_of_t((np.arange(n_sub) + 0.5) * dt))
-    steps = np.einsum("nij,nj,nkj->nik", evecs, np.exp(-1j * evals * dt), evecs.conj())
-    u = np.eye(steps.shape[1], dtype=complex)
-    for s in steps:
-        u = s @ u
-    return u
-
-
 @pytest.fixture(scope="module")
 def cz_blocks():
     circuit = presets.table_circuit()
@@ -192,66 +179,34 @@ CZ_DRIVES = (500e6, 512.3e6, 519.77e6)
 class TestPeriodicPropagator:
     @pytest.mark.parametrize("dim", [2, 3, 6])
     def test_constant_hamiltonian_is_exact(self, dim):
+        # a constant real symmetric H mirrors within each half period
         rng = np.random.default_rng(dim)
-        h = random_hermitian(rng, dim)
+        h = random_hermitian(rng, dim).real
         period = 2e-7
-        spectrum = midpoint_spectrum(lambda t: np.broadcast_to(h, (len(t), dim, dim)), period, 64)
+        spectrum = mirrored_spectrum(lambda t: np.broadcast_to(h, (len(t), dim, dim)), period, 64)
         u = periodic_propagator(spectrum, period)
         assert np.max(np.abs(u - expm(-1j * h * period))) < 1e-12
         assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-12
 
     def test_samples_once_at_step_midpoints(self):
+        # the first ceil(n_sub / 4) midpoints of each half period
         seen = []
 
         def h_of_t(t):
             seen.append(np.array(t))
             return np.zeros((len(t), 2, 2))
 
-        midpoint_spectrum(h_of_t, 1.0, 4)
+        mirrored_spectrum(h_of_t, 1.0, 8)
         assert len(seen) == 1
-        assert np.allclose(seen[0], [0.125, 0.375, 0.625, 0.875], rtol=0, atol=1e-15)
-
-    def test_rejects_empty_step_count(self):
-        with pytest.raises(ValueError, match="n_sub"):
-            midpoint_spectrum(lambda t: np.zeros((len(t), 2, 2)), 1.0, 0)
+        assert np.allclose(seen[0], [0.0625, 0.1875, 0.5625, 0.6875], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("kind", ["cz-double", "cz-single"])
-    @pytest.mark.parametrize("n_sub", [2048, 37])
-    def test_matches_sequential_product(self, cz_blocks, kind, n_sub):
-        # same samples and step exponentials, multiplied pairwise instead of
-        # one at a time (37 steps: odd lengths carry a step to the next round)
-        coupler = presets.table_circuit().coupler
-        for wd in CZ_DRIVES:
-            h_of_t = modulated_hamiltonian(cz_blocks[kind], coupler,
-                                           replace(presets.fixture_drive("cz"), omega_d=wd))
-            u = periodic_propagator(midpoint_spectrum(h_of_t, 1.0 / wd, n_sub), 1.0 / wd)
-            ref = sequential_midpoint_propagator(h_of_t, 1.0 / wd, n_sub)
-            assert np.max(np.abs(u - ref)) < 1e-12
-
-    @pytest.mark.parametrize("kind", ["cz-double", "cz-single"])
-    @pytest.mark.parametrize("n_sub", [1, 2])
-    def test_short_spectra_match_sequential_product(self, cz_blocks, kind, n_sub):
-        # no overlap and one overlap: the ends V_(n-1) D_(n-1) and V_0^dag
-        # carry the whole product
-        coupler = presets.table_circuit().coupler
-        for wd in CZ_DRIVES:
-            h_of_t = modulated_hamiltonian(cz_blocks[kind], coupler,
-                                           replace(presets.fixture_drive("cz"), omega_d=wd))
-            spectrum = midpoint_spectrum(h_of_t, 1.0 / wd, n_sub)
-            assert spectrum[2].shape == (n_sub - 1, *spectrum[1].shape[1:])
-            u = periodic_propagator(spectrum, 1.0 / wd)
-            ref = sequential_midpoint_propagator(h_of_t, 1.0 / wd, n_sub)
-            assert np.max(np.abs(u - ref)) < 1e-12
-            if n_sub == 1:
-                h = h_of_t(np.array([0.5 / wd]))[0]
-                assert np.max(np.abs(u - expm(-1j * h / wd))) < 1e-12
-
-    @pytest.mark.parametrize("kind", ["cz-double", "cz-single"])
-    @pytest.mark.parametrize("n_sub", [2, 4, 6, 2046, 2048, 37])
+    @pytest.mark.parametrize("n_sub", [2, 4, 6, 2046, 2048])
     def test_modulation_engine_matches_sequential_product(self, cz_blocks, kind, n_sub):
-        # even n_sub: two mirrored quarter runs rebuilt as Q^T Q, with a
-        # self-mirrored middle step at n_sub / 2 odd (2, 6, 2046); odd
-        # n_sub: the full period
+        # two mirrored quarter runs rebuilt as Q^T Q, with a self-mirrored
+        # middle step at n_sub / 2 odd (2, 6, 2046); runs of one sample and
+        # no overlap (2, 4), and of 512 samples, whose 511 overlaps carry a
+        # product to the next round of the pairwise tree (2046, 2048)
         coupler = presets.table_circuit().coupler
         for wd in CZ_DRIVES:
             drive = replace(presets.fixture_drive("cz"), omega_d=wd)
@@ -262,7 +217,7 @@ class TestPeriodicPropagator:
             assert np.max(np.abs(u - ref)) < 1e-12
 
     @pytest.mark.parametrize("kind", ["cz-double", "cz-single"])
-    @pytest.mark.parametrize("n_sub", [2, 4, 6, 64, 2046, 2048, 37])
+    @pytest.mark.parametrize("n_sub", [2, 4, 6, 64, 2046, 2048])
     def test_modulation_spectrum_diagonalises_the_distinct_samples(
             self, monkeypatch, cz_blocks, kind, n_sub):
         coupler, drive = presets.table_circuit().coupler, presets.fixture_drive("cz")
@@ -271,10 +226,12 @@ class TestPeriodicPropagator:
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a: eighs.append((math.prod(a.shape[:-2]), a.dtype)) or eigh(a))
         spectrum = modulation_spectrum(cz_blocks[kind], coupler, drive, n_sub)
-        driven = (2 * math.ceil(n_sub / 4), np.float64) if n_sub % 2 == 0 else (n_sub, np.complex128)
-        assert eighs == [driven]
-        # either path keeps two bases: the run starts, or the period's ends
+        run = math.ceil(n_sub / 4)
+        assert eighs == [(2 * run, np.float64)]
+        # per run: every sample's eigenvalues, one overlap fewer, one basis
         dim = len(cz_blocks[kind][0])
+        assert spectrum.evals.shape == (2, run, dim)
+        assert spectrum.overlaps.shape == (2, run - 1, dim, dim)
         assert spectrum.evecs.shape == (2, dim, dim)
 
     def test_mirrored_spectrum_refuses_what_it_cannot_mirror(self):
@@ -352,12 +309,13 @@ class TestCZScanOracle:
     """The fast CZ scan (one spectrum per driven manifold, overlap products,
     diagonal-only powers and the closed-form idle reference) against the
     same scan rebuilt from H resampled per drive frequency, step
-    exponentials multiplied one at a time and ``matrix_power``, at an even
-    ``n_sub`` (the mirrored path) and an odd one (the full period)."""
+    exponentials multiplied one at a time and ``matrix_power``, at an
+    ``n_sub`` whose half is even and one whose half is odd (a self-mirrored
+    middle step)."""
 
     MAX_DURATION = 0.8e-6
 
-    @pytest.fixture(scope="class", params=[64, 63])
+    @pytest.fixture(scope="class", params=[64, 62])
     def n_sub_scan(self, request):
         return request.param, cz_conditional_phase(
             presets.table_circuit(), presets.fixture_drive("cz"), omega_d_span=(0.0, 6e6),
