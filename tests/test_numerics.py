@@ -200,6 +200,55 @@ class TestPeriodicPropagator:
         assert len(seen) == 1
         assert np.allclose(seen[0], [0.0625, 0.1875, 0.5625, 0.6875], rtol=0, atol=1e-15)
 
+    def test_rejects_empty_step_count(self, cz_blocks):
+        # the library scan keeps the spectrum's refusal of an empty or odd
+        # step count, which the CLI reports as a schema error
+        coupler, drive = presets.table_circuit().coupler, presets.fixture_drive("cz")
+        with pytest.raises(ValueError, match="n_sub"):
+            modulation_spectrum(cz_blocks["cz-double"], coupler, drive, 0)
+        for n_sub in (0, 63):
+            with pytest.raises(ValueError, match="n_sub"):
+                cz_conditional_phase(presets.table_circuit(), drive, omega_d_span=(0.0, 0.0),
+                                     n_omega=1, max_duration=0.1e-6, n_sub=n_sub)
+
+    @pytest.mark.parametrize("dim", [3, 6])
+    @pytest.mark.parametrize("n_sub", [2048, 1026])
+    def test_matches_sequential_product(self, dim, n_sub):
+        # a generic H(t) = A + B s + C s^2, s = sin(2 pi t / T), of random
+        # real symmetric A, B, C: it mirrors within each half period as the
+        # numerics require, without a coupler block (1026 steps: a
+        # self-mirrored middle step and odd run lengths in the pairwise tree)
+        rng = np.random.default_rng(dim)
+        a, b, c = (random_hermitian(rng, dim).real for _ in range(3))
+        period = 2e-7
+
+        def h_of_t(t):
+            s = np.sin(2 * np.pi * np.asarray(t) / period)[:, None, None]
+            return a + b * s + c * s**2
+
+        u = periodic_propagator(mirrored_spectrum(h_of_t, period, n_sub), period)
+        ref = sequential_midpoint_propagator(h_of_t, period, n_sub)
+        assert np.max(np.abs(u - ref)) < 1e-12
+        assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["cz-double", "cz-single"])
+    @pytest.mark.parametrize("n_sub", [2, 4])
+    def test_short_spectra_match_sequential_product(self, cz_blocks, kind, n_sub):
+        # runs of one sample and no overlap: each half period is one
+        # exponential of its first midpoint sample over T / 2
+        coupler = presets.table_circuit().coupler
+        for wd in CZ_DRIVES:
+            h_of_t = modulated_hamiltonian(cz_blocks[kind], coupler,
+                                           replace(presets.fixture_drive("cz"), omega_d=wd))
+            spectrum = mirrored_spectrum(h_of_t, 1.0 / wd, n_sub)
+            assert spectrum.overlaps.shape == (2, 0, *spectrum.evecs.shape[1:])
+            u = periodic_propagator(spectrum, 1.0 / wd)
+            ref = sequential_midpoint_propagator(h_of_t, 1.0 / wd, n_sub)
+            assert np.max(np.abs(u - ref)) < 1e-12
+            first, second = h_of_t(np.array([0.5, 0.5 + n_sub / 2]) / (n_sub * wd))
+            halves = expm(-0.5j * second / wd) @ expm(-0.5j * first / wd)
+            assert np.max(np.abs(u - halves)) < 1e-12
+
     @pytest.mark.parametrize("kind", ["cz-double", "cz-single"])
     @pytest.mark.parametrize("n_sub", [2, 4, 6, 2046, 2048])
     def test_modulation_engine_matches_sequential_product(self, cz_blocks, kind, n_sub):
