@@ -680,7 +680,8 @@ _BUDGETS = {
     "cells": 1e7,
     # the arrays a run holds at once, a quarter of 4 GB: 10.5 kB a Monte Carlo
     # state, 432 B a kept CZ sample (protocols.cz_spectra_size), 108 B a CZ
-    # period of one drive frequency
+    # period of one drive frequency (a 96 B column of its 6-mode power table
+    # and a 16 B |ee> amplitude: 112 B at the peak)
     "bytes": 1e9,
     # a config that validates ends within a minute: 3.7 us a state-cycle,
     # 1.2 us a kept CZ sample's propagator step, 10 us its spectra step,
@@ -775,7 +776,7 @@ def _cz_chevron_check(params: dict) -> None:
              f"shorter than one period ({1.0 / lowest:.6g} s) of the lowest drive frequency")
     periods = params["max_duration"] * highest
     _budget("params.max_duration", "bytes", 108 * periods,
-            "stroboscopic periods x 108 B of one drive frequency's diagonals and populations")
+            "stroboscopic periods x 108 B of one drive frequency's power table and amplitudes")
     _budget("params.n_omega", "cells", n_omega * periods,
             "n_omega x stroboscopic periods cells of cz_chevron.csv")
 

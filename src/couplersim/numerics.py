@@ -33,9 +33,8 @@ is the reversed run).
 Both callers reach the engine through
 :func:`couplersim.floquet.modulation_spectrum`, whose samples do not
 depend on the drive frequency: one spectrum per drive amplitude serves a
-scan.  :func:`stroboscopic_powers` stacks the powers of the result;
-:func:`stroboscopic_diagonal` gives only their diagonals, by baby-step
-giant-step, without the full stack.
+scan.  :func:`stroboscopic_modes` reads the powers of the result from one
+``eig``: ``diag(U^k) = w @ lambda^k`` for every period ``k``.
 """
 
 from __future__ import annotations
@@ -207,36 +206,12 @@ def periodic_propagator(spectrum: MidpointSpectrum, period: float) -> np.ndarray
     return halves[1] @ halves[0]
 
 
-def stroboscopic_powers(u: np.ndarray, n: int) -> np.ndarray:
-    """Stack of the powers ``U^0 ... U^(n-1)`` of a one-period propagator,
-    shape ``(n, d, d)``, built by doubling: with ``U^0 ... U^(m-1)`` in
-    place, one batched product by ``U^m`` fills ``U^m ... U^(2m-1)``, so
-    about ``log2(n)`` products in all."""
-    powers = np.empty((n, *u.shape), dtype=complex)
-    powers[:1] = np.eye(u.shape[0])
-    u_m, m = u, 1
-    while m < n:
-        block = min(m, n - m)
-        np.matmul(u_m, powers[:block], out=powers[m:m + block])
-        u_m, m = u_m @ u_m, 2 * m
-    return powers
-
-
-def stroboscopic_diagonal(u: np.ndarray, n: int) -> np.ndarray:
-    """Diagonals of the powers ``U^0 ... U^(n-1)``, shape ``(n, d)``,
-    without the full stack of :func:`stroboscopic_powers`.
-
-    With ``m = ceil(sqrt(n))`` and ``k = q m + r``,
-    ``diag(U^k)_j = sum_l (U^r)_jl (U^(qm))_lj``: the ``m`` baby steps
-    ``U^r`` and the giant steps ``U^(qm)`` come from two doubling stacks of
-    about ``sqrt(n)`` matrices, and every diagonal from one batched matmul
-    over ``j``.
-    """
-    if n == 0:
-        return np.empty((0, u.shape[0]), dtype=complex)
-    m = math.isqrt(n - 1) + 1
-    baby = stroboscopic_powers(u, m + 1)
-    giant = stroboscopic_powers(baby[m], -(-n // m))
-    # [j, q, l] @ [j, l, r] -> [j, q, r], flattened to k = q m + r
-    diag = np.transpose(giant, (2, 0, 1)) @ np.transpose(baby[:m], (1, 2, 0))
-    return np.transpose(diag, (1, 2, 0)).reshape(-1, u.shape[0])[:n]
+def stroboscopic_modes(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ``lambda`` of a one-period propagator and the weights
+    ``w_jl = V_jl (V^-1)_lj`` of its eigenvectors ``V``, from one ``eig``,
+    so that the diagonal of every power is ``diag(U^k) = w @ lambda^k``
+    (Floquet: ``lambda_l = exp(-i eps_l T)``).  The inverse, not ``V^dag``,
+    keeps the sum exact when ``eig`` returns a non-orthonormal basis of a
+    (near-)degenerate eigenspace."""
+    evals, evecs = np.linalg.eig(u)
+    return evals, evecs * np.linalg.inv(evecs).T

@@ -14,7 +14,7 @@ import numpy as np
 
 from .circuit import CircuitSpec
 from .floquet import DriveSpec, coupler_block, modulated_hamiltonian, modulation_spectrum
-from .numerics import TWO_PI, RngStream, periodic_propagator, stroboscopic_diagonal
+from .numerics import TWO_PI, RngStream, periodic_propagator, stroboscopic_modes
 
 STATE_LABELS = ("g", "e", "f")
 
@@ -520,16 +520,28 @@ def cz_conditional_phase(
     diagonalised once per scan, as the midpoint samples of H(t) do not
     depend on the drive frequency (:func:`~couplersim.floquet.modulation_spectrum`);
     per drive frequency only the step phases of its one-period propagator
-    change.  |ee> at every period comes from
-    :func:`~couplersim.numerics.stroboscopic_diagonal`; the single-excitation
-    phases from ``matrix_power`` at ``n_full`` periods, built only where a
-    full oscillation fits; the undriven reference from one ``eigh`` of H_0
-    per manifold, as ``diag(exp(-i H_0 t))_j = sum_l |V_jl|^2 exp(-i E_l t)``
-    at ``t = n_full / omega_d``.  ``n_sub``, the steps per drive period,
-    must be even (the spectra's ``ValueError``).
+    change.  Every stroboscopic read is the closed form
+    ``diag(U^k) = w @ lambda^k`` over the eigenpairs of that propagator
+    (:func:`~couplersim.numerics.stroboscopic_modes`): |ee> at every
+    period, and the single-excitation phases at ``n_full`` periods, built
+    only where a full oscillation fits.  The undriven reference is the same
+    sum over one ``eigh`` of H_0 per manifold,
+    ``diag(exp(-i H_0 t))_j = sum_l |V_jl|^2 exp(-i E_l t)`` at
+    ``t = n_full / omega_d``.  ``n_sub``, the steps per drive period, must
+    be even (the spectra's ``ValueError``); ``n_omega`` must be positive,
+    every scanned drive frequency positive and ``max_duration`` at least
+    one period of the lowest, or ``ValueError`` names the argument.
     """
+    if n_omega < 1:
+        raise ValueError(f"n_omega must be a positive integer, got {n_omega}")
     blocks = [coupler_block(circuit, states) for states in (_CZ_DOUBLE, _CZ_SINGLE)]
     omega_grid = _drive_grid(blocks[0][0], omega_d_span, n_omega)
+    lowest = omega_grid.min()
+    if not lowest > 0:
+        raise ValueError(f"omega_d_span reaches drive frequency {lowest:.6g} Hz <= 0")
+    if not max_duration / (1.0 / lowest) >= 1:  # the loop's period count, at its fewest
+        raise ValueError(f"max_duration {max_duration:.6g} s is shorter than one period "
+                         f"({1.0 / lowest:.6g} s) of the lowest drive frequency")
 
     rows = []
     durations = np.full(n_omega, np.nan)
@@ -545,8 +557,8 @@ def cz_conditional_phase(
     for i, wd in enumerate(omega_grid):
         period = 1.0 / wd
         n_per = int(max_duration / period)
-        # copied: a view of column 0 would keep all six diagonals alive
-        z_ee = stroboscopic_diagonal(periodic_propagator(spectra[0], period), n_per)[:, 0].copy()
+        evals, weights = stroboscopic_modes(periodic_propagator(spectra[0], period))
+        z_ee = weights[0] @ np.vander(evals, n_per, increasing=True)
         pop = np.abs(z_ee) ** 2
         rows.append(pop)
 
@@ -574,10 +586,11 @@ def cz_conditional_phase(
             continue
         durations[i] = n_full * period
         rabis[i] = rabi
-        u1 = np.linalg.matrix_power(periodic_propagator(spectra[1], period), n_full)
+        evals, weights = stroboscopic_modes(periodic_propagator(spectra[1], period))
+        z1 = weights @ evals ** n_full
         ref2, ref1 = (diagonal(durations[i]) for diagonal in idle)
         z_ref = ref2[0] * np.conj(ref1[0]) * np.conj(ref1[1])
-        zc = z_ee[n_full] * np.conj(u1[0, 0]) * np.conj(u1[1, 1]) * np.conj(z_ref)
+        zc = z_ee[n_full] * np.conj(z1[0]) * np.conj(z1[1]) * np.conj(z_ref)
         phases[i] = math.atan2(zc.imag, zc.real) % TWO_PI
 
     valid = ~np.isnan(durations)  # set, with the phase, where a full oscillation fits

@@ -601,7 +601,7 @@ class TestSchema:
         # the time of a long grid at few states names the grid
         ("leakage-rb", {"n_cl_grid": [1, 2, 3, 4, 10_000_000], "n_randomizations": 2},
          "params.n_cl_grid"),
-        # the stroboscopic diagonals of one drive frequency: 9.5e6 periods,
+        # the power table of one drive frequency: 9.5e6 periods,
         # within the cells budget alone
         ("cz-chevron", {"n_omega": 1, "max_duration": 19e-3}, "params.max_duration"),
     ])

@@ -17,8 +17,7 @@ from couplersim.numerics import (
     RngStream,
     mirrored_spectrum,
     periodic_propagator,
-    stroboscopic_diagonal,
-    stroboscopic_powers,
+    stroboscopic_modes,
     taylor_coefficients,
 )
 from couplersim.protocols import _CZ_DOUBLE, _CZ_SINGLE, cz_conditional_phase
@@ -200,6 +199,19 @@ class TestPeriodicPropagator:
         assert len(seen) == 1
         assert np.allclose(seen[0], [0.0625, 0.1875, 0.5625, 0.6875], rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("argument, value", [
+        # shorter than the 2 ns period of the ~500 MHz drives
+        ("max_duration", 1e-9),
+        # offsets that take every drive frequency through zero
+        ("omega_d_span", (-1e10, -1e10)),
+        ("n_omega", 0),
+    ])
+    def test_scan_names_a_bad_argument(self, argument, value):
+        kwargs = {"omega_d_span": (0.0, 0.0), "n_omega": 1, "max_duration": 0.1e-6,
+                  "n_sub": 64, argument: value}
+        with pytest.raises(ValueError, match=argument):
+            cz_conditional_phase(presets.table_circuit(), presets.fixture_drive("cz"), **kwargs)
+
     def test_rejects_empty_step_count(self, cz_blocks):
         # the library scan keeps the spectrum's refusal of an empty or odd
         # step count, which the CLI reports as a schema error
@@ -320,38 +332,46 @@ class TestPeriodicPropagator:
             u = periodic_propagator(spectrum, 1.0 / wd)
             assert np.max(np.abs(u - expm(-1j * h / wd))) < 1e-12
 
-    def test_stroboscopic_powers_match_matrix_power(self):
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 25, 7500])
+    def test_stroboscopic_modes_match_matrix_power(self, n):
+        # diag(U^k) = w @ lambda^k for every k < n, read as the scan reads
+        # |ee>.  7500 periods are about the longest read of a scan (1.5 us
+        # of ~5 GHz periods); there the closed form is 4.5e-12 from
+        # matrix_power, whose own powers drift from unitarity by 1.6e-12
+        # (the 6.7e-16 defect of expm's u, grown), so the bound is 6e-12;
+        # up to 25 periods it is 1.2e-14, held to 1e-13
         rng = np.random.default_rng(3)
         u = expm(-1j * random_hermitian(rng, 4) * 1e-7)
-        powers = stroboscopic_powers(u, 25)
-        assert powers.shape == (25, 4, 4)
-        for k in range(25):
-            assert np.max(np.abs(powers[k] - np.linalg.matrix_power(u, k))) < 1e-12
-        assert stroboscopic_powers(u, 0).shape == (0, 4, 4)
-        # about the longest stack of a scan (1.5 us of ~5 GHz periods).  The
-        # unitarity defect of u itself (6.7e-16 from expm) grows to 1.6e-12
-        # in the exact powers, so the doubling is held to 1e-12 of their drift
-        powers = stroboscopic_powers(u, 7500)
-        exact = np.stack([np.linalg.matrix_power(u, k) for k in range(7500)])
-        assert np.max(np.abs(powers - exact)) < 1e-12
-
-        def drift(stack):
-            return np.abs(stack @ np.conj(np.swapaxes(stack, -1, -2)) - np.eye(4)).max()
-
-        assert drift(powers) <= drift(exact) + 1e-12
-        # the diagonals alone, from about sqrt(7500) baby and giant steps,
-        # hold the same bound
-        diagonal = stroboscopic_diagonal(u, 7500)
-        assert np.max(np.abs(diagonal - np.einsum("kii->ki", exact))) < 1e-12
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 25])
-    def test_stroboscopic_diagonal_matches_matrix_power(self, n):
-        rng = np.random.default_rng(3)
-        u = expm(-1j * random_hermitian(rng, 4) * 1e-7)
-        diagonal = stroboscopic_diagonal(u, n)
+        evals, weights = stroboscopic_modes(u)
+        diagonal = (weights @ np.vander(evals, n, increasing=True)).T
         assert diagonal.shape == (n, 4)
-        for k in range(n):
-            assert np.max(np.abs(diagonal[k] - np.diag(np.linalg.matrix_power(u, k)))) < 1e-12
+        exact = np.array([np.diag(np.linalg.matrix_power(u, k)) for k in range(n)])
+        assert np.max(np.abs(diagonal - exact.reshape(n, 4)), initial=0.0) < (
+            6e-12 if n > 25 else 1e-13)
+
+    @pytest.mark.parametrize("split", [0.0, 1e-14])
+    def test_stroboscopic_modes_of_a_degenerate_unitary(self, split):
+        # random 6x6 unitaries with an eigenphase repeated exactly or split
+        # by 1e-14: eig returns a non-orthonormal basis of that eigenspace
+        # (cond(V) up to 3.7 here), which the weights take through V^-1.
+        # Measured over these 300 draws: at most 3.0e-12 from matrix_power
+        # at 2000 periods, so the bound is 4e-12
+        rng = np.random.default_rng(11)
+        skewed = 0
+        for _ in range(300):
+            z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+            q, r = np.linalg.qr(z)
+            q = q * (np.diag(r) / np.abs(np.diag(r)))
+            theta = rng.uniform(-math.pi, math.pi, 6)
+            theta[1] = theta[0] + split
+            u = (q * np.exp(1j * theta)) @ q.conj().T
+            evals, weights = stroboscopic_modes(u)
+            basis = np.linalg.eig(u)[1]
+            skewed += np.max(np.abs(basis.conj().T @ basis - np.eye(6))) > 1e-6
+            for k in (0, 1, 2, 3, 25, 2000):
+                exact = np.diag(np.linalg.matrix_power(u, k))
+                assert np.max(np.abs(weights @ evals ** k - exact)) < 4e-12
+        assert skewed > 0
 
 
 class TestCZScanOracle:

@@ -635,9 +635,10 @@ class TestCZModels:
 
 
     def test_scan_propagates_only_what_it_reads(self, monkeypatch):
-        # the cz-paper config: one |ee> diagonal stack per drive frequency,
-        # and a single-excitation propagator where a full oscillation fits
-        calls = {"periodic_propagator": 0, "stroboscopic_diagonal": 0}
+        # the cz-paper config: one propagator and one eig of it per manifold
+        # and drive frequency, the single-excitation manifold's only where a
+        # full oscillation fits
+        calls = {"periodic_propagator": 0, "stroboscopic_modes": 0}
 
         def counted(name):
             kernel = getattr(protocols, name)
@@ -651,7 +652,7 @@ class TestCZModels:
             monkeypatch.setattr(protocols, name, counted(name))
         scan = cz_conditional_phase(presets.table_circuit(), presets.fixture_drive("cz"))
         assert scan.valid.all()
-        assert calls == {"periodic_propagator": 30, "stroboscopic_diagonal": 15}
+        assert calls == {"periodic_propagator": 30, "stroboscopic_modes": 30}
 
     def test_idle_reference_is_the_closed_form(self, cz_scan):
         # diag(exp(-i H_0 t)) of both undriven manifolds, H(0) at phi_dc, at
@@ -664,6 +665,28 @@ class TestCZModels:
             diagonal = protocols._idle_diagonal(h0)
             for t in cz_scan.duration[[0, -1]]:
                 assert np.max(np.abs(diagonal(t) - np.diag(expm(-1j * h0 * t)))) < 1e-10
+
+    @pytest.mark.parametrize("n_periods", [1, 250, 750])
+    def test_undriven_modes_are_the_idle_closed_form(self, n_periods):
+        # the two closed forms of the scan agree where both apply: at a_d = 0
+        # the eigenpairs of the one-period propagator, raised to n periods,
+        # are the idle reference's eigh of H(0) at t = n / omega_d, up to
+        # 1.5 us at 500 MHz.  The propagator's round-off (5.8e-14 a period
+        # at 64 steps, 1.3e-12 at 2048) grows linearly with n: 3.6e-11
+        # measured at 750 periods and 64 steps
+        from couplersim.floquet import coupler_block, modulation_spectrum
+        from couplersim.numerics import periodic_propagator, stroboscopic_modes
+
+        circuit = presets.table_circuit()
+        drive = dataclasses.replace(presets.fixture_drive("cz"), a_d=0.0)
+        for states, h in zip((protocols._CZ_DOUBLE, protocols._CZ_SINGLE),
+                             cz_models(circuit, drive)):
+            spectrum = modulation_spectrum(coupler_block(circuit, states), circuit.coupler,
+                                           drive, 64)
+            for wd in (500e6, 519.77e6):
+                evals, weights = stroboscopic_modes(periodic_propagator(spectrum, 1.0 / wd))
+                idle = protocols._idle_diagonal(h(0.0))(n_periods / wd)
+                assert np.max(np.abs(weights @ evals ** n_periods - idle)) < 1e-10
 
 
 class TestStaticZZ:
