@@ -678,12 +678,12 @@ _BUDGETS = {
     # beside the columns (8 B a cell in an array, 32 B in a list); 26 s at the
     # costliest, 2.6 us of periodic-lr (0.2 us of cz-chevron), so no time
     "cells": 1e7,
-    # the arrays a run holds at once, a quarter of 4 GB: 10.5 kB a Monte Carlo
+    # the arrays a run holds at once, a quarter of 4 GB: 10.8 kB a Monte Carlo
     # state, 432 B a kept CZ sample (protocols.cz_spectra_size), 108 B a CZ
     # period of one drive frequency (a 96 B column of its 6-mode power table
     # and a 16 B |ee> amplitude: 112 B at the peak)
     "bytes": 1e9,
-    # a config that validates ends within a minute: 3.7 us a state-cycle,
+    # a config that validates ends within a minute: 3.2 us a state-cycle,
     # 1.2 us a kept CZ sample's propagator step, 10 us its spectra step,
     # 0.45 ms an amplitude
     "seconds": 60.0,
@@ -708,13 +708,13 @@ def _rb_schema(*rates: str, **extra: _Param) -> dict:
 
 def _leakage_rb_check(params: dict) -> None:
     n_r, n_max = params["n_randomizations"], max(params["n_cl_grid"])
-    _budget("params.n_randomizations", "bytes", 10.5e3 * n_r,
-            "n_randomizations x 10.5 kB of Monte Carlo state buffers")
-    # the time grows with both factors; name the larger.  Its 1.6e7 cap on
+    _budget("params.n_randomizations", "bytes", 10.8e3 * n_r,
+            "n_randomizations x 10.8 kB of Monte Carlo state buffers")
+    # the time grows with both factors; name the larger.  Its 1.9e7 cap on
     # n_randomizations x max(n_cl_grid) also bounds the Clifford draws (1 B
-    # each, <= 16 MB) and the int64 row drawn before each is stored (<= 65 MB)
+    # each, <= 19 MB) and the int64 row drawn before each is stored (<= 75 MB)
     _budget("params.n_cl_grid" if n_max > n_r else "params.n_randomizations", "seconds",
-            3.7e-6 * n_r * n_max, "n_randomizations x max(n_cl_grid) state-cycles at 3.7 us")
+            3.2e-6 * n_r * n_max, "n_randomizations x max(n_cl_grid) state-cycles at 3.2 us")
 
 
 def _readout_shots_schema() -> dict:

@@ -24,20 +24,20 @@ is 1.115e-4 (the Monte Carlo mean of ``leakage-rb`` at its defaults, seed
 coherent step brings the exact value to 4.10e-4.
 
 The Monte Carlo step keeps one fixed order of floating-point operations:
-that of the batched three-operand ``einsum`` conjugations it was written
-with, the window channels and a running 2x2 Clifford product for the
-inverse gate.  Each gate (Clifford, leak, recovery, inverse) is the identity
-except for a 2x2 block, and :func:`_block_conjugation` applies it in a few
-whole-batch ufunc calls that repeat the ``einsum``'s arithmetic bit for bit,
-with the state axis last so that every call runs over contiguous rows of
-all the states of a chunk, and with its work buffers allocated once per
-chunk.  The window channels run as one GEMM per block of 32 states (see
-:func:`_channel`): one GEMM over all states is large enough for OpenBLAS to
-start a worker thread, which busy-waits on a second core between calls;
-the blocks give the same bits and stay on one core.  The joint fit of the
-curves is ill-conditioned when A2 and B2 are barely identified: changing
-the curves by 2e-13 relative moves (A0, A2, B2) by up to 2e-2, so a
-reordered step changes the fit reported for a given seed.
+that of the batched three-operand ``einsum`` conjugations and complex
+window channels it was written with, and a running 2x2 Clifford product
+for the inverse gate.  A chunk holds its states in one real layout, rows
+(re/im, state, 36) of the row-major vec.  Each gate is the identity except
+for a 2x2 block, which :func:`_block_conjugation` applies in whole-batch
+ufunc calls on views of the rows that repeat the ``einsum``'s arithmetic
+bit for bit.  Each window channel is one real ``(2R, 36) @ (36, 36)`` GEMM
+of the rows (:func:`_channel`): the physical windows have zero imaginary
+parts, and the real product gives the complex one's bits under the
+SkylakeX, Haswell and Prescott kernels of the bundled OpenBLAS, the ones
+checked, in blocks of ``_CHANNEL_BLOCK`` rows that run on one thread.  The
+joint fit of the curves is ill-conditioned when A2 and B2 are barely
+identified: changing the curves by 2e-13 relative moves (A0, A2, B2) by up
+to 2e-2, so a reordered step changes the fit reported for a given seed.
 
 The randomizations run on every usable core, in forked children, without
 reordering any of that arithmetic.  No operation of the step mixes two
@@ -352,14 +352,14 @@ def _block_conjugation(x, v, a: int, out, work: dict):
 
     ``x`` and ``out`` hold the real and imaginary parts on their first axis,
     then the two level axes, then batch axes; the last axis is the state
-    index R, so each ufunc call runs over contiguous R-long rows and its
-    fixed cost is shared by R states.  ``v`` has shape ``(c, 2, 2, *b)``:
-    ``c`` = 2 parts (re, im), or 1 for a real block, and ``b`` broadcasts
-    against the batch axes.  ``x`` is overwritten; ``out`` may be any view of
-    its shape (the caller passes the parts of a complex array).  The
-    intermediate products live in ``work``, a dict of arrays keyed by name and
-    shape that the plans of one batch share, so running a plan allocates
-    nothing.
+    index R, so each ufunc call runs over all R states.  ``v`` has shape
+    ``(c, 2, 2, *b)``: ``c`` = 2 parts (re, im), or 1 for a real block, and
+    ``b`` broadcasts against the batch axes.  ``x`` is overwritten; ``out``
+    may be any view of its shape: :func:`monte_carlo_rb` passes views
+    (:func:`_views`) of the rows its channels multiply, so no state is copied
+    between a gate and a channel.  The intermediate products live in
+    ``work``, a dict of arrays keyed by name and shape that the plans of one
+    batch share, so running a plan allocates nothing.
 
     The result is bitwise that of ``np.einsum("rij,rjk,rlk->ril", U, x,
     U.conj())`` (``TestBlockConjugation`` in ``tests/test_rbsim.py``), whose
@@ -426,48 +426,50 @@ def _block_conjugation(x, v, a: int, out, work: dict):
     return run
 
 
-def _parts(rho: np.ndarray) -> np.ndarray:
-    """The (re/im, row, column, state) view of a batch of 6x6 states."""
-    return rho.view(np.float64).reshape(len(rho), 6, 6, 2).transpose(3, 1, 2, 0)
+def _views(rows: np.ndarray) -> tuple:
+    """The (re/im, row, column, state) view of states held as rows (re/im,
+    state, 36), and their (re/im, q, q', r, r', state) view for kron(u3, I2)."""
+    r_count = rows.shape[1]
+    return (rows.reshape(2, r_count, 6, 6).transpose(0, 2, 3, 1),
+            rows.reshape(2, r_count, 3, 2, 3, 2).transpose(0, 2, 4, 3, 5, 1))
 
 
-def _qutrit_view(parts: np.ndarray) -> np.ndarray:
-    """``parts`` as (re/im, q, q', r, r', state) for operators kron(u3, I2)."""
-    return parts.reshape(2, 3, 2, 3, 2, -1).transpose(0, 1, 3, 2, 4, 5)
+#: rows per GEMM in :func:`_channel`, even (a one-row product would go to
+#: gemv, which rounds otherwise): the bundled OpenBLAS runs the real GEMM on
+#: one thread up to 404 rows under Haswell and Prescott and 771 under
+#: SkylakeX, and threads it from 405 and 772 (cpu/wall of repeated calls,
+#: fresh process that loaded numpy first: 1.00 against 1.95-1.99), whose
+#: worker would spin through the gates between calls.  A CLI process runs
+#: OpenBLAS on one thread (see :mod:`couplersim`); a host program that
+#: imported numpy first, such as a test runner, keeps its workers
+_CHANNEL_BLOCK = 400
 
 
-#: states per GEMM in :func:`_channel`, at least 2: 32 rows stay well under
-#: the ~50 rows (measured on a 2-vCPU host) from which the bundled OpenBLAS
-#: threads a ``(M, 36) @ (36, 36)`` GEMM, whose worker would otherwise spin
-#: through the block conjugations between calls.  A CLI process runs OpenBLAS
-#: on one thread (see :mod:`couplersim`), but a host program that imported
-#: numpy first, such as a test runner or a warm benchmark interpreter, keeps
-#: its workers, and its forked children would spin without the blocks
-_CHANNEL_BLOCK = 32
+def _channel(sup_t: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """``out`` = the superoperator applied to the states in ``rows``, both
+    ``(re/im, state, 36)``; ``sup_t`` is its transpose (row-major vec).
 
-
-def _channel(sup: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """A superoperator (row-major vec) applied to a batch of states.
-
-    One ``(B, 36) @ (36, 36)`` GEMM per block of B = ``_CHANNEL_BLOCK``
-    states; the last block takes what is left, and a single state left over
-    joins the block before it, because numpy sends a one-row product to
-    gemv, whose round-off differs from gemm's.  Where OpenBLAS runs
-    threaded, one GEMM over all R states crosses its threading threshold
-    (between 50 and 56 rows) and hands half of the rows to a worker
-    thread, which then busy-waits through the block conjugations between
-    calls and pins a second core for the whole run.  The blocked product is
-    bitwise equal to that single GEMM (``TestMonteCarlo::test_channel_blocks_keep_the_bits``).
+    A real ``sup_t`` (every physical window) is one real GEMM of the
+    ``(2R, 36)`` rows per ``_CHANNEL_BLOCK`` rows.  For the three windows it
+    gives the complex GEMM's bits under SkylakeX, Haswell and Prescott at
+    every R tried from 2 to 450 (``TestMonteCarlo::test_real_channel_keeps_the_complex_bits``)
+    if ``sup_t`` is C-contiguous: numpy's transposed view sends up to 33 rows
+    to SkylakeX's small-matrix kernel, which rounds otherwise.  Sandybridge
+    differs in the last bit at some odd R, and R = 1 misses the gemv that
+    numpy sends one complex row to.
+    A complex ``sup_t`` (the depolarizing oracle's embedded Y) is one complex
+    GEMM on a copy of the states; its real form of four products loses the
+    bits under Haswell.
     """
-    flat = rho.reshape(len(rho), -1)
-    out = np.empty_like(flat)
-    sup_t = sup.T
-    starts = list(range(0, len(flat), _CHANNEL_BLOCK))
-    if len(starts) > 1 and len(flat) - starts[-1] == 1:
-        starts.pop()
-    for s, e in zip(starts, starts[1:] + [len(flat)]):
-        np.matmul(flat[s:e], sup_t, out=out[s:e])
-    return out.reshape(rho.shape)
+    if np.iscomplexobj(sup_t):
+        states = np.empty(rows.shape[1:], dtype=complex)
+        states.real, states.imag = rows
+        product = states @ sup_t
+        out[0], out[1] = product.real, product.imag
+        return
+    src, dst = rows.reshape(-1, 36), out.reshape(-1, 36)
+    for s in range(0, len(src), _CHANNEL_BLOCK):
+        np.matmul(src[s:s + _CHANNEL_BLOCK], sup_t, out=dst[s:s + _CHANNEL_BLOCK])
 
 
 #: fewest randomizations per forked child of :func:`monte_carlo_rb`.  Two
@@ -495,14 +497,14 @@ def _chunk_count(r_count: int) -> int:
 def _chunks(r_count: int, k: int) -> list[range]:
     """``range(r_count)`` as at most ``k`` contiguous chunks whose sizes
     differ by at most one, none of them smaller than 2 states: a one-state
-    chunk would send its channels to gemv (see :func:`_channel`)."""
+    chunk would send a complex channel to gemv (see :func:`_channel`)."""
     k = max(1, min(k, r_count // 2))
     ends = [r_count * i // k for i in range(k + 1)]
     return [range(a, b) for a, b in zip(ends, ends[1:])]
 
 
-def _randomizations(scenario: RBScenario, stream: RngStream, rows: range, windows: dict,
-                    measure_window: np.ndarray) -> np.ndarray:
+def _randomizations(scenario: RBScenario, stream: RngStream, rows: range,
+                    windows: dict) -> np.ndarray:
     """P_g and P_f of the randomizations ``rows`` on the scenario grid, as
     one (2, len(rows), len(n_cl_grid)) array; randomization r draws its
     Cliffords from ``stream.child(r)``.  The step of :func:`monte_carlo_rb`,
@@ -514,26 +516,23 @@ def _randomizations(scenario: RBScenario, stream: RngStream, rows: range, window
     for row, r in zip(gate_idx, rows):
         row[:] = stream.child(r).integers(0, 24, size=n_max)
 
-    # the state, split and with the state axis last, is the input of every
-    # block conjugation; each writes the input of the next channel
-    parts = np.empty((2, 6, 6, r_count))
-    rho_in = np.empty((r_count, 6, 6), dtype=complex)
-    qutrit, qutrit_in = _qutrit_view(parts), _qutrit_view(_parts(rho_in))
-    v_cl = np.empty((2, 2, 2, r_count))
-    v_inv = np.empty((2, 2, 2, r_count))
+    # each gate reads (and overwrites) `state` and writes `gate`, which each
+    # channel reads back into `state`; a measurement works on a copy, `meas`
+    state, gate, meas = np.zeros((3, 2, r_count, 36))
+    (levels, qutrit), (levels_out, qutrit_out), (_, qutrit_meas) = map(_views, (state, gate, meas))
+    v_cl, v_inv = np.empty((2, 2, 2, 2, r_count))
     g0, g1, e1, f0, f1 = map(LEVELS.index, ("g0", "g1", "e1", "f0", "f1"))
     # the leak is kron(u3, I2) with u3 = 1 (+) R(theta); recovery acts on
     # the neighbouring levels (e1, f0)
     v_leak = _leak_unitary(scenario.l_cl)[2::2, 2::2].real.reshape(1, 2, 2, 1, 1, 1)
     v_lr = _lr_unitary(scenario.f_lr)[e1:f0 + 1, e1:f0 + 1].real.reshape(1, 2, 2, 1)
     work = {}
-    clifford = _block_conjugation(qutrit, v_cl[:, :, :, None, None], 0, qutrit_in, work)
-    leak = _block_conjugation(qutrit, v_leak, 1, qutrit_in, work)
-    recovery = _block_conjugation(parts, v_lr, e1, _parts(rho_in), work)
-    inverse = _block_conjugation(qutrit, v_inv[:, :, :, None, None], 0, qutrit_in, work)
+    clifford = _block_conjugation(qutrit, v_cl[:, :, :, None, None], 0, qutrit_out, work)
+    leak = _block_conjugation(qutrit, v_leak, 1, qutrit_out, work)
+    recovery = _block_conjugation(levels, v_lr, e1, levels_out, work)
+    inverse = _block_conjugation(qutrit_meas, v_inv[:, :, :, None, None], 0, qutrit_out, work)
 
-    rho = np.zeros((r_count, 6, 6), dtype=complex)
-    rho[:, g0, g0] = 1.0
+    state[0, :, 7 * g0] = 1.0
     ctot = np.broadcast_to(np.eye(2, dtype=complex), (r_count, 2, 2)).copy()
     col = {int(n): j for j, n in enumerate(n_grid)}
     out = np.empty((2, r_count, len(n_grid)))
@@ -542,27 +541,25 @@ def _randomizations(scenario: RBScenario, stream: RngStream, rows: range, window
         if n > 0:
             gates = gate_idx[:, n - 1]
             np.take(_CLIFFORD_PARTS, gates, axis=3, out=v_cl)
-            np.copyto(parts, _parts(rho))
             clifford()
-            rho = _channel(windows["cl"], rho_in)
+            _channel(windows["cl"], gate, state)
             ctot = np.einsum("rij,rjk->rik", _CLIFFORDS_2[gates], ctot)
-            np.copyto(parts, _parts(rho))
             leak()
-            rho = _channel(windows["leak"], rho_in)
+            _channel(windows["leak"], gate, state)
             if scenario.n_lr > 0 and n % scenario.n_lr == 0:
-                np.copyto(parts, _parts(rho))
                 recovery()
-                rho = rho_in
-            rho = _channel(windows["lr"], rho)
+            else:
+                np.copyto(gate, state)
+            _channel(windows["lr"], gate, state)
         if n in col:
             # the inverse gate ctot^dag
             np.copyto(v_inv[0], ctot.real.transpose(2, 1, 0))
             np.negative(ctot.imag.transpose(2, 1, 0), out=v_inv[1])
-            np.copyto(parts, _parts(rho))
+            np.copyto(meas, state)
             inverse()
-            rho_m = _channel(measure_window, rho_in)
-            p_g[:, col[n]] = (rho_m[:, g0, g0] + rho_m[:, g1, g1]).real
-            p_f[:, col[n]] = (rho_m[:, f0, f0] + rho_m[:, f1, f1]).real
+            _channel(windows["measure"], gate, meas)
+            np.add(meas[0, :, 7 * g0], meas[0, :, 7 * g1], out=p_g[:, col[n]])
+            np.add(meas[0, :, 7 * f0], meas[0, :, 7 * f1], out=p_f[:, col[n]])
     return out
 
 
@@ -641,11 +638,10 @@ def monte_carlo_rb(
     the same window, which would recover about 99.7 % (see
     :class:`RBScenario`).  With ``depolarizing_error=None`` the window
     channels are the Lindblad channels of
-    :func:`~couplersim.dynamics.qutrit_resonator_model` at
-    ``scenario.rates`` without a drive; otherwise the
-    Clifford window is a depolarizing channel of that average gate error
-    and the other windows are noiseless (without leakage this is the exact
-    oracle ``P_g = 1/2 + 1/2 (1 - 2 eps)^n``).  ``n_lr = 0`` disables
+    :func:`~couplersim.dynamics.qutrit_resonator_model` at ``scenario.rates``
+    without a drive; otherwise the Clifford window is a depolarizing channel
+    of that average gate error and the other windows are noiseless (without
+    leakage this is the exact oracle ``P_g = 1/2 + 1/2 (1 - 2 eps)^n``).  ``n_lr = 0`` disables
     recovery and zero rates make every window noiseless.  Each measurement
     applies the inverse of the running Clifford product and then, with
     physical noise, the Clifford-window channel.
@@ -665,8 +661,8 @@ def monte_carlo_rb(
     was no faster at R 200 on 2 vCPUs (medians 0.47-0.57 s either way) and
     faulted about 1,100 pages here against 330.  It puts the (R, n) rows
     back in order before the mean and standard deviation, so the curves are
-    bitwise the same for any chunk count, as they are for any block size
-    (2 or more) of :func:`_channel`
+    bitwise the same for any chunk count, as they are for any even block
+    size of :func:`_channel`
     (``TestForkedChunks::test_curves_independent_of_chunks``,
     ``TestMonteCarlo::test_curves_independent_of_channel_blocks``).
     Without ``os.fork``, when it raises ``OSError``, or when a child exits
@@ -681,30 +677,34 @@ def monte_carlo_rb(
     blocks below its threading threshold.  In a traced run, the spans of the
     children's calls are not recorded.
 
-    The gates are applied by :func:`_block_conjugation`, bitwise equal to the
-    three-operand ``einsum`` it replaced, so the curves keep their bits
-    (``TestMonteCarlo::test_curves_keep_their_bits``).  Before each gate the
-    state is copied from the channel's (R, 6, 6) complex layout to real and
-    imaginary parts with the state axis last; the gate writes its result
-    back into the channel's input.  Those buffers and the gates' work arrays
-    (about 8.6 kB per state) are allocated once per chunk: allocating them
-    per gate took about 55 times the minor page faults over 200 cycles of
-    200 states, because the heap is trimmed each time the temporaries are
-    freed (``TestMonteCarlo::test_monte_carlo_allocates_once`` for this
-    process, ``TestForkedChunks::test_children_keep_to_one_core_each`` for
-    the children).
+    The gates (:func:`_block_conjugation`) and channels (:func:`_channel`)
+    are bitwise equal to the ``einsum`` conjugations and complex GEMMs they
+    replaced (``TestMonteCarlo::test_curves_keep_their_bits``).  A chunk
+    holds its states as real rows (re/im, state, 36) in three buffers: the
+    state, the gate output each channel multiplies back into it, and a copy
+    to measure.  Each channel is one real GEMM per ``_CHANNEL_BLOCK`` = 400
+    rows, which OpenBLAS runs on one thread under SkylakeX, Haswell and
+    Prescott (it threads from 772, 405 and 405 rows).  The buffers and the
+    gates' work arrays (about 10.8 kB a state at the default grid, Clifford
+    draws included) are allocated once per chunk: per gate they took about
+    55 times the minor page faults over 200 cycles of 200 states, because
+    the heap is trimmed each time the temporaries are freed
+    (``TestMonteCarlo::test_monte_carlo_allocates_once`` for this process,
+    ``TestForkedChunks::test_children_keep_to_one_core_each`` for the
+    children).
     """
     n_grid = np.asarray(scenario.n_cl_grid, dtype=int)
     if depolarizing_error is None:
         windows = _decoherence_superops(scenario)
-        measure_window = windows["cl"]
+        windows["measure"] = windows["cl"]
     else:
         noiseless = np.eye(36)
         windows = {"cl": _depolarizing_superop(depolarizing_error),
-                   "leak": noiseless, "lr": noiseless}
-        measure_window = noiseless
-    run = partial(_randomizations, scenario, stream, windows=windows,
-                  measure_window=measure_window)
+                   "leak": noiseless, "lr": noiseless, "measure": noiseless}
+    # _channel's operands: C-contiguous transposes, real where they can be
+    windows = {key: np.ascontiguousarray((sup if sup.imag.any() else sup.real).T)
+               for key, sup in windows.items()}
+    run = partial(_randomizations, scenario, stream, windows=windows)
     chunks = _chunks(n_randomizations, _chunk_count(n_randomizations))
     if len(chunks) == 1:
         p_g, p_f = run(chunks[0])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import couplersim
-from couplersim import presets, rbsim
+from couplersim import cli, presets, rbsim
 from couplersim.circuit import DecayRates
 from couplersim.dynamics import LEVELS
 from couplersim.numerics import TWO_PI, RngStream
@@ -127,7 +127,7 @@ class TestMonteCarlo:
         eps = 0.01
         sc = scenario(l_cl=0.0, n_cl_grid=MC_GRID)
         n = np.asarray(MC_GRID)
-        for r_count in (3, 40):  # 40 states span two blocks of rbsim._channel
+        for r_count in (3, 40):  # 40 states run as two forked chunks on 2 cores
             curves = rbsim.monte_carlo_rb(sc, RngStream(seed=2), n_randomizations=r_count,
                                           depolarizing_error=eps)
             np.testing.assert_allclose(curves.p_g_mean, 0.5 + 0.5 * (1.0 - 2.0 * eps) ** n,
@@ -135,22 +135,25 @@ class TestMonteCarlo:
             np.testing.assert_allclose(curves.p_f_mean, 0.0, rtol=0, atol=1e-12,
                                        err_msg=f"R = {r_count}")
 
-    @pytest.mark.parametrize("r_count", [1, 31, 32, 33, 64, 200])
-    def test_channel_blocks_keep_the_bits(self, r_count):
-        # the blocked GEMMs against one GEMM over all states, which OpenBLAS
-        # threads above about 50 rows
-        rng = np.random.default_rng(11)
-        sup = rng.normal(size=(36, 36)) + 1j * rng.normal(size=(36, 36))
-        rho = rng.normal(size=(r_count, 6, 6)) + 1j * rng.normal(size=(r_count, 6, 6))
-        out = rbsim._channel(sup, rho)
-        assert out.shape == rho.shape
-        assert np.array_equal(out.reshape(r_count, -1), rho.reshape(r_count, -1) @ sup.T)
+    @pytest.mark.parametrize("core", [None, "Haswell", "Prescott"])
+    def test_real_channel_keeps_the_complex_bits(self, core):
+        # each physical window as the real GEMM of the rows against the
+        # complex GEMM the step ran before, bit for bit, from 2 states to
+        # three row blocks; in a fresh process that loaded numpy first (its
+        # OpenBLAS threaded), under this host's kernel or another one
+        if core is not None and cli._blas_core() is None:
+            pytest.skip("no OpenBLAS bundled with numpy whose kernel can be read")
+        ran, mismatches = run_fresh(CHANNEL_CHECK, core=core).split()
+        if core is not None and ran == cli._blas_core():
+            pytest.skip(f"OPENBLAS_CORETYPE={core} runs this host's own kernel, {ran}")
+        assert mismatches == "none", ran
 
     def test_curves_independent_of_channel_blocks(self, monkeypatch):
         sc = scenario(n_lr=2, n_cl_grid=MC_GRID)
         runs = []
-        # 3 and 13 leave one state over at R = 40, which joins the block before it
-        for block in (2, 3, 7, 13, 32, 40):
+        # 80 rows at R = 40: 6 and 26 leave two rows over, 64 cuts across
+        # the real and imaginary parts
+        for block in (2, 6, 26, 64, 80, rbsim._CHANNEL_BLOCK):
             monkeypatch.setattr(rbsim, "_CHANNEL_BLOCK", block)
             runs.append(rbsim.monte_carlo_rb(sc, RngStream(seed=5), n_randomizations=40))
         for field in dataclasses.fields(rbsim.RBCurves):
@@ -172,9 +175,11 @@ class TestMonteCarlo:
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs a second core to spin on")
     def test_monte_carlo_keeps_to_one_core(self):
-        # a GEMM over all 96 states would start an OpenBLAS worker that spins
-        # between the channel calls: cpu/wall 1.8-2.0 against about 1.0 in
-        # blocks; contention can only lower the ratio.  A fresh process keeps
+        # one chunk of 400 states: a GEMM over all its 800 rows would start
+        # an OpenBLAS worker (from 405 rows under Haswell and Prescott, 772
+        # under SkylakeX) that spins between the channel calls: cpu/wall
+        # 1.8-2.0 against about 1.0 in blocks of _CHANNEL_BLOCK rows;
+        # contention can only lower the ratio.  A fresh process keeps
         # out the spin of threaded calls made by earlier tests.  scipy's expm,
         # which builds the channels, spins a worker of its own BLAS for over
         # 0.1 s (cpu/wall up to 2.0 over a 0.1 s call), so the channels are
@@ -182,31 +187,34 @@ class TestMonteCarlo:
         # warm-up runs at the measured size: the first threaded GEMM of a
         # process starts the workers, which can take 0.7 s and hide the spin
         ratio = float(run_fresh("""
-            sc = scenario(n_cl_grid=(1, 2, 3, 4, 400))
+            sc = scenario(n_cl_grid=(1, 2, 3, 4, 200))
             windows = rbsim._decoherence_superops(sc)
             rbsim._decoherence_superops = lambda _: windows
-            rbsim.monte_carlo_rb(sc, RngStream(seed=0), n_randomizations=96)
+            rbsim._chunk_count = lambda r: 1
+            rbsim.monte_carlo_rb(sc, RngStream(seed=0), n_randomizations=400)
             time.sleep(0.5)
             cpu0, wall0 = time.process_time(), time.perf_counter()
-            rbsim.monte_carlo_rb(sc, RngStream(seed=0), n_randomizations=96)
+            rbsim.monte_carlo_rb(sc, RngStream(seed=0), n_randomizations=400)
             print((time.process_time() - cpu0) / (time.perf_counter() - wall0))
         """))
         assert ratio < 1.5
 
     def test_monte_carlo_allocates_once(self):
-        # minor page faults of one R = 200 run after a warm-up run (numpy 2.4,
-        # glibc, x86-64): 321 with the einsum conjugations, 585 with the block
-        # conjugations, whose ~1.7 MB of buffers fault in once, and 32,600 when
-        # every gate allocates its work arrays, which the heap then trims.
-        # The bound is about three times the einsum step's count
+        # minor page faults of one in-process R = 200 run after a warm-up run
+        # (numpy 2.4, glibc, x86-64): 452 with the real rows, 510-512 with
+        # the complex channels between copies, and 32,600 when every gate
+        # allocates its work arrays, which the heap then trims.  No run has
+        # forked before: a process that has forked faults again on every page
+        # it writes (994-1,048 here, 1,070-1,085 with the complex channels)
         faults = int(run_fresh("""
             sc = scenario(n_cl_grid=(1, 2, 5, 20, 200))
+            rbsim._chunk_count = lambda r: 1
             rbsim.monte_carlo_rb(sc, RngStream(seed=0), n_randomizations=2)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             rbsim.monte_carlo_rb(sc, RngStream(seed=3), n_randomizations=200)
             print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         """))
-        assert faults < 1000
+        assert faults < 600
 
 
 def reaped_run(*args, **kwargs):
@@ -428,17 +436,59 @@ def scenario(**kwargs):
 """
 
 
-def run_fresh(body: str) -> str:
+def run_fresh(body: str, core: str | None = None) -> str:
     """Run ``body`` in a fresh interpreter with this ``couplersim`` first on
-    the path and ``OPENBLAS_NUM_THREADS`` unset, which importing couplersim
-    here has set; returns the last line it prints."""
+    the path, ``OPENBLAS_NUM_THREADS`` unset, which importing couplersim
+    here has set, and ``OPENBLAS_CORETYPE`` set to ``core`` if given;
+    returns the last line it prints."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = path
+    if core is not None:
+        env["OPENBLAS_CORETYPE"] = core
     proc = subprocess.run([sys.executable, "-c", FRESH_PROLOGUE + textwrap.dedent(body)],
-                          env={**env, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=300)
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
+
+
+#: ``test_real_channel_keeps_the_complex_bits``: prints the kernel that ran and
+#: the (window:R) pairs where ``rbsim._channel`` on real rows and the complex
+#: GEMM in blocks of 32 states that it replaced differ in any bit, or "none".
+#: 2R = 4 to 900 rows: within one block of ``_CHANNEL_BLOCK`` = 400 rows, at
+#: its edge and across three; complex states with exact zeros and -0.0
+CHANNEL_CHECK = """
+from couplersim import cli
+
+def complex_channel(sup, rho):
+    flat = rho.reshape(len(rho), 36)
+    out = numpy.empty_like(flat)
+    starts = list(range(0, len(flat), 32))
+    if len(starts) > 1 and len(flat) - starts[-1] == 1:
+        starts.pop()
+    for s, e in zip(starts, starts[1:] + [len(flat)]):
+        numpy.matmul(flat[s:e], sup.T, out=out[s:e])
+    return out
+
+rng = numpy.random.default_rng(11)
+mismatches = []
+for name, sup in rbsim._decoherence_superops(scenario()).items():
+    assert not sup.imag.any(), name
+    sup_t = numpy.ascontiguousarray(sup.real.T)
+    for r_count in (2, 3, 16, 17, 33, 64, 199, 200, 201, 450):
+        rho = rng.normal(size=(r_count, 36)) + 1j * rng.normal(size=(r_count, 36))
+        for part, value in ((rho.real, 0.0), (rho.real, -0.0), (rho.imag, -0.0)):
+            part[rng.random(size=part.shape) < 0.15] = value
+        rows = numpy.stack([rho.real, rho.imag])
+        out = numpy.empty_like(rows)
+        rbsim._channel(sup_t, rows, out)
+        expected = complex_channel(sup, rho)
+        for got, want in ((out[0], expected.real), (out[1], expected.imag)):
+            if not numpy.array_equal(got.view(numpy.int64), want.view(numpy.int64)):
+                mismatches.append(f"{name}:{r_count}")
+                break
+print(cli._blas_core(), ",".join(mismatches) or "none")
+"""
 
 
 def einsum_conjugate(u, rho):
@@ -448,16 +498,15 @@ def einsum_conjugate(u, rho):
 
 def block_conjugate(rho, v, a, qutrit):
     """``rbsim._block_conjugation`` on a complex batch, as ``monte_carlo_rb``
-    calls it: the block ``v`` on levels (a, a + 1) of the qutrit (gates
-    kron(u3, I2)) or of the 6 levels."""
-    parts = np.empty((2, 6, 6, len(rho)))
-    np.copyto(parts, rbsim._parts(rho))
-    out = np.empty_like(rho)
-    x, y = parts, rbsim._parts(out)
-    if qutrit:
-        x, y = rbsim._qutrit_view(x), rbsim._qutrit_view(y)
+    calls it: on views of the states' rows, the block ``v`` on levels
+    (a, a + 1) of the qutrit (gates kron(u3, I2)) or of the 6 levels."""
+    rows = np.stack([rho.real, rho.imag]).reshape(2, len(rho), 36)
+    out = np.empty_like(rows)
+    x, y = rbsim._views(rows)[qutrit], rbsim._views(out)[qutrit]
     rbsim._block_conjugation(x, v, a, y, {})()
-    return out
+    result = np.empty_like(rho)
+    result.real, result.imag = out.reshape((2, *rho.shape))
+    return result
 
 
 def embed_qubit_gates(u2):
